@@ -34,6 +34,7 @@ from .group_action import (
     NotGStableError,
     OrderExceedsBoundError,
     group_from_generator,
+    wedge_pairs,
 )
 from .linalg import Matrix
 from .oracle import oracle_report, representative_basis
@@ -62,9 +63,10 @@ def load_job(path: str):
     if not isinstance(fspec, dict) or "type" not in fspec:
         raise JobError('job needs "field": {"type": "prime", "p": ...} or {"type": "rational"}')
     if fspec["type"] == "prime":
-        if "p" not in fspec:
-            raise JobError('prime field needs "p"')
-        field = Field.prime(int(fspec["p"]))
+        p = fspec.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise JobError('prime field needs an integer "p", got %r' % (p,))
+        field = Field.prime(p)
     elif fspec["type"] == "rational":
         field = Field.rational()
     else:
@@ -176,12 +178,11 @@ def cmd_compare(args) -> int:
 
 def _rep_to_dict(gr: CyclicGroup, c) -> dict:
     f = gr.field
-    pairs = [(a, b) for a in range(gr.n) for b in range(a + 1, gr.n)]
     return {
         "lambda": [f.to_str(x) for x in c.lam],
         "lambda_tag": "g^%d" % ((c.element_index + 1) % gr.order),
         "alpha": {"e%d^e%d" % (a + 1, b + 1): [f.to_str(x) for x in c.alpha[w]]
-                  for w, (a, b) in enumerate(pairs)},
+                  for w, (a, b) in enumerate(wedge_pairs(gr.n))},
         "alpha_tag": "g^%d" % c.element_index,
     }
 
@@ -322,7 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             ValueError, TypeError, ZeroDivisionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except PrerequisiteFailed as e:
+    except (PrerequisiteFailed, AssertionError) as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return EXIT_FAIL
 

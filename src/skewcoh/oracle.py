@@ -18,16 +18,29 @@ Everything is assembled as matrices over the flat coordinates
 (lambda_0..lambda_{n-1}, then alpha(e_a ^ e_b) vector by vector), so
 dimensions, containments, and distinguished representatives are plain
 rank/kernel computations.
+
+Each condition has one row builder, placed by column offset, which the
+per-element matrices and `assembled_complex` share: `_vanish_rows`
+(condition (1) and the lambda cuts, and the pi_h cut on alpha),
+`_jacobi_rows` (condition (3)), `_coboundary_cols` (d(f tensor h)) and
+`_wedge_vanish_rows` (the alpha(u ^ v) = 0 cuts).  Condition (2) alone is
+written twice on purpose: per element in the g^{-1}-twisted form above, and
+in `assembled_complex` in its pre-decomposition form, where lambda_j and
+alpha_{j-1} sit in different blocks.  The second form is what makes the
+assembled complex an independent check of the lambda-to-hg bookkeeping.
+Distinguished constraints are built only by `representative_basis` and
+`reduce_to_representative`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import combinations
+from typing import List, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import Matrix, Subspace, kernel_basis, rank, solve
+from .linalg import Matrix, kernel_basis, rank, solve
 
 
 class NotACocycleError(ValueError):
@@ -84,7 +97,6 @@ class PerElementComplex:
     element_index: int
     cocycle_condition_matrix: Matrix
     coboundary_matrix: Matrix
-    distinguished_constraints: Matrix
     z_dim: int
     b_dim: int
     hh_dim: int
@@ -94,12 +106,85 @@ def cochain_dim(n: int) -> int:
     return n + n * len(wedge_pairs(n))
 
 
-def _lam_idx(n: int, j: int) -> int:
-    return j
+def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
+    """One row per vector u: the block of coordinates starting at column
+    `at` vanishes on u, i.e. lambda(u) = 0 when that block is lambda."""
+    rows = []
+    for u in vectors:
+        row = [f.zero()] * dim
+        row[at:at + len(u)] = u
+        rows.append(row)
+    return rows
 
 
-def _alpha_idx(n: int, w: int, s: int) -> int:
-    return n + w * n + s
+def _jacobi_rows(f: Field, dim: int, one_minus_h: Matrix, at: int) -> List[List[Scalar]]:
+    """Condition (3) at h, one Sym^2-valued condition per basis triple, with
+    alpha(e_a ^ e_b)_s (pair number w) in column at + w*n + s."""
+    n = one_minus_h.nrows
+    pos = {p: k for k, p in enumerate(wedge_pairs(n))}
+    x = [one_minus_h.col(t) for t in range(n)]     # the vectors (1-h)e_t
+    spairs = sym_pairs(n)
+    rows: List[List[Scalar]] = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                # alpha(e_a^e_b) (1-h)e_c + alpha(e_b^e_c) (1-h)e_a - alpha(e_a^e_c) (1-h)e_b
+                terms = [(pos[(a, b)], x[c], f.one()), (pos[(b, c)], x[a], f.one()),
+                         (pos[(a, c)], x[b], f.neg(f.one()))]
+                for (i0, j0) in spairs:
+                    row = [f.zero()] * dim
+                    for (w, xt, sign) in terms:
+                        # coefficient of alpha(w)_s in the monomial e_{i0} e_{j0}
+                        for s, t in ((i0, j0), (j0, i0)) if i0 != j0 else ((i0, i0),):
+                            coef = f.mul(sign, xt[t])
+                            if coef != 0:
+                                idx = at + w * n + s
+                                row[idx] = f.add(row[idx], coef)
+                    rows.append(row)
+    return rows
+
+
+def _coboundary_cols(f: Field, dim: int, one_minus_g: Matrix, one_minus_h: Matrix,
+                     lam_at: int, alpha_at: int) -> List[List[Scalar]]:
+    """The columns d(e_j^* tensor h), j = 0..n-1: lambda(e_k) = (1-g)[j][k] in
+    column lam_at + k, and alpha(e_a ^ e_b) = f(e_b)(1-h)e_a - f(e_a)(1-h)e_b
+    (pair number w) in columns alpha_at + w*n .. alpha_at + w*n + n-1."""
+    n = one_minus_g.nrows
+    pairs = wedge_pairs(n)
+    cols: List[List[Scalar]] = []
+    for j in range(n):
+        col = [f.zero()] * dim
+        col[lam_at:lam_at + n] = one_minus_g.rows[j]
+        for w, (a, b) in enumerate(pairs):
+            for r in range(n):
+                v = f.zero()
+                if b == j:
+                    v = f.add(v, one_minus_h.rows[r][a])
+                if a == j:
+                    v = f.sub(v, one_minus_h.rows[r][b])
+                col[alpha_at + w * n + r] = v
+        cols.append(col)
+    return cols
+
+
+def _wedge_vanish_rows(f: Field, dim: int, uv_pairs, at: int) -> List[List[Scalar]]:
+    """alpha(u ^ v) = 0 for each (u, v), one row per coordinate r of the
+    value: coefficient u_a v_b - u_b v_a on alpha(e_a ^ e_b)_r, alpha's block
+    starting at column `at`.  A pair with u ^ v = 0 gives only zero rows,
+    which are dropped."""
+    rows: List[List[Scalar]] = []
+    for u, v in uv_pairs:
+        n = len(u)
+        coefs = [f.sub(f.mul(u[a], v[b]), f.mul(u[b], v[a])) for (a, b) in wedge_pairs(n)]
+        if all(c == 0 for c in coefs):
+            continue
+        for r in range(n):
+            row = [f.zero()] * dim
+            for w, c in enumerate(coefs):
+                if c != 0:
+                    row[at + w * n + r] = c
+            rows.append(row)
+    return rows
 
 
 def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
@@ -111,25 +196,17 @@ def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
     g = gr.generator
     ginv = g.inverse()
     w2g = wedge2_matrix(g)
-    h = gr.power(i)
-    one_minus_h = Matrix.identity(f, n) - h
-    rows: List[List[Scalar]] = []
+    one_minus_h = Matrix.identity(f, n) - gr.power(i)
 
     # (1) lambda vanishes on im T
-    for t in gr.transfer().image.basis_rows():
-        row = [f.zero()] * dim
-        for j in range(n):
-            row[_lam_idx(n, j)] = t[j]
-        rows.append(row)
+    rows = _vanish_rows(f, dim, gr.transfer().image.basis_rows(), 0)
 
-    # (2) one V-valued condition per basis pair
-    pair_pos = {p: k for k, p in enumerate(pairs)}
-    for (a, b) in pairs:
-        w0 = pair_pos[(a, b)]
+    # (2) one V-valued condition per basis pair, in its g^{-1}-twisted form
+    for w0, (a, b) in enumerate(pairs):
         for r in range(n):
             row = [f.zero()] * dim
             # alpha(w0)_r itself
-            row[_alpha_idx(n, w0, r)] = f.add(row[_alpha_idx(n, w0, r)], f.one())
+            row[n + w0 * n + r] = f.one()
             # minus (^{g^{-1}}alpha)(w0)_r = sum_w sum_s w2g[w][w0] ginv[r][s] alpha(w)_s
             for w in range(len(pairs)):
                 c = w2g.rows[w][w0]
@@ -138,42 +215,15 @@ def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
                 for s in range(n):
                     coef = f.mul(c, ginv.rows[r][s])
                     if coef != 0:
-                        idx = _alpha_idx(n, w, s)
+                        idx = n + w * n + s
                         row[idx] = f.sub(row[idx], coef)
             # - lambda(e_b)(e_a - ^h e_a)_r + lambda(e_a)(e_b - ^h e_b)_r
-            row[_lam_idx(n, b)] = f.sub(row[_lam_idx(n, b)], one_minus_h.rows[r][a])
-            row[_lam_idx(n, a)] = f.add(row[_lam_idx(n, a)], one_minus_h.rows[r][b])
+            row[b] = f.sub(row[b], one_minus_h.rows[r][a])
+            row[a] = f.add(row[a], one_minus_h.rows[r][b])
             rows.append(row)
 
     # (3) one Sym^2-valued condition per basis triple
-    spairs = sym_pairs(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                # alpha(e_a^e_b) (1-h)e_c + alpha(e_b^e_c) (1-h)e_a - alpha(e_a^e_c) (1-h)e_b
-                terms = [((a, b), c, f.one()), ((b, c), a, f.one()), ((a, c), b, f.neg(f.one()))]
-                for (i0, j0) in spairs:
-                    row = [f.zero()] * dim
-                    for (w_pair, t, sign) in terms:
-                        w = pair_pos[w_pair]
-                        x = one_minus_h.col(t)   # the vector (1-h)e_t
-                        # coefficient of alpha(w)_s in monomial e_{i0} e_{j0}
-                        if i0 == j0:
-                            coef = f.mul(sign, x[i0])
-                            if coef != 0:
-                                idx = _alpha_idx(n, w, i0)
-                                row[idx] = f.add(row[idx], coef)
-                        else:
-                            c1 = f.mul(sign, x[j0])
-                            if c1 != 0:
-                                idx = _alpha_idx(n, w, i0)
-                                row[idx] = f.add(row[idx], c1)
-                            c2 = f.mul(sign, x[i0])
-                            if c2 != 0:
-                                idx = _alpha_idx(n, w, j0)
-                                row[idx] = f.add(row[idx], c2)
-                    rows.append(row)
-
+    rows += _jacobi_rows(f, dim, one_minus_h, n)
     return Matrix(f, rows, ncols=dim)
 
 
@@ -182,28 +232,9 @@ def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
     flat coordinates at h = g^i (lambda lands at tag hg)."""
     f = gr.field
     n = gr.n
-    pairs = wedge_pairs(n)
-    g = gr.generator
-    h = gr.power(i)
-    one_minus_g = Matrix.identity(f, n) - g
-    one_minus_h = Matrix.identity(f, n) - h
-    cols: List[List[Scalar]] = []
-    for j in range(n):
-        col = [f.zero()] * cochain_dim(n)
-        # lambda(e_k) = f(e_k - ^g e_k) = (1-g)[j][k] for f = e_j*
-        for k in range(n):
-            col[_lam_idx(n, k)] = one_minus_g.rows[j][k]
-        # alpha(e_a ^ e_b) = f(e_b)(1-h)e_a - f(e_a)(1-h)e_b
-        for w, (a, b) in enumerate(pairs):
-            for r in range(n):
-                v = f.zero()
-                if b == j:
-                    v = f.add(v, one_minus_h.rows[r][a])
-                if a == j:
-                    v = f.sub(v, one_minus_h.rows[r][b])
-                col[_alpha_idx(n, w, r)] = v
-        cols.append(col)
-    return Matrix.from_columns(f, cols)
+    one = Matrix.identity(f, n)
+    return Matrix.from_columns(f, _coboundary_cols(
+        f, cochain_dim(n), one - gr.generator, one - gr.power(i), 0, n))
 
 
 def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
@@ -211,7 +242,6 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     h = g^i: pi_h o alpha = 0 always, plus the codimension case conditions."""
     f = gr.field
     n = gr.n
-    pairs = wedge_pairs(n)
     dim = cochain_dim(n)
     ed = gr.element(i)
     rows: List[List[Scalar]] = []
@@ -220,75 +250,29 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     d = ed.moved_space.dim
     if d > 0:
         cols = list(ed.moved_space.basis_rows()) + list(ed.moved_complement.basis_rows())
-        p = Matrix.from_columns(f, cols)
-        proj = p.inverse().rows[:d]       # V_h coordinates of a vector
-        for w in range(len(pairs)):
-            for pr in proj:
-                row = [f.zero()] * dim
-                for s in range(n):
-                    row[_alpha_idx(n, w, s)] = pr[s]
-                rows.append(row)
+        proj = Matrix.from_columns(f, cols).inverse().rows[:d]   # V_h coordinates of a vector
+        for w in range(len(wedge_pairs(n))):
+            rows += _vanish_rows(f, dim, proj, n + w * n)
 
     codim = ed.codim
+    fixed = ed.fixed_space.basis_rows()
     if codim == 0:
         # lambda = 0 on (V^G)^perp
-        for u in gr.invariants().complement().basis_rows():
-            row = [f.zero()] * dim
-            for j in range(n):
-                row[_lam_idx(n, j)] = u[j]
-            rows.append(row)
+        rows += _vanish_rows(f, dim, gr.invariants().complement().basis_rows(), 0)
     elif codim == 1:
         # alpha = 0 on wedge^2 V^h
-        fixed = ed.fixed_space.basis_rows()
-        pair_pos = {p_: k for k, p_ in enumerate(pairs)}
-        for x in range(len(fixed)):
-            for y in range(x + 1, len(fixed)):
-                u, v = fixed[x], fixed[y]
-                for r in range(n):
-                    row = [f.zero()] * dim
-                    for (a, b) in pairs:
-                        coef = f.sub(f.mul(u[a], v[b]), f.mul(u[b], v[a]))
-                        if coef != 0:
-                            idx = _alpha_idx(n, pair_pos[(a, b)], r)
-                            row[idx] = f.add(row[idx], coef)
-                    rows.append(row)
+        rows += _wedge_vanish_rows(f, dim, combinations(fixed, 2), n)
         # chi_h nontrivial: lambda = 0 on (V^h)^perp
         if ed.chi_of_generator != f.one():
-            for u in ed.fixed_complement.basis_rows():
-                row = [f.zero()] * dim
-                for j in range(n):
-                    row[_lam_idx(n, j)] = u[j]
-                rows.append(row)
+            rows += _vanish_rows(f, dim, ed.fixed_complement.basis_rows(), 0)
     elif codim == 2:
-        # alpha(u ^ v) = 0 for u in V^h, v in V
-        pair_pos = {p_: k for k, p_ in enumerate(pairs)}
-        for u in ed.fixed_space.basis_rows():
-            for j in range(n):
-                for r in range(n):
-                    row = [f.zero()] * dim
-                    any_nonzero = False
-                    for (a, b) in pairs:
-                        coef = f.zero()
-                        if b == j:
-                            coef = f.add(coef, u[a])
-                        if a == j:
-                            coef = f.sub(coef, u[b])
-                        if coef != 0:
-                            idx = _alpha_idx(n, pair_pos[(a, b)], r)
-                            row[idx] = f.add(row[idx], coef)
-                            any_nonzero = True
-                    if any_nonzero:
-                        rows.append(row)
-        # lambda = 0 on V^h
-        for u in ed.fixed_space.basis_rows():
-            row = [f.zero()] * dim
-            for j in range(n):
-                row[_lam_idx(n, j)] = u[j]
-            rows.append(row)
+        # alpha(u ^ v) = 0 for u in V^h, v in V; lambda = 0 on V^h
+        basis = Matrix.identity(f, n).rows
+        rows += _wedge_vanish_rows(f, dim, [(u, e) for u in fixed for e in basis], n)
+        rows += _vanish_rows(f, dim, fixed, 0)
     else:
         # codim > 2: the zero cochain
-        ident = Matrix.identity(f, dim)
-        rows.extend(list(r) for r in ident.rows)
+        rows += [list(r) for r in Matrix.identity(f, dim).rows]
 
     return Matrix(f, rows, ncols=dim)
 
@@ -296,7 +280,6 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
 def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
     cond = cocycle_conditions(gr, i)
     cob = coboundary_matrix(gr, i)
-    dist = distinguished_constraints(gr, i)
     if not (cond @ cob).is_zero():
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
     z = cochain_dim(gr.n) - rank(cond)
@@ -304,7 +287,7 @@ def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    return PerElementComplex(i, cond, cob, dist, z, b, hh)
+    return PerElementComplex(i, cond, cob, z, b, hh)
 
 
 def oracle_report(gr: CyclicGroup) -> List[PerElementComplex]:
@@ -315,7 +298,7 @@ def representative_basis(gr: CyclicGroup, i: int) -> List[CochainTwo]:
     """Basis of Z^2_{-1}(h) cut down by the distinguished constraints; its
     size must equal hh_dim (that is the uniqueness statement)."""
     pec = per_element_cohomology(gr, i)
-    ker = kernel_basis(pec.cocycle_condition_matrix.stack(pec.distinguished_constraints))
+    ker = kernel_basis(pec.cocycle_condition_matrix.stack(distinguished_constraints(gr, i)))
     if ker.dim != pec.hh_dim:
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
@@ -334,7 +317,7 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     if any(x != 0 for x in cond.apply(flat)):
         raise NotACocycleError("cochain violates the cocycle conditions")
     dmat = pec.coboundary_matrix
-    dist = pec.distinguished_constraints
+    dist = distinguished_constraints(gr, i)
     m = dist @ dmat
     target = dist.apply(flat)
     f0 = solve(m, target)
@@ -366,29 +349,21 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
     n = gr.n
     N = gr.order
     pairs = wedge_pairs(n)
-    w = len(pairs)
-    blk = n + w * n
+    blk = cochain_dim(n)
     dim = N * blk
     g = gr.generator
     w2g = wedge2_matrix(g)
-
-    def lam_at(j: int, k: int) -> int:
-        return (j % N) * blk + k
-
-    def alpha_at(j: int, wi: int, s: int) -> int:
-        return (j % N) * blk + n + wi * n + s
-
-    rows: List[List[Scalar]] = []
+    one = Matrix.identity(f, n)
     imt = gr.transfer().image.basis_rows()
 
+    rows: List[List[Scalar]] = []
+    cols: List[List[Scalar]] = []
     for j in range(N):
         hj = gr.power(j)
+        lam = j * blk                       # lambda_j
+        prev = ((j - 1) % N) * blk + n      # alpha_{j-1}
         # (1) lambda_j(im T) = 0
-        for t in imt:
-            row = [f.zero()] * dim
-            for k in range(n):
-                row[lam_at(j, k)] = t[k]
-            rows.append(row)
+        rows += _vanish_rows(f, dim, imt, lam)
         # (2) at group element g^j:
         # 0 = g alpha_{j-1}(u^v) - alpha_{j-1}(^g u ^ ^g v)
         #     - lambda_j(v)(^g u - ^{g^j} u) + lambda_j(u)(^g v - ^{g^j} v)
@@ -399,67 +374,19 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
                 for s in range(n):
                     c = g.rows[r][s]
                     if c != 0:
-                        idx = alpha_at(j - 1, w0, s)
+                        idx = prev + w0 * n + s
                         row[idx] = f.add(row[idx], c)
-                for wi in range(w):
+                for wi in range(len(pairs)):
                     c = w2g.rows[wi][w0]
                     if c != 0:
-                        idx = alpha_at(j - 1, wi, r)
+                        idx = prev + wi * n + r
                         row[idx] = f.sub(row[idx], c)
-                row[lam_at(j, b)] = f.sub(row[lam_at(j, b)], gm.rows[r][a])
-                row[lam_at(j, a)] = f.add(row[lam_at(j, a)], gm.rows[r][b])
+                row[lam + b] = f.sub(row[lam + b], gm.rows[r][a])
+                row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
                 rows.append(row)
         # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
-        one_minus_hj = Matrix.identity(f, n) - hj
-        spairs = sym_pairs(n)
-        pair_pos = {p_: k for k, p_ in enumerate(pairs)}
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    terms = [((a, b), c, f.one()), ((b, c), a, f.one()),
-                             ((a, c), b, f.neg(f.one()))]
-                    for (i0, j0) in spairs:
-                        row = [f.zero()] * dim
-                        for (w_pair, t, sign) in terms:
-                            wi = pair_pos[w_pair]
-                            x = one_minus_hj.col(t)
-                            if i0 == j0:
-                                coef = f.mul(sign, x[i0])
-                                if coef != 0:
-                                    idx = alpha_at(j, wi, i0)
-                                    row[idx] = f.add(row[idx], coef)
-                            else:
-                                c1 = f.mul(sign, x[j0])
-                                if c1 != 0:
-                                    idx = alpha_at(j, wi, i0)
-                                    row[idx] = f.add(row[idx], c1)
-                                c2 = f.mul(sign, x[i0])
-                                if c2 != 0:
-                                    idx = alpha_at(j, wi, j0)
-                                    row[idx] = f.add(row[idx], c2)
-                        rows.append(row)
+        rows += _jacobi_rows(f, dim, one - hj, lam + n)
+        # d^1 on f_j tensor g^j: lambda at g^{j+1} plus alpha at g^j
+        cols += _coboundary_cols(f, dim, one - g, one - hj, ((j + 1) % N) * blk, lam + n)
 
-    cond = Matrix(f, rows, ncols=dim)
-
-    # d^1 on the full 1-cochain space: f_j tensor g^j |-> lambda at g^{j+1}
-    # plus alpha at g^j
-    one_minus_g = Matrix.identity(f, n) - g
-    cols: List[List[Scalar]] = []
-    for j in range(N):
-        hj = gr.power(j)
-        one_minus_hj = Matrix.identity(f, n) - hj
-        for jj in range(n):
-            col = [f.zero()] * dim
-            for k in range(n):
-                col[lam_at(j + 1, k)] = one_minus_g.rows[jj][k]
-            for wi, (a, b) in enumerate(pairs):
-                for r in range(n):
-                    v = f.zero()
-                    if b == jj:
-                        v = f.add(v, one_minus_hj.rows[r][a])
-                    if a == jj:
-                        v = f.sub(v, one_minus_hj.rows[r][b])
-                    col[alpha_at(j, wi, r)] = v
-            cols.append(col)
-    cob = Matrix.from_columns(f, cols)
-    return cond, cob
+    return Matrix(f, rows, ncols=dim), Matrix.from_columns(f, cols)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from skewcoh import CohomologyReport, Field, full_report
+from skewcoh import CohomologyReport, Field, cli, full_report
 from skewcoh.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
+from skewcoh.oracle import DimensionMismatchError
 from skewcoh.group_action import group_from_generator
 
 TRANSV3 = {"field": {"type": "prime", "p": 3}, "generator": [[1, 1], [0, 1]]}
@@ -188,6 +189,13 @@ def test_char_two_field(job, capsys):
                                  "generator": [[1, 0], [0, 1]]})]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("p", [3.7, "7", True, None])
+def test_non_integer_prime_rejected(job, capsys, p):
+    field = {"type": "prime"} if p is None else {"type": "prime", "p": p}
+    assert main(["analyze", job({"field": field, "generator": [[1, 0], [0, 1]]})]) == EXIT_INPUT
+    assert 'integer "p"' in capsys.readouterr().err
+
+
 def test_unknown_field_type(job, capsys):
     assert main(["analyze", job({"field": {"type": "real"},
                                  "generator": [[1]]})]) == EXIT_INPUT
@@ -212,6 +220,19 @@ def test_fraction_entry_bad_denominator(job, capsys):
 def test_float_entry_rejected(job, capsys):
     assert main(["analyze", job({"field": {"type": "rational"},
                                  "generator": [[1.5, 0], [0, 1]]})]) == EXIT_INPUT
+
+
+# -- internal invariant failures ---------------------------------------------------
+
+@pytest.mark.parametrize("exc", [AssertionError, DimensionMismatchError])
+def test_invariant_failure_is_verification_failure(job, capsys, monkeypatch, exc):
+    def broken(gr, i):
+        raise exc("distinguished space has the wrong dimension")
+    monkeypatch.setattr(cli, "representative_basis", broken)
+    assert main(["reps", job(TRANSV3)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: ")
+    assert "wrong dimension" in err
 
 
 # -- order bound -----------------------------------------------------------------
