@@ -8,6 +8,7 @@ rejected outright (the theory assumes char F != 2 throughout).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -128,7 +129,10 @@ class Field:
     # -- formatting ----------------------------------------------------
 
     def to_str(self, a: Scalar) -> str:
-        return str(a)
+        """str(a), interned: a --json document repeats a few scalars (mostly
+        "0") thousands of times, and one shared string each keeps the
+        document's peak memory down."""
+        return sys.intern(str(a))
 
     def elements(self):
         """All field elements; only for prime fields (used in root search)."""

@@ -59,7 +59,7 @@ def wedge2_matrix(m: Matrix) -> Matrix:
                           f.mul(m.rows[a][d], m.rows[b][c]))
             row.append(minor)
         rows.append(row)
-    return Matrix(f, rows, ncols=len(pairs))
+    return Matrix._of(f, rows, len(pairs))
 
 
 def dual_matrix(m: Matrix) -> Matrix:
@@ -78,7 +78,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 for l in range(b.ncols):
                     row.append(f.mul(a.rows[i][j], b.rows[k][l]))
             rows.append(row)
-    return Matrix(f, rows, ncols=a.ncols * b.ncols)
+    return Matrix._of(f, rows, a.ncols * b.ncols)
 
 
 def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:

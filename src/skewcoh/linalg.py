@@ -1,4 +1,4 @@
-"""Dense exact linear algebra: RREF, kernels, images, complements,
+"""Exact linear algebra: RREF, kernels, images, complements,
 eigenspaces, and the subspace lattice.
 
 Matrices are tuples of tuples of field scalars (see fields.Field) and are
@@ -6,6 +6,23 @@ immutable after construction.  Subspaces are stored by their reduced
 row-echelon basis, so equal subspaces compare identically and every
 downstream choice (complements, quotient coordinates, representative
 bases) is deterministic.
+
+Coercion happens only at the input boundary: `Matrix(field, rows)`,
+`Matrix.from_columns`, `Subspace(field, ambient, rows)` and the vectors
+handed to `Matrix.apply`, `Subspace.contains` and `solve` go through
+`Field.coerce`.  Every matrix this module derives, and the matrices the
+oracle and group-action builders assemble, go through the trusted
+`Matrix._of`, whose entries must already be canonical: an int in [0, p)
+over F_p, a Fraction over Q.  The loops below do their arithmetic inline
+on those entries, with no `Field` method dispatch: over F_p on plain ints
+with one `% p` per result entry, over Q with the Fraction operators.
+
+There is one elimination loop, `_eliminate` (Gauss-Jordan).  For each
+pivot it collects the pivot row's nonzero columns once and updates only
+those entries, in place, in the rows with a nonzero in the pivot column;
+the oracle's cocycle matrices are mostly zeros.  `rref` returns the rows
+and pivot columns it leaves; `Matrix.det` is (-1)^swaps times the product
+of the pivots it met.
 """
 
 from __future__ import annotations
@@ -22,16 +39,28 @@ class Matrix:
 
     def __init__(self, field: Field, rows: Iterable[Sequence], ncols: int | None = None):
         rs = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if rs:
+        if ncols is None:
+            if not rs:
+                raise ValueError("empty matrix needs explicit ncols")
             ncols = len(rs[0])
-            for r in rs:
-                if len(r) != ncols:
-                    raise ValueError("ragged rows")
-        elif ncols is None:
-            raise ValueError("empty matrix needs explicit ncols")
+        for r in rs:
+            if len(r) != ncols:
+                raise ValueError("ragged rows: a row of length %d in a matrix of %d columns"
+                                 % (len(r), ncols))
+        self._set(field, rs, ncols)
+
+    @classmethod
+    def _of(cls, field: Field, rows: Iterable[Sequence], ncols: int) -> "Matrix":
+        """Trusted constructor: the entries are already canonical field
+        elements and every row has ncols entries; nothing is checked."""
+        m = object.__new__(cls)
+        m._set(field, tuple(map(tuple, rows)), ncols)
+        return m
+
+    def _set(self, field: Field, rows: Tuple[Vector, ...], ncols: int) -> None:
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "nrows", len(rs))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):
@@ -39,11 +68,13 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        one, zero = field.one(), field.zero()
+        return Matrix._of(field, [[one if i == j else zero for j in range(n)]
+                                  for i in range(n)], n)
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        return Matrix(field, [[0] * c for _ in range(r)], ncols=c)
+        return Matrix._of(field, [[field.zero()] * c for _ in range(r)], c)
 
     @staticmethod
     def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
@@ -72,41 +103,37 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
 
+    def _reduced(self, rows) -> "Matrix":
+        """A matrix of this shape from exact sums and products of canonical
+        entries, brought back into [0, p) over F_p."""
+        p = self.field.p
+        if p is not None:
+            rows = ([x % p for x in r] for r in rows)
+        return Matrix._of(self.field, rows, self.ncols)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return self._reduced([a + b for a, b in zip(r1, r2)]
+                             for r1, r2 in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return self._reduced([a - b for a, b in zip(r1, r2)]
+                             for r1, r2 in zip(self.rows, other.rows))
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], ncols=self.ncols)
+        return self._reduced([-a for a in r] for r in self.rows)
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows], ncols=self.ncols)
+        c = self.field.coerce(c)
+        return self._reduced([c * a for a in r] for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         f = self.field
-        out = []
-        for r in self.rows:
-            orow = []
-            for j in range(other.ncols):
-                s = f.zero()
-                for k in range(self.ncols):
-                    if r[k] != 0:
-                        s = f.add(s, f.mul(r[k], other.rows[k][j]))
-                orow.append(s)
-            out.append(orow)
-        return Matrix(f, out, ncols=other.ncols)
+        cols = other.transpose().rows
+        return Matrix._of(f, [[_dot(f, r, col) for col in cols] for r in self.rows],
+                          other.ncols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
@@ -114,23 +141,22 @@ class Matrix:
         v = [f.coerce(x) for x in v]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            _dot(f, r, v) for r in self.rows
-        )
+        return tuple(_dot(f, r, v) for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.col(j) for j in range(self.ncols)], ncols=self.nrows)
+        cols = zip(*self.rows) if self.rows else [()] * self.ncols
+        return Matrix._of(self.field, cols, self.nrows)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
+        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                      ncols=self.ncols + other.ncols)
+        return Matrix._of(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+                          self.ncols + other.ncols)
 
     def inverse(self) -> "Matrix":
         n = self.nrows
@@ -140,70 +166,82 @@ class Matrix:
         red, piv = rref(aug)
         if list(piv[:n]) != list(range(n)) or len(piv) != n:
             raise NotInvertibleError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.rows], ncols=n)
+        return Matrix._of(self.field, [r[n:] for r in red.rows], n)
 
     def det(self) -> Scalar:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        det = f.one()
-        for c in range(n):
-            piv = None
-            for r in range(c, n):
-                if rows[r][c] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return f.zero()
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = f.neg(det)
-            det = f.mul(det, rows[c][c])
-            inv = f.inv(rows[c][c])
-            for r in range(c + 1, n):
-                if rows[r][c] != 0:
-                    factor = f.mul(rows[r][c], inv)
-                    for j in range(c, n):
-                        rows[r][j] = f.sub(rows[r][j], f.mul(factor, rows[c][j]))
-        return det
+        piv, det = _eliminate(self.field, [list(r) for r in self.rows], n)
+        return det if len(piv) == n else self.field.zero()
 
 
 def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
-    s = f.zero()
-    for x, y in zip(a, b):
-        if x != 0 and y != 0:
-            s = f.add(s, f.mul(x, y))
-    return s
+    s = sum((x * y for x, y in zip(a, b) if x), f.zero())
+    return s if f.p is None else s % f.p
+
+
+def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...], Scalar]:
+    """Gauss-Jordan elimination of `rows` (lists of canonical scalars) in
+    place, leaving them in reduced row echelon form.  Returns the pivot
+    columns and (-1)^swaps times the product of the pivots before they were
+    scaled to 1, which is the determinant when every column has a pivot."""
+    p = f.p
+    zero = f.zero()
+    nrows = len(rows)
+    pivots: List[int] = []
+    det = f.one()
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            det = -det
+        prow = rows[r]
+        pv = prow[c]
+        prow[c] = f.one()
+        # left of c the pivot row is zero; only its nonzero columns change
+        if p is None:
+            det *= pv
+            nz = [(j, prow[j] / pv) for j in range(c + 1, ncols) if prow[j]]
+            for j, y in nz:
+                prow[j] = y
+            for i, row in enumerate(rows):
+                x = row[c]
+                if x and i != r:
+                    row[c] = zero
+                    for j, y in nz:
+                        row[j] -= x * y
+        else:
+            det = det * pv % p
+            inv = pow(pv, -1, p)
+            nz = [(j, prow[j] * inv % p) for j in range(c + 1, ncols) if prow[j]]
+            for j, y in nz:
+                prow[j] = y
+            for i, row in enumerate(rows):
+                x = row[c]
+                if x and i != r:
+                    row[c] = 0
+                    for j, y in nz:
+                        row[j] = (row[j] - x * y) % p
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), det
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    f = m.field
     rows = [list(r) for r in m.rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(m.ncols):
-        pr = None
-        for i in range(r, m.nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m.nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.nrows:
-            break
-    return Matrix(f, rows, ncols=m.ncols), tuple(pivots)
+    pivots, _ = _eliminate(m.field, rows, m.ncols)
+    for i, r in enumerate(rows):      # one row at a time, so only one copy is live
+        rows[i] = tuple(r)
+    return Matrix._of(m.field, rows, m.ncols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -211,21 +249,32 @@ def rank(m: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of F^n held by its RREF basis (rows = basis vectors)."""
+    """A subspace of F^n held by its RREF basis (rows = basis vectors) and
+    the basis's pivot columns."""
 
-    __slots__ = ("field", "ambient", "basis", "dim")
+    __slots__ = ("field", "ambient", "basis", "dim", "_pivots")
 
     def __init__(self, field: Field, ambient: int, spanning_rows: Iterable[Sequence] = ()):
-        rows = list(spanning_rows)
-        if rows:
-            red, piv = rref(Matrix(field, rows, ncols=ambient))
-            basis = Matrix(field, red.rows[:len(piv)], ncols=ambient)
+        self._span(Matrix(field, spanning_rows, ncols=ambient))
+
+    @classmethod
+    def _of(cls, field: Field, ambient: int, rows: Sequence[Sequence]) -> "Subspace":
+        """The span of rows whose entries are already canonical (see Matrix._of)."""
+        s = object.__new__(cls)
+        s._span(Matrix._of(field, rows, ambient))
+        return s
+
+    def _span(self, m: Matrix) -> None:
+        if m.nrows:
+            red, piv = rref(m)
+            basis = Matrix._of(m.field, red.rows[:len(piv)], m.ncols)
         else:
-            basis = Matrix(field, [], ncols=ambient)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
+            basis, piv = m, ()
+        object.__setattr__(self, "field", m.field)
+        object.__setattr__(self, "ambient", m.ncols)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", basis.nrows)
+        object.__setattr__(self, "_pivots", piv)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -236,7 +285,7 @@ class Subspace:
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, Matrix.identity(field, ambient).rows)
+        return Subspace._of(field, ambient, Matrix.identity(field, ambient).rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -253,14 +302,16 @@ class Subspace:
 
     def contains(self, v: Sequence) -> bool:
         f = self.field
+        p = f.p
         v = [f.coerce(x) for x in v]
-        # reduce v against the RREF basis
-        _, piv = rref(self.basis)
-        for brow, c in zip(self.basis.rows, piv):
-            if v[c] != 0:
-                factor = v[c]
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, brow)]
-        return all(x == 0 for x in v)
+        # reduce v against the RREF basis, one pivot column at a time
+        for brow, c in zip(self.basis.rows, self._pivots):
+            x = v[c]
+            if x:
+                v = [a - x * b for a, b in zip(v, brow)]
+                if p is not None:
+                    v = [a % p for a in v]
+        return not any(v)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.rows)
@@ -268,7 +319,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.field, self.ambient, self.basis.rows + other.basis.rows)
+        return Subspace._of(self.field, self.ambient, self.basis.rows + other.basis.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -281,21 +332,16 @@ class Subspace:
         wt = other.basis.transpose()
         sys = ut.augment(-wt)
         ker = kernel_basis(sys)
-        vecs = []
-        for k in ker.basis.rows:
-            a = k[:self.dim]
-            vecs.append(tuple(_dot(f, a, self.basis.col(j)) for j in range(self.ambient)))
-        return Subspace(f, self.ambient, vecs)
+        cols = ut.rows
+        vecs = [[_dot(f, k[:self.dim], col) for col in cols] for k in ker.basis.rows]
+        return Subspace._of(f, self.ambient, vecs)
 
     def complement(self) -> "Subspace":
         """Pivot-completion complement: standard basis vectors at non-pivot columns."""
-        _, piv = rref(self.basis)
-        pivset = set(piv)
-        rows = []
-        for j in range(self.ambient):
-            if j not in pivset:
-                rows.append([1 if k == j else 0 for k in range(self.ambient)])
-        return Subspace(self.field, self.ambient, rows)
+        pivset = set(self._pivots)
+        unit = Matrix.identity(self.field, self.ambient).rows
+        return Subspace._of(self.field, self.ambient,
+                            [e for j, e in enumerate(unit) if j not in pivset])
 
     def quotient_map(self) -> Matrix:
         """Coordinates on F^ambient / self, taken w.r.t. the pivot-completion
@@ -305,30 +351,33 @@ class Subspace:
         cols = list(self.basis.rows) + list(comp.basis.rows)
         if len(cols) != self.ambient:
             raise ValueError("basis + complement do not span")
-        p = Matrix.from_columns(f, cols)
-        pinv = p.inverse()
-        return Matrix(f, pinv.rows[self.dim:], ncols=self.ambient)
+        pinv = Matrix._of(f, cols, self.ambient).transpose().inverse()
+        return Matrix._of(f, pinv.rows[self.dim:], self.ambient)
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Solution space of m v = 0."""
     f = m.field
+    p = f.p
     red, piv = rref(m)
     pivset = set(piv)
-    free = [j for j in range(m.ncols) if j not in pivset]
+    zero, one = f.zero(), f.one()
     rows = []
-    for j in free:
-        v = [f.zero()] * m.ncols
-        v[j] = f.one()
+    for j in range(m.ncols):
+        if j in pivset:
+            continue
+        v = [zero] * m.ncols
+        v[j] = one
         for r, c in enumerate(piv):
-            v[c] = f.neg(red.rows[r][j])
+            x = red.rows[r][j]
+            v[c] = -x if p is None else -x % p
         rows.append(v)
-    return Subspace(f, m.ncols, rows)
+    return Subspace._of(f, m.ncols, rows)
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m."""
-    return Subspace(m.field, m.nrows, [m.col(j) for j in range(m.ncols)])
+    return Subspace._of(m.field, m.nrows, m.transpose().rows)
 
 
 def eigenspace(m: Matrix, c) -> Subspace:

@@ -224,7 +224,7 @@ def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
 
     # (3) one Sym^2-valued condition per basis triple
     rows += _jacobi_rows(f, dim, one_minus_h, n)
-    return Matrix(f, rows, ncols=dim)
+    return Matrix._of(f, rows, dim)
 
 
 def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
@@ -233,8 +233,9 @@ def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
     f = gr.field
     n = gr.n
     one = Matrix.identity(f, n)
-    return Matrix.from_columns(f, _coboundary_cols(
-        f, cochain_dim(n), one - gr.generator, one - gr.power(i), 0, n))
+    dim = cochain_dim(n)
+    return Matrix._of(f, _coboundary_cols(
+        f, dim, one - gr.generator, one - gr.power(i), 0, n), dim).transpose()
 
 
 def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
@@ -250,7 +251,7 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     d = ed.moved_space.dim
     if d > 0:
         cols = list(ed.moved_space.basis_rows()) + list(ed.moved_complement.basis_rows())
-        proj = Matrix.from_columns(f, cols).inverse().rows[:d]   # V_h coordinates of a vector
+        proj = Matrix._of(f, cols, n).transpose().inverse().rows[:d]   # V_h coordinates of a vector
         for w in range(len(wedge_pairs(n))):
             rows += _vanish_rows(f, dim, proj, n + w * n)
 
@@ -272,9 +273,9 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
         rows += _vanish_rows(f, dim, fixed, 0)
     else:
         # codim > 2: the zero cochain
-        rows += [list(r) for r in Matrix.identity(f, dim).rows]
+        rows += Matrix.identity(f, dim).rows
 
-    return Matrix(f, rows, ncols=dim)
+    return Matrix._of(f, rows, dim)
 
 
 def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
@@ -389,4 +390,4 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
         # d^1 on f_j tensor g^j: lambda at g^{j+1} plus alpha at g^j
         cols += _coboundary_cols(f, dim, one - g, one - hj, ((j + 1) % N) * blk, lam + n)
 
-    return Matrix(f, rows, ncols=dim), Matrix.from_columns(f, cols)
+    return Matrix._of(f, rows, dim), Matrix._of(f, cols, dim).transpose()

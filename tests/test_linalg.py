@@ -245,3 +245,28 @@ def test_poly_splits():
     assert poly_splits(F5, char_poly(Matrix(F5, [[0, -1], [1, 0]])))
     assert not poly_splits(Q, char_poly(Matrix(Q, [[0, -1], [1, 0]])))
     assert poly_splits(Q, char_poly(Matrix(Q, [[1, 0], [0, -1]])))
+
+
+def test_explicit_ncols_must_match_the_rows():
+    with pytest.raises(ValueError):
+        Matrix(F5, [[1, 2]], ncols=3)
+    with pytest.raises(ValueError):
+        Subspace(F5, 3, [[1, 2]])
+    assert Matrix(F5, [], ncols=3).ncols == 3
+    assert Matrix(F5, [[1, 2]], ncols=2).rows == ((1, 2),)
+
+
+def test_subspace_membership_and_complement_reuse_the_stored_pivots(monkeypatch):
+    import skewcoh.linalg as linalg
+    u = span(F5, 4, [1, 2, 0, 3], [0, 0, 1, 4])
+    reduced = []
+
+    def recording_rref(m, rref=linalg.rref):
+        reduced.append(m.rows)
+        return rref(m)
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    assert u.contains([2, 4, 3, 3])              # 2*row0 + 3*row1
+    assert not u.contains([0, 1, 0, 0])
+    assert u.contains_space(u)
+    assert u.complement() == span(F5, 4, [0, 1, 0, 0], [0, 0, 0, 1])
+    assert u.basis.rows not in reduced

@@ -1,0 +1,105 @@
+"""Differential test of the elimination kernel against sympy's DomainMatrix
+over GF(p), p = 3, 5, 7, and QQ.
+
+Random matrices come in three kinds: dense, sparse (about 10 % of the
+entries nonzero, which is what the sparse pivot-row update is for) and
+rank-deficient (a product of two thin factors).  For each one the RREF rows
+and pivots, the rank, the kernel, the product with a second matrix, and on
+square ones the determinant and inverse must agree.  sympy is used here only;
+the package never imports it.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from skewcoh import Field, Matrix, NotInvertibleError, Subspace, kernel_basis, rank, rref
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+FIELDS = [Field.prime(3), Field.prime(5), Field.prime(7), Field.rational()]
+KINDS = ("dense", "sparse", "deficient")
+
+
+def _domain(f):
+    return sympy.GF(f.p) if f.p else sympy.QQ
+
+
+def _to_sympy(m):
+    k = _domain(m.field)
+    if m.field.p:
+        rows = [[k(x) for x in r] for r in m.rows]
+    else:
+        rows = [[k(x.numerator, x.denominator) for x in r] for r in m.rows]
+    return DomainMatrix(rows, (m.nrows, m.ncols), k)
+
+
+def _from_sympy(f, x):
+    if f.p:
+        return int(_domain(f).to_int(x)) % f.p
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _rows(f, dm):
+    return tuple(tuple(_from_sympy(f, x) for x in r) for r in dm.to_list())
+
+
+def _entry(f, rng, fill):
+    if rng.random() >= fill:
+        return 0
+    if f.p:
+        return rng.randrange(1, f.p)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+
+
+def _random_matrix(f, rng, kind, r, c):
+    if kind == "deficient":
+        k = rng.randint(1, max(1, min(r, c) - 1))
+        a = [[_entry(f, rng, 1.0) for _ in range(k)] for _ in range(r)]
+        b = [[_entry(f, rng, 1.0) for _ in range(c)] for _ in range(k)]
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(c)]
+                for i in range(r)]
+    else:
+        fill = 1.0 if kind == "dense" else 0.1
+        rows = [[_entry(f, rng, fill) for _ in range(c)] for _ in range(r)]
+    return Matrix(f, rows, ncols=c)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rref_rank_kernel_product_agree_with_sympy(field, kind):
+    rng = random.Random("%r-%s" % (field, kind))
+    for _ in range(30):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        m = _random_matrix(field, rng, kind, r, c)
+        dm = _to_sympy(m)
+        red, piv = rref(m)
+        sred, spiv = dm.rref()
+        assert piv == tuple(spiv)
+        assert red.rows == _rows(field, sred)
+        assert rank(m) == dm.rank() == len(piv)
+        ker = kernel_basis(m)
+        sker = dm.nullspace()
+        assert ker.dim == sker.shape[0]
+        assert ker == Subspace(field, c, _rows(field, sker))
+        other = _random_matrix(field, rng, "dense", c, rng.randint(1, 4))
+        assert (m @ other).rows == _rows(field, dm.matmul(_to_sympy(other)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_det_and_inverse_agree_with_sympy(field, kind):
+    rng = random.Random("square-%r-%s" % (field, kind))
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        m = _random_matrix(field, rng, kind, n, n)
+        dm = _to_sympy(m)
+        det = _from_sympy(field, dm.det())
+        assert m.det() == det
+        if det == 0:
+            with pytest.raises(NotInvertibleError):
+                m.inverse()
+        else:
+            assert m.inverse().rows == _rows(field, dm.inv())
