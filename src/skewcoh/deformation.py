@@ -13,8 +13,11 @@ become rules
     g^i v_k  -> (^{g^i} v_k) g^i + lambda(g^i tensor v_k),
     v2 v1    -> v1 v2 + kappa(v2 ^ v1),
 
-confluence is checked on all short overlap words, and normal-form counts
-are compared against the graded dimensions of F[v1,v2] x| G.
+confluence is checked on every word of length <= 3 that contains a
+redex, and normal-form counts are compared against the graded dimensions
+of F[v1,v2] x| G.  The count is local: both "irreducible" and "PBW-shaped"
+are decided by the factors of length 2, so it reads only words of length
+<= 2 (see hilbert_check).
 
 The lambda-table signs are forced: resolving the overlap word g.v2.v1 both
 ways requires kappa = -lambda(g tensor v1)-compatible signs, and resolving
@@ -349,28 +352,65 @@ class HilbertReport:
 
 def hilbert_check(rs: RewriteSystem, d: int,
                   confluence: Optional[ConfluenceReport] = None) -> HilbertReport:
-    """Count irreducible words of v-degree <= d against the graded dimension
-    N * C(d+2, 2) of F[v1,v2] x| G; also asserts the normal-form shape
-    v1^a v2^b g^c by brute enumeration.  Requires a passed confluence check."""
+    """Count irreducible words of v-degree <= d and length <= d+1 against
+    the graded dimension N * C(d+2, 2) of F[v1,v2] x| G, and assert that
+    the irreducible words are exactly the PBW-shaped v1^a v2^b g^c.
+    Requires a passed confluence check.
+
+    Both parts read only words of length <= 2:
+
+    - Shape.  `redex_positions` flags a position l exactly when the pair
+      (w[l], w[l+1]) is a redex, so a word is irreducible iff each of its
+      length-2 factors is.  `_pbw_shaped` reads the word left to right;
+      after each letter its stage is fixed by that letter alone (v1: 0,
+      v2: 1, g: 2), and whether the next letter is allowed depends only on
+      that stage, so a word is shaped iff each of its length-2 factors is.
+      Words of length <= 1 are both.  Two such predicates agree on every
+      word once they agree on every word of length <= 2.  Those words are
+      checked by length, then in alphabet order, as full enumeration would
+      visit them, so a mismatch names the same first word; for d < 1 only
+      length <= d+1 is checked, as full enumeration would.
+    - Count.  A word of length >= 2 is irreducible iff its length-2 factors
+      are, so the irreducible words of length L+1 are the irreducible words
+      of length L, ending in some x, extended by a letter y with xy
+      irreducible.  A dynamic programme over (last letter, v-degree) counts
+      them from the length-2 `is_normal` table.  The closed form is only
+      `expected`, so a wrong rule table still gives a wrong count.
+
+    Cost O(d^2 (N+1)^2) steps and (N+1)^2 + N + 2 `is_normal` calls, where
+    enumerating the words of length <= d+1 takes (N+1)^(d+1).
+    """
     if confluence is None:
         confluence = confluence_check(rs)
     if not confluence.ok:
         raise PrerequisiteFailed("rewrite system is not confluent: %s" % confluence.witness)
     letters = rs.alphabet()
-    N = rs.N
-    count = 0
+    normal: Dict[Word, bool] = {}
     words: List[Word] = [()]
-    for _ in range(d + 2):
+    for length in range(min(d + 2, 3)):
+        if length:
+            words = [w + (l,) for w in words for l in letters]
         for w in words:
-            vdeg = sum(1 for (kind, _) in w if kind == "v")
-            normal = rs.is_normal(w)
-            shaped = _pbw_shaped(w)
-            if normal != shaped:
+            normal[w] = rs.is_normal(w)
+            if normal[w] != _pbw_shaped(w):
                 raise AssertionError("normal form shape mismatch at %s" % word_str(w))
-            if normal and vdeg <= d:
-                count += 1
-        words = [w + (l,) for w in words for l in letters if len(w) < d + 1]
-    expected = N * ((d + 2) * (d + 1) // 2)
+    count = 0
+    if d >= 0:
+        vdeg = [1 if kind == "v" else 0 for (kind, _) in letters]
+        # ways[x][k]: irreducible words of the current length that end in
+        # letters[x] and have v-degree k
+        ways = [[0] * (d + 1) for _ in letters]
+        for x, l in enumerate(letters):
+            if normal[(l,)] and vdeg[x] <= d:
+                ways[x][vdeg[x]] += 1
+        count = int(normal[()]) + sum(map(sum, ways))
+        follows = [[x for x, lx in enumerate(letters) if normal[(lx, ly)]]
+                   for ly in letters] if d >= 1 else []
+        for _ in range(d):
+            ways = [[sum(ways[x][k - vdeg[y]] for x in follows[y]) if k >= vdeg[y] else 0
+                     for k in range(d + 1)] for y in range(len(letters))]
+            count += sum(map(sum, ways))
+    expected = rs.N * ((d + 2) * (d + 1) // 2)
     return HilbertReport(count == expected, d, count, expected)
 
 

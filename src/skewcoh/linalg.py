@@ -450,16 +450,37 @@ def char_poly(m: Matrix) -> Tuple[Scalar, ...]:
 
 
 def poly_splits(field: Field, coeffs: Sequence[Scalar]) -> bool:
-    """Whether the monic polynomial with the given coefficients factors into
-    linear factors over the field.  Over F_p every element is tried; over Q
-    only +-1 need checking here (callers only pass characteristic polynomials
-    of finite-order matrices, whose rational eigenvalues are +-1)."""
+    """Whether the polynomial with the given coefficients (low to high)
+    factors into linear factors over the field.
+
+    Over F_p, g = gcd(f, x^p - x) is the product of the distinct linear
+    factors of f, and f/g splits iff f does.  So dividing f by such gcds
+    either reaches a constant (f splits) or meets g = 1 first (what is left
+    has no root in F_p).  There
+    are at most deg f rounds, and x^p mod f comes from repeated squaring,
+    so a round costs O(deg(f)^2 log p).  Over Q only +-1 need checking here
+    (callers only pass characteristic polynomials of finite-order matrices,
+    whose rational eigenvalues are +-1)."""
     f = field
     coeffs = [f.coerce(c) for c in coeffs]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    candidates = list(f.elements()) if f.kind == "prime" else [f.coerce(1), f.coerce(-1)]
-    for root in candidates:
+    if len(coeffs) == 1:
+        return True
+    if f.kind == "prime":
+        p = f.p
+        inv = pow(coeffs[-1], -1, p)
+        poly = [c * inv % p for c in coeffs]
+        while len(poly) > 1:
+            h = _xpow_mod(p, poly)
+            h += [0] * (2 - len(h))
+            h[1] = (h[1] - 1) % p
+            g = _poly_gcd(p, poly, _poly_trim(h))
+            if len(g) == 1:
+                return False
+            poly = _poly_divmod(p, poly, g)[0]
+        return True
+    for root in (f.coerce(1), f.coerce(-1)):
         while len(coeffs) > 1:
             # synthetic division by (x - root), coefficients low to high
             quot = [f.zero()] * (len(coeffs) - 1)
@@ -472,3 +493,49 @@ def poly_splits(field: Field, coeffs: Sequence[Scalar]) -> bool:
             else:
                 break
     return len(coeffs) == 1
+
+
+# Polynomials over F_p for poly_splits: int lists, low to high, with no
+# trailing zeros (the zero polynomial is []).
+
+def _poly_trim(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(p: int, a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder of a by a nonzero b."""
+    rem = list(a)
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem[shift + len(b) - 1] * inv % p
+        quot[shift] = c
+        if c:
+            for i, y in enumerate(b):
+                rem[shift + i] = (rem[shift + i] - c * y) % p
+    return _poly_trim(quot), _poly_trim(rem[:len(b) - 1])
+
+
+def _poly_gcd(p: int, a: List[int], b: List[int]) -> List[int]:
+    """The monic gcd of a nonzero a and any b."""
+    while b:
+        a, b = b, _poly_divmod(p, a, b)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _xpow_mod(p: int, m: List[int]) -> List[int]:
+    """x^p mod m, for m of degree >= 1, by repeated squaring."""
+    r = [1]
+    for bit in bin(p)[2:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r):
+                    sq[i + j] += x * y
+        if bit == "1":
+            sq.insert(0, 0)
+        r = _poly_divmod(p, [c % p for c in sq], m)[1]
+    return r

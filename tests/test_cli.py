@@ -63,6 +63,18 @@ def test_analyze_nonmodular_flag(job, capsys):
     assert "not_applicable" in capsys.readouterr().out
 
 
+def test_analyze_nonmodular_check_at_a_61_bit_prime(job, capsys):
+    # primality and the splitting test must not scan F_p
+    p = 2 ** 61 - 1
+    rot = {"field": {"type": "prime", "p": p}, "generator": [[0, -1], [1, 0]]}
+    assert main(["analyze", "--nonmodular-check", "--json", job(rot)]) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["group"]["order"] == 4
+    # p = 3 mod 4, so x^2 + 1 has no root and only the coprime statement applies
+    assert doc["nonmodular"]["verdict"] == "pass"
+    assert doc["nonmodular"]["cor_applicable"] is False
+
+
 def test_analyze_nonmodular_json(job, capsys):
     assert main(["analyze", "--nonmodular-check", "--json", job(DIAG_1_M1)]) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)

@@ -25,7 +25,13 @@ from skewcoh import (
     transvection_group,
     zero_params,
 )
-from skewcoh.deformation import g_letter, word_str
+from skewcoh.deformation import (
+    HilbertReport,
+    RewriteSystem,
+    _pbw_shaped,
+    g_letter,
+    word_str,
+)
 from skewcoh.group_action import group_from_generator
 
 F3 = Field.prime(3)
@@ -287,3 +293,84 @@ def test_hilbert_up_to_degree5():
 def test_hilbert_requires_confluence():
     with pytest.raises(PrerequisiteFailed):
         hilbert_check(orbifold_algebra(adversarial_params()), 2)
+
+
+# -- local count against full enumeration -------------------------------------------
+
+def brute_hilbert_check(rs, d):
+    """Full enumeration, the algorithm hilbert_check replaced: visit every
+    word of length <= d+1 by length, then in alphabet order, assert that it
+    is irreducible iff PBW-shaped, and count the irreducible ones of
+    v-degree <= d.  (N+1)^(d+1) words; a test oracle only."""
+    letters = rs.alphabet()
+    count = 0
+    words = [()]
+    for _ in range(d + 2):
+        for w in words:
+            vdeg = sum(1 for (kind, _) in w if kind == "v")
+            normal = rs.is_normal(w)
+            if normal != _pbw_shaped(w):
+                raise AssertionError("normal form shape mismatch at %s" % word_str(w))
+            if normal and vdeg <= d:
+                count += 1
+        words = [w + (l,) for w in words for l in letters if len(w) < d + 1]
+    expected = rs.N * ((d + 2) * (d + 1) // 2)
+    return HilbertReport(count == expected, d, count, expected)
+
+
+def hilbert_outcome(run):
+    """run()'s report, or the text of the shape AssertionError it raised."""
+    try:
+        return run()
+    except AssertionError as exc:
+        return "AssertionError: %s" % exc
+
+
+def zero_transvection_params(p):
+    return zero_params(transvection_group(p))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("make", [builtin_transvection_gamma, zero_transvection_params])
+def test_local_hilbert_count_matches_enumeration(p, make):
+    rs = orbifold_algebra(make(p))
+    conf = confluence_check(rs)
+    assert conf.ok
+    for d in range(6):
+        local = hilbert_outcome(lambda: hilbert_check(rs, d, confluence=conf))
+        assert local == hilbert_outcome(lambda: brute_hilbert_check(rs, d))
+        graded_dim = p * (d + 2) * (d + 1) // 2
+        assert local == HilbertReport(True, d, graded_dim, graded_dim)
+
+
+class NoGGRule(RewriteSystem):
+    """Forgets the rule g^i g^j -> g^{i+j}, so g*g counts as irreducible."""
+
+    def redex_positions(self, w):
+        return [l for l in super().redex_positions(w)
+                if not (w[l][0] == "g" and w[l + 1][0] == "g")]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_dropped_gg_rule_fails_the_shape_check(p):
+    # zero tables keep the system confluent without g*g, so the
+    # prerequisite holds and the shape check is what must fail
+    rs = NoGGRule(zero_params(transvection_group(p)))
+    conf = confluence_check(rs)
+    assert conf.ok
+    for d in range(1, 4):
+        local = hilbert_outcome(lambda: hilbert_check(rs, d, confluence=conf))
+        assert local == "AssertionError: normal form shape mismatch at g*g"
+        assert local == hilbert_outcome(lambda: brute_hilbert_check(rs, d))
+
+
+def test_hilbert_check_reads_only_words_of_length_two():
+    rs = orbifold_algebra(builtin_transvection_gamma(13))
+    conf = confluence_check(rs)
+    calls = []
+    is_normal = rs.is_normal
+    rs.is_normal = lambda w: calls.append(w) or is_normal(w)
+    rep = hilbert_check(rs, 4, confluence=conf)
+    assert rep.ok and rep.count == 13 * 15
+    assert len(calls) <= 1 + 14 + 14 ** 2
+    assert max(map(len, calls)) == 2

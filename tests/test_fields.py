@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from skewcoh import CharacteristicTwoError, Field, NotInvertibleError
+from skewcoh.fields import _is_prime
 
 
 def test_prime_field_construction():
@@ -24,6 +25,42 @@ def test_nonprime_rejected():
     for bad in (1, 4, 9, 15, 0, -3):
         with pytest.raises(ValueError):
             Field.prime(bad)
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10 ** 5):
+        assert _is_prime(n) == trial_division_is_prime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                   # strong pseudoprime to the bases 2, 3, 5, 7
+    3474749660383,                # ... to 2 through 13
+    3825123056546413051,          # ... to 2 through 31
+    318665857834031151167461,     # ... to 2 through 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        Field.prime(n)
+
+
+def test_large_primes():
+    for p in (10 ** 9 + 7, 2 ** 61 - 1, 2 ** 64 - 59, 2 ** 80 - 65):
+        assert Field.prime(p).char == p
+    # beyond the bound below which the bases are known to be exact
+    with pytest.raises(ValueError, match="too large"):
+        Field.prime(2 ** 89 - 1)
 
 
 def test_rational_field():

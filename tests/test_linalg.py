@@ -247,6 +247,65 @@ def test_poly_splits():
     assert poly_splits(Q, char_poly(Matrix(Q, [[1, 0], [0, -1]])))
 
 
+def scan_splits(field, coeffs):
+    """The root scan poly_splits used before: divide out x - r for every r
+    in F_p in turn.  O(p); a test oracle only."""
+    f = field
+    coeffs = [f.coerce(c) for c in coeffs]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    for root in range(f.p):
+        while len(coeffs) > 1:
+            quot = [f.zero()] * (len(coeffs) - 1)
+            quot[-1] = coeffs[-1]
+            for i in range(len(coeffs) - 2, 0, -1):
+                quot[i - 1] = f.add(coeffs[i], f.mul(root, quot[i]))
+            if f.add(coeffs[0], f.mul(root, quot[0])) == 0:
+                coeffs = quot
+            else:
+                break
+    return len(coeffs) == 1
+
+
+def poly_mul(f, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_poly_splits_matches_the_root_scan(p):
+    f = Field.prime(p)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(150):
+        # linear factors, some repeated, times a random monic cofactor;
+        # degree <= 5
+        roots = rng.choices(range(p), k=rng.randint(0, 3))
+        roots += rng.choices(roots, k=rng.randint(0, min(len(roots), 5 - len(roots))))
+        poly = [1]
+        for r in roots:
+            poly = poly_mul(f, poly, [f.neg(r), 1])
+        cofactor = [rng.randrange(p) for _ in range(rng.randint(0, 5 - len(roots)))] + [1]
+        poly = poly_mul(f, poly, cofactor)
+        got = poly_splits(f, poly)
+        assert got == scan_splits(f, poly), poly
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_poly_splits_at_large_primes():
+    p = 2 ** 61 - 1                      # 3 mod 4: x^2 + 1 has no root
+    f = Field.prime(p)
+    assert not poly_splits(f, [1, 0, 1])
+    assert poly_splits(f, poly_mul(f, [f.neg(5), 1], poly_mul(f, [f.neg(5), 1], [3, 1])))
+    assert not poly_splits(f, poly_mul(f, [f.neg(5), 1], [1, 0, 1]))
+    f = Field.prime(10 ** 9 + 9)         # 1 mod 4: x^2 + 1 splits
+    assert poly_splits(f, [1, 0, 1])
+
+
 def test_explicit_ncols_must_match_the_rows():
     with pytest.raises(ValueError):
         Matrix(F5, [[1, 2]], ncols=3)
