@@ -45,7 +45,6 @@ from .oracle import (
     DimensionMismatchError,
     NotACocycleError,
     PerElementComplex,
-    assembled_complex,
     coboundary_matrix,
     cochain_dim,
     cocycle_conditions,
@@ -69,9 +68,6 @@ from .deformation import (
     orbifold_algebra,
     square_bracket_transvection,
     transvection_group,
-    zero_params,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

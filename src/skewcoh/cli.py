@@ -30,6 +30,7 @@ from .deformation import (
 from .fields import CharacteristicTwoError, Field, NotInvertibleError
 from .formula import full_report, nonmodular_crosscheck
 from .group_action import (
+    DEFAULT_ORDER_BOUND,
     CyclicGroup,
     NotGStableError,
     OrderExceedsBoundError,
@@ -239,7 +240,7 @@ def cmd_deform(args) -> int:
     bracket = square_bracket_transvection(params)
     bracket_zero = all(all(x == 0 for x in v) for v in bracket)
     rs = orbifold_algebra(params)
-    conf = confluence_check(rs, max_overlap_len=3)
+    conf = confluence_check(rs)
     hil = hilbert_check(rs, 4, confluence=conf) if conf.ok else None
     ok = bracket_zero and conf.ok and hil is not None and hil.ok
     if args.json:
@@ -289,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("job", nargs="?", default=None,
                            help="path to a JSON job file (worked-example generator)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--max-order", type=int, default=None, metavar="K",
-                       help="cap on the group order (default: SKEWCOH_MAX_ORDER or 10000)")
+        p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_BOUND, metavar="K",
+                       help="cap on the group order (default: %(default)s)")
 
     p = sub.add_parser("analyze", help="closed-form dimension report")
     common(p)

@@ -29,7 +29,7 @@ any sign breaks confluence (the check below finds the offending word).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, group_from_generator
@@ -60,14 +60,6 @@ class DeformationParams:
 
 def transvection_group(p: int) -> CyclicGroup:
     return group_from_generator(Field.prime(p), [[1, 1], [0, 1]])
-
-
-def zero_params(group: CyclicGroup) -> DeformationParams:
-    f = group.field
-    N = group.order
-    zero = tuple([f.zero()] * N)
-    table = {(i, k): zero for i in range(N) for k in (1, 2)}
-    return DeformationParams(group, table, zero, zero)
 
 
 def builtin_transvection_gamma(p: int) -> DeformationParams:
@@ -173,9 +165,6 @@ class AlgebraElement:
     def __hash__(self):
         return hash((self.field, tuple(sorted(self.terms.items()))))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -260,11 +249,11 @@ class RewriteSystem:
             out[nw] = f.add(out.get(nw, f.zero()), coef)
         return {w_: c for w_, c in out.items() if c != 0}
 
-    def normal_form(self, terms, coeff=None) -> AlgebraElement:
+    def normal_form(self, terms) -> AlgebraElement:
         """Exhaustive leftmost rewriting of a word or a term dict."""
         f = self.field
         if isinstance(terms, tuple):
-            terms = {terms: f.one() if coeff is None else f.coerce(coeff)}
+            terms = {terms: f.one()}
         work: Dict[Word, Scalar] = {w: c for w, c in terms.items() if c != 0}
         done: Dict[Word, Scalar] = {}
         steps = 0
@@ -293,15 +282,6 @@ class RewriteSystem:
                     work[nw] = acc
         return AlgebraElement(f, done)
 
-    def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        f = self.field
-        prod: Dict[Word, Scalar] = {}
-        for w1, c1 in a.terms.items():
-            for w2, c2 in b.terms.items():
-                w = w1 + w2
-                prod[w] = f.add(prod.get(w, f.zero()), f.mul(c1, c2))
-        return self.normal_form(prod)
-
     def alphabet(self) -> List[Letter]:
         return [("v", 1), ("v", 2)] + [("g", c) for c in range(1, self.N)]
 
@@ -318,13 +298,13 @@ class ConfluenceReport:
     witness_forms: Tuple[str, ...]    # the distinct normal forms reached
 
 
-def confluence_check(rs: RewriteSystem, max_overlap_len: int = 3) -> ConfluenceReport:
-    """Reduce every word of length <= max_overlap_len through each of its
-    one-step reducts and demand one common normal form."""
+def confluence_check(rs: RewriteSystem) -> ConfluenceReport:
+    """Reduce every word of length <= 3 that contains a redex through each
+    of its one-step reducts and demand one common normal form."""
     letters = rs.alphabet()
     words: List[Word] = [()]
     count = 0
-    for _ in range(max_overlap_len):
+    for _ in range(3):
         words = [w + (l,) for w in words for l in letters]
         for w in words:
             pos = rs.redex_positions(w)

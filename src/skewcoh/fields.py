@@ -147,9 +147,6 @@ class Field:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
     # -- formatting ----------------------------------------------------
 
     def to_str(self, a: Scalar) -> str:
@@ -157,9 +154,3 @@ class Field:
         "0") thousands of times, and one shared string each keeps the
         document's peak memory down."""
         return sys.intern(str(a))
-
-    def elements(self):
-        """All field elements; only for prime fields (used in root search)."""
-        if self.kind != "prime":
-            raise ValueError("cannot enumerate the rationals")
-        return range(self.p)

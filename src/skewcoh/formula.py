@@ -14,7 +14,7 @@ codimension at most 2 survive).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .group_action import CyclicGroup, chi_invariants, kron
@@ -37,12 +37,6 @@ class SummandReport:
                 "pieces": [[name, dim] for name, dim in self.pieces],
                 "total": self.total}
 
-    @staticmethod
-    def from_dict(d: dict) -> "SummandReport":
-        return SummandReport(d["element_index"], d["case"],
-                             tuple((p[0], int(p[1])) for p in d["pieces"]),
-                             int(d["total"]))
-
 
 @dataclass(frozen=True)
 class CohomologyReport:
@@ -52,11 +46,6 @@ class CohomologyReport:
     def to_dict(self) -> dict:
         return {"per_element": [s.to_dict() for s in self.per_element],
                 "total_dim": self.total_dim}
-
-    @staticmethod
-    def from_dict(d: dict) -> "CohomologyReport":
-        return CohomologyReport(tuple(SummandReport.from_dict(s) for s in d["per_element"]),
-                                int(d["total_dim"]))
 
 
 def identity_contribution(gr: CyclicGroup) -> SummandReport:
@@ -128,11 +117,6 @@ class NonmodularReport:
                 "checked": self.checked,
                 "violations": list(self.violations),
                 "verdict": self.verdict}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NonmodularReport":
-        return NonmodularReport(bool(d["prop_applicable"]), bool(d["cor_applicable"]),
-                                int(d["checked"]), tuple(d["violations"]), d["verdict"])
 
 
 def nonmodular_crosscheck(gr: CyclicGroup, report: CohomologyReport | None = None) -> NonmodularReport:

@@ -2,21 +2,19 @@
 formulas consume.
 
 For G = <g> in GL_n(F) this computes, per element h = g^i: the fixed
-space V^h = ker(1-h), the moved space V_h = im(1-h), their
-pivot-completion complements, the codimension, and the character value
-chi_h(g) = det of g acting on V/V^h.  It also builds the induced
-actions on V*, wedge^2 V, V tensor wedge^2 V*, quotients V/U and duals
-of restrictions, all with the contragredient convention
-(^g f)(m) = f(^{g^{-1}} m).
+space V^h = ker(1-h), the moved space V_h = im(1-h), the codimension,
+and the character value chi_h(g) = det of g acting on V/V^h.  It also
+builds the induced actions on V*, wedge^2 V, V tensor wedge^2 V*,
+quotients V/U and duals of restrictions, all with the contragredient
+convention (^g f)(m) = f(^{g^{-1}} m).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .fields import Field, NotInvertibleError, Scalar
+from .fields import Field, NotInvertibleError, Scalar, _is_prime
 from .linalg import Matrix, Subspace, eigenspace, image_basis, kernel_basis, solve
 
 DEFAULT_ORDER_BOUND = 10000
@@ -28,13 +26,6 @@ class OrderExceedsBoundError(ValueError):
 
 class NotGStableError(ValueError):
     pass
-
-
-def order_bound_from_env(default: int = DEFAULT_ORDER_BOUND) -> int:
-    raw = os.environ.get("SKEWCOH_MAX_ORDER")
-    if raw is None:
-        return default
-    return int(raw)
 
 
 def wedge_pairs(n: int) -> List[Tuple[int, int]]:
@@ -117,8 +108,6 @@ class ElementData:
     fixed_space: Subspace        # V^h
     moved_space: Subspace        # V_h
     codim: int
-    fixed_complement: Subspace   # (V^h)^perp, pivot completion
-    moved_complement: Subspace   # (V_h)^perp
     chi_of_generator: Scalar     # chi_h(g)
     det: Scalar
 
@@ -132,23 +121,24 @@ class TransferData:
 class CyclicGroup:
     """The cyclic group generated by an invertible matrix, with cached powers."""
 
-    def __init__(self, field: Field, generator: Matrix, order_bound: Optional[int] = None):
+    def __init__(self, field: Field, generator: Matrix, order_bound: int = DEFAULT_ORDER_BOUND):
         if generator.nrows != generator.ncols:
             raise ValueError("generator must be square")
         if generator.field != field:
             raise ValueError("field mismatch")
-        bound = order_bound if order_bound is not None else order_bound_from_env()
         n = generator.nrows
         ident = Matrix.identity(field, n)
-        if generator.det() == 0:
+        det = generator.det()
+        if det == 0:
             raise NotInvertibleError("generator is singular")
+        if field.p is None:
+            _check_rational_order(generator, det, order_bound)
         powers = [ident]
         cur = generator
         while cur != ident:
             powers.append(cur)
-            if len(powers) > bound:
-                raise OrderExceedsBoundError(
-                    "order exceeds bound %d; infinite order or raise the cap" % bound)
+            if len(powers) > order_bound:
+                raise _order_exceeds(order_bound)
             cur = cur @ generator
         self.field = field
         self.n = n
@@ -185,8 +175,6 @@ class CyclicGroup:
         ed = ElementData(
             index=i, matrix=h,
             fixed_space=fixed, moved_space=moved, codim=codim,
-            fixed_complement=fixed.complement(),
-            moved_complement=moved.complement(),
             chi_of_generator=chi, det=h.det())
         self._elements[i] = ed
         return ed
@@ -240,7 +228,43 @@ class CyclicGroup:
         return not one_minus.is_zero() and (one_minus @ one_minus).is_zero()
 
 
-def group_from_generator(field: Field, rows, order_bound: Optional[int] = None) -> CyclicGroup:
+def _order_exceeds(bound: int) -> OrderExceedsBoundError:
+    return OrderExceedsBoundError(
+        "order exceeds bound %d; infinite order or raise the cap" % bound)
+
+
+def _check_rational_order(g: Matrix, det: Scalar, bound: int) -> None:
+    """Reject a rational g of order above bound, infinite order included,
+    before any power of g is stored (the entries of the powers of an
+    infinite-order g grow without bound).
+
+    Let q be the least odd prime that divides no denominator of g and not
+    det g, so g lies in GL_n(Z_(q)).  Reduction mod an odd q is injective on
+    the finite-order elements of GL_n(Z_(q)) (Minkowski), so a finite-order
+    g has the order N of g mod q.  Hence N > bound rejects g, and otherwise
+    g has finite order iff g^N = 1, checked by repeated squaring."""
+    dens = {x.denominator for r in g.rows for x in r}
+    q = 3
+    while not _is_prime(q) or det.numerator % q == 0 or any(d % q == 0 for d in dens):
+        q += 2
+    gq = Matrix(Field.prime(q), g.rows)
+    ident = Matrix.identity(gq.field, g.nrows)
+    order, cur = 1, gq
+    while cur != ident:
+        order += 1
+        if order > bound:
+            raise _order_exceeds(bound)
+        cur = cur @ gq
+    one = power = Matrix.identity(g.field, g.nrows)
+    for bit in bin(order)[2:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ g
+    if power != one:
+        raise OrderExceedsBoundError("generator has infinite order")
+
+
+def group_from_generator(field: Field, rows, order_bound: int = DEFAULT_ORDER_BOUND) -> CyclicGroup:
     return CyclicGroup(field, Matrix(field, rows), order_bound=order_bound)
 
 

@@ -1,5 +1,5 @@
 """Exact linear algebra: RREF, kernels, images, complements,
-eigenspaces, and the subspace lattice.
+eigenspaces, characteristic polynomials and root splitting.
 
 Matrices are tuples of tuples of field scalars (see fields.Field) and are
 immutable after construction.  Subspaces are stored by their reduced
@@ -90,12 +90,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r, %d x %d)" % (self.field, self.nrows, self.ncols)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -279,14 +273,6 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @staticmethod
-    def zero(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient)
-
-    @staticmethod
-    def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace._of(field, ambient, Matrix.identity(field, ambient).rows)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient == other.ambient and self.basis == other.basis)
@@ -315,26 +301,6 @@ class Subspace:
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace._of(self.field, self.ambient, self.basis.rows + other.basis.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        f = self.field
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(f, self.ambient)
-        # solve a*U = b*W: kernel of [U^T | -W^T]
-        ut = self.basis.transpose()
-        wt = other.basis.transpose()
-        sys = ut.augment(-wt)
-        ker = kernel_basis(sys)
-        cols = ut.rows
-        vecs = [[_dot(f, k[:self.dim], col) for col in cols] for k in ker.basis.rows]
-        return Subspace._of(f, self.ambient, vecs)
 
     def complement(self) -> "Subspace":
         """Pivot-completion complement: standard basis vectors at non-pivot columns."""
@@ -401,52 +367,29 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 
 
 def char_poly(m: Matrix) -> Tuple[Scalar, ...]:
-    """Coefficients (low to high) of det(x*I - m), by cofactor expansion
-    over the polynomial ring.  Fine for the small n used here."""
+    """Coefficients (low to high) of det(x*I - m), by Berkowitz's
+    division-free algorithm (Berkowitz 1984): O(n^4) and valid in any
+    characteristic.  Split m as [[a, r], [c, t]] with a scalar a and the
+    trailing block t of size k.  High to low, the coefficients of
+    det(x*I - m) are T times those of det(x*I - t), where T is the
+    lower-triangular Toeplitz matrix with first column
+    1, -a, -r c, -r t c, ..., -r t^(k-1) c.  The loop applies this from the
+    last diagonal entry up."""
     f = m.field
     n = m.nrows
     if n != m.ncols:
         raise ValueError("not square")
-
-    def padd(a, b):
-        la, lb = len(a), len(b)
-        return tuple(f.add(a[i] if i < la else f.zero(), b[i] if i < lb else f.zero())
-                     for i in range(max(la, lb)))
-
-    def pmul(a, b):
-        out = [f.zero()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
-                    out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return tuple(out)
-
-    def pneg(a):
-        return tuple(f.neg(x) for x in a)
-
-    # entries of x*I - m as polynomials
-    ent = [[(f.neg(m.rows[i][j]), f.one()) if i == j else (f.neg(m.rows[i][j]),)
-            for j in range(n)] for i in range(n)]
-
-    def pdet(rows_idx, cols_idx):
-        k = len(rows_idx)
-        if k == 1:
-            return ent[rows_idx[0]][cols_idx[0]]
-        total = (f.zero(),)
-        i = rows_idx[0]
-        rest = rows_idx[1:]
-        for s, j in enumerate(cols_idx):
-            sub = pdet(rest, cols_idx[:s] + cols_idx[s + 1:])
-            term = pmul(ent[i][j], sub)
-            total = padd(total, term if s % 2 == 0 else pneg(term))
-        return total
-
-    poly = pdet(tuple(range(n)), tuple(range(n)))
-    # pad to degree n
-    poly = poly + (f.zero(),) * (n + 1 - len(poly))
-    return poly
+    a = m.rows
+    poly = [f.one()]
+    for k in range(n - 1, -1, -1):
+        tail = [row[k + 1:] for row in a[k + 1:]]
+        r, v = a[k][k + 1:], [row[k] for row in a[k + 1:]]
+        col = [f.one(), -a[k][k]]
+        for _ in range(n - 1 - k):
+            col.append(-_dot(f, r, v))
+            v = [_dot(f, row, v) for row in tail]
+        poly = [_dot(f, col[i::-1], poly) for i in range(len(col))]
+    return tuple(reversed(poly))
 
 
 def poly_splits(field: Field, coeffs: Sequence[Scalar]) -> bool:

@@ -19,17 +19,21 @@ Everything is assembled as matrices over the flat coordinates
 dimensions, containments, and distinguished representatives are plain
 rank/kernel computations.
 
-Each condition has one row builder, placed by column offset, which the
-per-element matrices and `assembled_complex` share: `_vanish_rows`
+Each condition has one row builder, placed by column offset: `_vanish_rows`
 (condition (1) and the lambda cuts, and the pi_h cut on alpha),
 `_jacobi_rows` (condition (3)), `_coboundary_cols` (d(f tensor h)) and
-`_wedge_vanish_rows` (the alpha(u ^ v) = 0 cuts).  Condition (2) alone is
-written twice on purpose: per element in the g^{-1}-twisted form above, and
-in `assembled_complex` in its pre-decomposition form, where lambda_j and
-alpha_{j-1} sit in different blocks.  The second form is what makes the
-assembled complex an independent check of the lambda-to-hg bookkeeping.
-Distinguished constraints are built only by `representative_basis` and
-`reduce_to_representative`.
+`_wedge_vanish_rows` (the alpha(u ^ v) = 0 cuts).  The test suite's
+assembled complex reuses them at other offsets, with condition (2) in its
+pre-decomposition form, as an independent check of the lambda-to-hg
+bookkeeping.
+
+The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
+projects V onto V_h along the pivot-completion complement of V_h: the span
+of the unit vectors e_j at the columns j that are not pivots of V_h's RREF
+basis.  A vector lies in that complement iff it vanishes at the pivot
+columns, so the cut is "alpha(e_a ^ e_b)_c = 0 for every pivot column c of
+V_h", with no matrix inverse.  Distinguished constraints are built only by
+`representative_basis` and `reduce_to_representative`.
 """
 
 from __future__ import annotations
@@ -75,15 +79,6 @@ class CochainTwo:
         lam = tuple(flat[:n])
         alpha = tuple(tuple(flat[n + k * n: n + (k + 1) * n]) for k in range(w))
         return CochainTwo(field, n, i, lam, alpha)
-
-    @staticmethod
-    def zero(field: Field, n: int, i: int) -> "CochainTwo":
-        w = len(wedge_pairs(n))
-        return CochainTwo(field, n, i, tuple([field.zero()] * n),
-                          tuple(tuple([field.zero()] * n) for _ in range(w)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.flat())
 
 
 @dataclass(frozen=True)
@@ -247,13 +242,11 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     ed = gr.element(i)
     rows: List[List[Scalar]] = []
 
-    # pi_h o alpha = 0: alpha values have no V_h component (w.r.t. (V_h)^perp)
-    d = ed.moved_space.dim
-    if d > 0:
-        cols = list(ed.moved_space.basis_rows()) + list(ed.moved_complement.basis_rows())
-        proj = Matrix._of(f, cols, n).transpose().inverse().rows[:d]   # V_h coordinates of a vector
-        for w in range(len(wedge_pairs(n))):
-            rows += _vanish_rows(f, dim, proj, n + w * n)
+    # pi_h o alpha = 0: alpha's values vanish at the pivot columns of V_h
+    unit = Matrix.identity(f, n).rows
+    at_pivots = [unit[c] for c in ed.moved_space._pivots]
+    for w in range(len(wedge_pairs(n))):
+        rows += _vanish_rows(f, dim, at_pivots, n + w * n)
 
     codim = ed.codim
     fixed = ed.fixed_space.basis_rows()
@@ -265,11 +258,10 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
         rows += _wedge_vanish_rows(f, dim, combinations(fixed, 2), n)
         # chi_h nontrivial: lambda = 0 on (V^h)^perp
         if ed.chi_of_generator != f.one():
-            rows += _vanish_rows(f, dim, ed.fixed_complement.basis_rows(), 0)
+            rows += _vanish_rows(f, dim, ed.fixed_space.complement().basis_rows(), 0)
     elif codim == 2:
         # alpha(u ^ v) = 0 for u in V^h, v in V; lambda = 0 on V^h
-        basis = Matrix.identity(f, n).rows
-        rows += _wedge_vanish_rows(f, dim, [(u, e) for u in fixed for e in basis], n)
+        rows += _wedge_vanish_rows(f, dim, [(u, e) for u in fixed for e in unit], n)
         rows += _vanish_rows(f, dim, fixed, 0)
     else:
         # codim > 2: the zero cochain
@@ -335,59 +327,3 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
         if any(x != 0 for x in dmat.apply(k)):
             raise AssertionError("distinguished representative is not unique")
     return CochainTwo.from_flat(f, gr.n, i, rep_flat), CochainOne(i, f0)
-
-
-def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
-    """The full-degree complex built WITHOUT the per-element split, straight
-    from the pre-decomposition conditions: coordinates are lambda_j and
-    alpha_j per group element g^j (each attached to its own element, no
-    shift pairing), so comparing its nullity/rank against the per-element
-    sums exercises the lambda-to-hg bookkeeping.
-
-    Returns (cocycle condition matrix, coboundary matrix of d^1).
-    """
-    f = gr.field
-    n = gr.n
-    N = gr.order
-    pairs = wedge_pairs(n)
-    blk = cochain_dim(n)
-    dim = N * blk
-    g = gr.generator
-    w2g = wedge2_matrix(g)
-    one = Matrix.identity(f, n)
-    imt = gr.transfer().image.basis_rows()
-
-    rows: List[List[Scalar]] = []
-    cols: List[List[Scalar]] = []
-    for j in range(N):
-        hj = gr.power(j)
-        lam = j * blk                       # lambda_j
-        prev = ((j - 1) % N) * blk + n      # alpha_{j-1}
-        # (1) lambda_j(im T) = 0
-        rows += _vanish_rows(f, dim, imt, lam)
-        # (2) at group element g^j:
-        # 0 = g alpha_{j-1}(u^v) - alpha_{j-1}(^g u ^ ^g v)
-        #     - lambda_j(v)(^g u - ^{g^j} u) + lambda_j(u)(^g v - ^{g^j} v)
-        gm = g - hj   # (^g - ^{g^j}) as a matrix
-        for w0, (a, b) in enumerate(pairs):
-            for r in range(n):
-                row = [f.zero()] * dim
-                for s in range(n):
-                    c = g.rows[r][s]
-                    if c != 0:
-                        idx = prev + w0 * n + s
-                        row[idx] = f.add(row[idx], c)
-                for wi in range(len(pairs)):
-                    c = w2g.rows[wi][w0]
-                    if c != 0:
-                        idx = prev + wi * n + r
-                        row[idx] = f.sub(row[idx], c)
-                row[lam + b] = f.sub(row[lam + b], gm.rows[r][a])
-                row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
-                rows.append(row)
-        # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
-        rows += _jacobi_rows(f, dim, one - hj, lam + n)
-        # d^1 on f_j tensor g^j: lambda at g^{j+1} plus alpha at g^j
-        cols += _coboundary_cols(f, dim, one - g, one - hj, ((j + 1) % N) * blk, lam + n)
-
-    return Matrix._of(f, rows, dim), Matrix._of(f, cols, dim).transpose()

@@ -1,10 +1,15 @@
 """Shared fixtures: the regression suite of cyclic groups used across the
 test modules, with their hand-checked invariants (order, per-element fixed
-space codimensions, total dimension, transfer image)."""
+space codimensions, total dimension, transfer image), and the assembled
+cochain complex the oracle tests check the per-element split against."""
+
+from typing import List, Tuple
 
 import pytest
 
-from skewcoh import Field, group_from_generator
+from skewcoh import CyclicGroup, Field, Matrix, Scalar, cochain_dim, group_from_generator
+from skewcoh import wedge2_matrix, wedge_pairs
+from skewcoh.oracle import _coboundary_cols, _jacobi_rows, _vanish_rows
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -46,3 +51,59 @@ def suite_entry(request):
     name = request.param
     field, rows, order, codims, dims, imt = SUITE[name]
     return name, group_from_generator(field, rows), order, codims, dims, imt
+
+
+def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
+    """The full-degree complex built WITHOUT the per-element split, straight
+    from the pre-decomposition conditions: coordinates are lambda_j and
+    alpha_j per group element g^j (each attached to its own element, no
+    shift pairing), so comparing its nullity/rank against the per-element
+    sums exercises the lambda-to-hg bookkeeping.
+
+    Returns (cocycle condition matrix, coboundary matrix of d^1).
+    """
+    f = gr.field
+    n = gr.n
+    N = gr.order
+    pairs = wedge_pairs(n)
+    blk = cochain_dim(n)
+    dim = N * blk
+    g = gr.generator
+    w2g = wedge2_matrix(g)
+    one = Matrix.identity(f, n)
+    imt = gr.transfer().image.basis_rows()
+
+    rows: List[List[Scalar]] = []
+    cols: List[List[Scalar]] = []
+    for j in range(N):
+        hj = gr.power(j)
+        lam = j * blk                       # lambda_j
+        prev = ((j - 1) % N) * blk + n      # alpha_{j-1}
+        # (1) lambda_j(im T) = 0
+        rows += _vanish_rows(f, dim, imt, lam)
+        # (2) at group element g^j:
+        # 0 = g alpha_{j-1}(u^v) - alpha_{j-1}(^g u ^ ^g v)
+        #     - lambda_j(v)(^g u - ^{g^j} u) + lambda_j(u)(^g v - ^{g^j} v)
+        gm = g - hj   # (^g - ^{g^j}) as a matrix
+        for w0, (a, b) in enumerate(pairs):
+            for r in range(n):
+                row = [f.zero()] * dim
+                for s in range(n):
+                    c = g.rows[r][s]
+                    if c != 0:
+                        idx = prev + w0 * n + s
+                        row[idx] = f.add(row[idx], c)
+                for wi in range(len(pairs)):
+                    c = w2g.rows[wi][w0]
+                    if c != 0:
+                        idx = prev + wi * n + r
+                        row[idx] = f.sub(row[idx], c)
+                row[lam + b] = f.sub(row[lam + b], gm.rows[r][a])
+                row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
+                rows.append(row)
+        # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
+        rows += _jacobi_rows(f, dim, one - hj, lam + n)
+        # d^1 on f_j tensor g^j: lambda at g^{j+1} plus alpha at g^j
+        cols += _coboundary_cols(f, dim, one - g, one - hj, ((j + 1) % N) * blk, lam + n)
+
+    return Matrix._of(f, rows, dim), Matrix._of(f, cols, dim).transpose()

@@ -180,7 +180,7 @@ def test_criterion_7_deformation_lift(announce):
         bracket = square_bracket_transvection(params)
         ok = ok and all(all(x == 0 for x in v) for v in bracket)
         rs = orbifold_algebra(params)
-        conf = confluence_check(rs, max_overlap_len=3)
+        conf = confluence_check(rs)
         ok = ok and conf.ok
         hil = hilbert_check(rs, 4, confluence=conf)
         ok = ok and hil.ok and hil.count == 15 * p

@@ -1,0 +1,76 @@
+"""Every public function, class and method defined in `src/skewcoh` must
+be used by the package itself or by the benchmark in `perfbench/`.
+
+A use is an identifier, an attribute name, or a dotted part of a string
+constant without whitespace (the benchmark's tracer names what it rebinds
+as strings such as "Field." + "add" or "Matrix.__matmul__"), found in
+`src/skewcoh` or `perfbench/` outside the name's own definition.  Import
+statements are not uses, so re-exporting a name from `__init__` does not
+keep it alive; neither does a test calling it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "skewcoh"
+USERS = [PACKAGE, ROOT / "perfbench"]
+
+
+def public_definitions(tree):
+    """(name, qualified name, first line, last line) of each public
+    module-level function or class and each public method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((node.name, node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append((item.name, "%s.%s" % (node.name, item.name),
+                                item.lineno, item.end_lineno))
+    return out
+
+
+def uses(tree):
+    """(name, line, kind) for every identifier ("name"), attribute
+    ("attr") and dotted part of a string constant ("str")."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno, "name"))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno, "attr"))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and not any(ch.isspace() for ch in node.value)):
+            out.extend((part, node.lineno, "str") for part in node.value.split(".")
+                       if part.isidentifier())
+    return out
+
+
+def unused_public_names():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in USERS for path in sorted(folder.glob("*.py"))}
+    used = {path: uses(tree) for path, tree in trees.items()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, qual, first, last in public_definitions(trees[path]):
+            # a method is reached through an attribute, never a bare name
+            kinds = ("attr", "str") if "." in qual else ("name", "attr", "str")
+            if not any(n == name and kind in kinds and not (p == path and first <= line <= last)
+                       for p, found in used.items() for n, line, kind in found):
+                unused.append("%s: %s" % (path.name, qual))
+    return unused
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert unused_public_names() == []
+
+
+def test_the_guard_sees_definitions_and_uses():
+    tree = ast.parse("class A:\n    def used(self):\n        return self.used_not()\n"
+                     "    def used_not(self):\n        return 'A.used'\n")
+    names = {q for _, q, _, _ in public_definitions(tree)}
+    assert names == {"A", "A.used", "A.used_not"}
+    found = {n for n, _, _ in uses(tree)}
+    assert {"used_not", "A", "used"} <= found

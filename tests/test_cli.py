@@ -1,10 +1,14 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from skewcoh import CohomologyReport, Field, cli, full_report
+from skewcoh import Field, cli, full_report
 from skewcoh.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from skewcoh.oracle import DimensionMismatchError
 from skewcoh.group_action import group_from_generator
@@ -53,7 +57,7 @@ def test_analyze_json_round_trip(job, capsys):
     assert doc["command"] == "analyze"
     assert doc["group"]["order"] == 3
     gr = group_from_generator(Field.prime(3), TRANSV3["generator"])
-    assert CohomologyReport.from_dict(doc["formula"]) == full_report(gr)
+    assert doc["formula"] == full_report(gr).to_dict()
 
 
 def test_analyze_nonmodular_flag(job, capsys):
@@ -73,6 +77,19 @@ def test_analyze_nonmodular_check_at_a_61_bit_prime(job, capsys):
     # p = 3 mod 4, so x^2 + 1 has no root and only the coprime statement applies
     assert doc["nonmodular"]["verdict"] == "pass"
     assert doc["nonmodular"]["cor_applicable"] is False
+
+
+def test_analyze_nonmodular_check_on_a_12_cycle(job, capsys):
+    # char_poly of a 12x12 matrix: cofactor expansion would take 12! steps
+    n = 12
+    cycle = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
+    doc = {"field": {"type": "prime", "p": 5}, "generator": cycle}
+    assert main(["analyze", "--nonmodular-check", "--json", job(doc)]) == EXIT_PASS
+    out = json.loads(capsys.readouterr().out)
+    assert out["group"]["order"] == 12
+    # F_5 has no primitive 12th root of unity, so x^12 - 1 does not split
+    assert out["nonmodular"]["verdict"] == "pass"
+    assert out["nonmodular"]["cor_applicable"] is False
 
 
 def test_analyze_nonmodular_json(job, capsys):
@@ -256,9 +273,26 @@ def test_max_order_flag(job, capsys):
     assert main(["analyze", "--max-order", "4", path]) == EXIT_PASS
 
 
-def test_max_order_env(job, capsys, monkeypatch):
-    path = job(ROT4Q)
-    monkeypatch.setenv("SKEWCOH_MAX_ORDER", "3")
-    assert main(["analyze", path]) == EXIT_INPUT
-    # an explicit flag wins over the environment
-    assert main(["analyze", "--max-order", "4", path]) == EXIT_PASS
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+BOUNDED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from skewcoh.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("generator", [
+    [[10 ** 20, 0], [0, "1/%d" % 10 ** 20]],
+    [[10 ** 100, 0], [0, 1]],
+], ids=["diag(1e20,1e-20)", "diag(1e100,1)"])
+def test_infinite_order_rational_generator_is_rejected_at_once(job, generator):
+    # run apart, with 1 GB of address space and 30 s, so that storing the
+    # growing powers fails this test instead of exhausting the machine
+    path = job({"field": {"type": "rational"}, "generator": generator})
+    env = dict(os.environ, PYTHONPATH=SRC)
+    r = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, "analyze", path],
+                       capture_output=True, text=True, timeout=30, env=env)
+    assert r.returncode == EXIT_INPUT, r.stderr
+    assert r.stderr.startswith("error:")
+    assert "infinite order" in r.stderr

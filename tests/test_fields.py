@@ -111,12 +111,6 @@ def test_inverse_errors():
             f.inv(f.zero())
 
 
-def test_elements_enumeration():
-    assert list(Field.prime(3).elements()) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        Field.rational().elements()
-
-
 def _random_scalar(f, rng):
     if f.kind == "prime":
         return rng.randrange(f.p)
@@ -141,7 +135,7 @@ def test_field_axioms_randomized(field):
         assert f.mul(a, f.one()) == f.coerce(a)
         assert f.add(a, f.neg(a)) == f.zero()
         assert f.sub(a, b) == f.add(a, f.neg(b))
-        if not f.is_zero(f.coerce(a)):
+        if f.coerce(a) != 0:
             assert f.mul(f.coerce(a), f.inv(f.coerce(a))) == f.one()
             assert f.div(f.coerce(b), f.coerce(a)) == f.mul(f.coerce(b), f.inv(f.coerce(a)))
 

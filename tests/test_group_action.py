@@ -26,6 +26,10 @@ F5 = Field.prime(5)
 Q = Field.rational()
 
 
+def full(field, n):
+    return Subspace(field, n, Matrix.identity(field, n).rows)
+
+
 # -- construction and order -------------------------------------------------
 
 def test_orders(suite_entry):
@@ -53,13 +57,19 @@ def test_infinite_order_hits_the_bound():
         group_from_generator(Q, [[1, 1], [0, 1]], order_bound=50)
 
 
-def test_order_bound_env_override(monkeypatch):
-    monkeypatch.setenv("SKEWCOH_MAX_ORDER", "3")
-    with pytest.raises(OrderExceedsBoundError):
-        group_from_generator(F5, [[0, -1], [1, 0]])   # order 4
-    # explicit bound wins over the environment
-    gr = group_from_generator(F5, [[0, -1], [1, 0]], order_bound=4)
+def test_rational_order_is_found_modulo_a_prime():
+    # denominators 3 and 5 rule out q = 3 and 5, so the order is read mod 7;
+    # a conjugate of the rotation of order 4
+    gr = group_from_generator(Q, [[0, "-3/5"], ["5/3", 0]], order_bound=4)
     assert gr.order == 4
+    with pytest.raises(OrderExceedsBoundError, match="order exceeds bound 3"):
+        group_from_generator(Q, [[0, "-3/5"], ["5/3", 0]], order_bound=3)
+    # diag(3, 1/3) has order 4 mod 5 but infinite order over Q
+    with pytest.raises(OrderExceedsBoundError, match="infinite order"):
+        group_from_generator(Q, [[3, 0], [0, "1/3"]])
+    # -1 has order 2 everywhere; an order-6 rotation (x^2 - x + 1)
+    assert group_from_generator(Q, [[-1]]).order == 2
+    assert group_from_generator(Q, [[0, -1], [1, 1]]).order == 6
 
 
 # -- element data -------------------------------------------------------------
@@ -71,8 +81,9 @@ def test_codims(suite_entry):
         ed = gr.element(i)
         assert ed.fixed_space.dim + ed.codim == gr.n
         assert ed.moved_space.dim == ed.codim
-        assert ed.fixed_space.sum(ed.fixed_complement) == Subspace.full(gr.field, gr.n)
-        assert ed.moved_space.sum(ed.moved_complement) == Subspace.full(gr.field, gr.n)
+        for space in (ed.fixed_space, ed.moved_space):
+            joined = space.basis.rows + space.complement().basis.rows
+            assert Subspace(gr.field, gr.n, joined) == full(gr.field, gr.n)
 
 
 def test_transvection_element_data():
@@ -88,7 +99,7 @@ def test_transvection_element_data():
 def test_identity_element_data():
     gr = suite_group("transvection_f3")
     ed = gr.element(0)
-    assert ed.fixed_space == Subspace.full(F3, 2)
+    assert ed.fixed_space == full(F3, 2)
     assert ed.moved_space.dim == 0
     assert ed.codim == 0
     assert ed.chi_of_generator == 1
@@ -153,7 +164,7 @@ def test_trivial_group_transfer_is_identity():
     gr = suite_group("trivial_n2_f3")
     t = gr.transfer()
     assert t.matrix == Matrix.identity(F3, 2)
-    assert t.image == Subspace.full(F3, 2)
+    assert t.image == full(F3, 2)
 
 
 def test_nontrivial_transfer_image():
@@ -222,7 +233,7 @@ def test_unknown_module_rejected():
 # -- chi invariants ----------------------------------------------------------------
 
 def test_chi_invariants_trivial():
-    assert chi_invariants(Matrix.identity(F5, 2), 1) == Subspace.full(F5, 2)
+    assert chi_invariants(Matrix.identity(F5, 2), 1) == full(F5, 2)
 
 
 def test_chi_invariants_sign():

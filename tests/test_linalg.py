@@ -1,5 +1,5 @@
 """Exact linear algebra: RREF, kernels/images, complements, eigenspaces,
-the subspace lattice, solving, and characteristic polynomials.
+spans, solving, and characteristic polynomials.
 
 The worked examples here (kernel/image of 1-g for the transvection, the
 pivot-completion complement of span{e1+e2}, eigenspaces of diag(1,-1))
@@ -33,6 +33,10 @@ Q = Field.rational()
 
 def span(field, ambient, *rows):
     return Subspace(field, ambient, rows)
+
+
+def full(field, ambient):
+    return Subspace(field, ambient, Matrix.identity(field, ambient).rows)
 
 
 # -- rref ----------------------------------------------------------------
@@ -90,7 +94,7 @@ def test_kernel_of_one_minus_transvection():
 
 def test_kernel_identity_and_zero():
     assert kernel_basis(Matrix.identity(F5, 2)).dim == 0
-    assert kernel_basis(Matrix.zeros(F5, 2, 2)) == Subspace.full(F5, 2)
+    assert kernel_basis(Matrix.zeros(F5, 2, 2)) == full(F5, 2)
 
 
 def test_image_of_one_minus_transvection():
@@ -100,7 +104,7 @@ def test_image_of_one_minus_transvection():
 
 
 def test_image_identity_and_zero():
-    assert image_basis(Matrix.identity(Q, 3)) == Subspace.full(Q, 3)
+    assert image_basis(Matrix.identity(Q, 3)) == full(Q, 3)
     assert image_basis(Matrix.zeros(Q, 3, 3)).dim == 0
 
 
@@ -111,8 +115,8 @@ def test_complement_of_e1():
 
 
 def test_complement_of_full_and_zero():
-    assert Subspace.full(F3, 2).complement().dim == 0
-    assert Subspace.zero(F3, 2).complement() == Subspace.full(F3, 2)
+    assert full(F3, 2).complement().dim == 0
+    assert Subspace(F3, 2).complement() == full(F3, 2)
 
 
 def test_complement_pivot_completion():
@@ -129,8 +133,8 @@ def test_complement_is_a_complement(field):
         u = Subspace(field, n, [[_rand(field, rng) for _ in range(n)] for _ in range(k)])
         c = u.complement()
         assert u.dim + c.dim == n
-        assert u.intersect(c).dim == 0
-        assert u.sum(c) == Subspace.full(field, n)
+        # u + c is everything, so by the dimensions u and c meet in 0
+        assert Subspace(field, n, u.basis.rows + c.basis.rows) == full(field, n)
 
 
 def _rand(f, rng):
@@ -151,16 +155,17 @@ def test_eigenspace_jordan_block():
     assert eigenspace(m, 2).dim == 0
 
 
-# -- subspace lattice --------------------------------------------------------
+# -- spans -------------------------------------------------------------------
 
 def test_sum_and_intersect():
+    # sums are spans of the joined bases; dim(U cap W) = dim U + dim W - dim(U + W)
     e1 = span(F5, 2, [1, 0])
     e2 = span(F5, 2, [0, 1])
     diag = span(F5, 2, [1, 1])
-    assert e1.sum(e2) == Subspace.full(F5, 2)
-    assert e1.intersect(diag).dim == 0
-    assert e1.sum(diag) == Subspace.full(F5, 2)
-    assert e1.intersect(e1) == e1
+    assert span(F5, 2, *(e1.basis.rows + e2.basis.rows)) == full(F5, 2)
+    assert span(F5, 2, *(e1.basis.rows + diag.basis.rows)) == full(F5, 2)
+    assert not e1.contains_space(diag) and not diag.contains_space(e1)
+    assert span(F5, 2, *(e1.basis.rows + e1.basis.rows)) == e1
 
 
 def test_contains():
@@ -168,7 +173,7 @@ def test_contains():
     assert u.contains([2, -3, 0])
     assert not u.contains([0, 0, 1])
     assert u.contains_space(span(Q, 3, [1, 1, 0]))
-    assert not u.contains_space(Subspace.full(Q, 3))
+    assert not u.contains_space(full(Q, 3))
 
 
 def test_quotient_map_coordinates():
@@ -183,7 +188,7 @@ def test_quotient_map_coordinates():
 
 def test_equal_subspaces_identical_basis():
     a = span(F5, 2, [1, 1], [1, 2])
-    b = Subspace.full(F5, 2)
+    b = full(F5, 2)
     assert a == b
     assert a.basis == b.basis
 
@@ -236,6 +241,63 @@ def test_char_poly_transvection():
 def test_char_poly_rotation():
     g = Matrix(Q, [[0, -1], [1, 0]])
     assert char_poly(g) == (Fraction(1), Fraction(0), Fraction(1))   # x^2 + 1
+
+
+def cofactor_char_poly(m):
+    """det(x*I - m) by cofactor expansion over the polynomial ring, the
+    O(n!) char_poly that Berkowitz's algorithm replaced; a test oracle only."""
+    f = m.field
+    n = m.nrows
+
+    def padd(a, b):
+        la, lb = len(a), len(b)
+        return tuple(f.add(a[i] if i < la else f.zero(), b[i] if i < lb else f.zero())
+                     for i in range(max(la, lb)))
+
+    def pmul(a, b):
+        out = [f.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = f.add(out[i + j], f.mul(x, y))
+        return tuple(out)
+
+    ent = [[(f.neg(m.rows[i][j]), f.one()) if i == j else (f.neg(m.rows[i][j]),)
+            for j in range(n)] for i in range(n)]
+
+    def pdet(rows_idx, cols_idx):
+        if len(rows_idx) == 1:
+            return ent[rows_idx[0]][cols_idx[0]]
+        total = (f.zero(),)
+        for s, j in enumerate(cols_idx):
+            term = pmul(ent[rows_idx[0]][j], pdet(rows_idx[1:], cols_idx[:s] + cols_idx[s + 1:]))
+            total = padd(total, term if s % 2 == 0 else tuple(f.neg(x) for x in term))
+        return total
+
+    poly = pdet(tuple(range(n)), tuple(range(n)))
+    return poly + (f.zero(),) * (n + 1 - len(poly))
+
+
+@pytest.mark.parametrize("field", [F3, F5, Field.prime(7), Q], ids=["F3", "F5", "F7", "Q"])
+def test_char_poly_matches_cofactor_expansion(field):
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        m = _random_matrix(field, rng, n, n)
+        got = char_poly(m)
+        assert got == cofactor_char_poly(m), m.rows
+        assert all(type(x) is (int if field.p else Fraction) for x in got)
+    # a sparse, a triangular and a zero matrix, where most products vanish
+    for rows in ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 2, 3], [0, 4, 5], [0, 0, 6]],
+                 [[0, 0], [0, 0]]):
+        m = Matrix(field, rows)
+        assert char_poly(m) == cofactor_char_poly(m)
+
+
+def test_char_poly_of_a_large_permutation_matrix():
+    # the 30-cycle: det(x*I - P) = x^30 - 1, at a size cofactor expansion cannot reach
+    n = 30
+    p = Matrix(F5, [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+    assert char_poly(p) == (4,) + (0,) * (n - 1) + (1,)
 
 
 def test_poly_splits():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from skewcoh import (
     Field,
     Matrix,
-    assembled_complex,
     coboundary_matrix,
     cocycle_conditions,
     distinguished_constraints,
@@ -27,14 +26,16 @@ from skewcoh import (
     wedge2_matrix,
 )
 
+from conftest import assembled_complex
+
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
 
 @st.composite
-def prime_generators(draw):
+def prime_generators(draw, max_n=4):
     f = Field.prime(draw(st.sampled_from([3, 5, 7])))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     rows = draw(st.lists(st.lists(st.integers(-f.p, 2 * f.p), min_size=n, max_size=n),
                          min_size=n, max_size=n))
     assume(Matrix(f, rows).det() != 0)
