@@ -42,6 +42,7 @@ from .formula import (
 from .oracle import (
     CochainOne,
     CochainTwo,
+    ComplexDims,
     DimensionMismatchError,
     NotACocycleError,
     PerElementComplex,

@@ -235,7 +235,7 @@ def cmd_deform(args) -> int:
         p = _transvection_prime_from_job(args)
     else:
         raise JobError("deform needs a job file or --deform-prime")
-    params = builtin_transvection_gamma(p)
+    params = builtin_transvection_gamma(p, args.max_order)
     f = params.group.field
     bracket = square_bracket_transvection(params)
     bracket_zero = all(all(x == 0 for x in v) for v in bracket)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field, Scalar
-from .group_action import CyclicGroup, group_from_generator
+from .group_action import DEFAULT_ORDER_BOUND, CyclicGroup, group_from_generator
 from .linalg import Matrix
 
 Letter = Tuple[str, int]          # ("v", 1|2) or ("g", 1..N-1)
@@ -58,16 +58,17 @@ class DeformationParams:
     kappa_v2: GroupVec
 
 
-def transvection_group(p: int) -> CyclicGroup:
-    return group_from_generator(Field.prime(p), [[1, 1], [0, 1]])
+def transvection_group(p: int, order_bound: int = DEFAULT_ORDER_BOUND) -> CyclicGroup:
+    return group_from_generator(Field.prime(p), [[1, 1], [0, 1]], order_bound=order_bound)
 
 
-def builtin_transvection_gamma(p: int) -> DeformationParams:
+def builtin_transvection_gamma(p: int, order_bound: int = DEFAULT_ORDER_BOUND) -> DeformationParams:
     """The lifted cocycle's parameter tables over F_p: integer coefficients
     -i and -C(i+1,2) taken at the representative 0 <= i < p, then reduced.
     These are the unique values compatible with kappa = v2 tensor g (see
-    the module docstring)."""
-    group = transvection_group(p)
+    the module docstring).  The group has order p, so p > order_bound
+    raises OrderExceedsBoundError."""
+    group = transvection_group(p, order_bound)
     f = group.field
     N = group.order
     table: Dict[Tuple[int, int], GroupVec] = {}

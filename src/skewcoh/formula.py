@@ -68,8 +68,7 @@ def codim1_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     chi = ed.chi_of_generator
     piece_f = 1 if chi == f.one() else 0
     # generator's action on V/V_h tensor (V^h)*
-    quot = gr.induced_action(1 % gr.order, "quotient_by", ed.moved_space)
-    dual_fix = gr.induced_action(1 % gr.order, "dual_restricted_to", ed.fixed_space)
+    quot, dual_fix = gr.subgroup_actions(i)
     if quot.nrows and dual_fix.nrows:
         tens = kron(quot, dual_fix)
         piece_t = chi_invariants(tens, chi).dim
@@ -83,7 +82,7 @@ def codim2_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     ed = gr.element(i)
     if ed.codim != 2:
         raise WrongCaseError("element %d has codim %d, expected 2" % (i, ed.codim))
-    quot = gr.induced_action(1 % gr.order, "quotient_by", ed.moved_space)
+    quot = gr.subgroup_actions(i)[0]
     piece = chi_invariants(quot, ed.chi_of_generator).dim if quot.nrows else 0
     return SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece)
 

@@ -7,11 +7,33 @@ and the character value chi_h(g) = det of g acting on V/V^h.  It also
 builds the induced actions on V*, wedge^2 V, V tensor wedge^2 V*,
 quotients V/U and duals of restrictions, all with the contragredient
 convention (^g f)(m) = f(^{g^{-1}} m).
+
+Everything but g^i and det(g^i) depends only on the subgroup <g^i>, so
+`CyclicGroup.element` derives it once per divisor d of N = |G|, at
+h = g^d, and element i reuses the data of d = gcd(i, N), with its own
+matrix g^i and det(g^i) = det(g)^i.  `CyclicGroup.subgroup_actions`
+likewise builds the actions of g on V/V_h and (V^h)* once per divisor,
+when a summand first reads them.  Why g^i shares the data of h:
+
+* g^i and h generate the same subgroup.  Write i = d k; then k is prime
+  to N/d, the order of h, so g^i = h^k and h = (h^k)^{k'} with
+  k k' = 1 mod N/d.  Each of h, h^k is therefore a power of the other.
+* 1 - h^k = (1 - h)(1 + h + ... + h^{k-1}), with commuting factors, so
+  ker(1 - h) lies in ker(1 - h^k) and im(1 - h^k) lies in im(1 - h).
+  Exchanging the roles of h and h^k gives the reverse inclusions, so V^h,
+  V_h and the codimension agree, and with them chi_h(g) (the determinant
+  of g on the same quotient V/V^h), the action of g on V/V_h and the
+  action of g on (V^h)*.
+* Squaring the factorisation, (1 - h^k)^2 is a multiple of (1 - h)^2, and
+  the other way round, so (1 - h)^2 = 0 iff (1 - h^k)^2 = 0.  With the
+  shared codimension this makes "h is a transvection" (a codimension-1
+  element with (1 - h)^2 = 0) a property of the subgroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
@@ -110,6 +132,7 @@ class ElementData:
     codim: int
     chi_of_generator: Scalar     # chi_h(g)
     det: Scalar
+    transvection: bool           # codim 1 and (1-h)^2 = 0
 
 
 @dataclass(frozen=True)
@@ -145,7 +168,10 @@ class CyclicGroup:
         self.generator = generator
         self.order = len(powers)
         self.powers = powers
+        self._det = det
+        self._classes: dict[int, ElementData] = {}     # keyed by gcd(i, N)
         self._elements: dict[int, ElementData] = {}
+        self._actions: dict[int, Tuple[Matrix, Matrix]] = {}   # keyed by gcd(i, N)
         self._transfer: Optional[TransferData] = None
 
     def power(self, i: int) -> Matrix:
@@ -157,10 +183,22 @@ class CyclicGroup:
 
     def element(self, i: int) -> ElementData:
         i = i % self.order
-        if i in self._elements:
-            return self._elements[i]
+        ed = self._elements.get(i)
+        if ed is None:
+            d = math.gcd(i, self.order)
+            cls = self._classes.get(d)
+            if cls is None:
+                cls = self._classes[d] = self._subgroup_data(d)
+            f = self.field
+            det = pow(self._det, i, f.p) if f.p is not None else self._det ** i
+            ed = self._elements[i] = replace(cls, index=i, matrix=self.powers[i], det=det)
+        return ed
+
+    def _subgroup_data(self, d: int) -> ElementData:
+        """Everything `element` reports for h = g^d; index, matrix and det
+        are overwritten per element (module docstring)."""
         f = self.field
-        h = self.powers[i]
+        h = self.power(d)
         one_minus = Matrix.identity(f, self.n) - h
         fixed = kernel_basis(one_minus)
         moved = image_basis(one_minus)
@@ -170,14 +208,26 @@ class CyclicGroup:
         if fixed.dim == self.n:
             chi = f.one()
         else:
-            q = quotient_matrix(self.generator, fixed)
-            chi = q.det()
-        ed = ElementData(
-            index=i, matrix=h,
+            chi = quotient_matrix(self.generator, fixed).det()
+        return ElementData(
+            index=d, matrix=h,
             fixed_space=fixed, moved_space=moved, codim=codim,
-            chi_of_generator=chi, det=h.det())
-        self._elements[i] = ed
-        return ed
+            chi_of_generator=chi, det=f.one(),
+            transvection=codim == 1 and (one_minus @ one_minus).is_zero())
+
+    def subgroup_actions(self, i: int) -> Tuple[Matrix, Matrix]:
+        """The actions of g on V/V_h and on (V^h)* for h = g^i, which the
+        codim-1 and codim-2 summands read.  Built on first use, once per
+        subgroup <h> (module docstring): the oracle and the group summary
+        never read them."""
+        d = math.gcd(i % self.order, self.order)
+        acts = self._actions.get(d)
+        if acts is None:
+            ed, g = self.element(d), 1 % self.order
+            acts = self._actions[d] = (
+                self.induced_action(g, "quotient_by", ed.moved_space),
+                self.induced_action(g, "dual_restricted_to", ed.fixed_space))
+        return acts
 
     def transfer(self) -> TransferData:
         if self._transfer is None:
@@ -221,11 +271,7 @@ class CyclicGroup:
         return self.element(i).codim == 1
 
     def is_nondiagonalizable_reflection(self, i: int) -> bool:
-        ed = self.element(i)
-        if ed.codim != 1:
-            return False
-        one_minus = Matrix.identity(self.field, self.n) - ed.matrix
-        return not one_minus.is_zero() and (one_minus @ one_minus).is_zero()
+        return self.element(i).transvection
 
 
 def _order_exceeds(bound: int) -> OrderExceedsBoundError:

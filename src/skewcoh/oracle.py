@@ -88,13 +88,17 @@ class CochainOne:
 
 
 @dataclass(frozen=True)
-class PerElementComplex:
+class ComplexDims:
     element_index: int
-    cocycle_condition_matrix: Matrix
-    coboundary_matrix: Matrix
     z_dim: int
     b_dim: int
     hh_dim: int
+
+
+@dataclass(frozen=True)
+class PerElementComplex(ComplexDims):
+    cocycle_condition_matrix: Matrix
+    coboundary_matrix: Matrix
 
 
 def cochain_dim(n: int) -> int:
@@ -280,11 +284,17 @@ def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    return PerElementComplex(i, cond, cob, z, b, hh)
+    return PerElementComplex(i, z, b, hh, cond, cob)
 
 
-def oracle_report(gr: CyclicGroup) -> List[PerElementComplex]:
-    return [per_element_cohomology(gr, i) for i in range(gr.order)]
+def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
+    """The dimensions of every element's complex; each complex's matrices
+    are dropped as soon as its dimensions are read."""
+    out = []
+    for i in range(gr.order):
+        pec = per_element_cohomology(gr, i)
+        out.append(ComplexDims(i, pec.z_dim, pec.b_dim, pec.hh_dim))
+    return out
 
 
 def representative_basis(gr: CyclicGroup, i: int) -> List[CochainTwo]:

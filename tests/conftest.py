@@ -1,14 +1,32 @@
 """Shared fixtures: the regression suite of cyclic groups used across the
 test modules, with their hand-checked invariants (order, per-element fixed
-space codimensions, total dimension, transfer image), and the assembled
-cochain complex the oracle tests check the per-element split against."""
+space codimensions, total dimension, transfer image), the assembled
+cochain complex the oracle tests check the per-element split against, and
+the per-element derivation that `CyclicGroup.element` shares per cyclic
+subgroup, kept here as a reference."""
 
 from typing import List, Tuple
 
 import pytest
 
-from skewcoh import CyclicGroup, Field, Matrix, Scalar, cochain_dim, group_from_generator
-from skewcoh import wedge2_matrix, wedge_pairs
+from skewcoh import (
+    CohomologyReport,
+    CyclicGroup,
+    Field,
+    Matrix,
+    Scalar,
+    SummandReport,
+    chi_invariants,
+    cochain_dim,
+    group_from_generator,
+    identity_contribution,
+    image_basis,
+    kernel_basis,
+    kron,
+    wedge2_matrix,
+    wedge_pairs,
+)
+from skewcoh.group_action import quotient_matrix
 from skewcoh.oracle import _coboundary_cols, _jacobi_rows, _vanish_rows
 
 F3 = Field.prime(3)
@@ -107,3 +125,51 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
         cols += _coboundary_cols(f, dim, one - g, one - hj, ((j + 1) % N) * blk, lam + n)
 
     return Matrix._of(f, rows, dim), Matrix._of(f, cols, dim).transpose()
+
+
+def reference_element(gr: CyclicGroup, i: int) -> dict:
+    """What `gr.element(i)` and `gr.subgroup_actions(i)` report, derived
+    from h = g^i alone: no data is shared between elements, det(h) is an
+    elimination, and both induced actions of g come straight from
+    `induced_action`."""
+    f = gr.field
+    h = gr.power(i)
+    one_minus = Matrix.identity(f, gr.n) - h
+    fixed = kernel_basis(one_minus)
+    moved = image_basis(one_minus)
+    codim = gr.n - fixed.dim
+    chi = f.one() if codim == 0 else quotient_matrix(gr.generator, fixed).det()
+    return {
+        "fixed_space": fixed, "moved_space": moved, "codim": codim,
+        "chi_of_generator": chi, "det": h.det(),
+        "transvection": (codim == 1 and not one_minus.is_zero()
+                         and (one_minus @ one_minus).is_zero()),
+        "quotient_action": gr.induced_action(1, "quotient_by", moved),
+        "dual_fixed_action": gr.induced_action(1, "dual_restricted_to", fixed),
+    }
+
+
+def reference_report(gr: CyclicGroup) -> CohomologyReport:
+    """The formula route's report, one summand per element from
+    `reference_element`."""
+    f = gr.field
+    out = []
+    for i in range(gr.order):
+        ref = reference_element(gr, i)
+        quot, chi = ref["quotient_action"], ref["chi_of_generator"]
+        if ref["codim"] == 0:
+            out.append(identity_contribution(gr))
+        elif ref["codim"] == 1:
+            dual_fix = ref["dual_fixed_action"]
+            piece_f = 1 if chi == f.one() else 0
+            piece_t = (chi_invariants(kron(quot, dual_fix), chi).dim
+                       if quot.nrows and dual_fix.nrows else 0)
+            out.append(SummandReport(i, "codim1", (("F^{chi_h}", piece_f),
+                                                   ("(V/V_h tensor (V^h)*)^{chi_h}", piece_t)),
+                                     piece_f + piece_t))
+        elif ref["codim"] == 2:
+            piece = chi_invariants(quot, chi).dim if quot.nrows else 0
+            out.append(SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece))
+        else:
+            out.append(SummandReport(i, "vanishing", (("codim > 2", 0),), 0))
+    return CohomologyReport(tuple(out), sum(s.total for s in out))

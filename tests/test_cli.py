@@ -273,6 +273,20 @@ def test_max_order_flag(job, capsys):
     assert main(["analyze", "--max-order", "4", path]) == EXIT_PASS
 
 
+def test_max_order_bounds_deform_prime(capsys):
+    assert main(["deform", "--deform-prime", "11", "--max-order", "3"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "order exceeds bound 3" in err
+    assert main(["deform", "--deform-prime", "3", "--max-order", "3"]) == EXIT_PASS
+
+
+def test_max_order_bounds_deform_job(job, capsys):
+    path = job({"field": {"type": "prime", "p": 11}, "generator": [[1, 1], [0, 1]]})
+    assert main(["deform", "--max-order", "3", path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "order exceeds bound 3" in err
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 BOUNDED_MAIN = """
 import resource, sys

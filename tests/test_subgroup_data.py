@@ -1,0 +1,105 @@
+"""Property test for the per-subgroup sharing in `CyclicGroup.element`.
+
+Element i reuses the data derived at d = gcd(i, |G|) and keeps only its
+own matrix and determinant; `subgroup_actions` builds the two induced
+actions of g the summands read once per subgroup as well.  On random groups
+whose orders have several divisors, every element must report what
+`reference_element` (tests/conftest.py) derives from g^i alone: fixed
+space, moved space, codim, chi_h(g), det, the transvection flag and the two
+induced actions.  The whole formula report must equal `reference_report`,
+built one element at a time with `induced_action`.
+
+diag(-1, 2) over F_7 has order 6, and g^2 = diag(1, 4) and g^3 = diag(-1, 1)
+are both reflections with different mirrors, so class data keyed by codim
+instead of gcd(i, N) fails here; so does a det taken from g^d, since
+det(g^5) = 3 but det(g) = 5.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from skewcoh import Field, Matrix, OrderExceedsBoundError, full_report, group_from_generator
+
+from conftest import SUITE, reference_element, reference_report, suite_group
+from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
+
+MAX_ORDER = 120
+PROPERTY = settings(SETTINGS, max_examples=60)
+FIELDS = ("fixed_space", "moved_space", "codim", "chi_of_generator", "det", "transvection")
+
+
+@st.composite
+def conjugated_diagonals(draw, primes=(7, 13)):
+    """P D P^-1 over F_p, n <= 3: a split semisimple generator, with many
+    subgroups of equal codim and different fixed spaces."""
+    f = Field.prime(draw(st.sampled_from(primes)))
+    n = draw(st.integers(1, 3))
+    d = [draw(st.integers(1, f.p - 1)) for _ in range(n)]
+    rows = draw(st.lists(st.lists(st.integers(0, f.p - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    p = Matrix(f, rows)
+    assume(p.det() != 0)
+    diag = Matrix(f, [[d[a] if a == b else 0 for b in range(n)] for a in range(n)])
+    return f, (p @ diag @ p.inverse()).rows
+
+
+def divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def check_against_reference(gr):
+    for i in range(gr.order):
+        ed = gr.element(i)
+        assert ed.index == i and ed.matrix == gr.power(i)
+        ref = reference_element(gr, i)
+        assert {k: getattr(ed, k) for k in FIELDS} == {k: ref[k] for k in FIELDS}, (gr.generator, i)
+        assert gr.subgroup_actions(i) == (ref["quotient_action"], ref["dual_fixed_action"])
+    assert full_report(gr) == reference_report(gr)
+
+
+def check_random_group(field, rows):
+    """check_against_reference on a group whose order has at least three
+    divisors, so that some element lies in a proper nontrivial subgroup."""
+    try:
+        gr = group_from_generator(field, rows, order_bound=MAX_ORDER)
+    except OrderExceedsBoundError:
+        assume(False)
+    assume(divisor_count(gr.order) >= 3)
+    check_against_reference(gr)
+
+
+def test_equal_codim_subgroups_with_different_mirrors():
+    f = Field.prime(7)
+    gr = group_from_generator(f, [[-1, 0], [0, 2]])
+    assert gr.order == 6 and divisor_count(gr.order) == 4
+    g2, g3 = gr.element(2), gr.element(3)
+    assert g2.codim == g3.codim == 1 and g2.fixed_space != g3.fixed_space
+    assert gr.element(5).det == 3 and gr.element(1).det == 5
+    check_against_reference(gr)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_suite_groups_match_reference(name):
+    check_against_reference(suite_group(name))
+
+
+def test_elements_of_one_subgroup_share_their_spaces():
+    gr = group_from_generator(Field.prime(7), [[-1, 0], [0, 2]])
+    for i in range(gr.order):
+        d = math.gcd(i, gr.order)
+        assert gr.element(i).fixed_space is gr.element(d % gr.order).fixed_space
+
+
+@PROPERTY
+@given(st.one_of(prime_generators(max_n=3), conjugated_diagonals()))
+def test_elements_match_reference_over_prime_fields(gen):
+    check_random_group(*gen)
+
+
+@PROPERTY
+@given(signed_permutations())
+def test_elements_match_reference_on_signed_permutations(gen):
+    check_random_group(*gen)
