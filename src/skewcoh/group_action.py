@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
-from .linalg import Matrix, Subspace, eigenspace, image_basis, kernel_basis, solve
+from .linalg import Matrix, Subspace, eigenspace, image_basis, kernel_basis
 
 DEFAULT_ORDER_BOUND = 10000
 
@@ -98,11 +98,9 @@ def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
     """Matrix of m on the invariant subspace, in the subspace's RREF basis."""
     f = m.field
     cols = []
-    bt = sub.basis.transpose()
     for u in sub.basis.rows:
-        mu = m.apply(u)
-        coords = solve(bt, mu)
-        if coords is None:
+        coords, rest = sub.coordinates(m.apply(u))
+        if any(rest):
             raise NotGStableError("subspace is not preserved")
         cols.append(coords)
     return Matrix.from_columns(f, cols) if cols else Matrix(f, [], ncols=0)
@@ -115,11 +113,7 @@ def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
     for u in sub.basis.rows:
         if not sub.contains(m.apply(u)):
             raise NotGStableError("subspace is not preserved")
-    q = sub.quotient_map()
-    comp = sub.complement()
-    cols = []
-    for w in comp.basis.rows:
-        cols.append(q.apply(m.apply(w)))
+    cols = [sub.coordinates(m.apply(w))[1] for w in sub.complement().basis.rows]
     return Matrix.from_columns(f, cols) if cols else Matrix(f, [], ncols=0)
 
 

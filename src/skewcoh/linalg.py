@@ -9,7 +9,7 @@ bases) is deterministic.
 
 Coercion happens only at the input boundary: `Matrix(field, rows)`,
 `Matrix.from_columns`, `Subspace(field, ambient, rows)` and the vectors
-handed to `Matrix.apply`, `Subspace.contains` and `solve` go through
+handed to `Matrix.apply`, `Subspace.coordinates` and `solve` go through
 `Field.coerce`.  Every matrix this module derives, and the matrices the
 oracle and group-action builders assemble, go through the trusted
 `Matrix._of`, whose entries must already be canonical: an int in [0, p)
@@ -287,17 +287,28 @@ class Subspace:
         return self.basis.rows
 
     def contains(self, v: Sequence) -> bool:
+        return not any(self.coordinates(v)[1])
+
+    def coordinates(self, v: Sequence) -> Tuple[List[Scalar], List[Scalar]]:
+        """(a, q) with v = sum_r a[r] basis[r] + sum_j q[j] e_j, where e_j
+        runs over the standard basis vectors at the non-pivot columns (the
+        complement).  q is read off v reduced against the RREF basis, so v
+        lies in the subspace iff q is zero, and q gives the coordinates on
+        F^ambient / self."""
         f = self.field
         p = f.p
         v = [f.coerce(x) for x in v]
+        a = []
         # reduce v against the RREF basis, one pivot column at a time
         for brow, c in zip(self.basis.rows, self._pivots):
             x = v[c]
+            a.append(x)
             if x:
-                v = [a - x * b for a, b in zip(v, brow)]
+                v = [y - x * b for y, b in zip(v, brow)]
                 if p is not None:
-                    v = [a % p for a in v]
-        return not any(v)
+                    v = [y % p for y in v]
+        pivset = set(self._pivots)
+        return a, [y for j, y in enumerate(v) if j not in pivset]
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.rows)
@@ -308,17 +319,6 @@ class Subspace:
         unit = Matrix.identity(self.field, self.ambient).rows
         return Subspace._of(self.field, self.ambient,
                             [e for j, e in enumerate(unit) if j not in pivset])
-
-    def quotient_map(self) -> Matrix:
-        """Coordinates on F^ambient / self, taken w.r.t. the pivot-completion
-        complement: an (ambient - dim) x ambient matrix."""
-        f = self.field
-        comp = self.complement()
-        cols = list(self.basis.rows) + list(comp.basis.rows)
-        if len(cols) != self.ambient:
-            raise ValueError("basis + complement do not span")
-        pinv = Matrix._of(f, cols, self.ambient).transpose().inverse()
-        return Matrix._of(f, pinv.rows[self.dim:], self.ambient)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

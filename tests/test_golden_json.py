@@ -94,8 +94,8 @@ SUITE_DIGESTS = {
 
 # p -> digest of deform --json --deform-prime p
 DEFORM_DIGESTS = {
-    3: "db08acb2568ba5516ab3abfdd3519b86e54883466d3828e5597aa9abeddf0853",
-    5: "70bcdde1287a8b1b7ba43e4a298c54ebf51a3d81430f13f3930e4faea6ce9cf1",
+    3: "ca1a0b20d3f6c93a8bf08a54374fb6fe82b62c2dfdc344d0f202cd7a6ce66b08",
+    5: "e3c182f930a3185991ec5ce99184417c4d7c24a376269f793f90e173318ebb7f",
 }
 
 

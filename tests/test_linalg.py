@@ -25,6 +25,7 @@ from skewcoh import (
     rref,
     solve,
 )
+from skewcoh.group_action import quotient_matrix
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -177,13 +178,13 @@ def test_contains():
 
 
 def test_quotient_map_coordinates():
-    # F^2 / span{e1}: quotient coordinate of e2 is 1
+    # F^2 / span{e1}: the quotient coordinate of e2 is 1.  The one entry of
+    # quotient_matrix(m, u) is the quotient coordinate of m e2, so choosing
+    # m e2 = v reads the coordinate of v.
     u = span(F5, 2, [1, 0])
-    q = u.quotient_map()
-    assert q.nrows == 1
-    assert q.apply([0, 1]) == (1,)
-    assert q.apply([1, 0]) == (0,)
-    assert q.apply([3, 2]) == (2,)
+    for image_of_e2, coord in (([0, 1], 1), ([1, 0], 0), ([3, 2], 2)):
+        m = Matrix.from_columns(F5, [[1, 0], image_of_e2])
+        assert quotient_matrix(m, u) == Matrix(F5, [[coord]])
 
 
 def test_equal_subspaces_identical_basis():

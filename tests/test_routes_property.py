@@ -7,7 +7,9 @@ must satisfy: the closed-form summand equals dim Z - dim B from the
 cochain complex; the distinguished cut of Z (pi_h o alpha = 0 plus the
 codimension cuts) has exactly hh_dim elements in its basis; and reducing
 a random cocycle to its representative twice gives the representative
-again.
+again.  On groups of order <= 12 the complex assembled without the
+per-element split (conftest.assembled_complex) must also satisfy d^2 = 0;
+its matrices grow with |G| * dim, so larger orders would dominate the run.
 """
 
 import random
@@ -28,9 +30,11 @@ from skewcoh import (
     representative_basis,
 )
 
+from conftest import assembled_complex
 from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
 
 MAX_ORDER = 30
+ASSEMBLED_MAX_ORDER = 12
 ROUTES = settings(SETTINGS, max_examples=60)
 
 
@@ -55,6 +59,9 @@ def check_routes(field, rows, seed):
         assert len(representative_basis(gr, i)) == complex_.hh_dim
         rep, _ = reduce_to_representative(gr, random_cocycle(gr, i, rng))
         assert reduce_to_representative(gr, rep)[0] == rep
+    if gr.order <= ASSEMBLED_MAX_ORDER:
+        cond, cob = assembled_complex(gr)
+        assert (cond @ cob).is_zero(), rows
 
 
 @ROUTES
