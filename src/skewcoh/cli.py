@@ -8,7 +8,13 @@ Job files are a single JSON document:
 Subcommands: analyze (closed-form dimensions), compare (closed form vs
 cochain-complex oracle), reps (distinguished representative bases), deform
 (square bracket + confluence + Hilbert count for the worked 2-dimensional
-deformation).  Exit codes: 0 pass, 1 verification failure, 2 input error.
+deformation).
+
+Exit codes: 0 pass, 1 verification failure, 2 input error.  Only the input
+boundary gives 2: `load_job` and the constructors that see nothing but the
+job (the field, the group, the deform generator and prime) raise JobError
+for whatever the input can get wrong.  Any other exception is a failed
+verification or a bug, and exits 1.
 """
 
 from __future__ import annotations
@@ -19,21 +25,17 @@ import sys
 from typing import List, Optional
 
 from .deformation import (
-    PrerequisiteFailed,
-    UnsupportedKappaShape,
     builtin_transvection_gamma,
     confluence_check,
     hilbert_check,
     orbifold_algebra,
     square_bracket_transvection,
 )
-from .fields import CharacteristicTwoError, Field, NotInvertibleError
+from .fields import Field
 from .formula import full_report, nonmodular_crosscheck
 from .group_action import (
     DEFAULT_ORDER_BOUND,
     CyclicGroup,
-    NotGStableError,
-    OrderExceedsBoundError,
     group_from_generator,
     wedge_pairs,
 )
@@ -45,8 +47,18 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-class JobError(ValueError):
-    pass
+class JobError(Exception):
+    """The job cannot be run as given (exit 2)."""
+
+
+def _from_input(construct, *args):
+    """construct(*args) on values read from the job: what it rejects is the
+    input's fault, so its ValueError, TypeError or ZeroDivisionError is a
+    JobError."""
+    try:
+        return construct(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise JobError(str(e)) from e
 
 
 def load_job(path: str):
@@ -55,9 +67,10 @@ def load_job(path: str):
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise JobError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise JobError("bad JSON in %s: %s" % (path, e))
+        raise JobError("cannot read %s: %s" % (path, e)) from e
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse
+        raise JobError("bad JSON in %s: %s" % (path, e)) from e
     if not isinstance(doc, dict):
         raise JobError("job document must be a JSON object")
     fspec = doc.get("field")
@@ -67,7 +80,7 @@ def load_job(path: str):
         p = fspec.get("p")
         if not isinstance(p, int) or isinstance(p, bool):
             raise JobError('prime field needs an integer "p", got %r' % (p,))
-        field = Field.prime(p)
+        field = _from_input(Field.prime, p)
     elif fspec["type"] == "rational":
         field = Field.rational()
     else:
@@ -81,7 +94,7 @@ def load_job(path: str):
 
 def build_group(args) -> CyclicGroup:
     field, gen, _ = load_job(args.job)
-    return group_from_generator(field, gen, order_bound=args.max_order)
+    return _from_input(group_from_generator, field, gen, args.max_order)
 
 
 def group_summary(gr: CyclicGroup) -> dict:
@@ -220,7 +233,7 @@ def _transvection_prime_from_job(args) -> int:
     if field.char == 0:
         raise JobError("deform needs a prime field")
     p = field.char
-    m = Matrix(field, gen)
+    m = _from_input(Matrix, field, gen)
     expected = Matrix(field, [[1, 1], [0, 1]])
     if m != expected:
         raise JobError("deform covers the worked example generator [[1,1],[0,1]] over F_p; "
@@ -235,7 +248,7 @@ def cmd_deform(args) -> int:
         p = _transvection_prime_from_job(args)
     else:
         raise JobError("deform needs a job file or --deform-prime")
-    params = builtin_transvection_gamma(p, args.max_order)
+    params = _from_input(builtin_transvection_gamma, p, args.max_order)
     f = params.group.field
     bracket = square_bracket_transvection(params)
     bracket_zero = all(all(x == 0 for x in v) for v in bracket)
@@ -319,12 +332,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (JobError, CharacteristicTwoError, NotInvertibleError,
-            OrderExceedsBoundError, NotGStableError, UnsupportedKappaShape,
-            ValueError, TypeError, ZeroDivisionError) as e:
+    except JobError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (PrerequisiteFailed, AssertionError) as e:
+    except Exception as e:
         print("verification failed: %s" % e, file=sys.stderr)
         return EXIT_FAIL
 

@@ -167,9 +167,6 @@ class AlgebraElement:
         return (isinstance(other, AlgebraElement) and self.field == other.field
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -241,7 +238,9 @@ class RewriteSystem:
         return {w[:l] + mid + w[l + 2:]: c for mid, c in rhs}
 
     def normal_form(self, terms) -> AlgebraElement:
-        """Exhaustive leftmost rewriting of a word or a term dict."""
+        """Exhaustive leftmost rewriting of a word or a term dict.  Terms
+        are taken in any order: the result is linear in the terms and each
+        word's leftmost reduct is fixed, so the order cannot change it."""
         f = self.field
         if isinstance(terms, tuple):
             terms = {terms: f.one()}
@@ -252,10 +251,7 @@ class RewriteSystem:
             steps += 1
             if steps > MAX_REWRITE_STEPS:
                 raise AssertionError("rewrite step budget exceeded; termination broken")
-            w = min(work, key=lambda w_: (len(w_), w_))
-            c = work.pop(w)
-            if c == 0:
-                continue
+            w, c = work.popitem()
             pos = self.redex_positions(w)
             if not pos:
                 nc = f.add(done.get(w, f.zero()), c)

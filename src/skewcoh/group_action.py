@@ -152,11 +152,11 @@ class CyclicGroup:
             _check_rational_order(generator, det, order_bound)
         powers = [ident]
         cur = generator
-        while cur != ident:
+        while cur != ident and len(powers) <= order_bound:
             powers.append(cur)
-            if len(powers) > order_bound:
-                raise _order_exceeds(order_bound)
             cur = cur @ generator
+        if len(powers) > order_bound:
+            raise _order_exceeds(order_bound)
         self.field = field
         self.n = n
         self.generator = generator
@@ -238,16 +238,10 @@ class CyclicGroup:
     def induced_action(self, i: int, module: str, subspace: Optional[Subspace] = None) -> Matrix:
         """Matrix of h = g^i on a derived module.
 
-        module is one of 'V', 'dualV', 'wedge2V', 'V_tensor_wedge2dual',
-        'quotient_by' (with subspace), 'dual_restricted_to' (with subspace).
+        module is one of 'V_tensor_wedge2dual', 'quotient_by' (with
+        subspace), 'dual_restricted_to' (with subspace).
         """
         h = self.power(i)
-        if module == "V":
-            return h
-        if module == "dualV":
-            return dual_matrix(h)
-        if module == "wedge2V":
-            return wedge2_matrix(h)
         if module == "V_tensor_wedge2dual":
             return kron(h, wedge2_matrix(dual_matrix(h)))
         if module == "quotient_by":

@@ -113,9 +113,6 @@ class Matrix:
         return self._reduced([a - b for a, b in zip(r1, r2)]
                              for r1, r2 in zip(self.rows, other.rows))
 
-    def __neg__(self) -> "Matrix":
-        return self._reduced([-a for a in r] for r in self.rows)
-
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         return self._reduced([c * a for a in r] for r in self.rows)

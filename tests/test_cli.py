@@ -203,6 +203,14 @@ def test_bad_json(tmp_path, capsys):
     assert main(["analyze", str(path)]) == EXIT_INPUT
 
 
+def test_deeply_nested_job_file_is_an_input_error(tmp_path, capsys):
+    # too deep for the JSON parser, which gives up with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["analyze", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: bad JSON")
+
+
 def test_non_square_generator(job, capsys):
     assert main(["analyze", job({"field": {"type": "prime", "p": 3},
                                  "generator": [[1, 1, 0], [0, 1, 0]]})]) == EXIT_INPUT
@@ -253,7 +261,9 @@ def test_float_entry_rejected(job, capsys):
 
 # -- internal invariant failures ---------------------------------------------------
 
-@pytest.mark.parametrize("exc", [AssertionError, DimensionMismatchError])
+# past the input boundary no exception is the input's fault, whatever its type
+@pytest.mark.parametrize("exc", [AssertionError, DimensionMismatchError, ValueError,
+                                 ZeroDivisionError, KeyError])
 def test_invariant_failure_is_verification_failure(job, capsys, monkeypatch, exc):
     def broken(gr, i):
         raise exc("distinguished space has the wrong dimension")
@@ -271,6 +281,13 @@ def test_max_order_flag(job, capsys):
     assert main(["analyze", "--max-order", "3", path]) == EXIT_INPUT
     assert "order exceeds" in capsys.readouterr().err.lower()
     assert main(["analyze", "--max-order", "4", path]) == EXIT_PASS
+    capsys.readouterr()
+    # the identity has order 1, above any cap below 1
+    for field in ({"type": "prime", "p": 3}, {"type": "rational"}):
+        ident = job({"field": field, "generator": [[1, 0], [0, 1]]}, "ident.json")
+        for cap in ("0", "-5"):
+            assert main(["analyze", "--max-order", cap, ident]) == EXIT_INPUT
+            assert "order exceeds bound %s" % cap in capsys.readouterr().err
 
 
 def test_max_order_bounds_deform_prime(capsys):

@@ -6,8 +6,8 @@ may escape it.  Jobs mix valid documents with non-objects, bad field specs,
 non-square and ragged generators, and entries that are floats, booleans,
 nulls, lists, non-numeric strings, "1/p", "inf", "1/0", and rationals with
 hundreds of digits; a file that is not a JSON job at all must be an input
-error.  `--max-order` is small, so no job can run long; the primes are
-small for the same reason (`deform` ignores `--max-order`).  Each listed
+error.  `--max-order` is small, so no job can run long, `deform` included;
+the primes are small as well.  Each listed
 hostile entry is also run once on its own, so coverage of the list does
 not depend on what the fuzzer draws.
 """
