@@ -20,7 +20,6 @@ from .group_action import (
     ElementData,
     NotGStableError,
     OrderExceedsBoundError,
-    TransferData,
     chi_invariants,
     dual_matrix,
     group_from_generator,

@@ -64,7 +64,11 @@ def _from_input(construct, *args):
 def load_job(path: str):
     """Read a job file; returns (Field, generator row lists, raw dict)."""
     try:
-        with open(path) as fh:
+        fh = open(path)
+    except Exception as e:      # OSError, or ValueError for a NUL byte in the path
+        raise JobError("cannot read %s: %s" % (path, e)) from e
+    try:
+        with fh:
             doc = json.load(fh)
     except OSError as e:
         raise JobError("cannot read %s: %s" % (path, e)) from e
@@ -106,24 +110,22 @@ def group_summary(gr: CyclicGroup) -> dict:
             "index": i,
             "codim": ed.codim,
             "chi_of_generator": f.to_str(ed.chi_of_generator),
-            "det": f.to_str(ed.det),
-            "reflection": gr.is_reflection(i),
-            "nondiagonalizable_reflection": gr.is_nondiagonalizable_reflection(i),
+            "det": f.to_str(gr.det(i)),
+            "reflection": ed.codim == 1,
+            "nondiagonalizable_reflection": ed.transvection,
         })
-    t = gr.transfer()
     return {
         "field": repr(f),
         "n": gr.n,
         "order": gr.order,
-        "transfer_image_dim": t.image.dim,
+        "transfer_image_dim": gr.transfer().dim,
         "elements": elements,
     }
 
 
 def _print_group(gr: CyclicGroup, out) -> None:
-    t = gr.transfer()
     print("group: %s, n = %d, |G| = %d, dim im T = %d"
-          % (repr(gr.field), gr.n, gr.order, t.image.dim), file=out)
+          % (repr(gr.field), gr.n, gr.order, gr.transfer().dim), file=out)
     for e in group_summary(gr)["elements"]:
         flags = []
         if e["nondiagonalizable_reflection"]:

@@ -50,10 +50,10 @@ class CohomologyReport:
 
 def identity_contribution(gr: CyclicGroup) -> SummandReport:
     vg = gr.invariants()
-    t = gr.transfer()
-    if not vg.contains_space(t.image):
+    imt = gr.transfer()
+    if not vg.contains_space(imt):
         raise AssertionError("im T not inside V^G")
-    piece1 = vg.dim - t.image.dim
+    piece1 = vg.dim - imt.dim
     act = gr.induced_action(1 % gr.order, "V_tensor_wedge2dual")
     piece2 = chi_invariants(act, gr.field.one()).dim if act.nrows else 0
     pieces = (("(V^G/im T)*", piece1), ("(V tensor wedge2 V*)^G", piece2))
@@ -135,13 +135,12 @@ def nonmodular_crosscheck(gr: CyclicGroup, report: CohomologyReport | None = Non
     checked = 0
     violations: List[str] = []
     for s in report.per_element:
-        ed = gr.element(s.element_index)
         if prop_ok and s.case == "codim1":
             checked += 1
             if s.total != 0:
                 violations.append("codim-1 element %d contributes %d in the coprime case"
                                   % (s.element_index, s.total))
-        if cor_ok and s.case in ("codim1", "codim2") and ed.det != gr.field.one():
+        if cor_ok and s.case in ("codim1", "codim2") and gr.det(s.element_index) != gr.field.one():
             checked += 1
             if s.total != 0:
                 violations.append("element %d has det != 1 but contributes %d in the split case"

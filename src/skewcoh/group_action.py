@@ -8,10 +8,11 @@ builds the induced actions on V*, wedge^2 V, V tensor wedge^2 V*,
 quotients V/U and duals of restrictions, all with the contragredient
 convention (^g f)(m) = f(^{g^{-1}} m).
 
-Everything but g^i and det(g^i) depends only on the subgroup <g^i>, so
-`CyclicGroup.element` derives it once per divisor d of N = |G|, at
-h = g^d, and element i reuses the data of d = gcd(i, N), with its own
-matrix g^i and det(g^i) = det(g)^i.  `CyclicGroup.subgroup_actions`
+All of this depends only on the subgroup <g^i>, so `CyclicGroup.element`
+derives it once per divisor d of N = |G|, at h = g^d, and `element(i)`
+returns the record of <g^i>, that of d = gcd(i, N).  What belongs to the
+element alone is g^i itself (`CyclicGroup.power`) and det(g^i), which
+`CyclicGroup.det` gives as det(g)^i.  `CyclicGroup.subgroup_actions`
 likewise builds the actions of g on V/V_h and (V^h)* once per divisor,
 when a summand first reads them.  Why g^i shares the data of h:
 
@@ -33,7 +34,7 @@ when a summand first reads them.  Why g^i shares the data of h:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
@@ -103,7 +104,7 @@ def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
         if any(rest):
             raise NotGStableError("subspace is not preserved")
         cols.append(coords)
-    return Matrix.from_columns(f, cols) if cols else Matrix(f, [], ncols=0)
+    return Matrix._of(f, zip(*cols), len(cols))
 
 
 def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
@@ -114,25 +115,18 @@ def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
         if not sub.contains(m.apply(u)):
             raise NotGStableError("subspace is not preserved")
     cols = [sub.coordinates(m.apply(w))[1] for w in sub.complement().basis.rows]
-    return Matrix.from_columns(f, cols) if cols else Matrix(f, [], ncols=0)
+    return Matrix._of(f, zip(*cols), len(cols))
 
 
 @dataclass(frozen=True)
 class ElementData:
-    index: int
-    matrix: Matrix
+    """What the summands read at h = g^i.  It depends only on the subgroup
+    <h>, so every generator of <h> shares one record (module docstring)."""
     fixed_space: Subspace        # V^h
     moved_space: Subspace        # V_h
     codim: int
     chi_of_generator: Scalar     # chi_h(g)
-    det: Scalar
     transvection: bool           # codim 1 and (1-h)^2 = 0
-
-
-@dataclass(frozen=True)
-class TransferData:
-    matrix: Matrix
-    image: Subspace
 
 
 class CyclicGroup:
@@ -164,9 +158,8 @@ class CyclicGroup:
         self.powers = powers
         self._det = det
         self._classes: dict[int, ElementData] = {}     # keyed by gcd(i, N)
-        self._elements: dict[int, ElementData] = {}
         self._actions: dict[int, Tuple[Matrix, Matrix]] = {}   # keyed by gcd(i, N)
-        self._transfer: Optional[TransferData] = None
+        self._transfer: Optional[Subspace] = None
 
     def power(self, i: int) -> Matrix:
         return self.powers[i % self.order]
@@ -176,21 +169,20 @@ class CyclicGroup:
         return self.element(1 % self.order).fixed_space
 
     def element(self, i: int) -> ElementData:
-        i = i % self.order
-        ed = self._elements.get(i)
+        """The record of the subgroup <g^i>, shared by all its generators."""
+        d = math.gcd(i % self.order, self.order)
+        ed = self._classes.get(d)
         if ed is None:
-            d = math.gcd(i, self.order)
-            cls = self._classes.get(d)
-            if cls is None:
-                cls = self._classes[d] = self._subgroup_data(d)
-            f = self.field
-            det = pow(self._det, i, f.p) if f.p is not None else self._det ** i
-            ed = self._elements[i] = replace(cls, index=i, matrix=self.powers[i], det=det)
+            ed = self._classes[d] = self._subgroup_data(d)
         return ed
 
+    def det(self, i: int) -> Scalar:
+        """det(g^i) = det(g)^i."""
+        i %= self.order
+        return pow(self._det, i, self.field.p) if self.field.p is not None else self._det ** i
+
     def _subgroup_data(self, d: int) -> ElementData:
-        """Everything `element` reports for h = g^d; index, matrix and det
-        are overwritten per element (module docstring)."""
+        """The record of h = g^d."""
         f = self.field
         h = self.power(d)
         one_minus = Matrix.identity(f, self.n) - h
@@ -204,9 +196,7 @@ class CyclicGroup:
         else:
             chi = quotient_matrix(self.generator, fixed).det()
         return ElementData(
-            index=d, matrix=h,
-            fixed_space=fixed, moved_space=moved, codim=codim,
-            chi_of_generator=chi, det=f.one(),
+            fixed_space=fixed, moved_space=moved, codim=codim, chi_of_generator=chi,
             transvection=codim == 1 and (one_minus @ one_minus).is_zero())
 
     def subgroup_actions(self, i: int) -> Tuple[Matrix, Matrix]:
@@ -223,7 +213,8 @@ class CyclicGroup:
                 self.induced_action(g, "dual_restricted_to", ed.fixed_space))
         return acts
 
-    def transfer(self) -> TransferData:
+    def transfer(self) -> Subspace:
+        """im T for the transfer T = sum of the powers of g; it lies in V^G."""
         if self._transfer is None:
             f = self.field
             t = Matrix.zeros(f, self.n, self.n)
@@ -232,7 +223,7 @@ class CyclicGroup:
             img = image_basis(t)
             if not self.invariants().contains_space(img):
                 raise AssertionError("im T not contained in V^G")
-            self._transfer = TransferData(matrix=t, image=img)
+            self._transfer = img
         return self._transfer
 
     def induced_action(self, i: int, module: str, subspace: Optional[Subspace] = None) -> Matrix:
@@ -254,12 +245,6 @@ class CyclicGroup:
             r = restricted_matrix(h, subspace)
             return dual_matrix(r) if r.nrows else r
         raise ValueError("unknown module %r" % (module,))
-
-    def is_reflection(self, i: int) -> bool:
-        return self.element(i).codim == 1
-
-    def is_nondiagonalizable_reflection(self, i: int) -> bool:
-        return self.element(i).transvection
 
 
 def _order_exceeds(bound: int) -> OrderExceedsBoundError:

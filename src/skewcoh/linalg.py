@@ -8,14 +8,14 @@ downstream choice (complements, quotient coordinates, representative
 bases) is deterministic.
 
 Coercion happens only at the input boundary: `Matrix(field, rows)`,
-`Matrix.from_columns`, `Subspace(field, ambient, rows)` and the vectors
-handed to `Matrix.apply`, `Subspace.coordinates` and `solve` go through
-`Field.coerce`.  Every matrix this module derives, and the matrices the
-oracle and group-action builders assemble, go through the trusted
-`Matrix._of`, whose entries must already be canonical: an int in [0, p)
-over F_p, a Fraction over Q.  The loops below do their arithmetic inline
-on those entries, with no `Field` method dispatch: over F_p on plain ints
-with one `% p` per result entry, over Q with the Fraction operators.
+`Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`,
+`Subspace.coordinates` and `solve` go through `Field.coerce`.  Every
+matrix this module derives, and the matrices the oracle and group-action
+builders assemble, go through the trusted `Matrix._of`, whose entries
+must already be canonical: an int in [0, p) over F_p, a Fraction over Q.
+The loops below do their arithmetic inline on those entries, with no
+`Field` method dispatch: over F_p on plain ints with one `% p` per result
+entry, over Q with the Fraction operators.
 
 There is one elimination loop, `_eliminate` (Gauss-Jordan).  For each
 pivot it collects the pivot row's nonzero columns once and updates only
@@ -75,11 +75,6 @@ class Matrix:
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
         return Matrix._of(field, [[field.zero()] * c for _ in range(r)], c)
-
-    @staticmethod
-    def from_columns(field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        n = len(cols[0])
-        return Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field

@@ -198,7 +198,7 @@ def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
     one_minus_h = Matrix.identity(f, n) - gr.power(i)
 
     # (1) lambda vanishes on im T
-    rows = _vanish_rows(f, dim, gr.transfer().image.basis_rows(), 0)
+    rows = _vanish_rows(f, dim, gr.transfer().basis_rows(), 0)
 
     # (2) one V-valued condition per basis pair, in its g^{-1}-twisted form
     for w0, (a, b) in enumerate(pairs):

@@ -71,6 +71,14 @@ def suite_entry(request):
     return name, group_from_generator(field, rows), order, codims, dims, imt
 
 
+def transfer_matrix(gr: CyclicGroup) -> Matrix:
+    """The transfer T = sum of the powers of g; `gr.transfer()` is im T."""
+    t = Matrix.zeros(gr.field, gr.n, gr.n)
+    for p in gr.powers:
+        t = t + p
+    return t
+
+
 def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
     """The full-degree complex built WITHOUT the per-element split, straight
     from the pre-decomposition conditions: coordinates are lambda_j and
@@ -89,7 +97,7 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
     g = gr.generator
     w2g = wedge2_matrix(g)
     one = Matrix.identity(f, n)
-    imt = gr.transfer().image.basis_rows()
+    imt = gr.transfer().basis_rows()
 
     rows: List[List[Scalar]] = []
     cols: List[List[Scalar]] = []
@@ -128,10 +136,10 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
 
 
 def reference_element(gr: CyclicGroup, i: int) -> dict:
-    """What `gr.element(i)` and `gr.subgroup_actions(i)` report, derived
-    from h = g^i alone: no data is shared between elements, det(h) is an
-    elimination, and both induced actions of g come straight from
-    `induced_action`."""
+    """What `gr.element(i)`, `gr.det(i)` and `gr.subgroup_actions(i)`
+    report, derived from h = g^i alone: no data is shared between elements,
+    det(h) is an elimination, and both induced actions of g come straight
+    from `induced_action`."""
     f = gr.field
     h = gr.power(i)
     one_minus = Matrix.identity(f, gr.n) - h

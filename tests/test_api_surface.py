@@ -1,12 +1,19 @@
-"""Every public function, class and method defined in `src/skewcoh` must
-be used by the package itself or by the benchmark in `perfbench/`.
+"""Every public function, class, method and annotated class field defined
+in `src/skewcoh` must be used by the package itself or by the benchmark in
+`perfbench/`.
 
 A use is an identifier, an attribute name, or a dotted part of a string
 constant without whitespace (the benchmark's tracer names what it rebinds
 as strings such as "Field." + "add" or "Matrix.__matmul__"), found in
 `src/skewcoh` or `perfbench/` outside the name's own definition.  Import
 statements are not uses, so re-exporting a name from `__init__` does not
-keep it alive; neither does a test calling it.
+keep it alive; neither does a test calling it.  A field (a dataclass or
+NamedTuple attribute) needs a read: an attribute in load context or a
+dotted part of a string, so building a record with it is no use.
+
+Matching is still by name, not by type: a dead name survives while
+anything of the same name is used, so a field called `index` passes on the
+JSON key "index", and a dead method passes on a live one of another class.
 """
 
 import ast
@@ -32,15 +39,27 @@ def public_definitions(tree):
     return out
 
 
+def public_fields(tree):
+    """(name, qualified name, line) of each public annotated field in the
+    body of a module-level class."""
+    return [(item.target.id, "%s.%s" % (node.name, item.target.id), item.lineno)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and not item.target.id.startswith("_")]
+
+
 def uses(tree):
-    """(name, line, kind) for every identifier ("name"), attribute
-    ("attr") and dotted part of a string constant ("str")."""
+    """(name, line, kind) for every identifier ("name"), attribute read
+    ("attr"), attribute store or delete ("store") and dotted part of a
+    string constant ("str")."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.append((node.id, node.lineno, "name"))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno, "attr"))
+            kind = "attr" if isinstance(node.ctx, ast.Load) else "store"
+            out.append((node.attr, node.lineno, kind))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and not any(ch.isspace() for ch in node.value)):
             out.extend((part, node.lineno, "str") for part in node.value.split(".")
@@ -48,9 +67,13 @@ def uses(tree):
     return out
 
 
+def parsed_users():
+    return {path: ast.parse(path.read_text(), str(path))
+            for folder in USERS for path in sorted(folder.glob("*.py"))}
+
+
 def unused_public_names():
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for folder in USERS for path in sorted(folder.glob("*.py"))}
+    trees = parsed_users()
     used = {path: uses(tree) for path, tree in trees.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -63,8 +86,20 @@ def unused_public_names():
     return unused
 
 
+def unread_fields():
+    trees = parsed_users()
+    read = {n for tree in trees.values() for n, _, kind in uses(tree) if kind in ("attr", "str")}
+    return ["%s: %s" % (path.name, qual)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for name, qual, _ in public_fields(trees[path]) if name not in read]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_every_public_field_is_read_outside_the_tests():
+    assert unread_fields() == []
 
 
 def test_the_guard_sees_definitions_and_uses():
@@ -74,3 +109,8 @@ def test_the_guard_sees_definitions_and_uses():
     assert names == {"A", "A.used", "A.used_not"}
     found = {n for n, _, _ in uses(tree)}
     assert {"used_not", "A", "used"} <= found
+    tree = ast.parse("class R:\n    read: int\n    written: int\n    _own: int\n"
+                     "r = R(read=1, written=2)\nr.written = r.read\n")
+    assert [q for _, q, _ in public_fields(tree)] == ["R.read", "R.written"]
+    assert [(n, kind) for n, _, kind in uses(tree) if kind in ("attr", "store")] \
+        == [("written", "store"), ("read", "attr")]

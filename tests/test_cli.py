@@ -197,6 +197,12 @@ def test_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unopenable_path_is_reported_as_unreadable(capsys):
+    # open() rejects a NUL byte in the path with ValueError, not OSError
+    assert main(["analyze", "a\x00b"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
 def test_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -183,7 +183,7 @@ def test_quotient_map_coordinates():
     # m e2 = v reads the coordinate of v.
     u = span(F5, 2, [1, 0])
     for image_of_e2, coord in (([0, 1], 1), ([1, 0], 0), ([3, 2], 2)):
-        m = Matrix.from_columns(F5, [[1, 0], image_of_e2])
+        m = Matrix(F5, [[1, image_of_e2[0]], [0, image_of_e2[1]]])
         assert quotient_matrix(m, u) == Matrix(F5, [[coord]])
 
 

@@ -1,13 +1,14 @@
 """Property test for the per-subgroup sharing in `CyclicGroup.element`.
 
-Element i reuses the data derived at d = gcd(i, |G|) and keeps only its
-own matrix and determinant; `subgroup_actions` builds the two induced
-actions of g the summands read once per subgroup as well.  On random groups
-whose orders have several divisors, every element must report what
-`reference_element` (tests/conftest.py) derives from g^i alone: fixed
-space, moved space, codim, chi_h(g), det, the transvection flag and the two
-induced actions.  The whole formula report must equal `reference_report`,
-built one element at a time with `induced_action`.
+`element(i)` returns the record derived at d = gcd(i, |G|), the same
+object for every generator of <g^i>, and `det(i)` gives det(g)^i;
+`subgroup_actions` builds the two induced actions of g the summands read
+once per subgroup as well.  On random groups whose orders have several
+divisors, every element must report what `reference_element`
+(tests/conftest.py) derives from g^i alone: fixed space, moved space,
+codim, chi_h(g), det, the transvection flag and the two induced actions.
+The whole formula report must equal `reference_report`, built one element
+at a time with `induced_action`.
 
 diag(-1, 2) over F_7 has order 6, and g^2 = diag(1, 4) and g^3 = diag(-1, 1)
 are both reflections with different mirrors, so class data keyed by codim
@@ -28,7 +29,7 @@ from test_trusted_builders import SETTINGS, prime_generators, signed_permutation
 
 MAX_ORDER = 120
 PROPERTY = settings(SETTINGS, max_examples=60)
-FIELDS = ("fixed_space", "moved_space", "codim", "chi_of_generator", "det", "transvection")
+FIELDS = ("fixed_space", "moved_space", "codim", "chi_of_generator", "transvection")
 
 
 @st.composite
@@ -53,9 +54,10 @@ def divisor_count(n):
 def check_against_reference(gr):
     for i in range(gr.order):
         ed = gr.element(i)
-        assert ed.index == i and ed.matrix == gr.power(i)
+        assert ed is gr.element(math.gcd(i, gr.order))
         ref = reference_element(gr, i)
         assert {k: getattr(ed, k) for k in FIELDS} == {k: ref[k] for k in FIELDS}, (gr.generator, i)
+        assert gr.det(i) == ref["det"] == gr.power(i).det(), (gr.generator, i)
         assert gr.subgroup_actions(i) == (ref["quotient_action"], ref["dual_fixed_action"])
     assert full_report(gr) == reference_report(gr)
 
@@ -77,7 +79,7 @@ def test_equal_codim_subgroups_with_different_mirrors():
     assert gr.order == 6 and divisor_count(gr.order) == 4
     g2, g3 = gr.element(2), gr.element(3)
     assert g2.codim == g3.codim == 1 and g2.fixed_space != g3.fixed_space
-    assert gr.element(5).det == 3 and gr.element(1).det == 5
+    assert gr.det(5) == 3 and gr.det(1) == 5
     check_against_reference(gr)
 
 
@@ -90,7 +92,7 @@ def test_elements_of_one_subgroup_share_their_spaces():
     gr = group_from_generator(Field.prime(7), [[-1, 0], [0, 2]])
     for i in range(gr.order):
         d = math.gcd(i, gr.order)
-        assert gr.element(i).fixed_space is gr.element(d % gr.order).fixed_space
+        assert gr.element(i) is gr.element(d % gr.order)
 
 
 @PROPERTY

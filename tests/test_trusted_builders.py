@@ -25,8 +25,9 @@ from skewcoh import (
     rref,
     wedge2_matrix,
 )
+from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import assembled_complex
+from conftest import assembled_complex, transfer_matrix
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -67,9 +68,11 @@ def assert_canonical(m):
 def check_builders(field, rows, i):
     gr = group_from_generator(field, rows)
     i %= gr.order
-    h = gr.power(i)
+    h, ed = gr.power(i), gr.element(i)
     built = [
-        h, gr.transfer().matrix, dual_matrix(h),
+        h, transfer_matrix(gr), gr.transfer().basis, dual_matrix(h),
+        restricted_matrix(gr.generator, ed.fixed_space),
+        quotient_matrix(gr.generator, ed.moved_space), *gr.subgroup_actions(i),
         cocycle_conditions(gr, i), coboundary_matrix(gr, i),
         distinguished_constraints(gr, i),
         wedge2_matrix(h), kron(h, wedge2_matrix(dual_matrix(h))),
