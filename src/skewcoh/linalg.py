@@ -23,6 +23,11 @@ those entries, in place, in the rows with a nonzero in the pivot column;
 the oracle's cocycle matrices are mostly zeros.  `rref` returns the rows
 and pivot columns it leaves; `Matrix.det` is (-1)^swaps times the product
 of the pivots it met.
+
+The product `a @ b` is row-sparse for the same reason: it lists the nonzero
+(column, value) pairs of each row of b once, and builds row t of the
+product from the nonzeros of row t of a alone, reducing each output entry
+once.  `_dot` serves `Matrix.apply` and `char_poly`.
 """
 
 from __future__ import annotations
@@ -100,11 +105,18 @@ class Matrix:
             rows = ([x % p for x in r] for r in rows)
         return Matrix._of(self.field, rows, self.ncols)
 
+    def _same_shape(self, other: "Matrix", op: str) -> None:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch %dx%d %s %dx%d"
+                             % (self.nrows, self.ncols, op, other.nrows, other.ncols))
+
     def __add__(self, other: "Matrix") -> "Matrix":
+        self._same_shape(other, "+")
         return self._reduced([a + b for a, b in zip(r1, r2)]
                              for r1, r2 in zip(self.rows, other.rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        self._same_shape(other, "-")
         return self._reduced([a - b for a, b in zip(r1, r2)]
                              for r1, r2 in zip(self.rows, other.rows))
 
@@ -116,10 +128,18 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        f = self.field
-        cols = other.transpose().rows
-        return Matrix._of(f, [[_dot(f, r, col) for col in cols] for r in self.rows],
-                          other.ncols)
+        p = self.field.p
+        zero = self.field.zero()
+        nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        out = []
+        for r in self.rows:
+            acc = [zero] * other.ncols
+            for x, terms in zip(r, nz):
+                if x:
+                    for j, y in terms:
+                        acc[j] += x * y
+            out.append(acc if p is None else [v % p for v in acc])
+        return Matrix._of(self.field, out, other.ncols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
@@ -290,6 +310,8 @@ class Subspace:
         f = self.field
         p = f.p
         v = [f.coerce(x) for x in v]
+        if len(v) != self.ambient:
+            raise ValueError("vector length mismatch")
         a = []
         # reduce v against the RREF basis, one pivot column at a time
         for brow, c in zip(self.basis.rows, self._pivots):

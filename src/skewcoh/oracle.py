@@ -34,6 +34,15 @@ basis.  A vector lies in that complement iff it vanishes at the pivot
 columns, so the cut is "alpha(e_a ^ e_b)_c = 0 for every pivot column c of
 V_h", with no matrix inverse.  Distinguished constraints are built only by
 `representative_basis` and `reduce_to_representative`.
+
+`per_element_cohomology` builds each complex and eliminates its cocycle
+conditions once: z is read from the pivots of their RREF, and
+`PerElementComplex.cocycle_condition_matrix` keeps the nonzero RREF rows
+(the same kernel, in at most cochain_dim rows).  `representative_basis`
+stacks the distinguished cut under those rows, and
+`reduce_to_representative` tests cocycle membership against them.  The
+d^2 = 0 check multiplies the unreduced conditions by the coboundary matrix
+every time a complex is built.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from typing import List, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, kernel_basis, rank, rref, solve
 
 
 class NotACocycleError(ValueError):
@@ -97,7 +106,7 @@ class ComplexDims:
 
 @dataclass(frozen=True)
 class PerElementComplex(ComplexDims):
-    cocycle_condition_matrix: Matrix
+    cocycle_condition_matrix: Matrix     # nonzero RREF rows of cocycle_conditions
     coboundary_matrix: Matrix
 
 
@@ -279,12 +288,14 @@ def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
     cob = coboundary_matrix(gr, i)
     if not (cond @ cob).is_zero():
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
-    z = cochain_dim(gr.n) - rank(cond)
     b = rank(cob)
+    red, piv = rref(cond)
+    z = cond.ncols - len(piv)
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    return PerElementComplex(i, z, b, hh, cond, cob)
+    zrows = Matrix._of(gr.field, red.rows[:len(piv)], cond.ncols)
+    return PerElementComplex(i, z, b, hh, zrows, cob)
 
 
 def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:

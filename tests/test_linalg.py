@@ -177,6 +177,20 @@ def test_contains():
     assert not u.contains_space(full(Q, 3))
 
 
+@pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
+def test_membership_and_coordinates_need_ambient_length(field):
+    u = span(field, 3, [1, 0, 0])
+    for v in ([1, 0, 0, 5], [1, 0], []):
+        with pytest.raises(ValueError):
+            u.contains(v)
+        with pytest.raises(ValueError):
+            u.coordinates(v)
+    assert u.contains([1, 0, 0])
+    with pytest.raises(ValueError):
+        Subspace(field, 0).contains([0])
+    assert Subspace(field, 0).contains([])
+
+
 def test_quotient_map_coordinates():
     # F^2 / span{e1}: the quotient coordinate of e2 is 1.  The one entry of
     # quotient_matrix(m, u) is the quotient coordinate of m e2, so choosing
@@ -203,6 +217,21 @@ def test_matmul_and_apply():
     assert a.apply([1, 0]) == (1, 3)
     with pytest.raises(ValueError):
         a @ Matrix(F5, [[1, 2, 3]])
+
+
+def test_sum_and_difference_need_equal_shapes():
+    # zip would truncate: I2 + 3x3 gave a 2x2 matrix, and 3x3 - I2 a matrix
+    # claiming 3 columns with rows of length 2
+    i2, i3 = Matrix.identity(F3, 2), Matrix.identity(F3, 3)
+    for a, b in ((i2, i3), (i3, i2), (i2, Matrix.zeros(F3, 2, 3)),
+                 (Matrix.zeros(F3, 3, 2), i2)):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+    assert (i3 + i3).rows == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert (i3 - i3).is_zero()
+    assert (Matrix.zeros(Q, 0, 2) + Matrix.zeros(Q, 0, 2)).ncols == 2
 
 
 def test_inverse_and_det():

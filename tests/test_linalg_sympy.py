@@ -5,8 +5,9 @@ Random matrices come in three kinds: dense, sparse (about 10 % of the
 entries nonzero, which is what the sparse pivot-row update is for) and
 rank-deficient (a product of two thin factors).  For each one the RREF rows
 and pivots, the rank, the kernel, the product with a second matrix, and on
-square ones the determinant and inverse must agree.  sympy is used here only;
-the package never imports it.
+square ones the determinant and inverse must agree.  Products are also
+checked on zero rows, on either side, and on empty shapes.  sympy is used
+here only; the package never imports it.
 """
 
 import random
@@ -86,6 +87,36 @@ def test_rref_rank_kernel_product_agree_with_sympy(field, kind):
         assert ker == Subspace(field, c, _rows(field, sker))
         other = _random_matrix(field, rng, "dense", c, rng.randint(1, 4))
         assert (m @ other).rows == _rows(field, dm.matmul(_to_sympy(other)))
+
+
+def _assert_product_agrees(a, b):
+    prod, sprod = a @ b, _to_sympy(a).matmul(_to_sympy(b))
+    assert (prod.nrows, prod.ncols) == sprod.shape
+    assert prod.rows == _rows(a.field, sprod)
+
+
+@pytest.mark.parametrize("field", [Field.prime(3), Field.rational()], ids=repr)
+def test_product_edge_cases_agree_with_sympy(field):
+    # the product reads only the nonzeros of each row: zero rows on either
+    # side, a zero left row against a dense factor, and empty shapes
+    rng = random.Random("product-edges-%r" % field)
+    for _ in range(10):
+        left = _random_matrix(field, rng, "dense", 4, 5)
+        right = _random_matrix(field, rng, "dense", 5, 3)
+        holed_left = Matrix(field, [[0] * 5 if r % 2 else row
+                                    for r, row in enumerate(left.rows)], ncols=5)
+        holed_right = Matrix(field, [[0] * 3 if r in (0, 2, 4) else row
+                                     for r, row in enumerate(right.rows)], ncols=3)
+        _assert_product_agrees(holed_left, right)
+        _assert_product_agrees(left, holed_right)
+        _assert_product_agrees(holed_left, holed_right)
+        _assert_product_agrees(Matrix.zeros(field, 2, 5), right)
+        _assert_product_agrees(_random_matrix(field, rng, "sparse", 6, 5), holed_right)
+    for k, m in ((3, 4), (1, 1), (0, 2)):
+        _assert_product_agrees(Matrix.zeros(field, 0, k),
+                               _random_matrix(field, rng, "dense", k, m))
+        _assert_product_agrees(Matrix(field, [[]] * k, ncols=0), Matrix.zeros(field, 0, m))
+    assert (Matrix.zeros(field, 0, 3) @ Matrix.zeros(field, 3, 2)).ncols == 2
 
 
 @pytest.mark.parametrize("kind", KINDS)

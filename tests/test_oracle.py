@@ -15,6 +15,7 @@ substituting basis vectors into the three conditions):
     representatives: (t, s, 0, t)                   dim 2 = hh
 """
 
+import json
 import random
 
 import pytest
@@ -36,7 +37,10 @@ from skewcoh import (
     rank,
     reduce_to_representative,
     representative_basis,
+    rref,
 )
+from skewcoh import oracle
+from skewcoh.cli import EXIT_FAIL, main
 
 from conftest import assembled_complex, suite_group
 
@@ -163,6 +167,46 @@ def test_per_element_dims_match_formula(suite_entry):
         assert pec.hh_dim == expected
         assert pec.hh_dim == pec.z_dim - pec.b_dim
         assert pec.element_index == i
+
+
+def test_stored_cocycle_rows_are_the_reduced_conditions(suite_entry):
+    # per_element_cohomology keeps the nonzero RREF rows of the conditions,
+    # which representative_basis and reduce_to_representative read
+    name, gr, order, codims, dims, imt = suite_entry
+    for i in range(order):
+        zrows = per_element_cohomology(gr, i).cocycle_condition_matrix
+        assert zrows.ncols == cochain_dim(gr.n)
+        red, piv = rref(zrows)
+        assert red == zrows and len(piv) == zrows.nrows     # RREF, no zero rows
+        assert kernel_basis(zrows) == kernel_basis(cocycle_conditions(gr, i))
+
+
+def perturb_coboundaries(monkeypatch):
+    """Make coboundary_matrix add 1 to one entry of d(e_0^* tensor h), in a
+    row that the cocycle conditions read, so that d^2 != 0."""
+    real = oracle.coboundary_matrix
+
+    def perturbed(gr, i):
+        cob = real(gr, i)
+        cond = cocycle_conditions(gr, i)
+        r = next(r for r in range(cond.ncols) if any(cond.col(r)))
+        rows = [list(row) for row in cob.rows]
+        rows[r][0] = gr.field.add(rows[r][0], gr.field.one())
+        return Matrix(gr.field, rows, ncols=cob.ncols)
+    monkeypatch.setattr(oracle, "coboundary_matrix", perturbed)
+
+
+def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, capsys):
+    gr = suite_group("transvection_f3")
+    perturb_coboundaries(monkeypatch)
+    for i in range(gr.order):
+        with pytest.raises(AssertionError, match="coboundaries violate"):
+            per_element_cohomology(gr, i)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": {"type": "prime", "p": 3},
+                                "generator": [[1, 1], [0, 1]]}))
+    assert main(["compare", str(path)]) == EXIT_FAIL
+    assert "coboundaries violate the cocycle conditions" in capsys.readouterr().err
 
 
 def test_transvection_z_and_b():

@@ -1,7 +1,8 @@
 """Property test guarding the trusted Matrix constructor.
 
 The oracle and group-action builders assemble their matrices with
-`Matrix._of`, which does not coerce.  On random invertible generators
+`Matrix._of`, which does not coerce, and so do the products and the
+stored RREF rows of the cocycle conditions.  On random invertible generators
 (n <= 4 over F_3, F_5, F_7, and signed permutations over Q) every matrix
 they return must hold canonical field elements, an int in [0, p) or a
 Fraction, and equal its coerced copy `Matrix(field, m.rows)`; a builder
@@ -22,6 +23,7 @@ from skewcoh import (
     dual_matrix,
     group_from_generator,
     kron,
+    per_element_cohomology,
     rref,
     wedge2_matrix,
 )
@@ -77,6 +79,11 @@ def check_builders(field, rows, i):
         distinguished_constraints(gr, i),
         wedge2_matrix(h), kron(h, wedge2_matrix(dual_matrix(h))),
         rref(cocycle_conditions(gr, i))[0],
+        per_element_cohomology(gr, i).cocycle_condition_matrix,
+        # products, one with zero rows only (d^2 = 0) and one with a zero row
+        cocycle_conditions(gr, i) @ coboundary_matrix(gr, i), h @ gr.generator,
+        distinguished_constraints(gr, i) @ coboundary_matrix(gr, i),
+        Matrix.zeros(field, 1, gr.n).stack(h) @ dual_matrix(h),
     ]
     if gr.order <= 4:
         built += assembled_complex(gr)
