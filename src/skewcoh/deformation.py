@@ -317,8 +317,7 @@ class HilbertReport:
     expected: int
 
 
-def hilbert_check(rs: RewriteSystem, d: int,
-                  confluence: Optional[ConfluenceReport] = None) -> HilbertReport:
+def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> HilbertReport:
     """Count irreducible words of v-degree <= d and length <= d+1 against
     the graded dimension N * C(d+2, 2) of F[v1,v2] x| G, and assert that
     the irreducible words are exactly the PBW-shaped v1^a v2^b g^c.
@@ -347,8 +346,6 @@ def hilbert_check(rs: RewriteSystem, d: int,
     Cost O(d^2 (N+1)^2) steps and (N+1)^2 + N + 2 `is_normal` calls, where
     enumerating the words of length <= d+1 takes (N+1)^(d+1).
     """
-    if confluence is None:
-        confluence = confluence_check(rs)
     if not confluence.ok:
         raise PrerequisiteFailed("rewrite system is not confluent: %s" % confluence.witness)
     letters = rs.alphabet()

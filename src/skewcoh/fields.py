@@ -59,22 +59,16 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """F_p for an odd prime p, or Q.  Immutable."""
+    """F_p for an odd prime p, or Q when p is None.  Immutable."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, kind: str, p: int | None = None):
-        if kind == "prime":
-            if p is None or not _is_prime(p):
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
                 raise ValueError("p must be a prime, got %r" % (p,))
             if p == 2:
                 raise CharacteristicTwoError("characteristic 2 is not supported")
-        elif kind == "rational":
-            if p is not None:
-                raise ValueError("rational field takes no modulus")
-        else:
-            raise ValueError("unknown field kind %r" % (kind,))
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):
@@ -82,24 +76,26 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
-        return Field("prime", p)
+        if p is None:
+            raise ValueError("p must be a prime, got None")
+        return Field(p)
 
     @staticmethod
     def rational() -> "Field":
-        return Field("rational")
+        return Field()
 
     @property
     def char(self) -> int:
-        return self.p if self.kind == "prime" else 0
+        return self.p or 0
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
-        return "F_%d" % self.p if self.kind == "prime" else "Q"
+        return "Q" if self.p is None else "F_%d" % self.p
 
     # -- element construction ------------------------------------------
 
@@ -109,40 +105,38 @@ class Field:
             x = Fraction(x)
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError("cannot coerce %r into %r" % (x, self))
-        if self.kind == "prime":
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise ZeroDivisionError("denominator divisible by %d" % self.p)
-                return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-            return x % self.p
-        return Fraction(x)
+        if self.p is None:
+            return Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ZeroDivisionError("denominator divisible by %d" % self.p)
+            return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
+        return x % self.p
 
     def zero(self) -> Scalar:
-        return 0 if self.kind == "prime" else Fraction(0)
+        return Fraction(0) if self.p is None else 0
 
     def one(self) -> Scalar:
-        return 1 if self.kind == "prime" else Fraction(1)
+        return Fraction(1) if self.p is None else 1
 
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.kind == "prime" else a + b
+        return (a + b) % self.p if self.p else a + b
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.kind == "prime" else a - b
+        return (a - b) % self.p if self.p else a - b
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.p if self.kind == "prime" else a * b
+        return (a * b) % self.p if self.p else a * b
 
     def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.p if self.kind == "prime" else -a
+        return (-a) % self.p if self.p else -a
 
     def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise NotInvertibleError("division by zero")
-        if self.kind == "prime":
-            return pow(a, -1, self.p)
-        return Fraction(1) / a
+        return Fraction(1) / a if self.p is None else pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))

@@ -54,8 +54,7 @@ def identity_contribution(gr: CyclicGroup) -> SummandReport:
     if not vg.contains_space(imt):
         raise AssertionError("im T not inside V^G")
     piece1 = vg.dim - imt.dim
-    act = gr.induced_action(1 % gr.order, "V_tensor_wedge2dual")
-    piece2 = chi_invariants(act, gr.field.one()).dim if act.nrows else 0
+    piece2 = chi_invariants(gr.induced_action(1 % gr.order), gr.field.one()).dim
     pieces = (("(V^G/im T)*", piece1), ("(V tensor wedge2 V*)^G", piece2))
     return SummandReport(0, "identity", pieces, piece1 + piece2)
 
@@ -64,16 +63,10 @@ def codim1_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     ed = gr.element(i)
     if ed.codim != 1:
         raise WrongCaseError("element %d has codim %d, expected 1" % (i, ed.codim))
-    f = gr.field
     chi = ed.chi_of_generator
-    piece_f = 1 if chi == f.one() else 0
+    piece_f = 1 if chi == gr.field.one() else 0
     # generator's action on V/V_h tensor (V^h)*
-    quot, dual_fix = gr.subgroup_actions(i)
-    if quot.nrows and dual_fix.nrows:
-        tens = kron(quot, dual_fix)
-        piece_t = chi_invariants(tens, chi).dim
-    else:
-        piece_t = 0
+    piece_t = chi_invariants(kron(*gr.subgroup_actions(i)), chi).dim
     pieces = (("F^{chi_h}", piece_f), ("(V/V_h tensor (V^h)*)^{chi_h}", piece_t))
     return SummandReport(i, "codim1", pieces, piece_f + piece_t)
 
@@ -82,8 +75,7 @@ def codim2_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     ed = gr.element(i)
     if ed.codim != 2:
         raise WrongCaseError("element %d has codim %d, expected 2" % (i, ed.codim))
-    quot = gr.subgroup_actions(i)[0]
-    piece = chi_invariants(quot, ed.chi_of_generator).dim if quot.nrows else 0
+    piece = chi_invariants(gr.subgroup_actions(i)[0], ed.chi_of_generator).dim
     return SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece)
 
 
@@ -118,8 +110,9 @@ class NonmodularReport:
                 "verdict": self.verdict}
 
 
-def nonmodular_crosscheck(gr: CyclicGroup, report: CohomologyReport | None = None) -> NonmodularReport:
-    """Cross-check the formula output against the nonmodular statements.
+def nonmodular_crosscheck(gr: CyclicGroup, report: CohomologyReport) -> NonmodularReport:
+    """Cross-check the formula output `report` (`full_report(gr)`) against
+    the nonmodular statements.
 
     Coprime case: every codimension-1 summand must vanish.  Split case
     (coprime + split characteristic polynomial): every codimension-1 or -2
@@ -127,8 +120,6 @@ def nonmodular_crosscheck(gr: CyclicGroup, report: CohomologyReport | None = Non
     case neither statement applies and the verdict is not_applicable; a
     coprime group with nothing to check passes vacuously.
     """
-    if report is None:
-        report = full_report(gr)
     p = gr.field.char
     prop_ok = p == 0 or math.gcd(gr.order, p) == 1
     cor_ok = prop_ok and poly_splits(gr.field, char_poly(gr.generator))

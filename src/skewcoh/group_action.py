@@ -3,10 +3,14 @@ formulas consume.
 
 For G = <g> in GL_n(F) this computes, per element h = g^i: the fixed
 space V^h = ker(1-h), the moved space V_h = im(1-h), the codimension,
-and the character value chi_h(g) = det of g acting on V/V^h.  It also
-builds the induced actions on V*, wedge^2 V, V tensor wedge^2 V*,
-quotients V/U and duals of restrictions, all with the contragredient
-convention (^g f)(m) = f(^{g^{-1}} m).
+and the character value chi_h(g) = det of g acting on V/V^h.  Three
+induced modules feed the summands, all with the contragredient convention
+(^g f)(m) = f(^{g^{-1}} m): `CyclicGroup.induced_action(i)` is h on
+V tensor wedge^2 V*, its one module, and `CyclicGroup.subgroup_actions`
+gives g on V/V_h and on (V^h)*.  An empty module is a 0x0 matrix, which
+the linear algebra handles like any other (det 1, a 0x0 inverse, a 0x0
+Kronecker product, an eigenspace of dimension 0), so no caller tests for
+one.
 
 All of this depends only on the subgroup <g^i>, so `CyclicGroup.element`
 derives it once per divisor d of N = |G|, at h = g^d, and `element(i)`
@@ -132,12 +136,10 @@ class ElementData:
 class CyclicGroup:
     """The cyclic group generated by an invertible matrix, with cached powers."""
 
-    def __init__(self, field: Field, generator: Matrix, order_bound: int = DEFAULT_ORDER_BOUND):
+    def __init__(self, generator: Matrix, order_bound: int = DEFAULT_ORDER_BOUND):
         if generator.nrows != generator.ncols:
             raise ValueError("generator must be square")
-        if generator.field != field:
-            raise ValueError("field mismatch")
-        n = generator.nrows
+        field, n = generator.field, generator.nrows
         ident = Matrix.identity(field, n)
         det = generator.det()
         if det == 0:
@@ -183,20 +185,14 @@ class CyclicGroup:
 
     def _subgroup_data(self, d: int) -> ElementData:
         """The record of h = g^d."""
-        f = self.field
-        h = self.power(d)
-        one_minus = Matrix.identity(f, self.n) - h
+        one_minus = Matrix.identity(self.field, self.n) - self.power(d)
         fixed = kernel_basis(one_minus)
         moved = image_basis(one_minus)
         codim = self.n - fixed.dim
         assert moved.dim == codim
-        # chi_h(g) = det of g on V/V^h; the 0x0 case (h = 1) gives 1
-        if fixed.dim == self.n:
-            chi = f.one()
-        else:
-            chi = quotient_matrix(self.generator, fixed).det()
         return ElementData(
-            fixed_space=fixed, moved_space=moved, codim=codim, chi_of_generator=chi,
+            fixed_space=fixed, moved_space=moved, codim=codim,
+            chi_of_generator=quotient_matrix(self.generator, fixed).det(),
             transvection=codim == 1 and (one_minus @ one_minus).is_zero())
 
     def subgroup_actions(self, i: int) -> Tuple[Matrix, Matrix]:
@@ -207,10 +203,9 @@ class CyclicGroup:
         d = math.gcd(i % self.order, self.order)
         acts = self._actions.get(d)
         if acts is None:
-            ed, g = self.element(d), 1 % self.order
-            acts = self._actions[d] = (
-                self.induced_action(g, "quotient_by", ed.moved_space),
-                self.induced_action(g, "dual_restricted_to", ed.fixed_space))
+            ed, g = self.element(d), self.generator
+            acts = self._actions[d] = (quotient_matrix(g, ed.moved_space),
+                                       dual_matrix(restricted_matrix(g, ed.fixed_space)))
         return acts
 
     def transfer(self) -> Subspace:
@@ -226,25 +221,10 @@ class CyclicGroup:
             self._transfer = img
         return self._transfer
 
-    def induced_action(self, i: int, module: str, subspace: Optional[Subspace] = None) -> Matrix:
-        """Matrix of h = g^i on a derived module.
-
-        module is one of 'V_tensor_wedge2dual', 'quotient_by' (with
-        subspace), 'dual_restricted_to' (with subspace).
-        """
+    def induced_action(self, i: int) -> Matrix:
+        """Matrix of h = g^i on V tensor wedge^2 V*."""
         h = self.power(i)
-        if module == "V_tensor_wedge2dual":
-            return kron(h, wedge2_matrix(dual_matrix(h)))
-        if module == "quotient_by":
-            if subspace is None:
-                raise ValueError("quotient_by needs a subspace")
-            return quotient_matrix(h, subspace)
-        if module == "dual_restricted_to":
-            if subspace is None:
-                raise ValueError("dual_restricted_to needs a subspace")
-            r = restricted_matrix(h, subspace)
-            return dual_matrix(r) if r.nrows else r
-        raise ValueError("unknown module %r" % (module,))
+        return kron(h, wedge2_matrix(dual_matrix(h)))
 
 
 def _order_exceeds(bound: int) -> OrderExceedsBoundError:
@@ -284,7 +264,7 @@ def _check_rational_order(g: Matrix, det: Scalar, bound: int) -> None:
 
 
 def group_from_generator(field: Field, rows, order_bound: int = DEFAULT_ORDER_BOUND) -> CyclicGroup:
-    return CyclicGroup(field, Matrix(field, rows), order_bound=order_bound)
+    return CyclicGroup(Matrix(field, rows), order_bound=order_bound)
 
 
 def chi_invariants(action_of_g: Matrix, chi_value) -> Subspace:

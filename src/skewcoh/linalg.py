@@ -13,6 +13,8 @@ Coercion happens only at the input boundary: `Matrix(field, rows)`,
 matrix this module derives, and the matrices the oracle and group-action
 builders assemble, go through the trusted `Matrix._of`, whose entries
 must already be canonical: an int in [0, p) over F_p, a Fraction over Q.
+`+`, `-`, `@`, `stack` and `augment` check once per call that both
+operands are over the same field, so entries of two fields never mix.
 The loops below do their arithmetic inline on those entries, with no
 `Field` method dispatch: over F_p on plain ints with one `% p` per result
 entry, over Q with the Fraction operators.
@@ -105,10 +107,17 @@ class Matrix:
             rows = ([x % p for x in r] for r in rows)
         return Matrix._of(self.field, rows, self.ncols)
 
-    def _same_shape(self, other: "Matrix", op: str) -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+    def _operand(self, other: "Matrix", op: str, shapes_fit: bool) -> None:
+        """Raise ValueError unless other is over the same field and
+        shapes_fit; checked once per operation, not per entry."""
+        if self.field != other.field:
+            raise ValueError("field mismatch %r %s %r" % (self.field, op, other.field))
+        if not shapes_fit:
             raise ValueError("shape mismatch %dx%d %s %dx%d"
                              % (self.nrows, self.ncols, op, other.nrows, other.ncols))
+
+    def _same_shape(self, other: "Matrix", op: str) -> None:
+        self._operand(other, op, (self.nrows, self.ncols) == (other.nrows, other.ncols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other, "+")
@@ -125,9 +134,7 @@ class Matrix:
         return self._reduced([c * a for a in r] for r in self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch %dx%d @ %dx%d"
-                             % (self.nrows, self.ncols, other.nrows, other.ncols))
+        self._operand(other, "@", self.ncols == other.nrows)
         p = self.field.p
         zero = self.field.zero()
         nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
@@ -154,13 +161,11 @@ class Matrix:
         return Matrix._of(self.field, cols, self.nrows)
 
     def stack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
+        self._operand(other, "stack", self.ncols == other.ncols)
         return Matrix._of(self.field, self.rows + other.rows, self.ncols)
 
     def augment(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
+        self._operand(other, "augment", self.nrows == other.nrows)
         return Matrix._of(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
                           self.ncols + other.ncols)
 
@@ -363,8 +368,9 @@ def image_basis(m: Matrix) -> Subspace:
 def eigenspace(m: Matrix, c) -> Subspace:
     if m.nrows != m.ncols:
         raise ValueError("not square")
-    f = m.field
-    return kernel_basis(m - Matrix.identity(f, m.nrows).scale(f.coerce(c)))
+    c = m.field.coerce(c)
+    return kernel_basis(m._reduced([x - c if i == j else x for j, x in enumerate(r)]
+                                   for i, r in enumerate(m.rows)))
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
@@ -424,8 +430,8 @@ def poly_splits(field: Field, coeffs: Sequence[Scalar]) -> bool:
         coeffs.pop()
     if len(coeffs) == 1:
         return True
-    if f.kind == "prime":
-        p = f.p
+    p = f.p
+    if p is not None:
         inv = pow(coeffs[-1], -1, p)
         poly = [c * inv % p for c in coeffs]
         while len(poly) > 1:

@@ -18,6 +18,7 @@ from skewcoh import (
     SummandReport,
     chi_invariants,
     cochain_dim,
+    dual_matrix,
     group_from_generator,
     identity_contribution,
     image_basis,
@@ -26,7 +27,7 @@ from skewcoh import (
     wedge2_matrix,
     wedge_pairs,
 )
-from skewcoh.group_action import quotient_matrix
+from skewcoh.group_action import quotient_matrix, restricted_matrix
 from skewcoh.oracle import _coboundary_cols, _jacobi_rows, _vanish_rows
 
 F3 = Field.prime(3)
@@ -139,7 +140,10 @@ def reference_element(gr: CyclicGroup, i: int) -> dict:
     """What `gr.element(i)`, `gr.det(i)` and `gr.subgroup_actions(i)`
     report, derived from h = g^i alone: no data is shared between elements,
     det(h) is an elimination, and both induced actions of g come straight
-    from `induced_action`."""
+    from `quotient_matrix` and `restricted_matrix`.  It keeps its own
+    branches for the empty modules (chi = 1 at h = 1 here, the 0x0 guards
+    in `reference_report`), so the library's uniform 0x0 handling is
+    checked against them."""
     f = gr.field
     h = gr.power(i)
     one_minus = Matrix.identity(f, gr.n) - h
@@ -152,8 +156,9 @@ def reference_element(gr: CyclicGroup, i: int) -> dict:
         "chi_of_generator": chi, "det": h.det(),
         "transvection": (codim == 1 and not one_minus.is_zero()
                          and (one_minus @ one_minus).is_zero()),
-        "quotient_action": gr.induced_action(1, "quotient_by", moved),
-        "dual_fixed_action": gr.induced_action(1, "dual_restricted_to", fixed),
+        "quotient_action": quotient_matrix(gr.generator, moved),
+        "dual_fixed_action": (dual_matrix(restricted_matrix(gr.generator, fixed))
+                              if fixed.dim else restricted_matrix(gr.generator, fixed)),
     }
 
 

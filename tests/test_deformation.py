@@ -297,7 +297,8 @@ def test_hilbert_counts():
 
 
 def test_hilbert_p5_degree2():
-    rep = hilbert_check(orbifold_algebra(builtin_transvection_gamma(5)), 2)
+    rs = orbifold_algebra(builtin_transvection_gamma(5))
+    rep = hilbert_check(rs, 2, confluence=confluence_check(rs))
     assert rep.ok and rep.count == 30
 
 
@@ -312,7 +313,8 @@ def test_hilbert_up_to_degree5():
 
 def test_hilbert_requires_confluence():
     with pytest.raises(PrerequisiteFailed):
-        hilbert_check(orbifold_algebra(adversarial_params()), 2)
+        rs = orbifold_algebra(adversarial_params())
+        hilbert_check(rs, 2, confluence=confluence_check(rs))
 
 
 # -- local count against full enumeration -------------------------------------------

@@ -22,7 +22,8 @@ def test_char_two_rejected():
 
 
 def test_nonprime_rejected():
-    for bad in (1, 4, 9, 15, 0, -3):
+    # a float modulus gave a field whose elements were floats: F_3.0 coerced 5 to 2.0
+    for bad in (1, 4, 9, 15, 0, -3, None, 3.0, "3", True):
         with pytest.raises(ValueError):
             Field.prime(bad)
 
@@ -67,8 +68,6 @@ def test_rational_field():
     q = Field.rational()
     assert q.char == 0
     assert repr(q) == "Q"
-    with pytest.raises(ValueError):
-        Field("rational", 5)
 
 
 def test_field_equality_and_hash():
@@ -112,7 +111,7 @@ def test_inverse_errors():
 
 
 def _random_scalar(f, rng):
-    if f.kind == "prime":
+    if f.p is not None:
         return rng.randrange(f.p)
     return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
 

@@ -133,8 +133,13 @@ def test_report_round_trip():
 
 # -- nonmodular cross-check -----------------------------------------------------------
 
+def _crosscheck(name):
+    gr = suite_group(name)
+    return nonmodular_crosscheck(gr, full_report(gr))
+
+
 def test_nonmodular_split_diagonal_passes_vacuously():
-    r = nonmodular_crosscheck(suite_group("diag_2_3_f5"))
+    r = _crosscheck("diag_2_3_f5")
     assert r.verdict == "pass"
     assert r.prop_applicable and r.cor_applicable
     assert r.checked == 0
@@ -142,14 +147,14 @@ def test_nonmodular_split_diagonal_passes_vacuously():
 
 
 def test_nonmodular_diag_reflection_passes():
-    r = nonmodular_crosscheck(suite_group("diag_1_m1_f5"))
+    r = _crosscheck("diag_1_m1_f5")
     assert r.verdict == "pass"
     assert r.checked == 2      # coprime check + split check on the reflection
     assert r.violations == ()
 
 
 def test_nonmodular_modular_group_not_applicable():
-    r = nonmodular_crosscheck(suite_group("transvection_f3"))
+    r = _crosscheck("transvection_f3")
     assert r.verdict == "not_applicable"
     assert not r.prop_applicable
     assert not r.cor_applicable    # split alone does not make the corollary apply
@@ -158,14 +163,14 @@ def test_nonmodular_modular_group_not_applicable():
 
 def test_nonmodular_rational_rotation():
     # char 0 is always coprime; x^2+1 does not split over Q
-    r = nonmodular_crosscheck(suite_group("rot4_q"))
+    r = _crosscheck("rot4_q")
     assert r.verdict == "pass"
     assert r.prop_applicable and not r.cor_applicable
 
 
 def test_nonmodular_report_round_trip():
     # to_dict loses nothing: the report can be rebuilt from its JSON
-    r = nonmodular_crosscheck(suite_group("diag_1_m1_f5"))
+    r = _crosscheck("diag_1_m1_f5")
     d = json.loads(json.dumps(r.to_dict()))
     assert NonmodularReport(d["prop_applicable"], d["cor_applicable"], d["checked"],
                             tuple(d["violations"]), d["verdict"]) == r
@@ -173,6 +178,6 @@ def test_nonmodular_report_round_trip():
 
 def test_nonmodular_assertions_hold_across_suite(suite_entry):
     name, gr, order, codims, dims, imt = suite_entry
-    r = nonmodular_crosscheck(gr)
+    r = nonmodular_crosscheck(gr, full_report(gr))
     assert r.verdict in ("pass", "not_applicable")
     assert r.violations == ()

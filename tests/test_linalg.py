@@ -6,6 +6,7 @@ pivot-completion complement of span{e1+e2}, eigenspaces of diag(1,-1))
 are the exact computations the cohomology layers lean on.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -17,15 +18,17 @@ from skewcoh import (
     NotInvertibleError,
     Subspace,
     char_poly,
+    dual_matrix,
     eigenspace,
     image_basis,
     kernel_basis,
+    kron,
     poly_splits,
     rank,
     rref,
     solve,
 )
-from skewcoh.group_action import quotient_matrix
+from skewcoh.group_action import quotient_matrix, restricted_matrix
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -66,7 +69,7 @@ def test_rref_one_minus_transvection():
 
 
 def _random_matrix(f, rng, r, c):
-    if f.kind == "prime":
+    if f.p is not None:
         return Matrix(f, [[rng.randrange(f.p) for _ in range(c)] for _ in range(r)])
     return Matrix(f, [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                        for _ in range(c)] for _ in range(r)])
@@ -139,7 +142,7 @@ def test_complement_is_a_complement(field):
 
 
 def _rand(f, rng):
-    return rng.randrange(f.p) if f.kind == "prime" else Fraction(rng.randint(-3, 3))
+    return rng.randrange(f.p) if f.p is not None else Fraction(rng.randint(-3, 3))
 
 
 # -- eigenspaces -----------------------------------------------------------
@@ -232,6 +235,35 @@ def test_sum_and_difference_need_equal_shapes():
     assert (i3 + i3).rows == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     assert (i3 - i3).is_zero()
     assert (Matrix.zeros(Q, 0, 2) + Matrix.zeros(Q, 0, 2)).ncols == 2
+
+
+def test_operands_need_the_same_field():
+    # F_3 + Q gave an "F_3" matrix holding Fraction(3, 2), Q @ F_3 a Q
+    # matrix, and stack mixed the entries of both fields
+    a3, aq, a5 = Matrix(F3, [[1, 2]]), Matrix(Q, [["1/2", 1]]), Matrix(F5, [[1, 2]])
+    for a, b in ((a3, aq), (aq, a3), (a3, a5)):
+        for op in (operator.add, operator.sub, Matrix.stack, Matrix.augment,
+                   lambda x, y: x @ y.transpose()):
+            with pytest.raises(ValueError, match="field mismatch"):
+                op(a, b)
+    assert (a3 @ a3.transpose()).rows == ((2,),)
+    assert a3.stack(a3).nrows == 2 and a3.augment(a3).ncols == 4
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
+def test_empty_matrices_need_no_special_case(field):
+    # the 0x0 matrix is the action on a zero module: the identity summand's
+    # V/V^h, the quotient V/V_h and (V^h)* at codim n, wedge^2 at n = 1
+    e, one = Matrix.zeros(field, 0, 0), field.one()
+    assert e.nrows == e.ncols == 0
+    assert e.det() == one
+    assert e.inverse() == e and e.transpose() == e and dual_matrix(e) == e
+    m = Matrix(field, [[1, 2], [0, 1]])
+    assert kron(e, m) == e and kron(m, e) == e and kron(e, e) == e
+    assert eigenspace(e, 1).dim == 0 and eigenspace(e, 2).ambient == 0
+    q = quotient_matrix(m, full(field, 2))
+    assert q == e and q.det() == one
+    assert restricted_matrix(m, Subspace(field, 2)) == e
 
 
 def test_inverse_and_det():

@@ -8,7 +8,7 @@ divisors, every element must report what `reference_element`
 (tests/conftest.py) derives from g^i alone: fixed space, moved space,
 codim, chi_h(g), det, the transvection flag and the two induced actions.
 The whole formula report must equal `reference_report`, built one element
-at a time with `induced_action`.
+at a time with `quotient_matrix` and `restricted_matrix`.
 
 diag(-1, 2) over F_7 has order 6, and g^2 = diag(1, 4) and g^3 = diag(-1, 1)
 are both reflections with different mirrors, so class data keyed by codim
