@@ -244,6 +244,8 @@ def _transvection_prime_from_job(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    if args.job is not None and args.deform_prime is not None:
+        raise JobError("deform takes a job file or --deform-prime, not both")
     if args.deform_prime is not None:
         p = args.deform_prime
     elif args.job is not None:

@@ -186,6 +186,21 @@ def test_deform_needs_job_or_prime(capsys):
     assert "job file or --deform-prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["valid", "missing", "unparsable"])
+def test_deform_rejects_job_file_with_prime(job, tmp_path, capsys, kind):
+    # neither argument is dropped in silence, whatever the job file holds
+    if kind == "valid":
+        path = job(TRANSV3)
+    elif kind == "missing":
+        path = str(tmp_path / "nope.json")
+    else:
+        path = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text("{not json")
+    assert main(["deform", path, "--deform-prime", "3"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "job file" in err and "--deform-prime" in err and "not both" in err
+
+
 def test_deform_char_two_rejected(capsys):
     assert main(["deform", "--deform-prime", "2"]) == EXIT_INPUT
 

@@ -11,6 +11,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcoh import (
     AlgebraElement,
@@ -257,9 +259,43 @@ def test_builtin_is_confluent(p):
 
 
 def test_confluence_word_count_p3():
-    # the overlaps g^i g^j v_k and g^i v2 v1: 2 * 2^2 + 2
+    # g*v2*v1, g*g^j*v_k for j, k in {1, 2}, and g^2*v2*v1: 1 + 4 + 1
     rep = confluence_check(orbifold_algebra(builtin_transvection_gamma(3)))
-    assert rep.words_checked == 10
+    assert rep.words_checked == 6
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_confluence_reduces_linearly_many_overlaps(p):
+    rep = confluence_check(orbifold_algebra(builtin_transvection_gamma(p)))
+    assert rep.ok and rep.words_checked == 3 * (p - 1)
+
+
+class CountingRewriteSystem(RewriteSystem):
+    """Counts its normal_form and redex_positions calls."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.calls = {"normal_form": 0, "redex_positions": 0}
+
+    def normal_form(self, terms):
+        self.calls["normal_form"] += 1
+        return super().normal_form(terms)
+
+    def redex_positions(self, w):
+        self.calls["redex_positions"] += 1
+        return super().redex_positions(w)
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_confluence_work_is_linear_in_p(p):
+    # two normal forms per overlap and about 20 redex tests per overlap
+    # (59p - 78 in all); a table of the overlaps over all letter pairs
+    # would take (p+1)^2 tests on its own, 10404 at p = 101
+    rs = CountingRewriteSystem(builtin_transvection_gamma(p))
+    rep = confluence_check(rs)
+    assert rep.ok and rep.words_checked == 3 * (p - 1)
+    assert rs.calls["normal_form"] == 2 * rep.words_checked
+    assert rs.calls["redex_positions"] <= 60 * p
 
 
 def test_zero_params_are_confluent():
@@ -426,6 +462,16 @@ def brute_confluence_check(rs):
     return ConfluenceReport(True, count, None, ())
 
 
+def agreeing_report(rs):
+    """confluence_check(rs), after asserting that its verdict, witness and
+    forms equal the full enumeration's."""
+    local = confluence_check(rs)
+    brute = brute_confluence_check(rs)
+    assert (local.ok, local.witness, local.witness_forms) == \
+        (brute.ok, brute.witness, brute.witness_forms)
+    return local
+
+
 def perturbed_params(p):
     """The builtin tables over F_p with kappa = 0, and with each of several
     lambda rows set in turn to c*g^0 for c in {0, 1, 2}."""
@@ -457,14 +503,66 @@ def confluence_systems(p, kind):
 def test_critical_pairs_agree_with_full_enumeration(p, kind):
     witnesses = set()
     for rs in confluence_systems(p, kind):
-        local = confluence_check(rs)
-        brute = brute_confluence_check(rs)
-        assert (local.ok, local.witness, local.witness_forms) == \
-            (brute.ok, brute.witness, brute.witness_forms)
+        local = agreeing_report(rs)
         witnesses.add(local.witness)
         if kind == "builtin":
-            assert local.ok and local.words_checked == (p - 1) * (2 * p - 1)
+            assert local.ok and local.words_checked == 3 * (p - 1)
     if kind == "perturbed":
-        # both families of overlaps that are reduced catch a perturbation
+        # g*v2*v1 and some g*g^j*v_k each catch a perturbation
         assert "g*v2*v1" in witnesses
         assert any(w and w.endswith(("*v1", "*v2")) and w.count("g") == 2 for w in witnesses)
+
+
+def with_entry(vec, m, c):
+    return vec[:m] + (c,) + vec[m + 1:]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_single_entry_perturbation_agrees_with_full_enumeration(p):
+    """Each lambda entry (every row (i, k), every power m) and each kappa
+    entry set in turn to c in {0, 1, 2}."""
+    params = builtin_transvection_gamma(p)
+    f = params.group.field
+    witnesses = set()
+    for (i, k), row in sorted(params.lambda_table.items()):
+        for m in range(p):
+            for c in map(f.coerce, (0, 1, 2)):
+                table = dict(params.lambda_table)
+                table[(i, k)] = with_entry(row, m, c)
+                witnesses.add(agreeing_report(orbifold_algebra(
+                    dataclasses.replace(params, lambda_table=table))).witness)
+    for name in ("kappa_v1", "kappa_v2"):
+        for m in range(p):
+            for c in map(f.coerce, (0, 1, 2)):
+                vec = with_entry(getattr(params, name), m, c)
+                witnesses.add(agreeing_report(orbifold_algebra(
+                    dataclasses.replace(params, **{name: vec}))).witness)
+    # confluent tables and a witness from each family that begins with g
+    assert None in witnesses and "g*v2*v1" in witnesses
+    assert any(w and w.startswith("g*g") for w in witnesses)
+
+
+@st.composite
+def perturbed_tables(draw):
+    """Builtin tables over F_3, F_5 or F_7 with a few lambda and kappa
+    entries redrawn at random."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    params = builtin_transvection_gamma(p)
+    f = params.group.field
+    table = dict(params.lambda_table)
+    kappa = {"kappa_v1": params.kappa_v1, "kappa_v2": params.kappa_v2}
+    keys = sorted(table) + sorted(kappa)
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(st.sampled_from(keys))
+        m, c = draw(st.integers(0, p - 1)), f.coerce(draw(st.integers(0, p - 1)))
+        if key in table:
+            table[key] = with_entry(table[key], m, c)
+        else:
+            kappa[key] = with_entry(kappa[key], m, c)
+    return dataclasses.replace(params, lambda_table=table, **kappa)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(perturbed_tables())
+def test_random_perturbations_agree_with_full_enumeration(params):
+    agreeing_report(orbifold_algebra(params))

@@ -94,8 +94,8 @@ SUITE_DIGESTS = {
 
 # p -> digest of deform --json --deform-prime p
 DEFORM_DIGESTS = {
-    3: "ca1a0b20d3f6c93a8bf08a54374fb6fe82b62c2dfdc344d0f202cd7a6ce66b08",
-    5: "e3c182f930a3185991ec5ce99184417c4d7c24a376269f793f90e173318ebb7f",
+    3: "f9f67c15e6629f06a9aee1833fbc96433c87d69485acf1fa4c990c40973921ac",
+    5: "ee57826326fbef30b41cab39998fbc68fe2fbec4f0331884d1cc47c25d7511ac",
 }
 
 
