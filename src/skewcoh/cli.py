@@ -20,6 +20,7 @@ verification or a bug, and exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -294,7 +295,11 @@ def cmd_deform(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main` call:
+    parse_args reads it without changing it, and each call gets a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="skewcoh",
         description="Exact graded-deformation dimensions for S(V) x| G, cyclic G.")

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
@@ -148,7 +149,7 @@ class CyclicGroup:
             _check_rational_order(generator, det, order_bound)
         powers = [ident]
         cur = generator
-        while cur != ident and len(powers) <= order_bound:
+        while cur.rows != ident.rows and len(powers) <= order_bound:
             powers.append(cur)
             cur = cur @ generator
         if len(powers) > order_bound:
@@ -211,11 +212,12 @@ class CyclicGroup:
     def transfer(self) -> Subspace:
         """im T for the transfer T = sum of the powers of g; it lies in V^G."""
         if self._transfer is None:
-            f = self.field
-            t = Matrix.zeros(f, self.n, self.n)
-            for p in self.powers:
-                t = t + p
-            img = image_basis(t)
+            # entry (r, c) of T sums entry (r, c) of every power, one pass over the powers
+            sums = [sum(xs, self.field.zero())
+                    for xs in zip(*(chain.from_iterable(m.rows) for m in self.powers))]
+            n = self.n
+            img = image_basis(self.generator._reduced(sums[r * n:(r + 1) * n]
+                                                      for r in range(n)))
             if not self.invariants().contains_space(img):
                 raise AssertionError("im T not contained in V^G")
             self._transfer = img

@@ -79,10 +79,6 @@ class Matrix:
         return Matrix._of(field, [[one if i == j else zero for j in range(n)]
                                   for i in range(n)], n)
 
-    @staticmethod
-    def zeros(field: Field, r: int, c: int) -> "Matrix":
-        return Matrix._of(field, [[field.zero()] * c for _ in range(r)], c)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.ncols == other.ncols)
@@ -93,11 +89,8 @@ class Matrix:
     def __repr__(self):
         return "Matrix(%r, %d x %d)" % (self.field, self.nrows, self.ncols)
 
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def _reduced(self, rows) -> "Matrix":
         """A matrix of this shape from exact sums and products of canonical

@@ -21,11 +21,24 @@ rank/kernel computations.
 
 Each condition has one row builder, placed by column offset: `_vanish_rows`
 (condition (1) and the lambda cuts, and the pi_h cut on alpha),
-`_jacobi_rows` (condition (3)), `_coboundary_cols` (d(f tensor h)) and
+`_jacobi_rows` (condition (3)), `_coboundary_rows` (d(f tensor h)) and
 `_wedge_vanish_rows` (the alpha(u ^ v) = 0 cuts).  The test suite's
 assembled complex reuses them at other offsets, with condition (2) in its
 pre-decomposition form, as an independent check of the lambda-to-hg
 bookkeeping.
+
+What does not depend on the element is built once per group, by
+`_group_rows`: the condition (1) rows from im T, the alpha-twist block of
+condition (2) (from g^{-1}, the stored power g^{N-1}, and wedge^2 g), and
+1 - g, which gives the coboundary's lambda rows.  `oracle_report` builds
+that record once and hands it to every element; a caller that passes none
+(`representative_basis`, `reduce_to_representative`, a direct call) gets
+one built for the call, or, from `coboundary_matrix`, just 1 - g.  Per element there remain 1 - h, the lambda
+coupling of condition (2) (two entries on a copy of each twist row),
+condition (3) and the coboundary's alpha rows, all built entry by entry
+with plain int or Fraction arithmetic (one `% p` per entry over F_p), and
+then, on every complex, the d^2 = 0 product, `rank` of the coboundary
+matrix and one `rref` of the conditions.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -114,65 +127,71 @@ def cochain_dim(n: int) -> int:
     return n + n * len(wedge_pairs(n))
 
 
+def _one_minus(f: Field, m: Matrix) -> List[List[Scalar]]:
+    """The rows of 1 - m, entry by entry."""
+    rows = [[(a == b) - x for b, x in enumerate(r)] for a, r in enumerate(m.rows)]
+    return rows if f.p is None else [[x % f.p for x in r] for r in rows]
+
+
+def _negated(f: Field, rows) -> List[List[Scalar]]:
+    return [[-x for x in r] for r in rows] if f.p is None else \
+        [[-x % f.p for x in r] for r in rows]
+
+
 def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
     """One row per vector u: the block of coordinates starting at column
     `at` vanishes on u, i.e. lambda(u) = 0 when that block is lambda."""
+    zero = f.zero()
     rows = []
     for u in vectors:
-        row = [f.zero()] * dim
+        row = [zero] * dim
         row[at:at + len(u)] = u
         rows.append(row)
     return rows
 
 
-def _jacobi_rows(f: Field, dim: int, one_minus_h: Matrix, at: int) -> List[List[Scalar]]:
+def _jacobi_rows(f: Field, dim: int, one_minus_h, at: int) -> List[List[Scalar]]:
     """Condition (3) at h, one Sym^2-valued condition per basis triple, with
-    alpha(e_a ^ e_b)_s (pair number w) in column at + w*n + s."""
-    n = one_minus_h.nrows
+    alpha(e_a ^ e_b)_s (pair number w) in column at + w*n + s; one_minus_h
+    is the rows of 1 - h."""
+    n = len(one_minus_h)
+    zero = f.zero()
     pos = {p: k for k, p in enumerate(wedge_pairs(n))}
-    x = [one_minus_h.col(t) for t in range(n)]     # the vectors (1-h)e_t
+    x = list(zip(*one_minus_h))           # the vectors (1-h)e_t
+    minus_x = list(zip(*_negated(f, one_minus_h)))
     spairs = sym_pairs(n)
     rows: List[List[Scalar]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                # alpha(e_a^e_b) (1-h)e_c + alpha(e_b^e_c) (1-h)e_a - alpha(e_a^e_c) (1-h)e_b
-                terms = [(pos[(a, b)], x[c], f.one()), (pos[(b, c)], x[a], f.one()),
-                         (pos[(a, c)], x[b], f.neg(f.one()))]
-                for (i0, j0) in spairs:
-                    row = [f.zero()] * dim
-                    for (w, xt, sign) in terms:
-                        # coefficient of alpha(w)_s in the monomial e_{i0} e_{j0}
-                        for s, t in ((i0, j0), (j0, i0)) if i0 != j0 else ((i0, i0),):
-                            coef = f.mul(sign, xt[t])
-                            if coef != 0:
-                                idx = at + w * n + s
-                                row[idx] = f.add(row[idx], coef)
-                    rows.append(row)
+    for a, b, c in combinations(range(n), 3):
+        # alpha(e_a^e_b) (1-h)e_c + alpha(e_b^e_c) (1-h)e_a - alpha(e_a^e_c) (1-h)e_b;
+        # the three pairs differ, so no two terms share a column
+        terms = ((at + pos[(a, b)] * n, x[c]), (at + pos[(b, c)] * n, x[a]),
+                 (at + pos[(a, c)] * n, minus_x[b]))
+        for i0, j0 in spairs:
+            # alpha(w)_s times the e_t coordinate of its vector, for {s, t} = {i0, j0}
+            row = [zero] * dim
+            for base, xt in terms:
+                row[base + i0] = xt[j0]
+                row[base + j0] = xt[i0]
+            rows.append(row)
     return rows
 
 
-def _coboundary_cols(f: Field, dim: int, one_minus_g: Matrix, one_minus_h: Matrix,
-                     lam_at: int, alpha_at: int) -> List[List[Scalar]]:
-    """The columns d(e_j^* tensor h), j = 0..n-1: lambda(e_k) = (1-g)[j][k] in
-    column lam_at + k, and alpha(e_a ^ e_b) = f(e_b)(1-h)e_a - f(e_a)(1-h)e_b
-    (pair number w) in columns alpha_at + w*n .. alpha_at + w*n + n-1."""
-    n = one_minus_g.nrows
-    pairs = wedge_pairs(n)
-    cols: List[List[Scalar]] = []
-    for j in range(n):
-        col = [f.zero()] * dim
-        col[lam_at:lam_at + n] = one_minus_g.rows[j]
-        for w, (a, b) in enumerate(pairs):
-            for r in range(n):
-                v = f.zero()
-                if b == j:
-                    v = f.add(v, one_minus_h.rows[r][a])
-                if a == j:
-                    v = f.sub(v, one_minus_h.rows[r][b])
-                col[alpha_at + w * n + r] = v
-        cols.append(col)
-    return cols
+def _coboundary_rows(f: Field, one_minus_g, one_minus_h) -> List[List[Scalar]]:
+    """The cochain_dim(n) x n matrix of f -> d(f tensor h), column j the
+    image of e_j^*: lambda(e_k) = (1-g)[j][k] in row k, and
+    alpha(e_a ^ e_b) = f(e_b)(1-h)e_a - f(e_a)(1-h)e_b (pair number w) in
+    rows n + w*n .. n + w*n + n-1.  Both arguments are row lists."""
+    n = len(one_minus_h)
+    zero = f.zero()
+    h_minus_1 = _negated(f, one_minus_h)
+    rows = [list(col) for col in zip(*one_minus_g)]
+    for a, b in wedge_pairs(n):
+        for r in range(n):
+            row = [zero] * n
+            row[b] = one_minus_h[r][a]
+            row[a] = h_minus_1[r][b]
+            rows.append(row)
+    return rows
 
 
 def _wedge_vanish_rows(f: Field, dim: int, uv_pairs, at: int) -> List[List[Scalar]]:
@@ -195,55 +214,77 @@ def _wedge_vanish_rows(f: Field, dim: int, uv_pairs, at: int) -> List[List[Scala
     return rows
 
 
-def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
-    """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates."""
+@dataclass(frozen=True)
+class _GroupRows:
+    """The parts of every complex of one group that do not depend on the
+    element h = g^i.  Condition (2) at the pair (a, b) and coordinate r is
+    its alpha-twist row, (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r, whose lambda
+    block is zero, plus a lambda coupling that depends on h."""
+    transfer: List[List[Scalar]]                      # condition (1): lambda(im T) = 0
+    twist: List[Tuple[int, int, int, List[Scalar]]]   # (a, b, r, alpha-twist row)
+    one_minus_g: List[List[Scalar]]
+
+
+def _group_rows(gr: CyclicGroup) -> _GroupRows:
+    """The record of gr, with g^{-1} read off the stored powers."""
     f = gr.field
+    p = f.p
     n = gr.n
     pairs = wedge_pairs(n)
     dim = cochain_dim(n)
-    g = gr.generator
-    ginv = g.inverse()
-    w2g = wedge2_matrix(g)
-    one_minus_h = Matrix.identity(f, n) - gr.power(i)
-
-    # (1) lambda vanishes on im T
-    rows = _vanish_rows(f, dim, gr.transfer().basis_rows(), 0)
-
-    # (2) one V-valued condition per basis pair, in its g^{-1}-twisted form
+    ginv = gr.power(-1).rows
+    w2g = wedge2_matrix(gr.generator).rows
+    zero, one = f.zero(), f.one()
+    twist = []
     for w0, (a, b) in enumerate(pairs):
         for r in range(n):
-            row = [f.zero()] * dim
+            row = [zero] * dim
             # alpha(w0)_r itself
-            row[n + w0 * n + r] = f.one()
+            row[n + w0 * n + r] = one
             # minus (^{g^{-1}}alpha)(w0)_r = sum_w sum_s w2g[w][w0] ginv[r][s] alpha(w)_s
             for w in range(len(pairs)):
-                c = w2g.rows[w][w0]
-                if c == 0:
-                    continue
-                for s in range(n):
-                    coef = f.mul(c, ginv.rows[r][s])
-                    if coef != 0:
-                        idx = n + w * n + s
-                        row[idx] = f.sub(row[idx], coef)
-            # - lambda(e_b)(e_a - ^h e_a)_r + lambda(e_a)(e_b - ^h e_b)_r
-            row[b] = f.sub(row[b], one_minus_h.rows[r][a])
-            row[a] = f.add(row[a], one_minus_h.rows[r][b])
-            rows.append(row)
+                c = w2g[w][w0]
+                if c:
+                    for s, y in enumerate(ginv[r]):
+                        row[n + w * n + s] -= c * y
+            twist.append((a, b, r, row if p is None else [x % p for x in row]))
+    return _GroupRows(_vanish_rows(f, dim, gr.transfer().basis_rows(), 0), twist,
+                      _one_minus(f, gr.generator))
+
+
+def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
+    """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates."""
+    f = gr.field
+    n = gr.n
+    dim = cochain_dim(n)
+    if rows is None:
+        rows = _group_rows(gr)
+    one_minus_h = _one_minus(f, gr.power(i))
+    h_minus_1 = _negated(f, one_minus_h)
+
+    # (1) lambda vanishes on im T
+    out = list(rows.transfer)
+
+    # (2) one V-valued condition per basis pair, in its g^{-1}-twisted form:
+    # the twist row plus - lambda(e_b)(e_a - ^h e_a)_r + lambda(e_a)(e_b - ^h e_b)_r
+    for a, b, r, twist in rows.twist:
+        row = list(twist)
+        row[b] = h_minus_1[r][a]
+        row[a] = one_minus_h[r][b]
+        out.append(row)
 
     # (3) one Sym^2-valued condition per basis triple
-    rows += _jacobi_rows(f, dim, one_minus_h, n)
-    return Matrix._of(f, rows, dim)
+    out += _jacobi_rows(f, dim, one_minus_h, n)
+    return Matrix._of(f, out, dim)
 
 
-def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
+def coboundary_matrix(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
     """The (n + n*C(n,2)) x n matrix taking f in V* to d(f tensor h) in the
     flat coordinates at h = g^i (lambda lands at tag hg)."""
     f = gr.field
-    n = gr.n
-    one = Matrix.identity(f, n)
-    dim = cochain_dim(n)
-    return Matrix._of(f, _coboundary_cols(
-        f, dim, one - gr.generator, one - gr.power(i), 0, n), dim).transpose()
+    # without a record only 1 - g is needed, so im T is not derived for it
+    one_minus_g = _one_minus(f, gr.generator) if rows is None else rows.one_minus_g
+    return Matrix._of(f, _coboundary_rows(f, one_minus_g, _one_minus(f, gr.power(i))), gr.n)
 
 
 def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
@@ -283,9 +324,12 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     return Matrix._of(f, rows, dim)
 
 
-def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
-    cond = cocycle_conditions(gr, i)
-    cob = coboundary_matrix(gr, i)
+def per_element_cohomology(gr: CyclicGroup, i: int,
+                           rows: _GroupRows | None = None) -> PerElementComplex:
+    if rows is None:
+        rows = _group_rows(gr)
+    cond = cocycle_conditions(gr, i, rows)
+    cob = coboundary_matrix(gr, i, rows)
     if not (cond @ cob).is_zero():
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
     b = rank(cob)
@@ -301,9 +345,10 @@ def per_element_cohomology(gr: CyclicGroup, i: int) -> PerElementComplex:
 def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
     """The dimensions of every element's complex; each complex's matrices
     are dropped as soon as its dimensions are read."""
+    rows = _group_rows(gr)
     out = []
     for i in range(gr.order):
-        pec = per_element_cohomology(gr, i)
+        pec = per_element_cohomology(gr, i, rows)
         out.append(ComplexDims(i, pec.z_dim, pec.b_dim, pec.hh_dim))
     return out
 
@@ -325,6 +370,11 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     witness f with gamma - d(f tensor h) distinguished."""
     i = gamma.element_index
     f = gr.field
+    if gamma.field != f or gamma.n != gr.n:
+        raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
+                         % (gamma.field, gamma.n, f, gr.n))
+    if not 0 <= i < gr.order:
+        raise ValueError("element index %d outside 0..%d" % (i, gr.order - 1))
     pec = per_element_cohomology(gr, i)
     flat = gamma.flat()
     cond = pec.cocycle_condition_matrix

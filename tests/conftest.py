@@ -28,7 +28,7 @@ from skewcoh import (
     wedge_pairs,
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
-from skewcoh.oracle import _coboundary_cols, _jacobi_rows, _vanish_rows
+from skewcoh.oracle import _coboundary_rows, _jacobi_rows, _vanish_rows
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -72,9 +72,14 @@ def suite_entry(request):
     return name, group_from_generator(field, rows), order, codims, dims, imt
 
 
+def zeros(field: Field, r: int, c: int) -> Matrix:
+    """The r x c zero matrix."""
+    return Matrix(field, [[0] * c] * r, ncols=c)
+
+
 def transfer_matrix(gr: CyclicGroup) -> Matrix:
     """The transfer T = sum of the powers of g; `gr.transfer()` is im T."""
-    t = Matrix.zeros(gr.field, gr.n, gr.n)
+    t = zeros(gr.field, gr.n, gr.n)
     for p in gr.powers:
         t = t + p
     return t
@@ -101,7 +106,7 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
     imt = gr.transfer().basis_rows()
 
     rows: List[List[Scalar]] = []
-    cols: List[List[Scalar]] = []
+    cob = [[f.zero()] * (N * n) for _ in range(dim)]
     for j in range(N):
         hj = gr.power(j)
         lam = j * blk                       # lambda_j
@@ -129,11 +134,15 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
                 row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
                 rows.append(row)
         # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
-        rows += _jacobi_rows(f, dim, one - hj, lam + n)
-        # d^1 on f_j tensor g^j: lambda at g^{j+1} plus alpha at g^j
-        cols += _coboundary_cols(f, dim, one - g, one - hj, ((j + 1) % N) * blk, lam + n)
+        rows += _jacobi_rows(f, dim, (one - hj).rows, lam + n)
+        # d^1 on f_j tensor g^j, in columns j*n .. j*n + n-1: its lambda rows
+        # land at g^{j+1}, its alpha rows at g^j
+        block = _coboundary_rows(f, (one - g).rows, (one - hj).rows)
+        for k, row in enumerate(block):
+            at = ((j + 1) % N) * blk + k if k < n else lam + k
+            cob[at][j * n:(j + 1) * n] = row
 
-    return Matrix._of(f, rows, dim), Matrix._of(f, cols, dim).transpose()
+    return Matrix._of(f, rows, dim), Matrix._of(f, cob, N * n)
 
 
 def reference_element(gr: CyclicGroup, i: int) -> dict:

@@ -99,6 +99,25 @@ def test_analyze_nonmodular_json(job, capsys):
     assert doc["nonmodular"]["checked"] == 2
 
 
+def test_consecutive_calls_share_no_flags(job, capsys):
+    # main reuses one parser; nothing one call sets may reach the next
+    path = job(DIAG23)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--max-order", "x", path])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["analyze", "--nonmodular-check", "--json", "--max-order", "4", path]) \
+        == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["nonmodular"]["verdict"] == "pass"
+    assert main(["analyze", path]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert "total dim = 0" in out and "nonmodular" not in out
+    assert main(["analyze", "--max-order", "3", path]) == EXIT_INPUT
+    assert main(["analyze", path]) == EXIT_PASS
+    assert cli.build_parser() is cli.build_parser()
+
+
 # -- compare -------------------------------------------------------------------
 
 def test_compare_transvection(job, capsys):

@@ -14,6 +14,7 @@ from skewcoh import (
     chi_invariants,
     dual_matrix,
     group_from_generator,
+    image_basis,
     kron,
     wedge2_matrix,
     wedge_pairs,
@@ -154,6 +155,7 @@ def test_transfer_dims(suite_entry):
     name, gr, order, codims, dims, imt = suite_entry
     t = gr.transfer()
     assert t.dim == imt
+    assert t == image_basis(transfer_matrix(gr))     # the sum of the powers, one by one
     assert gr.invariants().contains_space(t)
     for i in range(order):
         assert gr.element(i).fixed_space.contains_space(t)

@@ -30,6 +30,8 @@ from skewcoh import (
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
+from conftest import zeros
+
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 Q = Field.rational()
@@ -53,7 +55,7 @@ def test_rref_identity():
 
 
 def test_rref_zero():
-    m = Matrix.zeros(F3, 2, 2)
+    m = zeros(F3, 2, 2)
     red, piv = rref(m)
     assert red == m
     assert piv == ()
@@ -98,7 +100,7 @@ def test_kernel_of_one_minus_transvection():
 
 def test_kernel_identity_and_zero():
     assert kernel_basis(Matrix.identity(F5, 2)).dim == 0
-    assert kernel_basis(Matrix.zeros(F5, 2, 2)) == full(F5, 2)
+    assert kernel_basis(zeros(F5, 2, 2)) == full(F5, 2)
 
 
 def test_image_of_one_minus_transvection():
@@ -109,7 +111,7 @@ def test_image_of_one_minus_transvection():
 
 def test_image_identity_and_zero():
     assert image_basis(Matrix.identity(Q, 3)) == full(Q, 3)
-    assert image_basis(Matrix.zeros(Q, 3, 3)).dim == 0
+    assert image_basis(zeros(Q, 3, 3)).dim == 0
 
 
 # -- complements -----------------------------------------------------------
@@ -226,15 +228,15 @@ def test_sum_and_difference_need_equal_shapes():
     # zip would truncate: I2 + 3x3 gave a 2x2 matrix, and 3x3 - I2 a matrix
     # claiming 3 columns with rows of length 2
     i2, i3 = Matrix.identity(F3, 2), Matrix.identity(F3, 3)
-    for a, b in ((i2, i3), (i3, i2), (i2, Matrix.zeros(F3, 2, 3)),
-                 (Matrix.zeros(F3, 3, 2), i2)):
+    for a, b in ((i2, i3), (i3, i2), (i2, zeros(F3, 2, 3)),
+                 (zeros(F3, 3, 2), i2)):
         with pytest.raises(ValueError):
             a + b
         with pytest.raises(ValueError):
             a - b
     assert (i3 + i3).rows == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
     assert (i3 - i3).is_zero()
-    assert (Matrix.zeros(Q, 0, 2) + Matrix.zeros(Q, 0, 2)).ncols == 2
+    assert (zeros(Q, 0, 2) + zeros(Q, 0, 2)).ncols == 2
 
 
 def test_operands_need_the_same_field():
@@ -254,7 +256,7 @@ def test_operands_need_the_same_field():
 def test_empty_matrices_need_no_special_case(field):
     # the 0x0 matrix is the action on a zero module: the identity summand's
     # V/V^h, the quotient V/V_h and (V^h)* at codim n, wedge^2 at n = 1
-    e, one = Matrix.zeros(field, 0, 0), field.one()
+    e, one = zeros(field, 0, 0), field.one()
     assert e.nrows == e.ncols == 0
     assert e.det() == one
     assert e.inverse() == e and e.transpose() == e and dual_matrix(e) == e
@@ -289,7 +291,7 @@ def test_solve():
     x = solve(m, (1, 1))
     assert x is not None and m.apply(x) == (1, 1)
     # inconsistent: the zero map cannot hit a nonzero vector
-    assert solve(Matrix.zeros(F5, 2, 2), (1, 0)) is None
+    assert solve(zeros(F5, 2, 2), (1, 0)) is None
 
 
 # -- characteristic polynomials ------------------------------------------------

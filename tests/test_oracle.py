@@ -186,10 +186,10 @@ def perturb_coboundaries(monkeypatch):
     row that the cocycle conditions read, so that d^2 != 0."""
     real = oracle.coboundary_matrix
 
-    def perturbed(gr, i):
-        cob = real(gr, i)
+    def perturbed(gr, i, rows=None):
+        cob = real(gr, i, rows)
         cond = cocycle_conditions(gr, i)
-        r = next(r for r in range(cond.ncols) if any(cond.col(r)))
+        r = next(r for r in range(cond.ncols) if any(row[r] for row in cond.rows))
         rows = [list(row) for row in cob.rows]
         rows[r][0] = gr.field.add(rows[r][0], gr.field.one())
         return Matrix(gr.field, rows, ncols=cob.ncols)
@@ -207,6 +207,26 @@ def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, 
                                 "generator": [[1, 1], [0, 1]]}))
     assert main(["compare", str(path)]) == EXIT_FAIL
     assert "coboundaries violate the cocycle conditions" in capsys.readouterr().err
+
+
+def test_oracle_report_builds_the_group_rows_once(monkeypatch):
+    # g^{-1}, wedge^2 g and the twist rows do not depend on the element:
+    # one wedge2_matrix per report, and g^{-1} is a stored power
+    calls = {"wedge2": 0, "inverse": 0}
+    real_wedge2, real_inverse = oracle.wedge2_matrix, Matrix.inverse
+
+    def wedge2(m):
+        calls["wedge2"] += 1
+        return real_wedge2(m)
+
+    def inverse(m):
+        calls["inverse"] += 1
+        return real_inverse(m)
+    monkeypatch.setattr(oracle, "wedge2_matrix", wedge2)
+    monkeypatch.setattr(Matrix, "inverse", inverse)
+    gr = suite_group("companion8_f3")
+    assert [p.hh_dim for p in oracle_report(gr)] == [0] * 8
+    assert calls == {"wedge2": 1, "inverse": 0}
 
 
 def test_transvection_z_and_b():
@@ -305,6 +325,29 @@ def test_reduce_rejects_non_cocycles():
     gr = suite_group("transvection_f3")
     with pytest.raises(NotACocycleError):
         reduce_to_representative(gr, CochainTwo.from_flat(F3, 2, 1, (0, 0, 0, 2)))
+
+
+def test_reduce_rejects_a_cochain_of_another_field():
+    gr3, gr5 = suite_group("transvection_f3"), suite_group("transvection_f5")
+    gamma = representative_basis(gr5, 1)[0]
+    assert reduce_to_representative(gr5, gamma)[0] == gamma
+    with pytest.raises(ValueError, match="cochain over F_5 with n = 2, group over F_3"):
+        reduce_to_representative(gr3, gamma)
+
+
+def test_reduce_rejects_a_cochain_of_another_dimension():
+    gr = suite_group("transvection_f3")
+    gamma = representative_basis(suite_group("jordan3_refl_f3"), 0)[0]
+    with pytest.raises(ValueError, match="n = 3, group over F_3 with n = 2"):
+        reduce_to_representative(gr, gamma)
+
+
+@pytest.mark.parametrize("index", [-1, 3, 4])
+def test_reduce_rejects_an_element_index_out_of_range(index):
+    gr = suite_group("transvection_f3")
+    gamma = CochainTwo.from_flat(F3, 2, index, (2, 1, 0, 2))    # a cocycle at g^1
+    with pytest.raises(ValueError, match="element index %d outside 0..2" % index):
+        reduce_to_representative(gr, gamma)
 
 
 @pytest.mark.parametrize("name", ["transvection_f3", "diag_1_m1_f5", "jordan3_refl_f3"])

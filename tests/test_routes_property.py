@@ -8,8 +8,10 @@ cochain complex; the distinguished cut of Z (pi_h o alpha = 0 plus the
 codimension cuts) has exactly hh_dim elements in its basis; and reducing
 a random cocycle to its representative twice gives the representative
 again.  On groups of order <= 12 the complex assembled without the
-per-element split (conftest.assembled_complex) must also satisfy d^2 = 0;
-its matrices grow with |G| * dim, so larger orders would dominate the run.
+per-element split (conftest.assembled_complex) must also satisfy d^2 = 0,
+and its nullity and coboundary rank must be the sums of the per-element z
+and b; its matrices grow with |G| * dim, so larger orders would dominate
+the run.
 """
 
 import random
@@ -26,6 +28,7 @@ from skewcoh import (
     group_from_generator,
     kernel_basis,
     oracle_report,
+    rank,
     reduce_to_representative,
     representative_basis,
 )
@@ -54,7 +57,8 @@ def check_routes(field, rows, seed):
         assume(False)
     rng = random.Random(seed)
     formula = full_report(gr).per_element
-    for i, complex_ in enumerate(oracle_report(gr)):
+    report = oracle_report(gr)
+    for i, complex_ in enumerate(report):
         assert formula[i].total == complex_.hh_dim, (rows, i)
         assert len(representative_basis(gr, i)) == complex_.hh_dim
         rep, _ = reduce_to_representative(gr, random_cocycle(gr, i, rng))
@@ -62,6 +66,8 @@ def check_routes(field, rows, seed):
     if gr.order <= ASSEMBLED_MAX_ORDER:
         cond, cob = assembled_complex(gr)
         assert (cond @ cob).is_zero(), rows
+        assert kernel_basis(cond).dim == sum(c.z_dim for c in report), rows
+        assert rank(cob) == sum(c.b_dim for c in report), rows
 
 
 @ROUTES
