@@ -41,7 +41,7 @@ from .group_action import (
     wedge_pairs,
 )
 from .linalg import Matrix
-from .oracle import oracle_report, representative_basis
+from .oracle import _group_rows, oracle_report, representative_basis
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -124,6 +124,12 @@ def group_summary(gr: CyclicGroup) -> dict:
     }
 
 
+def _print_json(doc: dict) -> None:
+    """doc as indented JSON and a newline, in one write: `json.dump` would
+    write it chunk by chunk."""
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
 def _print_group(gr: CyclicGroup, out) -> None:
     print("group: %s, n = %d, |G| = %d, dim im T = %d"
           % (repr(gr.field), gr.n, gr.order, gr.transfer().dim), file=out)
@@ -146,8 +152,7 @@ def cmd_analyze(args) -> int:
         doc = {"command": "analyze", "group": group_summary(gr), "formula": rep.to_dict()}
         if nm is not None:
             doc["nonmodular"] = nm.to_dict()
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _print_json(doc)
     else:
         _print_group(gr, sys.stdout)
         for s in rep.per_element:
@@ -178,11 +183,10 @@ def cmd_compare(args) -> int:
                      "agree": ok})
     verdict = "pass" if not mismatches else "fail"
     if args.json:
-        json.dump({"command": "compare", "group": group_summary(gr),
-                   "formula": rep.to_dict(),
-                   "oracle": rows,
-                   "verdict": verdict}, sys.stdout, indent=2)
-        print()
+        _print_json({"command": "compare", "group": group_summary(gr),
+                     "formula": rep.to_dict(),
+                     "oracle": rows,
+                     "verdict": verdict})
     else:
         _print_group(gr, sys.stdout)
         for r in rows:
@@ -206,18 +210,17 @@ def _rep_to_dict(gr: CyclicGroup, c) -> dict:
 
 def cmd_reps(args) -> int:
     gr = build_group(args)
+    record = _group_rows(gr)
     out = []
     for i in range(gr.order):
-        basis = representative_basis(gr, i)
+        basis = representative_basis(gr, i, record)
         out.append({"index": i, "h": "g^%d" % i,
                     "hg": "g^%d" % ((i + 1) % gr.order),
                     "codim": gr.element(i).codim,
                     "hh_dim": len(basis),
                     "basis": [_rep_to_dict(gr, c) for c in basis]})
     if args.json:
-        json.dump({"command": "reps", "group": group_summary(gr), "elements": out},
-                  sys.stdout, indent=2)
-        print()
+        _print_json({"command": "reps", "group": group_summary(gr), "elements": out})
     else:
         _print_group(gr, sys.stdout)
         for e in out:
@@ -274,8 +277,7 @@ def cmd_deform(args) -> int:
                  "count": hil.count, "expected": hil.expected},
             "verdict": "pass" if ok else "fail",
         }
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _print_json(doc)
     else:
         print("deformation check for the transvection action over F_%d" % p)
         print("  square bracket values: %s"

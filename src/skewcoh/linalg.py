@@ -17,23 +17,52 @@ must already be canonical: an int in [0, p) over F_p, a Fraction over Q.
 operands are over the same field, so entries of two fields never mix.
 The loops below do their arithmetic inline on those entries, with no
 `Field` method dispatch: over F_p on plain ints with one `% p` per result
-entry, over Q with the Fraction operators.
+entry; over Q the elimination and the product run on ints too (below),
+and the rest uses the Fraction operators.
 
 There is one elimination loop, `_eliminate` (Gauss-Jordan).  For each
 pivot it collects the pivot row's nonzero columns once and updates only
-those entries, in place, in the rows with a nonzero in the pivot column;
-the oracle's cocycle matrices are mostly zeros.  `rref` returns the rows
-and pivot columns it leaves; `Matrix.det` is (-1)^swaps times the product
-of the pivots it met.
+those entries in the rows with a nonzero in the pivot column; the
+oracle's cocycle matrices are mostly zeros.  `rref` returns the rows and
+pivot columns it leaves, and `Matrix.det` takes the determinant it
+returns for a square matrix.
+
+- Over F_p the rows are updated in place, each pivot row is scaled to 1,
+  and det is (-1)^swaps times the product of the pivots met.
+- Over Q the loop is fraction-free (Bareiss 1968 is the textbook form).
+  Each row is multiplied by the lcm of its denominators and divided by the
+  gcd of the resulting ints (its content), so it starts as a primitive
+  integer row.  A pivot row with a negative pivot is negated.  With pivot
+  pv and x in the pivot column of another row, g = gcd(pv, x), that row
+  becomes (pv/g) row - (x/g) pivot row and is divided by its content
+  again; a zero row has content 0 and is left as it is.  At the end each
+  pivot row is divided by its pivot once, and every row is written back
+  as canonical Fractions with one shared zero.  The RREF is unique, so
+  the rows and pivots are those of plain Fraction Gauss-Jordan.
+- The working rows of the Q loop are multiplied by the row lcms, the
+  negations and the multipliers pv/g, and divided by the contents, each
+  of which the loop records.  They end diagonal when the matrix is square
+  and invertible, so det = (-1)^swaps * (product of the final pivots) *
+  (contents) / (lcms, negations, multipliers).
 
 The product `a @ b` is row-sparse for the same reason: it lists the nonzero
 (column, value) pairs of each row of b once, and builds row t of the
 product from the nonzeros of row t of a alone, reducing each output entry
-once.  `_dot` serves `Matrix.apply` and `char_poly`.
+once.  Over Q it first clears b by one common denominator db and each row
+of a by its own da, accumulates on ints and builds one Fraction (over
+da * db) per nonzero output entry.  `_dot` serves `Matrix.apply` and
+`char_poly`.
+
+The Q loops read the Fraction slots `_numerator` and `_denominator`
+rather than the public `numerator` and `denominator` properties: a slot
+read costs about a quarter of the property call.  Both slots exist in
+every CPython `fractions.Fraction` the package supports (3.10 onwards).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, List, Sequence, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar
@@ -129,16 +158,32 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._operand(other, "@", self.ncols == other.nrows)
         p = self.field.p
-        zero = self.field.zero()
-        nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
         out = []
-        for r in self.rows:
-            acc = [zero] * other.ncols
-            for x, terms in zip(r, nz):
-                if x:
-                    for j, y in terms:
-                        acc[j] += x * y
-            out.append(acc if p is None else [v % p for v in acc])
+        if p is None:
+            # b over one common denominator db, each row of a over its own da
+            db = lcm(*[y._denominator for row in other.rows for y in row])
+            nz = [[(j, y._numerator * (db // y._denominator)) for j, y in enumerate(row)
+                   if y._numerator] for row in other.rows]
+            zero = Fraction(0)
+            for r in self.rows:
+                da = lcm(*[x._denominator for x in r])
+                acc = [0] * other.ncols
+                for x, terms in zip(r, nz):
+                    if x._numerator:
+                        x = x._numerator * (da // x._denominator)
+                        for j, y in terms:
+                            acc[j] += x * y
+                d = da * db
+                out.append([Fraction(v, d) if v else zero for v in acc])
+        else:
+            nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+            for r in self.rows:
+                acc = [0] * other.ncols
+                for x, terms in zip(r, nz):
+                    if x:
+                        for j, y in terms:
+                            acc[j] += x * y
+                out.append([v % p for v in acc])
         return Matrix._of(self.field, out, other.ncols)
 
     def apply(self, v: Sequence) -> Vector:
@@ -176,8 +221,7 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        piv, det = _eliminate(self.field, [list(r) for r in self.rows], n)
-        return det if len(piv) == n else self.field.zero()
+        return _eliminate(self.field, [list(r) for r in self.rows], n)[1]
 
 
 def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
@@ -186,15 +230,31 @@ def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
 
 
 def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...], Scalar]:
-    """Gauss-Jordan elimination of `rows` (lists of canonical scalars) in
-    place, leaving them in reduced row echelon form.  Returns the pivot
-    columns and (-1)^swaps times the product of the pivots before they were
-    scaled to 1, which is the determinant when every column has a pivot."""
+    """Gauss-Jordan elimination of `rows` (lists of canonical scalars),
+    leaving them in reduced row echelon form (over Q each row is replaced by
+    a new list).  Returns the pivot columns and, when the rows form a square
+    matrix, its determinant (zero if it is singular).
+
+    Over Q the loop runs on integer rows (module docstring); `up` and
+    `down` record the factors the working rows were multiplied and divided
+    by, for the determinant."""
     p = f.p
-    zero = f.zero()
     nrows = len(rows)
+    if p is None:
+        up: List[int] = []
+        down: List[int] = []
+        for i, row in enumerate(rows):
+            m = lcm(*[x._denominator for x in row])
+            ints = [x._numerator * (m // x._denominator) for x in row] if m > 1 \
+                else [x._numerator for x in row]
+            g = gcd(*ints)
+            if g > 1:
+                ints = [y // g for y in ints]
+                down.append(g)
+            up.append(m)
+            rows[i] = ints
     pivots: List[int] = []
-    det = f.one()
+    det = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -209,21 +269,34 @@ def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...],
             det = -det
         prow = rows[r]
         pv = prow[c]
-        prow[c] = f.one()
         # left of c the pivot row is zero; only its nonzero columns change
         if p is None:
-            det *= pv
-            nz = [(j, prow[j] / pv) for j in range(c + 1, ncols) if prow[j]]
-            for j, y in nz:
-                prow[j] = y
+            if pv < 0:
+                prow = rows[r] = [-y for y in prow]
+                pv = -pv
+                up.append(-1)
+            nz = [(j, prow[j]) for j in range(c + 1, ncols) if prow[j]]
             for i, row in enumerate(rows):
                 x = row[c]
                 if x and i != r:
-                    row[c] = zero
+                    # row <- (pv/g) row - (x/g) prow, then over its content
+                    g = gcd(pv, x)
+                    a = pv // g
+                    if a != 1:
+                        row = [a * y for y in row]
+                        up.append(a)
+                    x //= g
+                    row[c] = 0
                     for j, y in nz:
                         row[j] -= x * y
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [y // g for y in row]
+                        down.append(g)
+                    rows[i] = row
         else:
             det = det * pv % p
+            prow[c] = 1
             inv = pow(pv, -1, p)
             nz = [(j, prow[j] * inv % p) for j in range(c + 1, ncols) if prow[j]]
             for j, y in nz:
@@ -236,7 +309,22 @@ def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...],
                         row[j] = (row[j] - x * y) % p
         pivots.append(c)
         r += 1
-    return tuple(pivots), det
+    invertible = nrows == ncols and len(pivots) == ncols
+    if p is None:
+        # each pivot row over its pivot, as canonical Fractions
+        zero, one = Fraction(0), Fraction(1)
+        for k, c in enumerate(pivots):
+            row = rows[k]
+            d = row[c]
+            det *= d
+            row = [Fraction(y, d) if y else zero for y in row] if d != 1 \
+                else [Fraction(y) if y else zero for y in row]
+            row[c] = one
+            rows[k] = row
+        for k in range(len(pivots), nrows):
+            rows[k] = [zero] * ncols
+        return tuple(pivots), Fraction(det * prod(down), prod(up)) if invertible else zero
+    return tuple(pivots), det if invertible else 0
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:

@@ -31,14 +31,15 @@ What does not depend on the element is built once per group, by
 `_group_rows`: the condition (1) rows from im T, the alpha-twist block of
 condition (2) (from g^{-1}, the stored power g^{N-1}, and wedge^2 g), and
 1 - g, which gives the coboundary's lambda rows.  `oracle_report` builds
-that record once and hands it to every element; a caller that passes none
-(`representative_basis`, `reduce_to_representative`, a direct call) gets
-one built for the call, or, from `coboundary_matrix`, just 1 - g.  Per element there remain 1 - h, the lambda
-coupling of condition (2) (two entries on a copy of each twist row),
-condition (3) and the coboundary's alpha rows, all built entry by entry
-with plain int or Fraction arithmetic (one `% p` per entry over F_p), and
-then, on every complex, the d^2 = 0 product, `rank` of the coboundary
-matrix and one `rref` of the conditions.
+that record once and hands it to every element, and so does the CLI's
+`reps` to `representative_basis`; a caller that passes none
+(`reduce_to_representative`, a direct call) gets one built for the call,
+or, from `coboundary_matrix`, just 1 - g.  Per element there remain
+1 - h, the lambda coupling of condition (2) (two entries on a copy of each
+twist row), condition (3) and the coboundary's alpha rows, all built entry
+by entry with plain int or Fraction arithmetic (one `% p` per entry over
+F_p), and then, on every complex, the d^2 = 0 product, `rank` of the
+coboundary matrix and one `rref` of the conditions.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -353,10 +354,12 @@ def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
     return out
 
 
-def representative_basis(gr: CyclicGroup, i: int) -> List[CochainTwo]:
+def representative_basis(gr: CyclicGroup, i: int,
+                         rows: _GroupRows | None = None) -> List[CochainTwo]:
     """Basis of Z^2_{-1}(h) cut down by the distinguished constraints; its
-    size must equal hh_dim (that is the uniqueness statement)."""
-    pec = per_element_cohomology(gr, i)
+    size must equal hh_dim (that is the uniqueness statement).  `rows` is
+    gr's record, as for per_element_cohomology."""
+    pec = per_element_cohomology(gr, i, rows)
     ker = kernel_basis(pec.cocycle_condition_matrix.stack(distinguished_constraints(gr, i)))
     if ker.dim != pec.hh_dim:
         raise DimensionMismatchError(

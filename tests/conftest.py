@@ -3,8 +3,10 @@ test modules, with their hand-checked invariants (order, per-element fixed
 space codimensions, total dimension, transfer image), the assembled
 cochain complex the oracle tests check the per-element split against, and
 the per-element derivation that `CyclicGroup.element` shares per cyclic
-subgroup, kept here as a reference."""
+subgroup, kept here as a reference, and Fraction Gauss-Jordan, the
+reference for the library's elimination on integer rows over Q."""
 
+from fractions import Fraction
 from typing import List, Tuple
 
 import pytest
@@ -75,6 +77,45 @@ def suite_entry(request):
 def zeros(field: Field, r: int, c: int) -> Matrix:
     """The r x c zero matrix."""
     return Matrix(field, [[0] * c] * r, ncols=c)
+
+
+def fraction_rref(m: Matrix) -> Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[int, ...], Fraction]:
+    """Textbook Gauss-Jordan on the Fraction entries of m over Q, the
+    reference for the library's elimination on integer rows: the RREF rows,
+    the pivot columns, and (-1)^swaps times the product of the pivots met,
+    which is det(m) when m is square and every column has a pivot."""
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = m.nrows, m.ncols
+    pivots: List[int] = []
+    det = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            det = -det
+        prow = rows[r]
+        pv = prow[c]
+        det *= pv
+        prow[c] = Fraction(1)
+        nz = [(j, prow[j] / pv) for j in range(c + 1, ncols) if prow[j]]
+        for j, y in nz:
+            prow[j] = y
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x and i != r:
+                row[c] = Fraction(0)
+                for j, y in nz:
+                    row[j] -= x * y
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows)), tuple(pivots), det
 
 
 def transfer_matrix(gr: CyclicGroup) -> Matrix:

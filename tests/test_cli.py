@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skewcoh import Field, cli, full_report
+from skewcoh import Field, cli, full_report, oracle
 from skewcoh.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from skewcoh.oracle import DimensionMismatchError
 from skewcoh.group_action import group_from_generator
@@ -17,6 +17,8 @@ TRANSV3 = {"field": {"type": "prime", "p": 3}, "generator": [[1, 1], [0, 1]]}
 DIAG23 = {"field": {"type": "prime", "p": 5}, "generator": [[2, 0], [0, 3]]}
 DIAG_1_M1 = {"field": {"type": "prime", "p": 5}, "generator": [[1, 0], [0, -1]]}
 ROT4Q = {"field": {"type": "rational"}, "generator": [[0, -1], [1, 0]]}
+JORDAN3_REFL = {"field": {"type": "prime", "p": 3},
+                "generator": [[1, 1, 0], [0, 1, 0], [0, 0, -1]]}
 JORDAN4 = {"field": {"type": "prime", "p": 3},
            "generator": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, -1]]}
 
@@ -169,6 +171,22 @@ def test_reps_empty(job, capsys):
     assert "rep 1:" not in out
 
 
+def test_reps_builds_the_group_record_once(job, capsys, monkeypatch):
+    # the element-independent rows (one wedge^2 g among them) are built once
+    # per reps call, not once per element
+    calls = []
+    real = oracle.wedge2_matrix
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(oracle, "wedge2_matrix", counted)
+    assert main(["reps", "--json", job(JORDAN3_REFL)]) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["hh_dim"] for e in doc["elements"]] == [3, 0, 3, 0, 3, 0]
+    assert len(calls) == 1
+
+
 # -- deform --------------------------------------------------------------------
 
 def test_deform_builtin_prime(capsys):
@@ -305,7 +323,7 @@ def test_float_entry_rejected(job, capsys):
 @pytest.mark.parametrize("exc", [AssertionError, DimensionMismatchError, ValueError,
                                  ZeroDivisionError, KeyError])
 def test_invariant_failure_is_verification_failure(job, capsys, monkeypatch, exc):
-    def broken(gr, i):
+    def broken(gr, i, rows=None):
         raise exc("distinguished space has the wrong dimension")
     monkeypatch.setattr(cli, "representative_basis", broken)
     assert main(["reps", job(TRANSV3)]) == EXIT_FAIL

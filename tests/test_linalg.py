@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcoh import (
     Field,
@@ -30,7 +32,7 @@ from skewcoh import (
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import zeros
+from conftest import fraction_rref, zeros
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -276,6 +278,31 @@ def test_inverse_and_det():
     assert Matrix(F3, [[1, 1], [1, 1]]).det() == 0
     with pytest.raises(NotInvertibleError):
         Matrix(F3, [[1, 1], [1, 1]]).inverse()
+
+
+@st.composite
+def rational_matrices(draw):
+    """Sparse or dense matrices over Q, square about half the time, with
+    numerators up to 40 in size over denominators 1, 2, 3, 7, 11, 13 and 91."""
+    r = draw(st.integers(0, 7))
+    c = r if draw(st.booleans()) else draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-40, 40),
+                                st.sampled_from([1, 2, 3, 7, 11, 13, 91])))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return Matrix(Q, rows, ncols=c)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(rational_matrices())
+def test_rational_elimination_matches_fraction_gauss_jordan(m):
+    # the integer-row elimination over Q against textbook Fraction arithmetic
+    rows, pivots, det = fraction_rref(m)
+    red, piv = rref(m)
+    assert piv == pivots and red.rows == rows
+    assert all(type(x) is Fraction for r in red.rows for x in r)
+    if m.nrows == m.ncols:
+        assert m.det() == (det if len(piv) == m.ncols else 0)
 
 
 def test_matrix_immutable_and_ragged():
