@@ -21,7 +21,6 @@ from .group_action import (
     NotGStableError,
     OrderExceedsBoundError,
     chi_invariants,
-    dual_matrix,
     group_from_generator,
     kron,
     wedge2_matrix,

@@ -267,6 +267,7 @@ class RewriteSystem:
         are taken in any order: the result is linear in the terms and each
         word's leftmost reduct is fixed, so the order cannot change it."""
         f = self.field
+        p = f.p
         if isinstance(terms, tuple):
             terms = {terms: f.one()}
         work: Dict[Word, Scalar] = {w: c for w, c in terms.items() if c != 0}
@@ -279,15 +280,18 @@ class RewriteSystem:
             w, c = work.popitem()
             pos = self.redex_positions(w)
             if not pos:
-                nc = f.add(done.get(w, f.zero()), c)
+                nc = done.get(w, 0) + c
+                if p is not None:
+                    nc %= p
                 if nc == 0:
                     done.pop(w, None)
                 else:
                     done[w] = nc
                 continue
             for nw, nc in self.rewrite_at(w, pos[0]).items():
-                contrib = f.mul(c, nc)
-                acc = f.add(work.get(nw, f.zero()), contrib)
+                acc = work.get(nw, 0) + c * nc
+                if p is not None:
+                    acc %= p
                 if acc == 0:
                     work.pop(nw, None)
                 else:

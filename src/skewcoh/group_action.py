@@ -7,10 +7,13 @@ and the character value chi_h(g) = det of g acting on V/V^h.  Three
 induced modules feed the summands, all with the contragredient convention
 (^g f)(m) = f(^{g^{-1}} m): `CyclicGroup.induced_action(i)` is h on
 V tensor wedge^2 V*, its one module, and `CyclicGroup.subgroup_actions`
-gives g on V/V_h and on (V^h)*.  An empty module is a 0x0 matrix, which
-the linear algebra handles like any other (det 1, a 0x0 inverse, a 0x0
-Kronecker product, an eigenspace of dimension 0), so no caller tests for
-one.
+gives g on V/V_h and on (V^h)*.  No inverse is computed: h^{-1} = g^{N-i}
+is a stored power, wedge^2 of a transpose is the transpose of wedge^2, and
+g^{-1} restricted to the g-stable V^h is the inverse of g there, so each
+dual action is a transpose (`Matrix.inverse` is kept only for the
+benchmark's tracer).  An empty module is a 0x0 matrix, which the linear
+algebra handles like any other (det 1, a 0x0 transpose, a 0x0 Kronecker
+product, an eigenspace of dimension 0), so no caller tests for one.
 
 All of this depends only on the subgroup <g^i>, so `CyclicGroup.element`
 derives it once per divisor d of N = |G|, at h = g^d, and `element(i)`
@@ -68,36 +71,16 @@ def sym_pairs(n: int) -> List[Tuple[int, int]]:
 
 def wedge2_matrix(m: Matrix) -> Matrix:
     """Action on wedge^2 V in the e_a ^ e_b basis via 2x2 minors."""
-    f = m.field
+    r = m.rows
     pairs = wedge_pairs(m.nrows)
-    rows = []
-    for (a, b) in pairs:
-        row = []
-        for (c, d) in pairs:
-            minor = f.sub(f.mul(m.rows[a][c], m.rows[b][d]),
-                          f.mul(m.rows[a][d], m.rows[b][c]))
-            row.append(minor)
-        rows.append(row)
-    return Matrix._of(f, rows, len(pairs))
-
-
-def dual_matrix(m: Matrix) -> Matrix:
-    """Contragredient action on V*: inverse transpose."""
-    return m.inverse().transpose()
+    return m._reduced(([r[a][c] * r[b][d] - r[a][d] * r[b][c] for c, d in pairs]
+                       for a, b in pairs), len(pairs))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis of the tensor ordered with a's index major."""
-    f = a.field
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            row = []
-            for j in range(a.ncols):
-                for l in range(b.ncols):
-                    row.append(f.mul(a.rows[i][j], b.rows[k][l]))
-            rows.append(row)
-    return Matrix._of(f, rows, a.ncols * b.ncols)
+    return a._reduced(([x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows),
+                      a.ncols * b.ncols)
 
 
 def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
@@ -205,8 +188,9 @@ class CyclicGroup:
         acts = self._actions.get(d)
         if acts is None:
             ed, g = self.element(d), self.generator
-            acts = self._actions[d] = (quotient_matrix(g, ed.moved_space),
-                                       dual_matrix(restricted_matrix(g, ed.fixed_space)))
+            acts = self._actions[d] = (
+                quotient_matrix(g, ed.moved_space),
+                restricted_matrix(self.power(-1), ed.fixed_space).transpose())
         return acts
 
     def transfer(self) -> Subspace:
@@ -225,8 +209,7 @@ class CyclicGroup:
 
     def induced_action(self, i: int) -> Matrix:
         """Matrix of h = g^i on V tensor wedge^2 V*."""
-        h = self.power(i)
-        return kron(h, wedge2_matrix(dual_matrix(h)))
+        return kron(self.power(i), wedge2_matrix(self.power(-i)).transpose())
 
 
 def _order_exceeds(bound: int) -> OrderExceedsBoundError:

@@ -200,11 +200,14 @@ def _wedge_vanish_rows(f: Field, dim: int, uv_pairs, at: int) -> List[List[Scala
     value: coefficient u_a v_b - u_b v_a on alpha(e_a ^ e_b)_r, alpha's block
     starting at column `at`.  A pair with u ^ v = 0 gives only zero rows,
     which are dropped."""
+    p = f.p
     rows: List[List[Scalar]] = []
     for u, v in uv_pairs:
         n = len(u)
-        coefs = [f.sub(f.mul(u[a], v[b]), f.mul(u[b], v[a])) for (a, b) in wedge_pairs(n)]
-        if all(c == 0 for c in coefs):
+        coefs = [u[a] * v[b] - u[b] * v[a] for (a, b) in wedge_pairs(n)]
+        if p is not None:
+            coefs = [c % p for c in coefs]
+        if not any(coefs):
             continue
         for r in range(n):
             row = [f.zero()] * dim
@@ -327,6 +330,8 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
 
 def per_element_cohomology(gr: CyclicGroup, i: int,
                            rows: _GroupRows | None = None) -> PerElementComplex:
+    if not 0 <= i < gr.order:
+        raise ValueError("element index %d outside 0..%d" % (i, gr.order - 1))
     if rows is None:
         rows = _group_rows(gr)
     cond = cocycle_conditions(gr, i, rows)
@@ -376,8 +381,6 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     if gamma.field != f or gamma.n != gr.n:
         raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
                          % (gamma.field, gamma.n, f, gr.n))
-    if not 0 <= i < gr.order:
-        raise ValueError("element index %d outside 0..%d" % (i, gr.order - 1))
     pec = per_element_cohomology(gr, i)
     flat = gamma.flat()
     cond = pec.cocycle_condition_matrix
@@ -391,7 +394,8 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
     correction = dmat.apply(f0)
-    rep_flat = tuple(f.sub(x, y) for x, y in zip(flat, correction))
+    p = f.p
+    rep_flat = tuple(x - y if p is None else (x - y) % p for x, y in zip(flat, correction))
     if any(x != 0 for x in dist.apply(rep_flat)):
         raise AssertionError("representative escapes the distinguished subspace")
     if any(x != 0 for x in cond.apply(rep_flat)):

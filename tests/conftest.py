@@ -20,7 +20,6 @@ from skewcoh import (
     SummandReport,
     chi_invariants,
     cochain_dim,
-    dual_matrix,
     group_from_generator,
     identity_contribution,
     image_basis,
@@ -116,6 +115,13 @@ def fraction_rref(m: Matrix) -> Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[in
         pivots.append(c)
         r += 1
     return tuple(map(tuple, rows)), tuple(pivots), det
+
+
+def dual_matrix(m: Matrix) -> Matrix:
+    """Contragredient action on V*, the inverse transpose: the independent
+    reference for the library, which reads inverses off the stored powers
+    of g instead."""
+    return m.inverse().transpose()
 
 
 def transfer_matrix(gr: CyclicGroup) -> Matrix:

@@ -8,10 +8,25 @@ from pathlib import Path
 
 import pytest
 
-from skewcoh import Field, cli, full_report, oracle
+from skewcoh import (
+    CochainTwo,
+    Field,
+    Matrix,
+    Subspace,
+    cli,
+    coboundary_matrix,
+    cochain_dim,
+    full_report,
+    group_action,
+    oracle,
+    reduce_to_representative,
+    representative_basis,
+)
 from skewcoh.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from skewcoh.oracle import DimensionMismatchError
 from skewcoh.group_action import group_from_generator
+
+from conftest import SUITE, suite_group, transfer_matrix
 
 TRANSV3 = {"field": {"type": "prime", "p": 3}, "generator": [[1, 1], [0, 1]]}
 DIAG23 = {"field": {"type": "prime", "p": 5}, "generator": [[2, 0], [0, 3]]}
@@ -330,6 +345,47 @@ def test_invariant_failure_is_verification_failure(job, capsys, monkeypatch, exc
     err = capsys.readouterr().err
     assert err.startswith("verification failed: ")
     assert "wrong dimension" in err
+
+
+def test_transfer_outside_the_invariants_is_verification_failure(job, capsys, monkeypatch):
+    # only im T goes wrong: image_basis answers the whole space for the transfer
+    # matrix T = 1 + g of diag(1, -1), and V^G is the line of e1
+    gr = group_from_generator(Field.prime(5), DIAG_1_M1["generator"])
+    t = transfer_matrix(gr)
+    assert all(t != Matrix.identity(gr.field, 2) - h for h in gr.powers)
+    real = group_action.image_basis
+    monkeypatch.setattr(group_action, "image_basis",
+                        lambda m: Subspace(m.field, 2, [[1, 0], [0, 1]]) if m == t else real(m))
+    assert main(["compare", job(DIAG_1_M1)]) == EXIT_FAIL
+    assert "im T not contained in V^G" in capsys.readouterr().err
+
+
+def _raise(*args):
+    raise AssertionError("Field arithmetic or Matrix.inverse called")
+
+
+def test_library_calls_no_field_arithmetic_and_no_matrix_inverse(job, capsys, monkeypatch):
+    # scalars are combined inline and inverses are read off the stored powers;
+    # Field's arithmetic and Matrix.inverse are kept for the benchmark's tracer
+    for name in ("add", "sub", "mul", "neg", "div"):
+        monkeypatch.setattr(Field, name, _raise)
+    monkeypatch.setattr(Matrix, "inverse", _raise)
+    for name, (field, rows, *_) in sorted(SUITE.items()):
+        doc = {"field": {"type": "rational"} if field.p is None else
+               {"type": "prime", "p": field.p}, "generator": rows}
+        path = job(doc, name + ".json")
+        for cmd in (["analyze", "--nonmodular-check"], ["compare"], ["reps"]):
+            assert main(cmd + ["--json", path]) == EXIT_PASS, (name, cmd)
+    assert main(["deform", "--deform-prime", "5", "--json"]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+    for name in ("jordan3_refl_f3", "trivial_n3_q", "rot4_q"):
+        gr = suite_group(name)
+        for i in range(gr.order):
+            basis = representative_basis(gr, i)
+            rep = basis[0].flat() if basis else (0,) * cochain_dim(gr.n)
+            cob = coboundary_matrix(gr, i).apply(range(1, gr.n + 1))
+            gamma = CochainTwo.from_flat(gr.field, gr.n, i, [x + y for x, y in zip(rep, cob)])
+            assert reduce_to_representative(gr, gamma)[0].flat() == rep
 
 
 # -- order bound -----------------------------------------------------------------

@@ -12,7 +12,6 @@ from skewcoh import (
     OrderExceedsBoundError,
     Subspace,
     chi_invariants,
-    dual_matrix,
     group_from_generator,
     image_basis,
     kron,
@@ -22,7 +21,7 @@ from skewcoh import (
 
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import SUITE, suite_group, transfer_matrix
+from conftest import SUITE, dual_matrix, suite_group, transfer_matrix
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -191,6 +190,14 @@ def test_wedge2_is_det_for_n2():
 def test_dual_is_inverse_transpose():
     g = Matrix(F3, [[1, 1], [0, 1]])
     assert dual_matrix(g) == Matrix(F3, [[1, 0], [-1, 1]])
+
+
+def test_induced_action_is_h_on_v_tensor_wedge2_of_the_dual(suite_entry):
+    # the library reads h^{-1} off the stored powers; the reference inverts h
+    name, gr, order, codims, dims, imt = suite_entry
+    for i in range(order):
+        h = gr.power(i)
+        assert gr.induced_action(i) == kron(h, wedge2_matrix(dual_matrix(h)))
 
 
 def test_quotient_action_of_transvection():

@@ -20,7 +20,6 @@ from skewcoh import (
     NotInvertibleError,
     Subspace,
     char_poly,
-    dual_matrix,
     eigenspace,
     image_basis,
     kernel_basis,
@@ -32,7 +31,7 @@ from skewcoh import (
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import fraction_rref, zeros
+from conftest import dual_matrix, fraction_rref, zeros
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)

@@ -350,6 +350,14 @@ def test_reduce_rejects_an_element_index_out_of_range(index):
         reduce_to_representative(gr, gamma)
 
 
+@pytest.mark.parametrize("compute", [per_element_cohomology, representative_basis])
+@pytest.mark.parametrize("index", [-1, 3])
+def test_element_index_out_of_range_is_rejected(compute, index):
+    # the complex at i mod N would come back labelled with the raw index
+    with pytest.raises(ValueError, match="element index %d outside 0..2" % index):
+        compute(suite_group("transvection_f3"), index)
+
+
 @pytest.mark.parametrize("name", ["transvection_f3", "diag_1_m1_f5", "jordan3_refl_f3"])
 def test_reduce_is_idempotent(name):
     gr = suite_group(name)

@@ -20,7 +20,6 @@ from skewcoh import (
     coboundary_matrix,
     cocycle_conditions,
     distinguished_constraints,
-    dual_matrix,
     group_from_generator,
     kron,
     per_element_cohomology,
@@ -29,7 +28,7 @@ from skewcoh import (
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import assembled_complex, transfer_matrix, zeros
+from conftest import assembled_complex, dual_matrix, transfer_matrix, zeros
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
