@@ -78,9 +78,18 @@ def wedge2_matrix(m: Matrix) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; basis of the tensor ordered with a's index major."""
-    return a._reduced(([x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows),
-                      a.ncols * b.ncols)
+    """Kronecker product; basis of the tensor ordered with a's index major.
+    The factors are mostly zeros, so a zero factor costs no product."""
+    zero = a.field.zero()
+    blank = [zero] * b.ncols
+    rows = []
+    for ra in a.rows:
+        for rb in b.rows:
+            row = []
+            for x in ra:
+                row += [x * y if y else zero for y in rb] if x else blank
+            rows.append(row)
+    return a._reduced(rows, a.ncols * b.ncols)
 
 
 def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:

@@ -23,9 +23,13 @@ and the rest uses the Fraction operators.
 There is one elimination loop, `_eliminate` (Gauss-Jordan).  For each
 pivot it collects the pivot row's nonzero columns once and updates only
 those entries in the rows with a nonzero in the pivot column; the
-oracle's cocycle matrices are mostly zeros.  `rref` returns the rows and
-pivot columns it leaves, and `Matrix.det` takes the determinant it
-returns for a square matrix.
+oracle's cocycle matrices are mostly zeros.  The pivot is the first row,
+from the current one down, with a nonzero in the pivot column, and its
+nonzeros spread to every row it updates, so a builder lists its sparse
+rows first and builds no all-zero row (each would only be scanned at
+every pivot column).  `rref` returns the rows and pivot columns it
+leaves, and `Matrix.det` takes the determinant it returns for a square
+matrix.
 
 - Over F_p the rows are updated in place, each pivot row is scaled to 1,
   and det is (-1)^swaps times the product of the pivots met.
@@ -232,7 +236,9 @@ def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...],
     """Gauss-Jordan elimination of `rows` (lists of canonical scalars),
     leaving them in reduced row echelon form (over Q each row is replaced by
     a new list).  Returns the pivot columns and, when the rows form a square
-    matrix, its determinant (zero if it is singular).
+    matrix, its determinant (zero if it is singular).  The first candidate
+    row becomes the pivot, so callers list sparse rows first and build no
+    all-zero rows.
 
     Over Q the loop runs on integer rows (module docstring); `up` and
     `down` record the factors the working rows were multiplied and divided

@@ -27,6 +27,15 @@ assembled complex reuses them at other offsets, with condition (2) in its
 pre-decomposition form, as an independent check of the lambda-to-hg
 bookkeeping.
 
+The elimination takes the first candidate row as the pivot, and a dense
+pivot row fills every row it is subtracted from.  So `cocycle_conditions`
+lists the sparse rows first, condition (3) (at most six nonzeros a row),
+then (1), then (2), and builds no all-zero row: a condition (3) row whose
+entries 1 - h kills is skipped before it is built (at h = 1 all of them
+are), and so is a condition (2) row that comes out zero.  The row space,
+and so the RREF, z and the stored rows, are those of every row in any
+order.
+
 What does not depend on the element is built once per group, by
 `_group_rows`: the condition (1) rows from im T, the alpha-twist block of
 condition (2) (from g^{-1}, the stored power g^{N-1}, and wedge^2 g), and
@@ -154,7 +163,9 @@ def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
 def _jacobi_rows(f: Field, dim: int, one_minus_h, at: int) -> List[List[Scalar]]:
     """Condition (3) at h, one Sym^2-valued condition per basis triple, with
     alpha(e_a ^ e_b)_s (pair number w) in column at + w*n + s; one_minus_h
-    is the rows of 1 - h."""
+    is the rows of 1 - h.  The row at {i0, j0} reads the coordinates i0
+    and j0 of the triple's three vectors, so it is built only when one of
+    them is nonzero (at h = 1 none is)."""
     n = len(one_minus_h)
     zero = f.zero()
     pos = {p: k for k, p in enumerate(wedge_pairs(n))}
@@ -167,7 +178,12 @@ def _jacobi_rows(f: Field, dim: int, one_minus_h, at: int) -> List[List[Scalar]]
         # the three pairs differ, so no two terms share a column
         terms = ((at + pos[(a, b)] * n, x[c]), (at + pos[(b, c)] * n, x[a]),
                  (at + pos[(a, c)] * n, minus_x[b]))
+        live = [x[a][t] or x[b][t] or x[c][t] for t in range(n)]
+        if not any(live):
+            continue
         for i0, j0 in spairs:
+            if not (live[i0] or live[j0]):
+                continue
             # alpha(w)_s times the e_t coordinate of its vector, for {s, t} = {i0, j0}
             row = [zero] * dim
             for base, xt in terms:
@@ -266,19 +282,22 @@ def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) 
     one_minus_h = _one_minus(f, gr.power(i))
     h_minus_1 = _negated(f, one_minus_h)
 
+    # (3) one Sym^2-valued condition per basis triple; the sparsest rows
+    # come first, so they are the pivot rows of the elimination
+    out = _jacobi_rows(f, dim, one_minus_h, n)
+
     # (1) lambda vanishes on im T
-    out = list(rows.transfer)
+    out += rows.transfer
 
     # (2) one V-valued condition per basis pair, in its g^{-1}-twisted form:
     # the twist row plus - lambda(e_b)(e_a - ^h e_a)_r + lambda(e_a)(e_b - ^h e_b)_r
     for a, b, r, twist in rows.twist:
-        row = list(twist)
-        row[b] = h_minus_1[r][a]
-        row[a] = one_minus_h[r][b]
-        out.append(row)
-
-    # (3) one Sym^2-valued condition per basis triple
-    out += _jacobi_rows(f, dim, one_minus_h, n)
+        u, v = h_minus_1[r][a], one_minus_h[r][b]
+        if u or v or any(twist):
+            row = list(twist)
+            row[b] = u
+            row[a] = v
+            out.append(row)
     return Matrix._of(f, out, dim)
 
 

@@ -59,6 +59,14 @@ SUITE = {
 }
 
 
+# ROADMAP's n = 8 case, kept out of SUITE because `reps` on it is slow:
+# J_2(1) + (-1) + I_5 over F_3, |G| = 6, and its per-element (z, b)
+JORDAN2_REFL_I5_F3 = [[int(a == b) for b in range(8)] for a in range(8)]
+JORDAN2_REFL_I5_F3[0][1] = 1
+JORDAN2_REFL_I5_F3[2][2] = -1
+JORDAN2_REFL_I5_F3_ZB = [(115, 2), (8, 8), (45, 7), (8, 8), (45, 7), (8, 8)]
+
+
 def suite_group(name):
     field, rows = SUITE[name][0], SUITE[name][1]
     return group_from_generator(field, rows)

@@ -1,0 +1,108 @@
+"""Property tests for the rows `cocycle_conditions` builds.
+
+The elimination pivots on the first candidate row, so the builder lists the
+sparse condition (3) rows first, then (1), then (2), and never builds an
+all-zero row.  On random invertible generators (n <= 5 over F_3, F_5, F_7,
+and signed permutations over Q) no row may be zero, and the RREF must keep
+the same nonzero rows as the assembly below, which lists conditions (1),
+(2), (3) in that order and keeps every row: the row space, and so the
+cocycles and the stored RREF rows, do not depend on the order or on the
+zero rows.
+"""
+
+from itertools import combinations
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from skewcoh import Field, Matrix, cochain_dim, cocycle_conditions, group_from_generator, rref
+from skewcoh.group_action import OrderExceedsBoundError, sym_pairs, wedge_pairs
+from skewcoh.oracle import _group_rows, _jacobi_rows, _negated, _one_minus
+
+from conftest import suite_group
+from test_trusted_builders import SETTINGS, prime_generators
+
+ORDER_BOUND = 1000
+
+
+@st.composite
+def signed_permutations(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return Field.rational(), [[signs[i] if j == perm[i] else 0 for j in range(n)]
+                              for i in range(n)]
+
+
+def every_jacobi_row(f, dim, one_minus_h, at):
+    """Condition (3) with every row kept, zero rows included."""
+    n = len(one_minus_h)
+    pos = {p: k for k, p in enumerate(wedge_pairs(n))}
+    x = list(zip(*one_minus_h))
+    minus_x = list(zip(*_negated(f, one_minus_h)))
+    rows = []
+    for a, b, c in combinations(range(n), 3):
+        terms = ((at + pos[(a, b)] * n, x[c]), (at + pos[(b, c)] * n, x[a]),
+                 (at + pos[(a, c)] * n, minus_x[b]))
+        for i0, j0 in sym_pairs(n):
+            row = [f.zero()] * dim
+            for base, xt in terms:
+                row[base + i0] = xt[j0]
+                row[base + j0] = xt[i0]
+            rows.append(row)
+    return rows
+
+
+def every_condition_row(gr, i):
+    """Conditions (1), (2), (3) at g^i, in that order, every row kept."""
+    f, n = gr.field, gr.n
+    dim = cochain_dim(n)
+    rows = _group_rows(gr)
+    one_minus_h = _one_minus(f, gr.power(i))
+    h_minus_1 = _negated(f, one_minus_h)
+    out = list(rows.transfer)
+    for a, b, r, twist in rows.twist:
+        row = list(twist)
+        row[b] = h_minus_1[r][a]
+        row[a] = one_minus_h[r][b]
+        out.append(row)
+    out += every_jacobi_row(f, dim, one_minus_h, n)
+    return Matrix(f, out, ncols=dim)
+
+
+def check_conditions(field, rows, i):
+    try:
+        gr = group_from_generator(field, rows, order_bound=ORDER_BOUND)
+    except OrderExceedsBoundError:
+        assume(False)
+    i %= gr.order
+    cond = cocycle_conditions(gr, i)
+    assert all(any(row) for row in cond.rows)
+    red, piv = rref(cond)
+    full_red, full_piv = rref(every_condition_row(gr, i))
+    assert piv == full_piv
+    assert red.rows[:len(piv)] == full_red.rows[:len(full_piv)]
+
+
+@SETTINGS
+@given(prime_generators(max_n=5), st.integers(0, 50))
+def test_prime_field_conditions_have_no_zero_row_and_the_same_rref(gen, i):
+    check_conditions(*gen, i)
+
+
+@SETTINGS
+@given(signed_permutations(), st.integers(0, 50))
+def test_rational_conditions_have_no_zero_row_and_the_same_rref(gen, i):
+    check_conditions(*gen, i)
+
+
+def test_identity_contributes_no_jacobi_row():
+    # 1 - h = 0 at h = 1, so every condition (3) row is zero and none is built
+    gr = suite_group("diag_2_3_4_f5")
+    f, n = gr.field, gr.n
+    assert _jacobi_rows(f, cochain_dim(n), _one_minus(f, gr.power(0)), n) == []
+    assert len(every_jacobi_row(f, cochain_dim(n), _one_minus(f, gr.power(0)), n)) == 6
+    # what is left at the identity are the nonzero rows of conditions (1) and (2)
+    rows = _group_rows(gr)
+    kept = [tuple(r) for r in rows.transfer] + [tuple(t) for *_, t in rows.twist if any(t)]
+    assert list(cocycle_conditions(gr, 0).rows) == kept

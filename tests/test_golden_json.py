@@ -12,9 +12,10 @@ import json
 
 import pytest
 
+from skewcoh import Field
 from skewcoh.cli import EXIT_PASS, main
 
-from conftest import SUITE
+from conftest import JORDAN2_REFL_I5_F3, SUITE
 
 COMMANDS = (["analyze", "--nonmodular-check"], ["compare"], ["reps"])
 
@@ -92,6 +93,9 @@ SUITE_DIGESTS = {
     ),
 }
 
+# compare --json on the n = 8 group J_2(1) + (-1) + I_5 over F_3
+N8_COMPARE_DIGEST = "2a66fe45d05d9fa81ea4f06c54c18bf898df669d29286d68830c74324463b96e"
+
 # p -> digest of deform --json --deform-prime p
 DEFORM_DIGESTS = {
     3: "f9f67c15e6629f06a9aee1833fbc96433c87d69485acf1fa4c990c40973921ac",
@@ -104,6 +108,13 @@ def _digest(argv, capsys):
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
+def _job(tmp_path, field, rows):
+    spec = {"type": "rational"} if field.char == 0 else {"type": "prime", "p": field.char}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": spec, "generator": rows}))
+    return str(path)
+
+
 def test_digests_cover_the_suite():
     assert set(SUITE_DIGESTS) == set(SUITE)
 
@@ -111,11 +122,13 @@ def test_digests_cover_the_suite():
 @pytest.mark.parametrize("name", sorted(SUITE))
 @pytest.mark.parametrize("k", range(len(COMMANDS)), ids=[c[0] for c in COMMANDS])
 def test_suite_json_is_golden(name, k, tmp_path, capsys):
-    field, rows = SUITE[name][0], SUITE[name][1]
-    spec = {"type": "rational"} if field.char == 0 else {"type": "prime", "p": field.char}
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({"field": spec, "generator": rows}))
-    assert _digest(COMMANDS[k] + ["--json", str(path)], capsys) == SUITE_DIGESTS[name][k]
+    path = _job(tmp_path, SUITE[name][0], SUITE[name][1])
+    assert _digest(COMMANDS[k] + ["--json", path], capsys) == SUITE_DIGESTS[name][k]
+
+
+def test_n8_compare_json_is_golden(tmp_path, capsys):
+    path = _job(tmp_path, Field.prime(3), JORDAN2_REFL_I5_F3)
+    assert _digest(["compare", "--json", path], capsys) == N8_COMPARE_DIGEST
 
 
 @pytest.mark.parametrize("p", sorted(DEFORM_DIGESTS))

@@ -31,6 +31,7 @@ from skewcoh import (
     cochain_dim,
     cocycle_conditions,
     distinguished_constraints,
+    group_from_generator,
     kernel_basis,
     per_element_cohomology,
     oracle_report,
@@ -42,7 +43,7 @@ from skewcoh import (
 from skewcoh import oracle
 from skewcoh.cli import EXIT_FAIL, main
 
-from conftest import assembled_complex, suite_group
+from conftest import JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, assembled_complex, suite_group
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -88,8 +89,9 @@ def test_flat_round_trip():
 def test_transvection_cocycle_membership():
     gr = suite_group("transvection_f3")
     cond = cocycle_conditions(gr, 1)
-    # n = 2: no triples, no transfer rows; one V-valued condition per pair
-    assert cond.nrows == 2
+    # n = 2: no triples, no transfer rows; one V-valued condition per pair,
+    # whose e_2 coordinate is identically zero here and so is not built
+    assert cond.nrows == 1
     # y = l1 is the only cut: alpha(e2^e1) = e2 alone is NOT closed ...
     assert not in_kernel(cond, (0, 0, 0, 2))
     # ... it needs the matching lambda(e1) = -1
@@ -112,8 +114,11 @@ def test_conditions_include_transfer_block():
 def test_triple_conditions_appear_for_n3():
     gr = suite_group("diag_2_3_4_f5")
     cond = cocycle_conditions(gr, 1)
-    # 0 transfer rows + 3 pairs * 3 coords + 1 triple * 6 sym coords
-    assert cond.nrows == 9 + 6
+    # 0 transfer rows + 3 pairs * 3 coords + 1 triple * 6 sym coords, less
+    # the two pair conditions that vanish identically (alpha(e_1^e_3)_2 and
+    # alpha(e_2^e_3)_1 are fixed by the twist, and h is diagonal), which are
+    # not built
+    assert cond.nrows == 9 - 2 + 6
     assert cond.ncols == 12
 
 
@@ -241,6 +246,13 @@ def test_diag_reflection_z_and_b():
     # at h = g: same Z cuts, B = {(0, 2 f2, 0, -2 f1)}
     report = oracle_report(suite_group("diag_1_m1_f5"))
     assert [(p.z_dim, p.b_dim, p.hh_dim) for p in report] == [(2, 1, 1), (2, 2, 0)]
+
+
+def test_n8_jordan_reflection_z_and_b():
+    # the n = 8 case, where most condition (3) rows vanish at every h
+    gr = group_from_generator(F3, JORDAN2_REFL_I5_F3)
+    assert gr.order == 6
+    assert [(p.z_dim, p.b_dim) for p in oracle_report(gr)] == JORDAN2_REFL_I5_F3_ZB
 
 
 def test_codim_above_two_gives_zero():
