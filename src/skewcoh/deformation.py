@@ -16,34 +16,33 @@ become rules
 confluence is checked on the critical pairs (overlap ambiguities), and
 normal-form counts are compared against the graded dimensions of
 F[v1,v2] x| G.  The count is local: both "irreducible" and "PBW-shaped"
-are decided by the factors of length 2, so it reads only words of length
-<= 2 (see hilbert_check).
+are decided by the factors of length 2 and read only a letter's class
+(v1, v2 or g), so it reads only words of length <= 2 in three letters
+(see hilbert_check).
 
 Every left side has length 2, none contains another, and the rules
 terminate, so by the diamond lemma (Bergman 1978) the system is confluent
 iff the two one-step reducts of every overlap xyz (xy and yz both
 redexes) have one normal form.  The overlaps are g^i g^j g^k, g^i g^j v_k
-and g^i v2 v1.  Only 3(N-1) of them are reduced, in alphabet order:
-
-- the overlaps that begin with g: g v2 v1 and g g^j v_k for every j and k;
-- g^i v2 v1 for i = 2, ..., N-1.
+and g^i v2 v1.  Only the 2N-1 that begin with g are reduced, in alphabet
+order: g v2 v1, then g g^j v_k for every j and k.
 
 This gives the same verdict, witness and forms as reducing every word of
 length <= 3 that contains a redex, in alphabet order:
 
 - a word of length <= 2, or a length-3 word with a single redex, has
   exactly one one-step reduct, so it cannot fail;
-- so that enumeration could fail only at an overlap, and the reduced
-  overlaps are visited in the same order, so a failure among them is
-  found at the same first word with the same two forms;
+- so that enumeration could fail only at an overlap; it visits the
+  reduced overlaps first (x = g comes before x = g^i) and in the same
+  order, so a failure among them is found at the same first word with
+  the same two forms;
 - both reducts of g^i g^j g^k are the single word for g^{i+j+k}, whatever
   lambda and kappa are, because the g.g rule is addition in Z/N;
-- g^i g^j v_k with i >= 2 resolves once every g g^j v_k does, and the
-  enumeration visits all of those first (x = g comes before x = g^i), so
-  a failure at such a word is never the first one.
+- g^i g^j v_k and g^i v2 v1 with i >= 2 resolve once every reduced
+  overlap does, so a failure at such a word is never the first one.
 
-The last point, by induction on i.  For m in Z/N let Phi_m be the linear
-map on the span of the words v_r g^c and g^c with
+The last point for g^i g^j v_k, by induction on i.  For m in Z/N let
+Phi_m be the linear map on the span of the words v_r g^c and g^c with
 
     Phi_m(v_r g^c) = R_{m,r} g^c,   Phi_m(g^c) = g^{m+c},
 
@@ -57,11 +56,29 @@ and on g^c both Phi_{j+1} and Phi_1 Phi_j give g^{j+1+c}.  So if every
 g g^j v_k resolves, then Phi_{j+1} = Phi_1 Phi_j for every j, hence
 Phi_m = Phi_1^m for all m, with Phi_1^N = Phi_0 the identity.  The two
 reducts of g^i g^j v_k then reduce to Phi_{i+j}(v_k) = Phi_1^{i+j}(v_k) and
-Phi_i(Phi_j(v_k)) = Phi_1^{i+j}(v_k), which agree.  This induction does
-not cover the g^i v2 v1 overlaps, so each of them is reduced.
+Phi_i(Phi_j(v_k)) = Phi_1^{i+j}(v_k), which agree.
 
-So the check costs 3(N-1) reductions of two reducts each and O(N)
-redex tests.
+The last point for g^i v2 v1.  Let B be the algebra of the g^i g^j and
+g^i v_k rules alone, with normal form beta.  Its overlaps are g^i g^j g^k
+and g^i g^j v_k, so once every g g^j v_k resolves, B is confluent: beta is
+well defined, beta(uw) = beta(beta(u) beta(w)), and B is associative.  Put
+
+    r = v2 v1 - v1 v2 - kappa(v2 ^ v1).
+
+On words of v-degree <= 2, leftmost rewriting is beta followed by the
+v2 v1 rule: that rule is the leftmost redex only in a word v2 v1 g..g (a
+g left of v2 would be a redex further left), where it commutes with
+merging the g letters.  On a beta-normal element the v2 v1 rule turns
+each v2 v1 g^c into v1 v2 g^c + kappa(v2 ^ v1) g^c, that is, it subtracts
+r g^c; so it sends the element to 0 iff the element lies in r.FG.  The
+two reducts of g^i v2 v1 have the beta-normal forms g^i.v2.v1 and
+g^i.(v1 v2 + kappa), products in B that differ by g^i.r.  So g^i v2 v1
+resolves iff g^i.r lies in r.FG.  The reduced overlap g v2 v1 resolves,
+so g.r = r.y for some y in FG, and then g^i.r = g^{i-1}.r.y = ... = r.y^i
+in B.
+
+So the check costs 2N-1 reductions of two reducts each and O(N) redex
+tests.
 
 The lambda-table signs are forced: resolving the overlap word g.v2.v1 both
 ways requires kappa = -lambda(g tensor v1)-compatible signs, and resolving
@@ -77,7 +94,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import Field, Scalar
 from .group_action import DEFAULT_ORDER_BOUND, CyclicGroup, group_from_generator
-from .linalg import Matrix
 
 Letter = Tuple[str, int]          # ("v", 1|2) or ("g", 1..N-1)
 Word = Tuple[Letter, ...]
@@ -147,16 +163,16 @@ def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
         - c * gamma(g^i tensor v2) g
 
     where kappa = c * (v2 tensor g); any other kappa shape is out of reach
-    of this instantiated formula and is refused.  For the builtin tables
+    of this instantiated formula and is refused, and so is a generator that
+    is not a transvection (`CyclicGroup.element`'s flag: codim 1 and
+    (1 - g)^2 = 0).  For the builtin tables
     the three terms evaluate to C(i+1,2)(i+1), -i C(i+2,2), and C(i+1,2)
     times g^{i+2}, which sum to zero identically in the integers.
     """
     gr = params.group
     f = gr.field
     N = gr.order
-    ident = Matrix.identity(f, gr.n)
-    one_minus = ident - gr.generator
-    if gr.generator == ident or not (one_minus @ one_minus).is_zero():
+    if not gr.element(1 % N).transvection:
         raise ValueError("square bracket formula requires a transvection generator")
     if any(x != 0 for x in params.kappa_v1):
         raise UnsupportedKappaShape("kappa has a v1 component")
@@ -298,9 +314,6 @@ class RewriteSystem:
                     work[nw] = acc
         return AlgebraElement(f, done)
 
-    def alphabet(self) -> List[Letter]:
-        return [("v", 1), ("v", 2)] + [("g", c) for c in range(1, self.N)]
-
 
 def orbifold_algebra(params: DeformationParams) -> RewriteSystem:
     return RewriteSystem(params)
@@ -316,7 +329,7 @@ class ConfluenceReport:
 
 def _reduced_overlaps(N: int):
     """The overlaps confluence_check reduces, in alphabet order: g v2 v1,
-    g g^j v_k for j = 1..N-1 and k = 1, 2, then g^i v2 v1 for i >= 2."""
+    then g g^j v_k for j = 1..N-1 and k = 1, 2."""
     if N < 2:
         return
     g, v1, v2 = ("g", 1), ("v", 1), ("v", 2)
@@ -324,17 +337,16 @@ def _reduced_overlaps(N: int):
     for j in range(1, N):
         yield g, ("g", j), v1
         yield g, ("g", j), v2
-    for i in range(2, N):
-        yield ("g", i), v2, v1
 
 
 def confluence_check(rs: RewriteSystem) -> ConfluenceReport:
-    """Reduce both one-step reducts of the overlaps g v2 v1, g g^j v_k and
-    g^i v2 v1, in alphabet order, and demand one common normal form; the
-    module docstring proves that every other overlap then resolves.  A
-    candidate is skipped unless `rs.redex_positions` flags both of its
-    pairs, so subclasses with fewer rules still work.  words_checked counts
-    the overlaps reduced: 3(N-1) for the builtin rules."""
+    """Reduce both one-step reducts of the overlaps g v2 v1 and g g^j v_k,
+    in alphabet order, and demand one common normal form; the module
+    docstring proves that every other overlap then resolves.  A candidate
+    is skipped unless `rs.redex_positions` flags both of its pairs, so
+    subclasses with fewer rules still work.  words_checked counts the
+    overlaps reduced: 2N-1 for the builtin rules, at a cost of 2N-1
+    reductions of two reducts each and O(N) redex tests."""
     count = 0
     for w in _reduced_overlaps(rs.N):
         if rs.redex_positions(w) != [0, 1]:
@@ -360,8 +372,14 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
     the irreducible words are exactly the PBW-shaped v1^a v2^b g^c.
     Requires a passed confluence check.
 
-    Both parts read only words of length <= 2:
+    Both parts read only words of length <= 2 in three letters:
 
+    - Letter classes.  `redex_positions` reads only whether a letter is v1,
+      v2 or some g^c, as every g^i g^j and g^i v_k rule does (v2 v1 is the
+      only other redex), and so does `_pbw_shaped`.  So a word is
+      irreducible, or shaped, iff the word of its classes is, with g^1
+      standing for each of the N-1 letters g^c.  A subclass whose
+      `redex_positions` reads more than the class is outside this proof.
     - Shape.  `redex_positions` flags a position l exactly when the pair
       (w[l], w[l+1]) is a redex, so a word is irreducible iff each of its
       length-2 factors is.  `_pbw_shaped` reads the word left to right;
@@ -369,23 +387,29 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
       v2: 1, g: 2), and whether the next letter is allowed depends only on
       that stage, so a word is shaped iff each of its length-2 factors is.
       Words of length <= 1 are both.  Two such predicates agree on every
-      word once they agree on every word of length <= 2.  Those words are
-      checked by length, then in alphabet order, as full enumeration would
-      visit them, so a mismatch names the same first word; for d < 1 only
-      length <= d+1 is checked, as full enumeration would.
+      word once they agree on the 13 class words of length <= 2.  Those are
+      checked by length, then in the order v1, v2, g; a letter of a smaller
+      class comes first in alphabet order, and g^1 is the least g letter,
+      so a mismatch names the same first word as full enumeration in
+      alphabet order; for d < 1 only length <= d+1 is checked, as full
+      enumeration would.
     - Count.  A word of length >= 2 is irreducible iff its length-2 factors
       are, so the irreducible words of length L+1 are the irreducible words
       of length L, ending in some x, extended by a letter y with xy
-      irreducible.  A dynamic programme over (last letter, v-degree) counts
-      them from the length-2 `is_normal` table.  The closed form is only
+      irreducible.  A dynamic programme over (class of the last letter,
+      v-degree) counts them from the length-2 `is_normal` table, with y
+      taken once per letter of its class.  The closed form is only
       `expected`, so a wrong rule table still gives a wrong count.
 
-    Cost O(d^2 (N+1)^2) steps and (N+1)^2 + N + 2 `is_normal` calls, where
+    Cost O(d^2) steps and at most 13 `is_normal` calls at any N, where
     enumerating the words of length <= d+1 takes (N+1)^(d+1).
     """
     if not confluence.ok:
         raise PrerequisiteFailed("rewrite system is not confluent: %s" % confluence.witness)
-    letters = rs.alphabet()
+    # the class representatives v1, v2, g; no g class when N = 1
+    letters = [("v", 1), ("v", 2), ("g", 1)][:3 if rs.N > 1 else 2]
+    size = [1, 1, rs.N - 1]
+    vdeg = [1, 1, 0]
     normal: Dict[Word, bool] = {}
     words: List[Word] = [()]
     for length in range(min(d + 2, 3)):
@@ -397,18 +421,18 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
                 raise AssertionError("normal form shape mismatch at %s" % word_str(w))
     count = 0
     if d >= 0:
-        vdeg = [1 if kind == "v" else 0 for (kind, _) in letters]
         # ways[x][k]: irreducible words of the current length that end in
-        # letters[x] and have v-degree k
+        # a letter of class x and have v-degree k
         ways = [[0] * (d + 1) for _ in letters]
         for x, l in enumerate(letters):
             if normal[(l,)] and vdeg[x] <= d:
-                ways[x][vdeg[x]] += 1
+                ways[x][vdeg[x]] += size[x]
         count = int(normal[()]) + sum(map(sum, ways))
         follows = [[x for x, lx in enumerate(letters) if normal[(lx, ly)]]
                    for ly in letters] if d >= 1 else []
         for _ in range(d):
-            ways = [[sum(ways[x][k - vdeg[y]] for x in follows[y]) if k >= vdeg[y] else 0
+            ways = [[size[y] * sum(ways[x][k - vdeg[y]] for x in follows[y])
+                     if k >= vdeg[y] else 0
                      for k in range(d + 1)] for y in range(len(letters))]
             count += sum(map(sum, ways))
     expected = rs.N * ((d + 2) * (d + 1) // 2)

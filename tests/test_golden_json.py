@@ -98,8 +98,8 @@ N8_COMPARE_DIGEST = "2a66fe45d05d9fa81ea4f06c54c18bf898df669d29286d68830c7432446
 
 # p -> digest of deform --json --deform-prime p
 DEFORM_DIGESTS = {
-    3: "f9f67c15e6629f06a9aee1833fbc96433c87d69485acf1fa4c990c40973921ac",
-    5: "ee57826326fbef30b41cab39998fbc68fe2fbec4f0331884d1cc47c25d7511ac",
+    3: "e3615c6bdf283f573efcb32c2957e62e6ccf48b4ed9d3bba1fa06b58d38f4d84",
+    5: "dc2a5d6c29e28e840d08321640bc264fcf57cc08abb0ae0bcfc6815873dd8970",
 }
 
 

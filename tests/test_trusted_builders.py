@@ -3,10 +3,10 @@
 The oracle and group-action builders assemble their matrices with
 `Matrix._of`, which does not coerce, and so do the products and the
 stored RREF rows of the cocycle conditions.  On random invertible generators
-(n <= 4 over F_3, F_5, F_7, and signed permutations over Q) every matrix
-they return must hold canonical field elements, an int in [0, p) or a
-Fraction, and equal its coerced copy `Matrix(field, m.rows)`; a builder
-that hands `_of` an unreduced value fails here.
+(n <= 4 over F_3, F_5, F_7, dense and sparse, and signed permutations over
+Q) every matrix they return must hold canonical field elements, an int in
+[0, p) or a Fraction, and equal its coerced copy `Matrix(field, m.rows)`;
+a builder that hands `_of` an unreduced value fails here.
 """
 
 from fractions import Fraction
@@ -35,11 +35,20 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 
 
 @st.composite
-def prime_generators(draw, max_n=4):
+def prime_generators(draw, max_n=4, min_n=1, sparse=st.booleans()):
+    """Invertible n x n generators over F_3, F_5 or F_7, dense or sparse as
+    `sparse` draws.  A sparse one is 1 + E with three in four entries of E
+    drawn as zero, so that 1 - g, and with it every 1 - h, often has a zero
+    row, which dense entries almost never give."""
     f = Field.prime(draw(st.sampled_from([3, 5, 7])))
-    n = draw(st.integers(1, max_n))
-    rows = draw(st.lists(st.lists(st.integers(-f.p, 2 * f.p), min_size=n, max_size=n),
-                         min_size=n, max_size=n))
+    n = draw(st.integers(min_n, max_n))
+    entry = st.integers(-f.p, 2 * f.p)
+    sparse = draw(sparse)
+    if sparse:
+        entry = st.tuples(st.sampled_from([0, 0, 0, 1]), entry).map(lambda t: t[0] * t[1])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if sparse:
+        rows = [[x + (r == c) for c, x in enumerate(row)] for r, row in enumerate(rows)]
     assume(Matrix(f, rows).det() != 0)
     return f, rows
 
