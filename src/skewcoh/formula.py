@@ -51,7 +51,7 @@ class CohomologyReport:
 def identity_contribution(gr: CyclicGroup) -> SummandReport:
     # CyclicGroup.transfer asserts that im T lies in V^G
     piece1 = gr.invariants().dim - gr.transfer().dim
-    piece2 = chi_invariants(gr.induced_action(1 % gr.order), gr.field.one()).dim
+    piece2 = chi_invariants(gr.induced_action(1 % gr.order), gr.field.one())
     pieces = (("(V^G/im T)*", piece1), ("(V tensor wedge2 V*)^G", piece2))
     return SummandReport(0, "identity", pieces, piece1 + piece2)
 
@@ -63,7 +63,7 @@ def codim1_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     chi = ed.chi_of_generator
     piece_f = 1 if chi == gr.field.one() else 0
     # generator's action on V/V_h tensor (V^h)*
-    piece_t = chi_invariants(kron(*gr.subgroup_actions(i)), chi).dim
+    piece_t = chi_invariants(kron(*gr.subgroup_actions(i)), chi)
     pieces = (("F^{chi_h}", piece_f), ("(V/V_h tensor (V^h)*)^{chi_h}", piece_t))
     return SummandReport(i, "codim1", pieces, piece_f + piece_t)
 
@@ -72,7 +72,7 @@ def codim2_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     ed = gr.element(i)
     if ed.codim != 2:
         raise WrongCaseError("element %d has codim %d, expected 2" % (i, ed.codim))
-    piece = chi_invariants(gr.subgroup_actions(i)[0], ed.chi_of_generator).dim
+    piece = chi_invariants(gr.subgroup_actions(i)[0], ed.chi_of_generator)
     return SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece)
 
 

@@ -13,7 +13,8 @@ g^{-1} restricted to the g-stable V^h is the inverse of g there, so each
 dual action is a transpose (`Matrix.inverse` is kept only for the
 benchmark's tracer).  An empty module is a 0x0 matrix, which the linear
 algebra handles like any other (det 1, a 0x0 transpose, a 0x0 Kronecker
-product, an eigenspace of dimension 0), so no caller tests for one.
+product, rank 0 and so chi-invariants of dimension 0), so no caller tests
+for one.
 
 All of this depends only on the subgroup <g^i>, so `CyclicGroup.element`
 derives it once per divisor d of N = |G|, at h = g^d, and `element(i)`
@@ -46,7 +47,7 @@ from itertools import chain
 from typing import List, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
-from .linalg import Matrix, Subspace, eigenspace, image_basis, kernel_basis
+from .linalg import Matrix, Subspace, image_basis, kernel_basis, rank
 
 DEFAULT_ORDER_BOUND = 10000
 
@@ -261,7 +262,13 @@ def group_from_generator(field: Field, rows, order_bound: int = DEFAULT_ORDER_BO
     return CyclicGroup(Matrix(field, rows), order_bound=order_bound)
 
 
-def chi_invariants(action_of_g: Matrix, chi_value) -> Subspace:
-    """chi-isotypic invariants: for a cyclic group this is the eigenspace of
-    the generator's action at chi(g)."""
-    return eigenspace(action_of_g, chi_value)
+def chi_invariants(action_of_g: Matrix, chi_value) -> int:
+    """The dimension of the chi-isotypic invariants: for a cyclic group,
+    that of the eigenspace of the generator's action at chi(g), which is
+    ncols - rank(action - chi(g) I), one elimination."""
+    m = action_of_g
+    if m.nrows != m.ncols:
+        raise ValueError("not square")
+    c = m.field.coerce(chi_value)
+    return m.ncols - rank(m._reduced([x - c if i == j else x for j, x in enumerate(r)]
+                                     for i, r in enumerate(m.rows)))

@@ -18,10 +18,9 @@ from skewcoh import (
     Matrix,
     Scalar,
     SummandReport,
-    chi_invariants,
     cochain_dim,
+    eigenspace,
     group_from_generator,
-    identity_contribution,
     image_basis,
     kernel_basis,
     kron,
@@ -235,17 +234,22 @@ def reference_report(gr: CyclicGroup) -> CohomologyReport:
         ref = reference_element(gr, i)
         quot, chi = ref["quotient_action"], ref["chi_of_generator"]
         if ref["codim"] == 0:
-            out.append(identity_contribution(gr))
+            piece1 = (reference_element(gr, 1 % gr.order)["fixed_space"].dim
+                      - image_basis(transfer_matrix(gr)).dim)
+            piece2 = eigenspace(gr.induced_action(1 % gr.order), f.one()).dim
+            out.append(SummandReport(i, "identity", (("(V^G/im T)*", piece1),
+                                                     ("(V tensor wedge2 V*)^G", piece2)),
+                                     piece1 + piece2))
         elif ref["codim"] == 1:
             dual_fix = ref["dual_fixed_action"]
             piece_f = 1 if chi == f.one() else 0
-            piece_t = (chi_invariants(kron(quot, dual_fix), chi).dim
+            piece_t = (eigenspace(kron(quot, dual_fix), chi).dim
                        if quot.nrows and dual_fix.nrows else 0)
             out.append(SummandReport(i, "codim1", (("F^{chi_h}", piece_f),
                                                    ("(V/V_h tensor (V^h)*)^{chi_h}", piece_t)),
                                      piece_f + piece_t))
         elif ref["codim"] == 2:
-            piece = chi_invariants(quot, chi).dim if quot.nrows else 0
+            piece = eigenspace(quot, chi).dim if quot.nrows else 0
             out.append(SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece))
         else:
             out.append(SummandReport(i, "vanishing", (("codim > 2", 0),), 0))

@@ -1,5 +1,7 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcoh import (
     CochainTwo,
@@ -16,8 +20,10 @@ from skewcoh import (
     cli,
     coboundary_matrix,
     cochain_dim,
+    formula,
     full_report,
     group_action,
+    linalg,
     oracle,
     reduce_to_representative,
     representative_basis,
@@ -361,7 +367,7 @@ def test_transfer_outside_the_invariants_is_verification_failure(job, capsys, mo
 
 
 def _raise(*args):
-    raise AssertionError("Field arithmetic or Matrix.inverse called")
+    raise AssertionError("a function this test patched out was called")
 
 
 def test_library_calls_no_field_arithmetic_and_no_matrix_inverse(job, capsys, monkeypatch):
@@ -386,6 +392,64 @@ def test_library_calls_no_field_arithmetic_and_no_matrix_inverse(job, capsys, mo
             cob = coboundary_matrix(gr, i).apply(range(1, gr.n + 1))
             gamma = CochainTwo.from_flat(gr.field, gr.n, i, [x + y for x, y in zip(rep, cob)])
             assert reduce_to_representative(gr, gamma)[0].flat() == rep
+
+
+
+def test_formula_reads_no_eigenspace_and_no_kernel_vectors(job, capsys, monkeypatch):
+    # every summand reads only the dimension of its chi-invariants, one rank:
+    # once the element records (whose fixed spaces are kernels) are built,
+    # neither eigenspace nor kernel_basis is called on the formula route
+    for name, (field, rows, *_) in sorted(SUITE.items()):
+        gr = suite_group(name)
+        for i in range(gr.order):
+            gr.element(i)
+        want = full_report(gr)
+        path = job({"field": {"type": "rational"} if field.p is None else
+                    {"type": "prime", "p": field.p}, "generator": rows}, name + ".json")
+        assert main(["analyze", "--json", "--nonmodular-check", path]) == EXIT_PASS
+        want_out = capsys.readouterr().out
+        with monkeypatch.context() as mp:
+            for mod in (formula, group_action, linalg):
+                for fn in ("eigenspace", "kernel_basis"):
+                    if hasattr(mod, fn):
+                        mp.setattr(mod, fn, _raise)
+            assert full_report(gr) == want, name
+            mp.setattr(cli, "build_group", lambda args: gr)
+            assert main(["analyze", "--json", "--nonmodular-check", path]) == EXIT_PASS
+        assert capsys.readouterr().out == want_out, name
+
+
+# -- the --json writer -------------------------------------------------------------
+
+def _printed(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json(doc)
+    return out.getvalue()
+
+
+# every kind of character json escapes or passes through: quotes, backslashes,
+# control characters, DEL, non-ASCII, beyond the BMP, and lone surrogates
+json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\udfff\U0001f600'),
+                              st.characters(exclude_categories=())))
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(json_text, kids)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(json_trees)
+def test_print_json_writes_the_text_of_json_dumps(doc):
+    assert _printed(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.0, {"x": [0.5]}, {1: "a"}, {2, 3}],
+                         ids=["float", "nested float", "int key", "set"])
+def test_print_json_refuses_what_it_cannot_write_exactly(doc):
+    with pytest.raises(TypeError):
+        _printed(doc)
 
 
 # -- order bound -----------------------------------------------------------------

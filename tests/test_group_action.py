@@ -1,7 +1,11 @@
 """Per-element group geometry: orders, fixed/moved spaces, the transfer
 map, characters, reflections, and the induced module actions."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewcoh import (
     CyclicGroup,
@@ -12,6 +16,7 @@ from skewcoh import (
     OrderExceedsBoundError,
     Subspace,
     chi_invariants,
+    eigenspace,
     group_from_generator,
     image_basis,
     kron,
@@ -242,17 +247,43 @@ def test_quotient_by_unstable_subspace():
 # -- chi invariants ----------------------------------------------------------------
 
 def test_chi_invariants_trivial():
-    assert chi_invariants(Matrix.identity(F5, 2), 1) == full(F5, 2)
+    assert chi_invariants(Matrix.identity(F5, 2), 1) == 2
 
 
 def test_chi_invariants_sign():
     g = Matrix(F5, [[1, 0], [0, -1]])
-    assert chi_invariants(g, -1) == Subspace(F5, 2, [[0, 1]])
+    assert chi_invariants(g, -1) == 1      # the span of e2
 
 
 def test_chi_invariants_unipotent_has_no_sign_part():
     g = Matrix(F3, [[1, 1], [0, 1]])
-    assert chi_invariants(g, -1).dim == 0
+    assert chi_invariants(g, -1) == 0
+
+
+@st.composite
+def square_matrices_and_values(draw):
+    """A square matrix over F_3, F_5, F_7 or Q, 0x0 included, with half its
+    entries zero and often nothing below the diagonal, and a value that is
+    often a diagonal entry, so that eigenspaces of every dimension occur."""
+    field = draw(st.sampled_from([F3, F5, Field.prime(7), Q]))
+    n = draw(st.integers(0, 5))
+    value = (st.integers(-3, 3) if field.p is not None else
+             st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])))
+    entry = st.one_of(st.just(0), value)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[x if j >= i else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    c = draw(st.one_of(value, st.sampled_from([r[i] for i, r in enumerate(rows)] or [0])))
+    return Matrix(field, rows, ncols=n), c
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(square_matrices_and_values())
+def test_chi_invariants_is_the_eigenspace_dimension(mc):
+    m, c = mc
+    d = chi_invariants(m, c)
+    assert type(d) is int
+    assert d == eigenspace(m, c).dim
 
 
 # -- reflections -------------------------------------------------------------------
