@@ -93,7 +93,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field, Scalar
-from .group_action import DEFAULT_ORDER_BOUND, CyclicGroup, group_from_generator
+from .group_action import DEFAULT_ORDER_BOUND, CyclicGroup, group_from_generator, is_transvection
+from .linalg import Matrix, rank
 
 Letter = Tuple[str, int]          # ("v", 1|2) or ("g", 1..N-1)
 Word = Tuple[Letter, ...]
@@ -164,15 +165,17 @@ def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
 
     where kappa = c * (v2 tensor g); any other kappa shape is out of reach
     of this instantiated formula and is refused, and so is a generator that
-    is not a transvection (`CyclicGroup.element`'s flag: codim 1 and
-    (1 - g)^2 = 0).  For the builtin tables
+    is not a transvection (`is_transvection` on 1 - g, the test
+    `CyclicGroup.element` also uses, without deriving g's fixed and moved
+    spaces).  For the builtin tables
     the three terms evaluate to C(i+1,2)(i+1), -i C(i+2,2), and C(i+1,2)
     times g^{i+2}, which sum to zero identically in the integers.
     """
     gr = params.group
     f = gr.field
     N = gr.order
-    if not gr.element(1 % N).transvection:
+    one_minus_g = Matrix.identity(f, gr.n) - gr.generator
+    if not is_transvection(one_minus_g, rank(one_minus_g)):
         raise ValueError("square bracket formula requires a transvection generator")
     if any(x != 0 for x in params.kappa_v1):
         raise UnsupportedKappaShape("kappa has a v1 component")

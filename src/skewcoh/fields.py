@@ -1,12 +1,21 @@
 """Exact scalar arithmetic over F_p (p an odd prime) or the rationals.
 
 Elements of F_p are plain ints in [0, p); rational scalars are
-fractions.Fraction.  A Field object is the input boundary: it coerces
-ints, Fractions and 'a/b' strings (never floats) and gives zero, one and
-the printed form.  The package combines scalars inline, with one % p per
-result over F_p; `Field.add/sub/mul/neg/inv/div` are kept only for the
-benchmark's tracer, which binds them by name.  Characteristic 2 is
-rejected outright (the theory assumes char F != 2 throughout).
+fractions.Fraction.  These are the canonical scalars.  A Field object is
+the input boundary: `Field.coerce` takes ints, Fractions and 'a/b' strings
+(never floats or bools) to canonical scalars, and the field gives zero,
+one and the printed form.  `coerce` settles the common cases by exact
+type before any isinstance test: a plain int is reduced mod p (over Q it
+becomes a Fraction), and a Fraction over Q is already canonical and is
+returned as it is.  Everything else takes the general checks.  Only
+vectors and matrices from outside the package are coerced (see the linalg
+module docstring); what the package builds itself is canonical already
+and skips `coerce`.
+
+The package combines scalars inline, with one % p per result over F_p;
+`Field.add/sub/mul/neg/inv/div` are kept only for the benchmark's tracer,
+which binds them by name.  Characteristic 2 is rejected outright (the
+theory assumes char F != 2 throughout).
 """
 
 from __future__ import annotations
@@ -103,7 +112,18 @@ class Field:
     # -- element construction ------------------------------------------
 
     def coerce(self, x) -> Scalar:
-        """Bring an int, Fraction, or 'a/b' string into the field."""
+        """Bring an int, Fraction, or 'a/b' string into the field.
+
+        A plain int, and a Fraction over Q, is settled by its exact type
+        first: `isinstance(x, Fraction)` goes through the ABC machinery and
+        costs more than the reduction itself.  Anything else, bool, an int
+        subclass, a Fraction over F_p, str and float included, takes the
+        general checks below."""
+        t = type(x)
+        if t is int:
+            return Fraction(x) if self.p is None else x % self.p
+        if t is Fraction and self.p is None:
+            return x
         if isinstance(x, str):
             x = Fraction(x)
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):

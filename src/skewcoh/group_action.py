@@ -93,12 +93,22 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a._reduced(rows, a.ncols * b.ncols)
 
 
+def _acts_on(m: Matrix, sub: Subspace) -> None:
+    """Raise ValueError unless m is a square matrix over sub's field on
+    sub's ambient space, once, so the vectors below go through the trusted
+    `_apply` and `_coordinates`."""
+    if m.field != sub.field or m.nrows != sub.ambient or m.ncols != sub.ambient:
+        raise ValueError("a %dx%d matrix over %r does not act on F^%d over %r"
+                         % (m.nrows, m.ncols, m.field, sub.ambient, sub.field))
+
+
 def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
     """Matrix of m on the invariant subspace, in the subspace's RREF basis."""
+    _acts_on(m, sub)
     f = m.field
     cols = []
     for u in sub.basis.rows:
-        coords, rest = sub.coordinates(m.apply(u))
+        coords, rest = sub._coordinates(m._apply(u))
         if any(rest):
             raise NotGStableError("subspace is not preserved")
         cols.append(coords)
@@ -108,12 +118,19 @@ def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
 def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
     """Matrix of the action induced by m on V/sub, in the pivot-completion
     complement coordinates; sub must be m-stable."""
+    _acts_on(m, sub)
     f = m.field
     for u in sub.basis.rows:
-        if not sub.contains(m.apply(u)):
+        if any(sub._coordinates(m._apply(u))[1]):
             raise NotGStableError("subspace is not preserved")
-    cols = [sub.coordinates(m.apply(w))[1] for w in sub.complement().basis.rows]
+    cols = [sub._coordinates(m._apply(w))[1] for w in sub.complement().basis.rows]
     return Matrix._of(f, zip(*cols), len(cols))
+
+
+def is_transvection(one_minus_h: Matrix, codim: int) -> bool:
+    """Whether h is a transvection, read from 1 - h and its rank codim:
+    codimension 1 and (1 - h)^2 = 0."""
+    return codim == 1 and (one_minus_h @ one_minus_h).is_zero()
 
 
 @dataclass(frozen=True)
@@ -187,7 +204,7 @@ class CyclicGroup:
         return ElementData(
             fixed_space=fixed, moved_space=moved, codim=codim,
             chi_of_generator=quotient_matrix(self.generator, fixed).det(),
-            transvection=codim == 1 and (one_minus @ one_minus).is_zero())
+            transvection=is_transvection(one_minus, codim))
 
     def subgroup_actions(self, i: int) -> Tuple[Matrix, Matrix]:
         """The actions of g on V/V_h and on (V^h)* for h = g^i, which the

@@ -9,12 +9,20 @@ bases) is deterministic.
 
 Coercion happens only at the input boundary: `Matrix(field, rows)`,
 `Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`,
-`Subspace.coordinates` and `solve` go through `Field.coerce`.  Every
-matrix this module derives, and the matrices the oracle and group-action
-builders assemble, go through the trusted `Matrix._of`, whose entries
-must already be canonical: an int in [0, p) over F_p, a Fraction over Q.
-`+`, `-`, `@`, `stack` and `augment` check once per call that both
-operands are over the same field, so entries of two fields never mix.
+`Subspace.coordinates` and `solve` go through `Field.coerce`, once per
+entry.  Each of these has a trusted twin that takes canonical entries (an
+int in [0, p) over F_p, a Fraction over Q) and checks nothing:
+`Matrix._of`, `Subspace._of`, `Matrix._apply` and `Subspace._coordinates`
+(and, in the oracle, `CochainTwo._of` for `CochainTwo.from_flat`).  The
+public form coerces and checks lengths, then calls its twin.  Every matrix
+this module derives, and the matrices the oracle and group-action builders
+assemble, go through `Matrix._of`; `restricted_matrix` and
+`quotient_matrix` apply a matrix to RREF basis rows through the trusted
+twins; `representative_basis` turns kernel rows into cochains through
+`CochainTwo._of`; and `reduce_to_representative` coerces its cochain once
+on entry and works on canonical vectors from there.  `+`, `-`, `@`,
+`stack` and `augment` check once per call that both operands are over the
+same field, so entries of two fields never mix.
 The loops below do their arithmetic inline on those entries, with no
 `Field` method dispatch: over F_p on plain ints with one `% p` per result
 entry; over Q the elimination and the product run on ints too (below),
@@ -54,8 +62,9 @@ The product `a @ b` is row-sparse for the same reason: it lists the nonzero
 product from the nonzeros of row t of a alone, reducing each output entry
 once.  Over Q it first clears b by one common denominator db and each row
 of a by its own da, accumulates on ints and builds one Fraction (over
-da * db) per nonzero output entry.  `_dot` serves `Matrix.apply` and
-`char_poly`.
+da * db) per nonzero output entry.  `_dot` serves `char_poly`, and
+`Matrix.apply` over Q; over F_p a dot product is `sum(map(mul, a, b)) % p`,
+the products and their sum in C and one reduction.
 
 The Q loops read the Fraction slots `_numerator` and `_denominator`
 rather than the public `numerator` and `denominator` properties: a slot
@@ -67,6 +76,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar
@@ -193,7 +203,14 @@ class Matrix:
         v = [f.coerce(x) for x in v]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(_dot(f, r, v) for r in self.rows)
+        return self._apply(v)
+
+    def _apply(self, v: Sequence) -> Vector:
+        """Trusted `apply`: v holds ncols canonical scalars; nothing is checked."""
+        p = self.field.p
+        if p is None:
+            return tuple(_dot(self.field, r, v) for r in self.rows)
+        return tuple(sum(map(mul, r, v)) % p for r in self.rows)
 
     def transpose(self) -> "Matrix":
         cols = zip(*self.rows) if self.rows else [()] * self.ncols
@@ -228,8 +245,11 @@ class Matrix:
 
 
 def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
-    s = sum((x * y for x, y in zip(a, b) if x), f.zero())
-    return s if f.p is None else s % f.p
+    """sum a[k] b[k]: over F_p one C-level sum of products and one % p,
+    over Q a Fraction sum that skips the zeros of a."""
+    if f.p is None:
+        return sum((x * y for x, y in zip(a, b) if x), f.zero())
+    return sum(map(mul, a, b)) % f.p
 
 
 def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...], Scalar]:
@@ -367,11 +387,15 @@ class Subspace:
             basis = Matrix._of(m.field, red.rows[:len(piv)], m.ncols)
         else:
             basis, piv = m, ()
-        object.__setattr__(self, "field", m.field)
-        object.__setattr__(self, "ambient", m.ncols)
+        self._set(basis, piv)
+
+    def _set(self, basis: Matrix, pivots: Tuple[int, ...]) -> None:
+        """Hold basis, which must be in RREF with these pivot columns."""
+        object.__setattr__(self, "field", basis.field)
+        object.__setattr__(self, "ambient", basis.ncols)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", basis.nrows)
-        object.__setattr__(self, "_pivots", piv)
+        object.__setattr__(self, "_pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -399,10 +423,15 @@ class Subspace:
         lies in the subspace iff q is zero, and q gives the coordinates on
         F^ambient / self."""
         f = self.field
-        p = f.p
         v = [f.coerce(x) for x in v]
         if len(v) != self.ambient:
             raise ValueError("vector length mismatch")
+        return self._coordinates(v)
+
+    def _coordinates(self, v: Sequence) -> Tuple[List[Scalar], List[Scalar]]:
+        """Trusted `coordinates`: v holds ambient canonical scalars; nothing
+        is checked."""
+        p = self.field.p
         a = []
         # reduce v against the RREF basis, one pivot column at a time
         for brow, c in zip(self.basis.rows, self._pivots):
@@ -419,11 +448,15 @@ class Subspace:
         return all(self.contains(r) for r in other.basis.rows)
 
     def complement(self) -> "Subspace":
-        """Pivot-completion complement: standard basis vectors at non-pivot columns."""
+        """Pivot-completion complement: standard basis vectors at non-pivot
+        columns.  They are already an RREF basis, pivoting at those columns,
+        so nothing is eliminated."""
         pivset = set(self._pivots)
+        free = tuple(j for j in range(self.ambient) if j not in pivset)
         unit = Matrix.identity(self.field, self.ambient).rows
-        return Subspace._of(self.field, self.ambient,
-                            [e for j, e in enumerate(unit) if j not in pivset])
+        s = object.__new__(Subspace)
+        s._set(Matrix._of(self.field, [unit[j] for j in free], self.ambient), free)
+        return s
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, wedge_pairs, sym_pairs, wedge2_matrix
@@ -104,12 +104,18 @@ class CochainTwo:
 
     @staticmethod
     def from_flat(field: Field, n: int, i: int, flat) -> "CochainTwo":
-        w = len(wedge_pairs(n))
         flat = [field.coerce(x) for x in flat]
-        if len(flat) != n + w * n:
+        if len(flat) != cochain_dim(n):
             raise ValueError("flat vector has wrong length")
+        return CochainTwo._of(field, n, i, flat)
+
+    @staticmethod
+    def _of(field: Field, n: int, i: int, flat: Sequence[Scalar]) -> "CochainTwo":
+        """Trusted `from_flat`: flat holds cochain_dim(n) canonical scalars
+        (see Matrix._of); nothing is checked."""
         lam = tuple(flat[:n])
-        alpha = tuple(tuple(flat[n + k * n: n + (k + 1) * n]) for k in range(w))
+        alpha = tuple(tuple(flat[n + k * n: n + (k + 1) * n])
+                      for k in range(len(wedge_pairs(n))))
         return CochainTwo(field, n, i, lam, alpha)
 
 
@@ -389,7 +395,7 @@ def representative_basis(gr: CyclicGroup, i: int,
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
             % (ker.dim, pec.hh_dim, i))
-    return [CochainTwo.from_flat(gr.field, gr.n, i, row) for row in ker.basis_rows()]
+    return [CochainTwo._of(gr.field, gr.n, i, row) for row in ker.basis_rows()]
 
 
 def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[CochainTwo, CochainOne]:
@@ -401,26 +407,33 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
         raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
                          % (gamma.field, gamma.n, f, gr.n))
     pec = per_element_cohomology(gr, i)
-    flat = gamma.flat()
     cond = pec.cocycle_condition_matrix
-    if any(x != 0 for x in cond.apply(flat)):
+    # the input boundary: a hand-built gamma may hold entries >= p, or
+    # Fractions over F_p, so its entries are coerced once, here, and every
+    # vector below is canonical.  Its entries are scalars: a str is refused.
+    flat = gamma.flat()
+    if any(isinstance(x, str) for x in flat):
+        raise TypeError("cochain entries must be scalars, not strings")
+    flat = [f.coerce(x) for x in flat]
+    if len(flat) != cond.ncols:
+        raise ValueError("vector length mismatch")
+    if any(cond._apply(flat)):
         raise NotACocycleError("cochain violates the cocycle conditions")
     dmat = pec.coboundary_matrix
     dist = distinguished_constraints(gr, i)
     m = dist @ dmat
-    target = dist.apply(flat)
-    f0 = solve(m, target)
+    f0 = solve(m, dist._apply(flat))
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
-    correction = dmat.apply(f0)
+    correction = dmat._apply(f0)
     p = f.p
-    rep_flat = tuple(x - y if p is None else (x - y) % p for x, y in zip(flat, correction))
-    if any(x != 0 for x in dist.apply(rep_flat)):
+    rep_flat = [x - y if p is None else (x - y) % p for x, y in zip(flat, correction)]
+    if any(dist._apply(rep_flat)):
         raise AssertionError("representative escapes the distinguished subspace")
-    if any(x != 0 for x in cond.apply(rep_flat)):
+    if any(cond._apply(rep_flat)):
         raise AssertionError("representative is not a cocycle")
     # uniqueness: every f-freedom leaves the representative untouched
     for k in kernel_basis(m).basis_rows():
-        if any(x != 0 for x in dmat.apply(k)):
+        if any(dmat._apply(k)):
             raise AssertionError("distinguished representative is not unique")
-    return CochainTwo.from_flat(f, gr.n, i, rep_flat), CochainOne(i, f0)
+    return CochainTwo._of(f, gr.n, i, rep_flat), CochainOne(i, f0)

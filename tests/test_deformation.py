@@ -152,6 +152,20 @@ def test_square_bracket_refuses_the_identity_generator():
         square_bracket_transvection(zero_params(gr))
 
 
+def test_square_bracket_reads_the_transvection_flag_of_the_group():
+    """(1 - g)^2 = 0 at codimension 2 is refused; a transvection of F_3^3
+    is not, and the bracket's test agrees with `CyclicGroup.element`."""
+    f = Field.prime(3)
+    square_zero = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    gr = group_from_generator(f, square_zero)
+    assert not gr.element(1).transvection
+    with pytest.raises(ValueError):
+        square_bracket_transvection(zero_params(gr))
+    gr = group_from_generator(f, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    assert gr.element(1).transvection
+    assert square_bracket_transvection(zero_params(gr)) == [(0, 0, 0)] * 3
+
+
 def test_square_bracket_kappa_shape_guard():
     params = builtin_transvection_gamma(3)
     f = params.group.field
