@@ -47,8 +47,9 @@ or, from `coboundary_matrix`, just 1 - g.  Per element there remain
 1 - h, the lambda coupling of condition (2) (two entries on a copy of each
 twist row), condition (3) and the coboundary's alpha rows, all built entry
 by entry with plain int or Fraction arithmetic (one `% p` per entry over
-F_p), and then, on every complex, the d^2 = 0 product, `rank` of the
-coboundary matrix and one `rref` of the conditions.
+F_p), and then, on every complex, the d^2 = 0 product, and in
+`per_element_cohomology` `rank` of the coboundary matrix and one `rref` of
+the conditions.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -58,14 +59,18 @@ columns, so the cut is "alpha(e_a ^ e_b)_c = 0 for every pivot column c of
 V_h", with no matrix inverse.  Distinguished constraints are built only by
 `representative_basis` and `reduce_to_representative`.
 
-`per_element_cohomology` builds each complex and eliminates its cocycle
-conditions once: z is read from the pivots of their RREF, and
+`_guarded_complex` builds the conditions and the coboundary matrix of one
+element and multiplies the unreduced conditions by the coboundary matrix,
+the d^2 = 0 check, every time a complex is built.
+`per_element_cohomology` then eliminates the conditions once: z is read
+from the pivots of their RREF, and
 `PerElementComplex.cocycle_condition_matrix` keeps the nonzero RREF rows
-(the same kernel, in at most cochain_dim rows).  `representative_basis`
-stacks the distinguished cut under those rows, and
-`reduce_to_representative` tests cocycle membership against them.  The
-d^2 = 0 check multiplies the unreduced conditions by the coboundary matrix
-every time a complex is built.
+(the same kernel, in at most cochain_dim rows), which
+`representative_basis` stacks the distinguished cut under.
+`reduce_to_representative` eliminates nothing of the complex: it tests
+cocycle membership against the condition rows as built, which have the
+same kernel and let a `NotACocycleError` name the first violated row of
+`cocycle_conditions`.
 """
 
 from __future__ import annotations
@@ -80,7 +85,15 @@ from .linalg import Matrix, kernel_basis, rank, rref, solve
 
 
 class NotACocycleError(ValueError):
-    pass
+    """A cochain outside Z^2_{-1}(h).  From reduce_to_representative it
+    carries the witness: h = g^element_index, and `row`, the first row of
+    cocycle_conditions(gr, element_index) that the cochain violates."""
+
+    def __init__(self, message: str, element_index: int | None = None,
+                 row: int | None = None):
+        super().__init__(message)
+        self.element_index = element_index
+        self.row = row
 
 
 class DimensionMismatchError(AssertionError):
@@ -353,8 +366,10 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     return Matrix._of(f, rows, dim)
 
 
-def per_element_cohomology(gr: CyclicGroup, i: int,
-                           rows: _GroupRows | None = None) -> PerElementComplex:
+def _guarded_complex(gr: CyclicGroup, i: int,
+                     rows: _GroupRows | None = None) -> Tuple[Matrix, Matrix]:
+    """The cocycle conditions and the coboundary matrix at h = g^i, as
+    built, once d^2 = 0 holds on them."""
     if not 0 <= i < gr.order:
         raise ValueError("element index %d outside 0..%d" % (i, gr.order - 1))
     if rows is None:
@@ -363,6 +378,12 @@ def per_element_cohomology(gr: CyclicGroup, i: int,
     cob = coboundary_matrix(gr, i, rows)
     if not (cond @ cob).is_zero():
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
+    return cond, cob
+
+
+def per_element_cohomology(gr: CyclicGroup, i: int,
+                           rows: _GroupRows | None = None) -> PerElementComplex:
+    cond, cob = _guarded_complex(gr, i, rows)
     b = rank(cob)
     red, piv = rref(cond)
     z = cond.ncols - len(piv)
@@ -400,14 +421,21 @@ def representative_basis(gr: CyclicGroup, i: int,
 
 def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[CochainTwo, CochainOne]:
     """The distinguished representative of gamma's class, plus the 1-cochain
-    witness f with gamma - d(f tensor h) distinguished."""
+    witness f with gamma - d(f tensor h) distinguished.
+
+    gamma and its representative are tested against the condition rows as
+    built, after the d^2 = 0 guard; neither the rank of the coboundaries
+    nor the RREF of the conditions is taken.  A non-cocycle raises
+    NotACocycleError with the element index and the first violated row of
+    cocycle_conditions(gr, i)."""
     i = gamma.element_index
     f = gr.field
     if gamma.field != f or gamma.n != gr.n:
         raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
                          % (gamma.field, gamma.n, f, gr.n))
-    pec = per_element_cohomology(gr, i)
-    cond = pec.cocycle_condition_matrix
+    # no elimination: the rows as built have the kernel Z of the stored
+    # RREF rows, and once d^2 = 0 holds, im d lies in Z, so b <= z
+    cond, dmat = _guarded_complex(gr, i)
     # the input boundary: a hand-built gamma may hold entries >= p, or
     # Fractions over F_p, so its entries are coerced once, here, and every
     # vector below is canonical.  Its entries are scalars: a str is refused.
@@ -417,9 +445,10 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     flat = [f.coerce(x) for x in flat]
     if len(flat) != cond.ncols:
         raise ValueError("vector length mismatch")
-    if any(cond._apply(flat)):
-        raise NotACocycleError("cochain violates the cocycle conditions")
-    dmat = pec.coboundary_matrix
+    bad = next((r for r, x in enumerate(cond._apply(flat)) if x), None)
+    if bad is not None:
+        raise NotACocycleError("cochain violates the cocycle conditions at element %d: "
+                               "first violated row %d of cocycle_conditions" % (i, bad), i, bad)
     dist = distinguished_constraints(gr, i)
     m = dist @ dmat
     f0 = solve(m, dist._apply(flat))

@@ -176,7 +176,8 @@ def test_per_element_dims_match_formula(suite_entry):
 
 def test_stored_cocycle_rows_are_the_reduced_conditions(suite_entry):
     # per_element_cohomology keeps the nonzero RREF rows of the conditions,
-    # which representative_basis and reduce_to_representative read
+    # which representative_basis reads (reduce_to_representative reads the
+    # rows as built)
     name, gr, order, codims, dims, imt = suite_entry
     for i in range(order):
         zrows = per_element_cohomology(gr, i).cocycle_condition_matrix
@@ -335,8 +336,10 @@ def test_reduce_kills_coboundaries():
 
 def test_reduce_rejects_non_cocycles():
     gr = suite_group("transvection_f3")
-    with pytest.raises(NotACocycleError):
+    with pytest.raises(NotACocycleError, match="violates the cocycle conditions at element 1: "
+                       "first violated row 0 of cocycle_conditions") as err:
         reduce_to_representative(gr, CochainTwo.from_flat(F3, 2, 1, (0, 0, 0, 2)))
+    assert (err.value.element_index, err.value.row) == (1, 0)
 
 
 def test_reduce_rejects_a_cochain_of_another_field():
@@ -393,6 +396,56 @@ def test_codim1_cocycles_vanish_on_fixed_wedge():
     assert ed.fixed_space == Subspace(F3, 3, [[1, 0, 0], [0, 1, 0]])
     for row in kernel_basis(cocycle_conditions(gr, i)).basis_rows():
         assert row[3:6] == (0, 0, 0)    # alpha(e1 ^ e2) coordinates
+
+
+# -- reduction without elimination ------------------------------------------------------
+
+REDUCE_GROUPS = ["transvection_f3", "jordan3_refl_f3", "diag_1_m1_f5", "rot4_q", "trivial_n3_q"]
+
+
+def reduce_inputs(gr):
+    """Per element: every class representative shifted by d(f tensor h),
+    and d(f tensor h) itself, for one f with entries 1..n."""
+    f = gr.field
+    out = []
+    for i in range(gr.order):
+        d = coboundary_matrix(gr, i).apply(list(range(1, gr.n + 1)))
+        out.append(CochainTwo.from_flat(f, gr.n, i, d))
+        for c in representative_basis(gr, i):
+            out.append(CochainTwo.from_flat(f, gr.n, i, [f.add(x, y) for x, y in zip(c.flat(), d)]))
+    return out
+
+
+def forbid_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("reduce_to_representative must not eliminate the complex")
+    for name in ("per_element_cohomology", "rank", "rref"):
+        monkeypatch.setattr(oracle, name, refuse)
+
+
+@pytest.mark.parametrize("name", REDUCE_GROUPS)
+def test_reduce_neither_builds_nor_eliminates_the_per_element_complex(name, monkeypatch):
+    gr = suite_group(name)
+    f = gr.field
+    gammas = reduce_inputs(gr)
+    expected = [reduce_to_representative(gr, g) for g in gammas]
+    # the last unit cochain that is not a cocycle at the last element
+    i = gr.order - 1
+    cond = cocycle_conditions(gr, i)
+    bad = next(e for e in reversed(Matrix.identity(f, cond.ncols).rows) if any(cond.apply(e)))
+    row = next(r for r, x in enumerate(cond.apply(bad)) if x)
+
+    forbid_elimination(monkeypatch)
+    assert [reduce_to_representative(gr, g) for g in gammas] == expected
+    with pytest.raises(NotACocycleError, match="cocycle conditions at element %d: first "
+                       "violated row %d of cocycle_conditions" % (i, row)) as err:
+        reduce_to_representative(gr, CochainTwo.from_flat(f, gr.n, i, bad))
+    assert (err.value.element_index, err.value.row) == (i, row)
+    perturb_coboundaries(monkeypatch)
+    for g in gammas:
+        with pytest.raises(AssertionError, match="coboundaries violate the cocycle conditions "
+                           "at element %d" % g.element_index):
+            reduce_to_representative(gr, g)
 
 
 # -- assembled complex ------------------------------------------------------------------

@@ -12,6 +12,14 @@ per-element split (conftest.assembled_complex) must also satisfy d^2 = 0,
 and its nullity and coboundary rank must be the sums of the per-element z
 and b; its matrices grow with |G| * dim, so larger orders would dominate
 the run.
+
+`reduce_to_representative` tests membership against the condition rows as
+built, not the RREF rows that `per_element_cohomology` keeps.  On the same
+groups, a random cochain must be refused with `NotACocycleError` exactly
+when the stored RREF rows reject it, the error naming the element and the
+first violated row of `cocycle_conditions`; a cocycle's representative
+must be gamma - d(f tensor h) for the returned f and satisfy the
+distinguished constraints.
 """
 
 import random
@@ -21,13 +29,17 @@ from hypothesis import strategies as st
 
 from skewcoh import (
     CochainTwo,
+    NotACocycleError,
     OrderExceedsBoundError,
+    coboundary_matrix,
     cochain_dim,
     cocycle_conditions,
+    distinguished_constraints,
     full_report,
     group_from_generator,
     kernel_basis,
     oracle_report,
+    per_element_cohomology,
     rank,
     reduce_to_representative,
     representative_basis,
@@ -50,11 +62,15 @@ def random_cocycle(gr, i, rng):
     return CochainTwo.from_flat(f, gr.n, i, flat)
 
 
-def check_routes(field, rows, seed):
+def bounded_group(field, rows):
     try:
-        gr = group_from_generator(field, rows, order_bound=MAX_ORDER)
+        return group_from_generator(field, rows, order_bound=MAX_ORDER)
     except OrderExceedsBoundError:
         assume(False)
+
+
+def check_routes(field, rows, seed):
+    gr = bounded_group(field, rows)
     rng = random.Random(seed)
     formula = full_report(gr).per_element
     report = oracle_report(gr)
@@ -80,3 +96,41 @@ def test_formula_equals_oracle_over_prime_fields(gen, seed):
 @given(signed_permutations(), st.integers(0, 2 ** 16))
 def test_formula_equals_oracle_on_signed_permutations(gen, seed):
     check_routes(*gen, seed)
+
+
+def check_reduce_membership(field, rows, seed):
+    gr = bounded_group(field, rows)
+    f = gr.field
+    rng = random.Random(seed)
+    i = rng.randrange(gr.order)
+    cond = cocycle_conditions(gr, i)
+    zrows = per_element_cohomology(gr, i).cocycle_condition_matrix
+    cob = coboundary_matrix(gr, i)
+    dist = distinguished_constraints(gr, i)
+    flats = [[f.coerce(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(cond.ncols)]
+             for _ in range(3)]
+    for gamma in [CochainTwo.from_flat(f, gr.n, i, v) for v in flats] + \
+            [random_cocycle(gr, i, rng)]:
+        flat = gamma.flat()
+        try:
+            rep, w = reduce_to_representative(gr, gamma)
+        except NotACocycleError as err:
+            assert any(zrows.apply(flat)), (rows, i, flat)
+            row = next(r for r, x in enumerate(cond.apply(flat)) if x)
+            assert (err.element_index, err.row) == (i, row)
+            continue
+        assert not any(zrows.apply(flat)), (rows, i, flat)
+        assert rep.flat() == tuple(f.sub(x, y) for x, y in zip(flat, cob.apply(w.f)))
+        assert not any(dist.apply(rep.flat()))
+
+
+@SETTINGS
+@given(prime_generators(max_n=3), st.integers(0, 2 ** 16))
+def test_reduce_refuses_exactly_the_non_cocycles_over_prime_fields(gen, seed):
+    check_reduce_membership(*gen, seed)
+
+
+@SETTINGS
+@given(signed_permutations(), st.integers(0, 2 ** 16))
+def test_reduce_refuses_exactly_the_non_cocycles_on_signed_permutations(gen, seed):
+    check_reduce_membership(*gen, seed)
