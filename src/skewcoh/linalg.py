@@ -8,10 +8,11 @@ downstream choice (complements, quotient coordinates, representative
 bases) is deterministic.
 
 Coercion happens only at the input boundary: `Matrix(field, rows)`,
-`Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`,
-`Subspace.coordinates` and `solve` go through `Field.coerce`, once per
-entry.  Each of these has a trusted twin that takes canonical entries (an
-int in [0, p) over F_p, a Fraction over Q) and checks nothing:
+`Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`
+and `Subspace.coordinates` go through `Field.coerce`, once per entry
+(`solve` takes a `Matrix`, so it coerces nothing).  Each of these has a
+trusted twin that takes canonical entries (an int in [0, p) over F_p, a
+Fraction over Q) and checks nothing:
 `Matrix._of`, `Subspace._of`, `Matrix._apply` and `Subspace._coordinates`
 (and, in the oracle, `CochainTwo._of` for `CochainTwo.from_flat`).  The
 public form coerces and checks lengths, then calls its twin.  Every matrix
@@ -60,11 +61,21 @@ matrix.
 The product `a @ b` is row-sparse for the same reason: it lists the nonzero
 (column, value) pairs of each row of b once, and builds row t of the
 product from the nonzeros of row t of a alone, reducing each output entry
-once.  Over Q it first clears b by one common denominator db and each row
-of a by its own da, accumulates on ints and builds one Fraction (over
-da * db) per nonzero output entry.  `_dot` serves `char_poly`, and
-`Matrix.apply` over Q; over F_p a dot product is `sum(map(mul, a, b)) % p`,
-the products and their sum in C and one reduction.
+once.  Over F_p the nonzero columns of a row of a come from
+`itertools.compress(range(ncols), row)`, so its zeros are skipped in C,
+not by a Python test per entry.  Over Q it first clears b by one common
+denominator db and each row of a by its own da, accumulates on ints and
+builds one Fraction (over da * db) per nonzero output entry.  `_dot`
+serves `char_poly`, and `Matrix.apply` over Q; over F_p a dot product is
+`sum(map(mul, a, b)) % p`, the products and their sum in C and one
+reduction.
+
+`solve` takes the augmented matrix [m | b] and reads two things off its
+one `rref`: a solution of m x = b (zero at the free columns), or None when
+b adds a pivot, and the kernel of m, one vector per free column of m,
+built as `kernel_basis` builds its vectors but not eliminated again into
+a `Subspace`.  A caller that needs both (the oracle's reduction) pays one
+elimination.
 
 The Q loops read the Fraction slots `_numerator` and `_denominator`
 rather than the public `numerator` and `denominator` properties: a slot
@@ -75,6 +86,7 @@ every CPython `fractions.Fraction` the package supports (3.10 onwards).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
@@ -188,12 +200,13 @@ class Matrix:
                 out.append([Fraction(v, d) if v else zero for v in acc])
         else:
             nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+            cols = range(self.ncols)
             for r in self.rows:
                 acc = [0] * other.ncols
-                for x, terms in zip(r, nz):
-                    if x:
-                        for j, y in terms:
-                            acc[j] += x * y
+                for k in compress(cols, r):
+                    x = r[k]
+                    for j, y in nz[k]:
+                        acc[j] += x * y
                 out.append([v % p for v in acc])
         return Matrix._of(self.field, out, other.ncols)
 
@@ -459,24 +472,33 @@ class Subspace:
         return s
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Solution space of m v = 0."""
-    f = m.field
+def _kernel_rows(red: Matrix, piv: Sequence[int], ncols: int) -> List[Vector]:
+    """Kernel of the first ncols columns of red, an RREF with pivot columns
+    piv: one vector per free column j < ncols, 1 at j and minus column j of
+    red at the pivot columns."""
+    f = red.field
     p = f.p
-    red, piv = rref(m)
-    pivset = set(piv)
     zero, one = f.zero(), f.one()
+    pivset = set(piv)
     rows = []
-    for j in range(m.ncols):
+    for j in range(ncols):
         if j in pivset:
             continue
-        v = [zero] * m.ncols
+        v = [zero] * ncols
         v[j] = one
         for r, c in enumerate(piv):
+            if c >= ncols:
+                break
             x = red.rows[r][j]
             v[c] = -x if p is None else -x % p
-        rows.append(v)
-    return Subspace._of(f, m.ncols, rows)
+        rows.append(tuple(v))
+    return rows
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Solution space of m v = 0."""
+    red, piv = rref(m)
+    return Subspace._of(m.field, m.ncols, _kernel_rows(red, piv, m.ncols))
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -492,17 +514,23 @@ def eigenspace(m: Matrix, c) -> Subspace:
                                    for i, r in enumerate(m.rows)))
 
 
-def solve(m: Matrix, b: Sequence) -> Vector | None:
-    """One solution of m x = b, or None if inconsistent."""
-    f = m.field
-    bcol = Matrix(f, [[x] for x in b], ncols=1)
-    red, piv = rref(m.augment(bcol))
-    if m.ncols in piv:
-        return None
-    x = [f.zero()] * m.ncols
+def solve(aug: Matrix) -> Tuple[Vector | None, List[Vector]]:
+    """For the augmented matrix [m | b], b its last column: one solution x
+    of m x = b (zero at the free columns), or None if the system is
+    inconsistent, and a basis of the kernel of m, one vector per free
+    column.  Both are read off one RREF of aug, whose first ncols - 1
+    columns are the RREF of m."""
+    n = aug.ncols - 1
+    if n < 0:
+        raise ValueError("solve needs the column b")
+    red, piv = rref(aug)
+    kernel = _kernel_rows(red, piv, n)
+    if n in piv:
+        return None, kernel
+    x = [aug.field.zero()] * n
     for r, c in enumerate(piv):
-        x[c] = red.rows[r][m.ncols]
-    return tuple(x)
+        x[c] = red.rows[r][n]
+    return tuple(x), kernel
 
 
 def char_poly(m: Matrix) -> Tuple[Scalar, ...]:

@@ -67,10 +67,19 @@ from the pivots of their RREF, and
 `PerElementComplex.cocycle_condition_matrix` keeps the nonzero RREF rows
 (the same kernel, in at most cochain_dim rows), which
 `representative_basis` stacks the distinguished cut under.
-`reduce_to_representative` eliminates nothing of the complex: it tests
-cocycle membership against the condition rows as built, which have the
-same kernel and let a `NotACocycleError` name the first violated row of
-`cocycle_conditions`.
+
+`reduce_to_representative` eliminates nothing of the complex and reads
+each matrix once.  It hands gamma to the guard, which multiplies
+cond @ [dmat | gamma] (dmat the coboundary matrix): the n coboundary
+columns of that product are the d^2 = 0 check, and its last column is
+cond gamma, tested on the condition rows as built (the same kernel as the
+RREF rows), so a `NotACocycleError` names the first violated row of
+`cocycle_conditions`.  Then one product dist @ [dmat | gamma] (dist the
+distinguished constraints) and one `solve` of it give the witness f0 and
+the kernel of dist @ dmat.  The representative gamma - dmat f0 is
+[dmat | gamma] (-f0, 1), so the two products check it against dist and
+the conditions in n + 1 columns, and dmat checks each kernel vector for
+uniqueness.
 """
 
 from __future__ import annotations
@@ -366,24 +375,44 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     return Matrix._of(f, rows, dim)
 
 
-def _guarded_complex(gr: CyclicGroup, i: int,
-                     rows: _GroupRows | None = None) -> Tuple[Matrix, Matrix]:
-    """The cocycle conditions and the coboundary matrix at h = g^i, as
-    built, once d^2 = 0 holds on them."""
+def _check_index(gr: CyclicGroup, i: int) -> None:
     if not 0 <= i < gr.order:
         raise ValueError("element index %d outside 0..%d" % (i, gr.order - 1))
+
+
+def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
+                     gamma: Sequence[Scalar] | None = None) -> Tuple[Matrix, Matrix, Matrix]:
+    """The cocycle conditions and the coboundary matrix at h = g^i, as
+    built, once d^2 = 0 holds on them, and their product.
+
+    Given gamma, a cochain of cochain_dim(n) canonical scalars, the
+    coboundary matrix comes back as [cob | gamma], one column more, and the
+    one product cond @ [cob | gamma] serves both checks: its n coboundary
+    columns are tested for zero first, on every row, and then its last
+    column, cond gamma, whose first nonzero entry raises NotACocycleError
+    with that row of cocycle_conditions.  The caller has checked i."""
     if rows is None:
         rows = _group_rows(gr)
     cond = cocycle_conditions(gr, i, rows)
     cob = coboundary_matrix(gr, i, rows)
-    if not (cond @ cob).is_zero():
+    if gamma is not None:
+        cob = Matrix._of(gr.field, [r + (x,) for r, x in zip(cob.rows, gamma)], cob.ncols + 1)
+    d2 = cond @ cob
+    if any(map(any, d2.rows if gamma is None else (r[:-1] for r in d2.rows))):
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
-    return cond, cob
+    if gamma is not None:
+        bad = next((r for r, row in enumerate(d2.rows) if row[-1]), None)
+        if bad is not None:
+            raise NotACocycleError("cochain violates the cocycle conditions at element %d: "
+                                   "first violated row %d of cocycle_conditions" % (i, bad),
+                                   i, bad)
+    return cond, cob, d2
 
 
 def per_element_cohomology(gr: CyclicGroup, i: int,
                            rows: _GroupRows | None = None) -> PerElementComplex:
-    cond, cob = _guarded_complex(gr, i, rows)
+    _check_index(gr, i)
+    cond, cob, _ = _guarded_complex(gr, i, rows)
     b = rank(cob)
     red, piv = rref(cond)
     z = cond.ncols - len(piv)
@@ -423,19 +452,20 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     """The distinguished representative of gamma's class, plus the 1-cochain
     witness f with gamma - d(f tensor h) distinguished.
 
-    gamma and its representative are tested against the condition rows as
-    built, after the d^2 = 0 guard; neither the rank of the coboundaries
-    nor the RREF of the conditions is taken.  A non-cocycle raises
-    NotACocycleError with the element index and the first violated row of
+    Each matrix is read once.  The d^2 = 0 guard carries gamma, so one
+    product cond @ [dmat | gamma] tests both d^2 = 0 and gamma's cocycle
+    conditions, on the rows as built; neither the rank of the coboundaries
+    nor the RREF of the conditions is taken.  One product
+    dist @ [dmat | gamma] and one elimination of it (`solve`) give f and
+    the kernel of dist @ dmat.  A non-cocycle raises NotACocycleError with
+    the element index and the first violated row of
     cocycle_conditions(gr, i)."""
     i = gamma.element_index
     f = gr.field
     if gamma.field != f or gamma.n != gr.n:
         raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
                          % (gamma.field, gamma.n, f, gr.n))
-    # no elimination: the rows as built have the kernel Z of the stored
-    # RREF rows, and once d^2 = 0 holds, im d lies in Z, so b <= z
-    cond, dmat = _guarded_complex(gr, i)
+    _check_index(gr, i)
     # the input boundary: a hand-built gamma may hold entries >= p, or
     # Fractions over F_p, so its entries are coerced once, here, and every
     # vector below is canonical.  Its entries are scalars: a str is refused.
@@ -443,26 +473,28 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     if any(isinstance(x, str) for x in flat):
         raise TypeError("cochain entries must be scalars, not strings")
     flat = [f.coerce(x) for x in flat]
-    if len(flat) != cond.ncols:
+    if len(flat) != cochain_dim(gr.n):
         raise ValueError("vector length mismatch")
-    bad = next((r for r, x in enumerate(cond._apply(flat)) if x), None)
-    if bad is not None:
-        raise NotACocycleError("cochain violates the cocycle conditions at element %d: "
-                               "first violated row %d of cocycle_conditions" % (i, bad), i, bad)
+    # aug = [dmat | gamma] and d2 = cond @ aug, whose columns are all zero
+    _, aug, d2 = _guarded_complex(gr, i, gamma=flat)
     dist = distinguished_constraints(gr, i)
-    m = dist @ dmat
-    f0 = solve(m, dist._apply(flat))
+    m = dist @ aug
+    f0, kernel = solve(m)
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
-    correction = dmat._apply(f0)
+    # the representative gamma - dmat f0 is aug v for v = (-f0, 1), so dist
+    # and cond read it through the products m = dist @ aug and d2
     p = f.p
-    rep_flat = [x - y if p is None else (x - y) % p for x, y in zip(flat, correction)]
-    if any(dist._apply(rep_flat)):
+    v = [-x if p is None else -x % p for x in f0] + [f.one()]
+    rep_flat = aug._apply(v)
+    if any(m._apply(v)):
         raise AssertionError("representative escapes the distinguished subspace")
-    if any(cond._apply(rep_flat)):
+    if any(d2._apply(v)):
         raise AssertionError("representative is not a cocycle")
-    # uniqueness: every f-freedom leaves the representative untouched
-    for k in kernel_basis(m).basis_rows():
-        if any(dmat._apply(k)):
+    # uniqueness: every f-freedom (dist dmat k = 0) leaves the
+    # representative untouched (dmat k = 0)
+    zero = (f.zero(),)
+    for k in kernel:
+        if any(aug._apply(k + zero)):
             raise AssertionError("distinguished representative is not unique")
     return CochainTwo._of(f, gr.n, i, rep_flat), CochainOne(i, f0)

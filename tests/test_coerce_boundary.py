@@ -180,11 +180,11 @@ def test_reduce_sees_through_noncanonical_entries(name):
 def test_public_boundaries_refuse_floats():
     f, q = Field.prime(5), Field.rational()
     m = Matrix(f, [[1, 2], [3, 4]])
-    for call in (lambda: m.apply([1.0, 2]), lambda: solve(m, [0, 1.5]),
+    for call in (lambda: m.apply([1.0, 2]), lambda: solve(Matrix(f, [[1, 2, 0], [3, 4, 1.5]])),
                  lambda: Matrix(f, [[1, 0.5]]),
                  lambda: CochainTwo.from_flat(f, 2, 0, [1, 2, 3, 4.0]),
                  lambda: Matrix(q, [[1, 2]]).apply([Fraction(1, 2), 0.25]),
-                 lambda: solve(Matrix(q, [[1]]), [0.5])):
+                 lambda: solve(Matrix(q, [[1, 0.5]]))):
         with pytest.raises(TypeError):
             call()
 

@@ -314,10 +314,78 @@ def test_matrix_immutable_and_ragged():
 
 def test_solve():
     m = Matrix(F5, [[1, 2], [3, 4]])
-    x = solve(m, (1, 1))
-    assert x is not None and m.apply(x) == (1, 1)
-    # inconsistent: the zero map cannot hit a nonzero vector
-    assert solve(zeros(F5, 2, 2), (1, 0)) is None
+    x, kernel = solve(m.augment(Matrix(F5, [[1], [1]])))
+    assert x is not None and m.apply(x) == (1, 1) and kernel == []
+    # inconsistent: the zero map cannot hit a nonzero vector, and its
+    # kernel is everything
+    x, kernel = solve(zeros(F5, 2, 2).augment(Matrix(F5, [[1], [0]])))
+    assert x is None and kernel == [(1, 0), (0, 1)]
+    # there is no b without a last column
+    with pytest.raises(ValueError):
+        solve(zeros(F5, 2, 0))
+
+
+@st.composite
+def augmented_systems(draw):
+    """(m, [m | b]) over F_3, F_5 or Q: m with 0 to 5 rows and 0 to 5
+    columns, a drawn set of them zero, and b zero, in the image of m, or
+    drawn freely (so often inconsistent)."""
+    f = draw(st.sampled_from([F3, F5, Q]))
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.integers(-4, 4) if f.p else \
+        st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    zero_columns = draw(st.sets(st.integers(0, c - 1))) if c else set()
+    m = Matrix(f, [[0 if j in zero_columns else x for j, x in enumerate(row)] for row in rows],
+               ncols=c)
+    kind = draw(st.sampled_from(["zero", "image", "free"]))
+    if kind == "zero":
+        b = [0] * r
+    elif kind == "image":
+        b = m.apply(draw(st.lists(entry, min_size=c, max_size=c)))
+    else:
+        b = draw(st.lists(entry, min_size=r, max_size=r))
+    return m, m.augment(Matrix(f, [[y] for y in b], ncols=1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(augmented_systems())
+def test_solve_reads_a_solution_and_the_kernel_off_one_elimination(system):
+    m, aug = system
+    b = tuple(row[-1] for row in aug.rows)
+    x, kernel = solve(aug)
+    r = rank(m)
+    # consistent iff b adds no rank (Rouche-Capelli)
+    assert (x is None) == (rank(aug) > r)
+    if x is not None:
+        assert len(x) == m.ncols and m.apply(x) == b
+    assert len(kernel) == m.ncols - r
+    assert all(not any(m.apply(k)) for k in kernel)
+    assert Subspace(m.field, m.ncols, kernel) == kernel_basis(m)
+
+
+@pytest.mark.parametrize("field", [F3, F5, Field.prime(7)], ids=repr)
+def test_sparse_left_factors_multiply_like_the_dense_product(field):
+    # over F_p each left row is read through its nonzeros alone: densities
+    # 0 to 20 %, zero rows, and an inner dimension of 0
+    p = field.p
+    rng = random.Random("sparse-left-%d" % p)
+
+    def dense(a, b, c):
+        return tuple(tuple(sum(x * row[j] for x, row in zip(ai, b)) % p for j in range(c))
+                     for ai in a)
+
+    for density in (0.0, 0.02, 0.05, 0.1, 0.2):
+        for _ in range(10):
+            r, k, c = rng.randint(0, 12), rng.randint(0, 30), rng.randint(1, 6)
+            a = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(k)]
+                 for _ in range(r)]
+            if a:
+                a[rng.randrange(r)] = [0] * k
+            b = [[rng.randrange(p) for _ in range(c)] for _ in range(k)]
+            prod = Matrix(field, a, ncols=k) @ Matrix(field, b, ncols=c)
+            assert (prod.nrows, prod.ncols) == (r, c)
+            assert prod.rows == dense(a, b, c)
 
 
 # -- characteristic polynomials ------------------------------------------------

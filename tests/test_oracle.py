@@ -15,6 +15,7 @@ substituting basis vectors into the three conditions):
     representatives: (t, s, 0, t)                   dim 2 = hh
 """
 
+import hashlib
 import json
 import random
 
@@ -40,7 +41,7 @@ from skewcoh import (
     representative_basis,
     rref,
 )
-from skewcoh import oracle
+from skewcoh import linalg, oracle
 from skewcoh.cli import EXIT_FAIL, main
 
 from conftest import JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, assembled_complex, suite_group
@@ -446,6 +447,84 @@ def test_reduce_neither_builds_nor_eliminates_the_per_element_complex(name, monk
         with pytest.raises(AssertionError, match="coboundaries violate the cocycle conditions "
                            "at element %d" % g.element_index):
             reduce_to_representative(gr, g)
+
+
+# Two conjugates over F_5 of J2(1) + (-1) + 1 (|G| = 10) and of J2(1) + diag(2, 3)
+# (|G| = 20), by one fixed invertible P, so that no coordinate is special
+CONJUGATED_F5 = [
+    [[1, 3, 1, 3], [0, 0, 2, 1], [0, 4, 2, 3], [0, 3, 1, 4]],
+    [[0, 1, 2, 2], [0, 4, 4, 2], [4, 0, 2, 4], [2, 2, 4, 1]],
+]
+
+# sha256 over every (representative, witness) pair below, as the reduction
+# gave them before it read f0 and the kernel off one elimination
+REDUCE_DIGEST = "ecd90a83bbbafc387fda036df9fbcd5ee98dee0771cfdd2cbc6122eeb2d23543"
+
+
+def test_reduce_gives_the_pinned_representatives_and_witnesses():
+    # any f0 that reaches the distinguished subspace passes the other tests;
+    # this pins the particular solution (zero at the free columns)
+    groups = [suite_group(name) for name in REDUCE_GROUPS]
+    groups += [group_from_generator(F5, gen) for gen in CONJUGATED_F5]
+    assert [gr.order for gr in groups[-2:]] == [10, 20]
+    digest = hashlib.sha256()
+    count = 0
+    for gr in groups:
+        for gamma in reduce_inputs(gr):
+            rep, f0 = reduce_to_representative(gr, gamma)
+            digest.update(repr(([str(x) for x in rep.flat()], [str(x) for x in f0.f])).encode())
+            count += 1
+    assert count == 128
+    assert digest.hexdigest() == REDUCE_DIGEST
+
+
+def test_reduce_refuses_a_cut_that_leaves_the_representative_free(monkeypatch):
+    # with no distinguished cut every f reaches it, and at h = g, where
+    # b = 1, some f moves the representative
+    gr = suite_group("transvection_f3")
+    gamma = representative_basis(gr, 1)[0]
+    monkeypatch.setattr(oracle, "distinguished_constraints",
+                        lambda gr, i: Matrix(gr.field, [], ncols=cochain_dim(gr.n)))
+    with pytest.raises(AssertionError, match="distinguished representative is not unique"):
+        reduce_to_representative(gr, gamma)
+
+
+def test_reduce_refuses_a_cut_that_no_coboundary_reaches(monkeypatch):
+    # the cut gamma = 0 is reached only by the coboundaries, so a cocycle
+    # with a nonzero class cannot be moved into it
+    gr = suite_group("transvection_f3")
+    gamma = representative_basis(gr, 1)[0]
+    coboundary = CochainTwo.from_flat(gr.field, gr.n, 1,
+                                      coboundary_matrix(gr, 1).apply([1, 2]))
+    monkeypatch.setattr(oracle, "distinguished_constraints",
+                        lambda gr, i: Matrix.identity(gr.field, cochain_dim(gr.n)))
+    rep, _ = reduce_to_representative(gr, coboundary)
+    assert not any(rep.flat())
+    with pytest.raises(AssertionError, match="no coboundary reaches the distinguished subspace"):
+        reduce_to_representative(gr, gamma)
+
+
+@pytest.mark.parametrize("name", REDUCE_GROUPS)
+def test_reduce_eliminates_once_and_builds_no_kernel_subspace(name, monkeypatch):
+    gr = suite_group(name)
+    gammas = reduce_inputs(gr)
+    real = linalg.rref
+    shapes = []
+
+    def counted(m):
+        shapes.append((m.nrows, m.ncols))
+        return real(m)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("reduce_to_representative must read the kernel off solve")
+    monkeypatch.setattr(linalg, "rref", counted)
+    for module in (linalg, oracle):
+        monkeypatch.setattr(module, "kernel_basis", refuse)
+    for gamma in gammas:
+        shapes.clear()
+        reduce_to_representative(gr, gamma)
+        # the one elimination is of dist @ [dmat | gamma]
+        assert len(shapes) == 1 and shapes[0][1] == gr.n + 1
 
 
 # -- assembled complex ------------------------------------------------------------------
