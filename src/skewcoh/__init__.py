@@ -10,6 +10,7 @@ from .linalg import (
     eigenspace,
     image_basis,
     kernel_basis,
+    minus_scalar,
     poly_splits,
     rank,
     rref,

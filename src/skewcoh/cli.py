@@ -63,7 +63,7 @@ def _from_input(construct, *args):
 
 
 def load_job(path: str):
-    """Read a job file; returns (Field, generator row lists, raw dict)."""
+    """Read a job file; returns (Field, generator row lists)."""
     try:
         fh = open(path)
     except Exception as e:      # OSError, or ValueError for a NUL byte in the path
@@ -94,11 +94,11 @@ def load_job(path: str):
     if (not isinstance(gen, list) or not gen
             or any(not isinstance(r, list) or len(r) != len(gen) for r in gen)):
         raise JobError('"generator" must be a square matrix (list of equal-length rows)')
-    return field, gen, doc
+    return field, gen
 
 
 def build_group(args) -> CyclicGroup:
-    field, gen, _ = load_job(args.job)
+    field, gen = load_job(args.job)
     return _from_input(group_from_generator, field, gen, args.max_order)
 
 
@@ -289,7 +289,7 @@ def cmd_reps(args) -> int:
 
 
 def _transvection_prime_from_job(args) -> int:
-    field, gen, _ = load_job(args.job)
+    field, gen = load_job(args.job)
     if field.char == 0:
         raise JobError("deform needs a prime field")
     p = field.char

@@ -15,10 +15,12 @@ become rules
 
 confluence is checked on the critical pairs (overlap ambiguities), and
 normal-form counts are compared against the graded dimensions of
-F[v1,v2] x| G.  The count is local: both "irreducible" and "PBW-shaped"
+F[v1,v2] x| G.  The check is local: both "irreducible" and "PBW-shaped"
 are decided by the factors of length 2 and read only a letter's class
-(v1, v2 or g), so it reads only words of length <= 2 in three letters
-(see hilbert_check).
+(v1, v2 or g), so it reads only words of length <= 2 in three letters.
+Once those agree, the irreducible words are exactly v1^a v2^b and
+v1^a v2^b g^c, N for each pair (a, b), and the count is read off that
+shape, not recounted (see hilbert_check).
 
 Every left side has length 2, none contains another, and the rules
 terminate, so by the diamond lemma (Bergman 1978) the system is confluent
@@ -94,7 +96,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .fields import Field, Scalar
 from .group_action import DEFAULT_ORDER_BOUND, CyclicGroup, group_from_generator, is_transvection
-from .linalg import Matrix, rank
+from .linalg import minus_scalar, rank
 
 Letter = Tuple[str, int]          # ("v", 1|2) or ("g", 1..N-1)
 Word = Tuple[Letter, ...]
@@ -165,7 +167,7 @@ def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
 
     where kappa = c * (v2 tensor g); any other kappa shape is out of reach
     of this instantiated formula and is refused, and so is a generator that
-    is not a transvection (`is_transvection` on 1 - g, the test
+    is not a transvection (`is_transvection` on g - 1, the test
     `CyclicGroup.element` also uses, without deriving g's fixed and moved
     spaces).  For the builtin tables
     the three terms evaluate to C(i+1,2)(i+1), -i C(i+2,2), and C(i+1,2)
@@ -174,8 +176,8 @@ def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
     gr = params.group
     f = gr.field
     N = gr.order
-    one_minus_g = Matrix.identity(f, gr.n) - gr.generator
-    if not is_transvection(one_minus_g, rank(one_minus_g)):
+    g_minus_1 = minus_scalar(gr.generator, f.one())
+    if not is_transvection(g_minus_1, rank(g_minus_1)):
         raise ValueError("square bracket formula requires a transvection generator")
     if any(x != 0 for x in params.kappa_v1):
         raise UnsupportedKappaShape("kappa has a v1 component")
@@ -396,48 +398,32 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
       so a mismatch names the same first word as full enumeration in
       alphabet order; for d < 1 only length <= d+1 is checked, as full
       enumeration would.
-    - Count.  A word of length >= 2 is irreducible iff its length-2 factors
-      are, so the irreducible words of length L+1 are the irreducible words
-      of length L, ending in some x, extended by a letter y with xy
-      irreducible.  A dynamic programme over (class of the last letter,
-      v-degree) counts them from the length-2 `is_normal` table, with y
-      taken once per letter of its class.  The closed form is only
-      `expected`, so a wrong rule table still gives a wrong count.
+    - Count.  Once the 13 class words agree, the Shape argument makes the
+      irreducible words exactly the shaped ones: v1^a v2^b (v-degree a + b,
+      length a + b) and v1^a v2^b g^c for each of the N-1 letters g^c
+      (length a + b + 1).  So the words of v-degree <= d and length
+      <= d+1 are N for each pair (a, b) with a + b <= d, and there are
+      C(d+2, 2) such pairs; for d < 0 there are none.  The count is read off
+      that, and `expected`, the graded dimension, is computed on its own,
+      so the verdict rests on the shape check: a wrong rule table fails it
+      with an AssertionError.
 
-    Cost O(d^2) steps and at most 13 `is_normal` calls at any N, where
-    enumerating the words of length <= d+1 takes (N+1)^(d+1).
+    Cost at most 13 `is_normal` calls at any N, where enumerating the
+    words of length <= d+1 takes (N+1)^(d+1).
     """
     if not confluence.ok:
         raise PrerequisiteFailed("rewrite system is not confluent: %s" % confluence.witness)
     # the class representatives v1, v2, g; no g class when N = 1
     letters = [("v", 1), ("v", 2), ("g", 1)][:3 if rs.N > 1 else 2]
-    size = [1, 1, rs.N - 1]
-    vdeg = [1, 1, 0]
-    normal: Dict[Word, bool] = {}
     words: List[Word] = [()]
     for length in range(min(d + 2, 3)):
         if length:
             words = [w + (l,) for w in words for l in letters]
         for w in words:
-            normal[w] = rs.is_normal(w)
-            if normal[w] != _pbw_shaped(w):
+            if rs.is_normal(w) != _pbw_shaped(w):
                 raise AssertionError("normal form shape mismatch at %s" % word_str(w))
-    count = 0
-    if d >= 0:
-        # ways[x][k]: irreducible words of the current length that end in
-        # a letter of class x and have v-degree k
-        ways = [[0] * (d + 1) for _ in letters]
-        for x, l in enumerate(letters):
-            if normal[(l,)] and vdeg[x] <= d:
-                ways[x][vdeg[x]] += size[x]
-        count = int(normal[()]) + sum(map(sum, ways))
-        follows = [[x for x, lx in enumerate(letters) if normal[(lx, ly)]]
-                   for ly in letters] if d >= 1 else []
-        for _ in range(d):
-            ways = [[size[y] * sum(ways[x][k - vdeg[y]] for x in follows[y])
-                     if k >= vdeg[y] else 0
-                     for k in range(d + 1)] for y in range(len(letters))]
-            count += sum(map(sum, ways))
+    # N shaped words (v1^a v2^b and its N-1 extensions by g^c) per pair a + b <= d
+    count = rs.N * ((d + 2) * (d + 1) // 2 if d >= 0 else 0)
     expected = rs.N * ((d + 2) * (d + 1) // 2)
     return HilbertReport(count == expected, d, count, expected)
 

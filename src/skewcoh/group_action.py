@@ -47,7 +47,7 @@ from itertools import chain
 from typing import List, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
-from .linalg import Matrix, Subspace, image_basis, kernel_basis, rank
+from .linalg import Matrix, Subspace, image_basis, kernel_basis, minus_scalar, rank
 
 DEFAULT_ORDER_BOUND = 10000
 
@@ -127,10 +127,10 @@ def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
     return Matrix._of(f, zip(*cols), len(cols))
 
 
-def is_transvection(one_minus_h: Matrix, codim: int) -> bool:
-    """Whether h is a transvection, read from 1 - h and its rank codim:
-    codimension 1 and (1 - h)^2 = 0."""
-    return codim == 1 and (one_minus_h @ one_minus_h).is_zero()
+def is_transvection(h_minus_1: Matrix, codim: int) -> bool:
+    """Whether h is a transvection, read from h - 1 and its rank codim:
+    codimension 1 and (h - 1)^2 = (1 - h)^2 = 0."""
+    return codim == 1 and (h_minus_1 @ h_minus_1).is_zero()
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,17 @@ class CyclicGroup:
         return pow(self._det, i, self.field.p) if self.field.p is not None else self._det ** i
 
     def _subgroup_data(self, d: int) -> ElementData:
-        """The record of h = g^d."""
-        one_minus = Matrix.identity(self.field, self.n) - self.power(d)
-        fixed = kernel_basis(one_minus)
-        moved = image_basis(one_minus)
+        """The record of h = g^d, read from h - 1: V^h = ker(h - 1) and
+        V_h = im(h - 1), as for 1 - h."""
+        h_minus_1 = minus_scalar(self.power(d), self.field.one())
+        fixed = kernel_basis(h_minus_1)
+        moved = image_basis(h_minus_1)
         codim = self.n - fixed.dim
         assert moved.dim == codim
         return ElementData(
             fixed_space=fixed, moved_space=moved, codim=codim,
             chi_of_generator=quotient_matrix(self.generator, fixed).det(),
-            transvection=is_transvection(one_minus, codim))
+            transvection=is_transvection(h_minus_1, codim))
 
     def subgroup_actions(self, i: int) -> Tuple[Matrix, Matrix]:
         """The actions of g on V/V_h and on (V^h)* for h = g^i, which the
@@ -284,8 +285,4 @@ def chi_invariants(action_of_g: Matrix, chi_value) -> int:
     that of the eigenspace of the generator's action at chi(g), which is
     ncols - rank(action - chi(g) I), one elimination."""
     m = action_of_g
-    if m.nrows != m.ncols:
-        raise ValueError("not square")
-    c = m.field.coerce(chi_value)
-    return m.ncols - rank(m._reduced([x - c if i == j else x for j, x in enumerate(r)]
-                                     for i, r in enumerate(m.rows)))
+    return m.ncols - rank(minus_scalar(m, m.field.coerce(chi_value)))

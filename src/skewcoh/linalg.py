@@ -9,7 +9,7 @@ bases) is deterministic.
 
 Coercion happens only at the input boundary: `Matrix(field, rows)`,
 `Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`
-and `Subspace.coordinates` go through `Field.coerce`, once per entry
+and `Subspace.contains` go through `Field.coerce`, once per entry
 (`solve` takes a `Matrix`, so it coerces nothing).  Each of these has a
 trusted twin that takes canonical entries (an int in [0, p) over F_p, a
 Fraction over Q) and checks nothing:
@@ -21,9 +21,15 @@ assemble, go through `Matrix._of`; `restricted_matrix` and
 `quotient_matrix` apply a matrix to RREF basis rows through the trusted
 twins; `representative_basis` turns kernel rows into cochains through
 `CochainTwo._of`; and `reduce_to_representative` coerces its cochain once
-on entry and works on canonical vectors from there.  `+`, `-`, `@`,
-`stack` and `augment` check once per call that both operands are over the
-same field, so entries of two fields never mix.
+on entry and works on canonical vectors from there.  `@`, `stack` and
+`augment` check once per call that both operands are over the same field,
+so entries of two fields never mix.
+
+A matrix minus a scalar, m - c I, has one builder, `minus_scalar`, which
+takes a canonical c and rewrites only the diagonal.  The eigenspaces,
+`chi_invariants`, the fixed and moved spaces of h (read from h - 1, which
+has the kernel, image, rank and square of 1 - h) and the oracle's h - 1
+all come from it; the oracle negates h - 1 once for 1 - h.
 The loops below do their arithmetic inline on those entries, with no
 `Field` method dispatch: over F_p on plain ints with one `% p` per result
 entry; over Q the elimination and the product run on ints too (below),
@@ -164,19 +170,6 @@ class Matrix:
         if not shapes_fit:
             raise ValueError("shape mismatch %dx%d %s %dx%d"
                              % (self.nrows, self.ncols, op, other.nrows, other.ncols))
-
-    def _same_shape(self, other: "Matrix", op: str) -> None:
-        self._operand(other, op, (self.nrows, self.ncols) == (other.nrows, other.ncols))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other, "+")
-        return self._reduced([a + b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.rows, other.rows))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other, "-")
-        return self._reduced([a - b for a, b in zip(r1, r2)]
-                             for r1, r2 in zip(self.rows, other.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._operand(other, "@", self.ncols == other.nrows)
@@ -427,23 +420,19 @@ class Subspace:
         return self.basis.rows
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.coordinates(v)[1])
-
-    def coordinates(self, v: Sequence) -> Tuple[List[Scalar], List[Scalar]]:
-        """(a, q) with v = sum_r a[r] basis[r] + sum_j q[j] e_j, where e_j
-        runs over the standard basis vectors at the non-pivot columns (the
-        complement).  q is read off v reduced against the RREF basis, so v
-        lies in the subspace iff q is zero, and q gives the coordinates on
-        F^ambient / self."""
         f = self.field
         v = [f.coerce(x) for x in v]
         if len(v) != self.ambient:
             raise ValueError("vector length mismatch")
-        return self._coordinates(v)
+        return not any(self._coordinates(v)[1])
 
     def _coordinates(self, v: Sequence) -> Tuple[List[Scalar], List[Scalar]]:
-        """Trusted `coordinates`: v holds ambient canonical scalars; nothing
-        is checked."""
+        """(a, q) with v = sum_r a[r] basis[r] + sum_j q[j] e_j, where e_j
+        runs over the standard basis vectors at the non-pivot columns (the
+        complement).  q is read off v reduced against the RREF basis, so v
+        lies in the subspace iff q is zero, and q gives the coordinates on
+        F^ambient / self.  v holds ambient canonical scalars; nothing is
+        checked."""
         p = self.field.p
         a = []
         # reduce v against the RREF basis, one pivot column at a time
@@ -506,12 +495,22 @@ def image_basis(m: Matrix) -> Subspace:
     return Subspace._of(m.field, m.nrows, m.transpose().rows)
 
 
-def eigenspace(m: Matrix, c) -> Subspace:
-    if m.nrows != m.ncols:
+def minus_scalar(m: Matrix, c: Scalar) -> Matrix:
+    """m - c I for a square m and a canonical scalar c.  Only the diagonal
+    changes, with one % p per diagonal entry over F_p; the other entries
+    are m's own."""
+    n = m.nrows
+    if n != m.ncols:
         raise ValueError("not square")
-    c = m.field.coerce(c)
-    return kernel_basis(m._reduced([x - c if i == j else x for j, x in enumerate(r)]
-                                   for i, r in enumerate(m.rows)))
+    p = m.field.p
+    rows = [list(r) for r in m.rows]
+    for i, r in enumerate(rows):
+        r[i] = r[i] - c if p is None else (r[i] - c) % p
+    return Matrix._of(m.field, rows, n)
+
+
+def eigenspace(m: Matrix, c) -> Subspace:
+    return kernel_basis(minus_scalar(m, m.field.coerce(c)))
 
 
 def solve(aug: Matrix) -> Tuple[Vector | None, List[Vector]]:

@@ -44,10 +44,12 @@ that record once and hands it to every element, and so does the CLI's
 `reps` to `representative_basis`; a caller that passes none
 (`reduce_to_representative`, a direct call) gets one built for the call,
 or, from `coboundary_matrix`, just 1 - g.  Per element there remain
-1 - h, the lambda coupling of condition (2) (two entries on a copy of each
-twist row), condition (3) and the coboundary's alpha rows, all built entry
-by entry with plain int or Fraction arithmetic (one `% p` per entry over
-F_p), and then, on every complex, the d^2 = 0 product, and in
+h - 1 (from `minus_scalar`, which rewrites only the diagonal) and its
+negation 1 - h, both signs being read by condition (2) and the
+coboundary, the lambda coupling of condition (2) (two entries on a copy
+of each twist row), condition (3) and the coboundary's alpha rows, all
+built entry by entry with plain int or Fraction arithmetic (one `% p` per
+entry over F_p), and then, on every complex, the d^2 = 0 product, and in
 `per_element_cohomology` `rank` of the coboundary matrix and one `rref` of
 the conditions.
 
@@ -77,9 +79,12 @@ RREF rows), so a `NotACocycleError` names the first violated row of
 `cocycle_conditions`.  Then one product dist @ [dmat | gamma] (dist the
 distinguished constraints) and one `solve` of it give the witness f0 and
 the kernel of dist @ dmat.  The representative gamma - dmat f0 is
-[dmat | gamma] (-f0, 1), so the two products check it against dist and
-the conditions in n + 1 columns, and dmat checks each kernel vector for
-uniqueness.
+[dmat | gamma] (-f0, 1).  Its conditions are read off the guard's product
+once: cond (gamma - dmat f0) = cond gamma - (cond dmat) f0, and the guard
+has found both terms zero on every condition row, so the representative
+is a cocycle with no second pass over the rows.  The product with dist
+checks it against dist in n + 1 columns, and dmat checks each kernel
+vector for uniqueness.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from typing import List, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import Matrix, kernel_basis, rank, rref, solve
+from .linalg import Matrix, Vector, kernel_basis, minus_scalar, rank, rref, solve
 
 
 class NotACocycleError(ValueError):
@@ -158,22 +163,22 @@ class ComplexDims:
 @dataclass(frozen=True)
 class PerElementComplex(ComplexDims):
     cocycle_condition_matrix: Matrix     # nonzero RREF rows of cocycle_conditions
-    coboundary_matrix: Matrix
 
 
 def cochain_dim(n: int) -> int:
     return n + n * len(wedge_pairs(n))
 
 
-def _one_minus(f: Field, m: Matrix) -> List[List[Scalar]]:
-    """The rows of 1 - m, entry by entry."""
-    rows = [[(a == b) - x for b, x in enumerate(r)] for a, r in enumerate(m.rows)]
-    return rows if f.p is None else [[x % f.p for x in r] for r in rows]
-
-
 def _negated(f: Field, rows) -> List[List[Scalar]]:
     return [[-x for x in r] for r in rows] if f.p is None else \
         [[-x % f.p for x in r] for r in rows]
+
+
+def _signed_shifts(f: Field, h: Matrix) -> Tuple[List[List[Scalar]], Tuple[Vector, ...]]:
+    """The rows of 1 - h and of h - 1: h - 1 from `minus_scalar`, which
+    rewrites only the diagonal, and 1 - h its negation."""
+    h_minus_1 = minus_scalar(h, f.one()).rows
+    return _negated(f, h_minus_1), h_minus_1
 
 
 def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
@@ -221,14 +226,13 @@ def _jacobi_rows(f: Field, dim: int, one_minus_h, at: int) -> List[List[Scalar]]
     return rows
 
 
-def _coboundary_rows(f: Field, one_minus_g, one_minus_h) -> List[List[Scalar]]:
+def _coboundary_rows(f: Field, one_minus_g, one_minus_h, h_minus_1) -> List[List[Scalar]]:
     """The cochain_dim(n) x n matrix of f -> d(f tensor h), column j the
     image of e_j^*: lambda(e_k) = (1-g)[j][k] in row k, and
-    alpha(e_a ^ e_b) = f(e_b)(1-h)e_a - f(e_a)(1-h)e_b (pair number w) in
-    rows n + w*n .. n + w*n + n-1.  Both arguments are row lists."""
+    alpha(e_a ^ e_b) = f(e_b)(1-h)e_a + f(e_a)(h-1)e_b (pair number w) in
+    rows n + w*n .. n + w*n + n-1.  The arguments are row lists."""
     n = len(one_minus_h)
     zero = f.zero()
-    h_minus_1 = _negated(f, one_minus_h)
     rows = [list(col) for col in zip(*one_minus_g)]
     for a, b in wedge_pairs(n):
         for r in range(n):
@@ -297,7 +301,7 @@ def _group_rows(gr: CyclicGroup) -> _GroupRows:
                         row[n + w * n + s] -= c * y
             twist.append((a, b, r, row if p is None else [x % p for x in row]))
     return _GroupRows(_vanish_rows(f, dim, gr.transfer().basis_rows(), 0), twist,
-                      _one_minus(f, gr.generator))
+                      _signed_shifts(f, gr.generator)[0])
 
 
 def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
@@ -307,8 +311,7 @@ def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) 
     dim = cochain_dim(n)
     if rows is None:
         rows = _group_rows(gr)
-    one_minus_h = _one_minus(f, gr.power(i))
-    h_minus_1 = _negated(f, one_minus_h)
+    one_minus_h, h_minus_1 = _signed_shifts(f, gr.power(i))
 
     # (3) one Sym^2-valued condition per basis triple; the sparsest rows
     # come first, so they are the pivot rows of the elimination
@@ -334,8 +337,9 @@ def coboundary_matrix(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -
     flat coordinates at h = g^i (lambda lands at tag hg)."""
     f = gr.field
     # without a record only 1 - g is needed, so im T is not derived for it
-    one_minus_g = _one_minus(f, gr.generator) if rows is None else rows.one_minus_g
-    return Matrix._of(f, _coboundary_rows(f, one_minus_g, _one_minus(f, gr.power(i))), gr.n)
+    one_minus_g = _signed_shifts(f, gr.generator)[0] if rows is None else rows.one_minus_g
+    return Matrix._of(f, _coboundary_rows(f, one_minus_g, *_signed_shifts(f, gr.power(i))),
+                      gr.n)
 
 
 def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
@@ -381,16 +385,17 @@ def _check_index(gr: CyclicGroup, i: int) -> None:
 
 
 def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
-                     gamma: Sequence[Scalar] | None = None) -> Tuple[Matrix, Matrix, Matrix]:
+                     gamma: Sequence[Scalar] | None = None) -> Tuple[Matrix, Matrix]:
     """The cocycle conditions and the coboundary matrix at h = g^i, as
-    built, once d^2 = 0 holds on them, and their product.
+    built, once d^2 = 0 holds on them.
 
     Given gamma, a cochain of cochain_dim(n) canonical scalars, the
     coboundary matrix comes back as [cob | gamma], one column more, and the
     one product cond @ [cob | gamma] serves both checks: its n coboundary
     columns are tested for zero first, on every row, and then its last
     column, cond gamma, whose first nonzero entry raises NotACocycleError
-    with that row of cocycle_conditions.  The caller has checked i."""
+    with that row of cocycle_conditions.  So on return every column of the
+    product is zero.  The caller has checked i."""
     if rows is None:
         rows = _group_rows(gr)
     cond = cocycle_conditions(gr, i, rows)
@@ -406,13 +411,13 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
             raise NotACocycleError("cochain violates the cocycle conditions at element %d: "
                                    "first violated row %d of cocycle_conditions" % (i, bad),
                                    i, bad)
-    return cond, cob, d2
+    return cond, cob
 
 
 def per_element_cohomology(gr: CyclicGroup, i: int,
                            rows: _GroupRows | None = None) -> PerElementComplex:
     _check_index(gr, i)
-    cond, cob, _ = _guarded_complex(gr, i, rows)
+    cond, cob = _guarded_complex(gr, i, rows)
     b = rank(cob)
     red, piv = rref(cond)
     z = cond.ncols - len(piv)
@@ -420,7 +425,7 @@ def per_element_cohomology(gr: CyclicGroup, i: int,
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
     zrows = Matrix._of(gr.field, red.rows[:len(piv)], cond.ncols)
-    return PerElementComplex(i, z, b, hh, zrows, cob)
+    return PerElementComplex(i, z, b, hh, zrows)
 
 
 def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
@@ -455,7 +460,9 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     Each matrix is read once.  The d^2 = 0 guard carries gamma, so one
     product cond @ [dmat | gamma] tests both d^2 = 0 and gamma's cocycle
     conditions, on the rows as built; neither the rank of the coboundaries
-    nor the RREF of the conditions is taken.  One product
+    nor the RREF of the conditions is taken, and the representative, a
+    combination of the columns of [dmat | gamma], is a cocycle by that
+    product.  One product
     dist @ [dmat | gamma] and one elimination of it (`solve`) give f and
     the kernel of dist @ dmat.  A non-cocycle raises NotACocycleError with
     the element index and the first violated row of
@@ -475,22 +482,22 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     flat = [f.coerce(x) for x in flat]
     if len(flat) != cochain_dim(gr.n):
         raise ValueError("vector length mismatch")
-    # aug = [dmat | gamma] and d2 = cond @ aug, whose columns are all zero
-    _, aug, d2 = _guarded_complex(gr, i, gamma=flat)
+    # aug = [dmat | gamma]; the guard found every column of cond @ aug zero
+    _, aug = _guarded_complex(gr, i, gamma=flat)
     dist = distinguished_constraints(gr, i)
     m = dist @ aug
     f0, kernel = solve(m)
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
     # the representative gamma - dmat f0 is aug v for v = (-f0, 1), so dist
-    # and cond read it through the products m = dist @ aug and d2
+    # reads it through the product m = dist @ aug.  It is a cocycle with no
+    # further check: cond (aug v) = (cond @ aug) v, and the guard found
+    # cond @ aug zero.
     p = f.p
     v = [-x if p is None else -x % p for x in f0] + [f.one()]
     rep_flat = aug._apply(v)
     if any(m._apply(v)):
         raise AssertionError("representative escapes the distinguished subspace")
-    if any(d2._apply(v)):
-        raise AssertionError("representative is not a cocycle")
     # uniqueness: every f-freedom (dist dmat k = 0) leaves the
     # representative untouched (dmat k = 0)
     zero = (f.zero(),)

@@ -85,6 +85,19 @@ def zeros(field: Field, r: int, c: int) -> Matrix:
     return Matrix(field, [[0] * c] * r, ncols=c)
 
 
+def difference(a: Matrix, b: Matrix) -> Matrix:
+    """a - b entry by entry, brought back into the field by the coercing
+    constructor: the tests' own subtraction, independent of the library's
+    `minus_scalar`, which rewrites only the diagonal."""
+    return Matrix(a.field, [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)],
+                  ncols=a.ncols)
+
+
+def one_minus(m: Matrix) -> Matrix:
+    """1 - m for a square m, entry by entry."""
+    return difference(Matrix.identity(m.field, m.nrows), m)
+
+
 def fraction_rref(m: Matrix) -> Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[int, ...], Fraction]:
     """Textbook Gauss-Jordan on the Fraction entries of m over Q, the
     reference for the library's elimination on integer rows: the RREF rows,
@@ -133,10 +146,9 @@ def dual_matrix(m: Matrix) -> Matrix:
 
 def transfer_matrix(gr: CyclicGroup) -> Matrix:
     """The transfer T = sum of the powers of g; `gr.transfer()` is im T."""
-    t = zeros(gr.field, gr.n, gr.n)
-    for p in gr.powers:
-        t = t + p
-    return t
+    n = gr.n
+    return Matrix(gr.field, [[sum(p.rows[r][c] for p in gr.powers) for c in range(n)]
+                             for r in range(n)], ncols=n)
 
 
 def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
@@ -170,7 +182,7 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
         # (2) at group element g^j:
         # 0 = g alpha_{j-1}(u^v) - alpha_{j-1}(^g u ^ ^g v)
         #     - lambda_j(v)(^g u - ^{g^j} u) + lambda_j(u)(^g v - ^{g^j} v)
-        gm = g - hj   # (^g - ^{g^j}) as a matrix
+        gm = difference(g, hj)   # (^g - ^{g^j}) as a matrix
         for w0, (a, b) in enumerate(pairs):
             for r in range(n):
                 row = [f.zero()] * dim
@@ -188,10 +200,11 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
                 row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
                 rows.append(row)
         # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
-        rows += _jacobi_rows(f, dim, (one - hj).rows, lam + n)
+        rows += _jacobi_rows(f, dim, one_minus(hj).rows, lam + n)
         # d^1 on f_j tensor g^j, in columns j*n .. j*n + n-1: its lambda rows
         # land at g^{j+1}, its alpha rows at g^j
-        block = _coboundary_rows(f, (one - g).rows, (one - hj).rows)
+        block = _coboundary_rows(f, one_minus(g).rows, one_minus(hj).rows,
+                                 difference(hj, one).rows)
         for k, row in enumerate(block):
             at = ((j + 1) % N) * blk + k if k < n else lam + k
             cob[at][j * n:(j + 1) * n] = row
@@ -209,16 +222,16 @@ def reference_element(gr: CyclicGroup, i: int) -> dict:
     checked against them."""
     f = gr.field
     h = gr.power(i)
-    one_minus = Matrix.identity(f, gr.n) - h
-    fixed = kernel_basis(one_minus)
-    moved = image_basis(one_minus)
+    one_minus_h = one_minus(h)
+    fixed = kernel_basis(one_minus_h)
+    moved = image_basis(one_minus_h)
     codim = gr.n - fixed.dim
     chi = f.one() if codim == 0 else quotient_matrix(gr.generator, fixed).det()
     return {
         "fixed_space": fixed, "moved_space": moved, "codim": codim,
         "chi_of_generator": chi, "det": h.det(),
-        "transvection": (codim == 1 and not one_minus.is_zero()
-                         and (one_minus @ one_minus).is_zero()),
+        "transvection": (codim == 1 and not one_minus_h.is_zero()
+                         and (one_minus_h @ one_minus_h).is_zero()),
         "quotient_action": quotient_matrix(gr.generator, moved),
         "dual_fixed_action": (dual_matrix(restricted_matrix(gr.generator, fixed))
                               if fixed.dim else restricted_matrix(gr.generator, fixed)),

@@ -32,7 +32,7 @@ from skewcoh.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from skewcoh.oracle import DimensionMismatchError
 from skewcoh.group_action import group_from_generator
 
-from conftest import SUITE, suite_group, transfer_matrix
+from conftest import SUITE, one_minus, suite_group, transfer_matrix
 
 TRANSV3 = {"field": {"type": "prime", "p": 3}, "generator": [[1, 1], [0, 1]]}
 DIAG23 = {"field": {"type": "prime", "p": 5}, "generator": [[2, 0], [0, 3]]}
@@ -358,7 +358,7 @@ def test_transfer_outside_the_invariants_is_verification_failure(job, capsys, mo
     # matrix T = 1 + g of diag(1, -1), and V^G is the line of e1
     gr = group_from_generator(Field.prime(5), DIAG_1_M1["generator"])
     t = transfer_matrix(gr)
-    assert all(t != Matrix.identity(gr.field, 2) - h for h in gr.powers)
+    assert all(t != one_minus(h) for h in gr.powers)
     real = group_action.image_basis
     monkeypatch.setattr(group_action, "image_basis",
                         lambda m: Subspace(m.field, 2, [[1, 0], [0, 1]]) if m == t else real(m))

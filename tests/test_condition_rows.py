@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from skewcoh import Field, Matrix, cochain_dim, cocycle_conditions, group_from_generator, rref
 from skewcoh.group_action import OrderExceedsBoundError, sym_pairs, wedge_pairs
-from skewcoh.oracle import _group_rows, _jacobi_rows, _negated, _one_minus
+from skewcoh.oracle import _group_rows, _jacobi_rows, _negated
 
-from conftest import suite_group
+from conftest import one_minus, suite_group
 from test_trusted_builders import SETTINGS, prime_generators
 
 ORDER_BOUND = 1000
@@ -58,7 +58,7 @@ def every_condition_row(gr, i):
     f, n = gr.field, gr.n
     dim = cochain_dim(n)
     rows = _group_rows(gr)
-    one_minus_h = _one_minus(f, gr.power(i))
+    one_minus_h = one_minus(gr.power(i)).rows
     h_minus_1 = _negated(f, one_minus_h)
     out = list(rows.transfer)
     for a, b, r, twist in rows.twist:
@@ -108,8 +108,9 @@ def test_identity_contributes_no_jacobi_row():
     # 1 - h = 0 at h = 1, so every condition (3) row is zero and none is built
     gr = suite_group("diag_2_3_4_f5")
     f, n = gr.field, gr.n
-    assert _jacobi_rows(f, cochain_dim(n), _one_minus(f, gr.power(0)), n) == []
-    assert len(every_jacobi_row(f, cochain_dim(n), _one_minus(f, gr.power(0)), n)) == 6
+    one_minus_1 = one_minus(gr.power(0)).rows
+    assert _jacobi_rows(f, cochain_dim(n), one_minus_1, n) == []
+    assert len(every_jacobi_row(f, cochain_dim(n), one_minus_1, n)) == 6
     # what is left at the identity are the nonzero rows of conditions (1) and (2)
     rows = _group_rows(gr)
     kept = [tuple(r) for r in rows.transfer] + [tuple(t) for *_, t in rows.twist if any(t)]

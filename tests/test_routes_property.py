@@ -122,6 +122,8 @@ def check_reduce_membership(field, rows, seed):
         assert not any(zrows.apply(flat)), (rows, i, flat)
         assert rep.flat() == tuple(f.sub(x, y) for x, y in zip(flat, cob.apply(w.f)))
         assert not any(dist.apply(rep.flat()))
+        # reduce proves this from its d^2 guard's product instead of checking it
+        assert not any(zrows.apply(rep.flat()))
 
 
 @SETTINGS
