@@ -3,7 +3,12 @@
 Job files are a single JSON document:
 
     {"field": {"type": "prime", "p": 3}, "generator": [[1, 1], [0, 1]]}
-    {"field": {"type": "rational"}, "generator": [["1/2", 0], [0, 2]]}
+    {"field": {"type": "rational"}, "generator": [[0, "1/2"], [2, 0]]}
+
+The document takes exactly the keys "field" and "generator"; the field
+takes "type" and, for a prime field, "p".  Any other key (a "p" in a
+rational field, a top-level "max_order") is an input error, not ignored.
+`--max-order` must be at least 1.
 
 Subcommands: analyze (closed-form dimensions), compare (closed form vs
 cochain-complex oracle), reps (distinguished representative bases), deform
@@ -11,10 +16,10 @@ cochain-complex oracle), reps (distinguished representative bases), deform
 deformation).
 
 Exit codes: 0 pass, 1 verification failure, 2 input error.  Only the input
-boundary gives 2: `load_job` and the constructors that see nothing but the
-job (the field, the group, the deform generator and prime) raise JobError
-for whatever the input can get wrong.  Any other exception is a failed
-verification or a bug, and exits 1.
+boundary gives 2: `main` (for `--max-order`), `load_job` and the
+constructors that see nothing but the job (the field, the group, the
+deform generator and prime) raise JobError for whatever the input can get
+wrong.  Any other exception is a failed verification or a bug, and exits 1.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ def _from_input(construct, *args):
         raise JobError(str(e)) from e
 
 
+def _refuse_stray_keys(spec: dict, allowed, what: str) -> None:
+    """A key outside `allowed` would be ignored, so it is an input error."""
+    stray = sorted(set(spec) - set(allowed))
+    if stray:
+        raise JobError("unknown key %r in the %s; it takes %s"
+                       % (stray[0], what, ", ".join('"%s"' % k for k in allowed)))
+
+
 def load_job(path: str):
     """Read a job file; returns (Field, generator row lists)."""
     try:
@@ -78,15 +91,18 @@ def load_job(path: str):
         raise JobError("bad JSON in %s: %s" % (path, e)) from e
     if not isinstance(doc, dict):
         raise JobError("job document must be a JSON object")
+    _refuse_stray_keys(doc, ("field", "generator"), "job")
     fspec = doc.get("field")
     if not isinstance(fspec, dict) or "type" not in fspec:
         raise JobError('job needs "field": {"type": "prime", "p": ...} or {"type": "rational"}')
     if fspec["type"] == "prime":
+        _refuse_stray_keys(fspec, ("type", "p"), "prime field")
         p = fspec.get("p")
         if not isinstance(p, int) or isinstance(p, bool):
             raise JobError('prime field needs an integer "p", got %r' % (p,))
         field = _from_input(Field.prime, p)
     elif fspec["type"] == "rational":
+        _refuse_stray_keys(fspec, ("type",), "rational field")
         field = Field.rational()
     else:
         raise JobError("unknown field type %r" % (fspec["type"],))
@@ -396,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.max_order < 1:
+            raise JobError("--max-order must be at least 1, got %d" % args.max_order)
         return args.func(args)
     except JobError as e:
         print("error: %s" % e, file=sys.stderr)

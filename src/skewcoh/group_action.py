@@ -80,7 +80,9 @@ def wedge2_matrix(m: Matrix) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis of the tensor ordered with a's index major.
-    The factors are mostly zeros, so a zero factor costs no product."""
+    The factors are mostly zeros, so a zero factor costs no product, and
+    over F_p each product is reduced as it is made."""
+    p = a.field.p
     zero = a.field.zero()
     blank = [zero] * b.ncols
     rows = []
@@ -88,9 +90,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for rb in b.rows:
             row = []
             for x in ra:
-                row += [x * y if y else zero for y in rb] if x else blank
+                if not x:
+                    row += blank
+                elif p is None:
+                    row += [x * y if y else zero for y in rb]
+                else:
+                    row += [x * y % p for y in rb]
             rows.append(row)
-    return a._reduced(rows, a.ncols * b.ncols)
+    return Matrix._of(a.field, rows, a.ncols * b.ncols)
 
 
 def _acts_on(m: Matrix, sub: Subspace) -> None:

@@ -38,15 +38,16 @@ order.
 
 What does not depend on the element is built once per group, by
 `_group_rows`: the condition (1) rows from im T, the alpha-twist block of
-condition (2) (from g^{-1}, the stored power g^{N-1}, and wedge^2 g), and
-1 - g, which gives the coboundary's lambda rows.  `oracle_report` builds
-that record once and hands it to every element, and so does the CLI's
-`reps` to `representative_basis`; a caller that passes none
-(`reduce_to_representative`, a direct call) gets one built for the call,
-or, from `coboundary_matrix`, just 1 - g.  Per element there remain
-h - 1 (from `minus_scalar`, which rewrites only the diagonal) and its
-negation 1 - h, both signs being read by condition (2) and the
-coboundary, the lambda coupling of condition (2) (two entries on a copy
+condition (2), which is I - (wedge^2 g)^T kron g^{-1} (g^{-1} acting on
+Hom(wedge^2 V, V); one `kron` and `minus_scalar`, never the formula's
+`induced_action`), and 1 - g, which gives the coboundary's lambda rows.
+`oracle_report` builds that record once and hands it to every element,
+and so does the CLI's `reps` to `representative_basis`; a caller that
+passes none (`reduce_to_representative`, a direct call) gets one built
+for the call, or, from `coboundary_matrix`, just 1 - g.  Per element
+there remain h - 1 (from `minus_scalar`, which rewrites only the
+diagonal) and its negation 1 - h, both signs being read by conditions (2)
+and (3) and the coboundary, the lambda coupling of condition (2) (two entries on a copy
 of each twist row), condition (3) and the coboundary's alpha rows, all
 built entry by entry with plain int or Fraction arithmetic (one `% p` per
 entry over F_p), and then, on every complex, the d^2 = 0 product, and in
@@ -90,11 +91,11 @@ vector for uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Sequence, Tuple
 
 from .fields import Field, Scalar
-from .group_action import CyclicGroup, wedge_pairs, sym_pairs, wedge2_matrix
+from .group_action import CyclicGroup, kron, wedge_pairs, sym_pairs, wedge2_matrix
 from .linalg import Matrix, Vector, kernel_basis, minus_scalar, rank, rref, solve
 
 
@@ -193,17 +194,18 @@ def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
     return rows
 
 
-def _jacobi_rows(f: Field, dim: int, one_minus_h, at: int) -> List[List[Scalar]]:
+def _jacobi_rows(f: Field, dim: int, one_minus_h, h_minus_1, at: int) -> List[List[Scalar]]:
     """Condition (3) at h, one Sym^2-valued condition per basis triple, with
     alpha(e_a ^ e_b)_s (pair number w) in column at + w*n + s; one_minus_h
-    is the rows of 1 - h.  The row at {i0, j0} reads the coordinates i0
-    and j0 of the triple's three vectors, so it is built only when one of
-    them is nonzero (at h = 1 none is)."""
+    and h_minus_1 are the rows of 1 - h and of h - 1, both of which the
+    caller holds, so neither is negated here.  The row at {i0, j0} reads
+    the coordinates i0 and j0 of the triple's three vectors, so it is
+    built only when one of them is nonzero (at h = 1 none is)."""
     n = len(one_minus_h)
     zero = f.zero()
     pos = {p: k for k, p in enumerate(wedge_pairs(n))}
     x = list(zip(*one_minus_h))           # the vectors (1-h)e_t
-    minus_x = list(zip(*_negated(f, one_minus_h)))
+    minus_x = list(zip(*h_minus_1))
     spairs = sym_pairs(n)
     rows: List[List[Scalar]] = []
     for a, b, c in combinations(range(n), 3):
@@ -273,34 +275,24 @@ class _GroupRows:
     its alpha-twist row, (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r, whose lambda
     block is zero, plus a lambda coupling that depends on h."""
     transfer: List[List[Scalar]]                      # condition (1): lambda(im T) = 0
-    twist: List[Tuple[int, int, int, List[Scalar]]]   # (a, b, r, alpha-twist row)
+    twist: List[Tuple[int, int, int, Vector]]         # (a, b, r, alpha-twist row)
     one_minus_g: List[List[Scalar]]
 
 
 def _group_rows(gr: CyclicGroup) -> _GroupRows:
-    """The record of gr, with g^{-1} read off the stored powers."""
+    """The record of gr.  The twist row at (w0, r) holds
+    delta - (wedge^2 g)[w][w0] (g^{-1})[r][s] at alpha(w)_s, column
+    n + w*n + s: the rows of I - (wedge^2 g)^T kron g^{-1}, in order, behind
+    n zero lambda columns.  g^{-1} is read off the stored powers."""
     f = gr.field
-    p = f.p
     n = gr.n
-    pairs = wedge_pairs(n)
-    dim = cochain_dim(n)
-    ginv = gr.power(-1).rows
-    w2g = wedge2_matrix(gr.generator).rows
-    zero, one = f.zero(), f.one()
-    twist = []
-    for w0, (a, b) in enumerate(pairs):
-        for r in range(n):
-            row = [zero] * dim
-            # alpha(w0)_r itself
-            row[n + w0 * n + r] = one
-            # minus (^{g^{-1}}alpha)(w0)_r = sum_w sum_s w2g[w][w0] ginv[r][s] alpha(w)_s
-            for w in range(len(pairs)):
-                c = w2g[w][w0]
-                if c:
-                    for s, y in enumerate(ginv[r]):
-                        row[n + w * n + s] -= c * y
-            twist.append((a, b, r, row if p is None else [x % p for x in row]))
-    return _GroupRows(_vanish_rows(f, dim, gr.transfer().basis_rows(), 0), twist,
+    neg_ginv = Matrix._of(f, _negated(f, gr.power(-1).rows), n)
+    block = minus_scalar(kron(wedge2_matrix(gr.generator).transpose(), neg_ginv),
+                         f.coerce(-1))
+    lam = (f.zero(),) * n
+    twist = [(a, b, r, lam + row)
+             for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block.rows)]
+    return _GroupRows(_vanish_rows(f, cochain_dim(n), gr.transfer().basis_rows(), 0), twist,
                       _signed_shifts(f, gr.generator)[0])
 
 
@@ -315,7 +307,7 @@ def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) 
 
     # (3) one Sym^2-valued condition per basis triple; the sparsest rows
     # come first, so they are the pivot rows of the elimination
-    out = _jacobi_rows(f, dim, one_minus_h, n)
+    out = _jacobi_rows(f, dim, one_minus_h, h_minus_1, n)
 
     # (1) lambda vanishes on im T
     out += rows.transfer

@@ -3,8 +3,10 @@ test modules, with their hand-checked invariants (order, per-element fixed
 space codimensions, total dimension, transfer image), the assembled
 cochain complex the oracle tests check the per-element split against, and
 the per-element derivation that `CyclicGroup.element` shares per cyclic
-subgroup, kept here as a reference, and Fraction Gauss-Jordan, the
-reference for the library's elimination on integer rows over Q."""
+subgroup, kept here as a reference, Fraction Gauss-Jordan, the
+reference for the library's elimination on integer rows over Q, and the
+entrywise alpha-twist rows of condition (2), the reference for the
+oracle's Kronecker form."""
 
 from fractions import Fraction
 from typing import List, Tuple
@@ -96,6 +98,48 @@ def difference(a: Matrix, b: Matrix) -> Matrix:
 def one_minus(m: Matrix) -> Matrix:
     """1 - m for a square m, entry by entry."""
     return difference(Matrix.identity(m.field, m.nrows), m)
+
+
+def elementary_conjugate(rows, steps) -> List[List[Fraction]]:
+    """U g U^{-1} as Fractions, U the product of the elementary matrices
+    1 + c E_ij of `steps` ((i, j, c) with i != j), each applied as the row
+    step row_i += c row_j and its inverse, the column step
+    col_j -= c col_i.  U and U^{-1} come from the same steps, with no
+    matrix inverse; integer c make U unimodular."""
+    g = [[Fraction(x) for x in r] for r in rows]
+    for i, j, c in steps:
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        for r in g:
+            r[j] -= c * r[i]
+    return g
+
+
+def reference_twist(gr: CyclicGroup) -> List[Tuple[int, int, int, Tuple[Scalar, ...]]]:
+    """The alpha-twist rows of condition (2), (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r
+    for each pair (a, b) and coordinate r, written out entry by entry:
+    alpha(w)_s has coefficient delta - (wedge^2 g)[w][w0] (g^{-1})[r][s] in
+    the row at pair number w0; the lambda columns are zero.  The reference
+    for the record's Kronecker form."""
+    f = gr.field
+    p = f.p
+    n = gr.n
+    pairs = wedge_pairs(n)
+    ginv = gr.power(-1).rows
+    w2g = wedge2_matrix(gr.generator).rows
+    twist = []
+    for w0, (a, b) in enumerate(pairs):
+        for r in range(n):
+            row = [f.zero()] * cochain_dim(n)
+            # alpha(w0)_r itself
+            row[n + w0 * n + r] = f.one()
+            # minus (^{g^{-1}}alpha)(w0)_r = sum_w sum_s w2g[w][w0] ginv[r][s] alpha(w)_s
+            for w in range(len(pairs)):
+                c = w2g[w][w0]
+                if c:
+                    for s, y in enumerate(ginv[r]):
+                        row[n + w * n + s] -= c * y
+            twist.append((a, b, r, tuple(row if p is None else [x % p for x in row])))
+    return twist
 
 
 def fraction_rref(m: Matrix) -> Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[int, ...], Fraction]:
@@ -200,7 +244,7 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
                 row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
                 rows.append(row)
         # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
-        rows += _jacobi_rows(f, dim, one_minus(hj).rows, lam + n)
+        rows += _jacobi_rows(f, dim, one_minus(hj).rows, difference(hj, one).rows, lam + n)
         # d^1 on f_j tensor g^j, in columns j*n .. j*n + n-1: its lambda rows
         # land at g^{j+1}, its alpha rows at g^j
         block = _coboundary_rows(f, one_minus(g).rows, one_minus(hj).rows,

@@ -452,6 +452,24 @@ def test_print_json_refuses_what_it_cannot_write_exactly(doc):
         _printed(doc)
 
 
+# -- stray keys ------------------------------------------------------------------
+
+@pytest.mark.parametrize("doc, key", [
+    # a rational field with a "p" used to run over Q and fail as infinite order
+    ({"field": {"type": "rational", "p": 3}, "generator": [[1, 1], [0, 1]]}, "p"),
+    ({"field": {"type": "prime", "p": 3, "q": 5}, "generator": [[1, 1], [0, 1]]}, "q"),
+    # a cap in the job was ignored; only --max-order sets it
+    (dict(TRANSV3, max_order=2), "max_order"),
+    (dict(ROT4Q, generators=[[[1, 0], [0, 1]]]), "generators"),
+], ids=["p in rational", "q in prime", "max_order", "generators"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "reps", "deform"])
+def test_stray_job_keys_are_input_errors(job, capsys, doc, key, command):
+    assert main([command, job(doc)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown key %r" % key), captured.err
+    assert captured.out == ""
+
+
 # -- order bound -----------------------------------------------------------------
 
 def test_max_order_flag(job, capsys):
@@ -460,12 +478,27 @@ def test_max_order_flag(job, capsys):
     assert "order exceeds" in capsys.readouterr().err.lower()
     assert main(["analyze", "--max-order", "4", path]) == EXIT_PASS
     capsys.readouterr()
-    # the identity has order 1, above any cap below 1
+    # a cap below 1 admits no group, not even the identity, and is refused
+    # as the flag's own error before the job is read
     for field in ({"type": "prime", "p": 3}, {"type": "rational"}):
         ident = job({"field": field, "generator": [[1, 0], [0, 1]]}, "ident.json")
         for cap in ("0", "-5"):
             assert main(["analyze", "--max-order", cap, ident]) == EXIT_INPUT
-            assert "order exceeds bound %s" % cap in capsys.readouterr().err
+            assert "error: --max-order must be at least 1, got %s" % cap \
+                in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--nonmodular-check"], ["compare"],
+                                  ["reps"], ["deform"], ["deform", "--deform-prime", "3"]],
+                         ids=lambda a: " ".join(a))
+def test_max_order_below_one_names_the_flag(job, capsys, argv):
+    path = [] if "--deform-prime" in argv else [job(TRANSV3)]
+    for cap in ("0", "-3"):
+        assert main(argv + path + ["--max-order", cap]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-order must be at least 1, got %s\n" % cap
+        assert captured.out == ""
+    assert main(argv + path + ["--max-order", "3"]) == EXIT_PASS
 
 
 def test_max_order_bounds_deform_prime(capsys):

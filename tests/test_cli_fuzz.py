@@ -73,15 +73,17 @@ valid_fields = st.one_of(
 bad_fields = st.one_of(
     st.builds(lambda p: {"type": "prime", "p": p},
               st.sampled_from([2, 4, 9, 1, 0, -3, 10 ** 30, 3.0, "7", True, None, [3]])),
-    st.sampled_from([{"type": "complex"}, {"p": 3}, {}, "Q", None, 3, [{"type": "rational"}]]),
+    st.sampled_from([{"type": "complex"}, {"p": 3}, {}, "Q", None, 3, [{"type": "rational"}],
+                     {"type": "rational", "p": 3}, {"type": "prime", "p": 3, "q": 5}]),
 )
 
 
 @st.composite
 def documents(draw):
     """Seven in ten: a valid field and a square generator (one hostile entry
-    in half of those); the rest have a bad field, a malformed generator, no
-    generator, or are not an object."""
+    in half of those); the rest have a bad field (stray keys included), a
+    malformed generator, no generator or an extra top-level key, or are not
+    an object."""
     roll = draw(st.integers(0, 9))
     if roll < 7:
         return {"field": draw(valid_fields), "generator": draw(square_generators())}
@@ -90,6 +92,9 @@ def documents(draw):
     if roll == 8:
         return {"field": draw(valid_fields), "generator": draw(malformed_generators)}
     return draw(st.one_of(st.fixed_dictionaries({"field": valid_fields}),
+                          st.fixed_dictionaries({"field": valid_fields,
+                                                 "generator": square_generators(),
+                                                 "max_order": st.integers(-3, 3)}),
                           st.lists(st.integers(), max_size=3), st.text(max_size=5), st.none()))
 
 

@@ -8,18 +8,25 @@ the RREF must keep the same nonzero rows as the assembly below, which lists
 conditions (1), (2), (3) in that order and keeps every row: the row space,
 and so the cocycles and the stored RREF rows, do not depend on the order or
 on the zero rows.
+
+The alpha-twist block of condition (2) is built once per group as
+I - (wedge^2 g)^T kron g^{-1}; on conjugated generators with Fraction
+entries (n = 1..5 over F_3, F_5 and Q) it must equal, row for row, the
+entrywise loop kept in conftest as `reference_twist`.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewcoh import Field, Matrix, cochain_dim, cocycle_conditions, group_from_generator, rref
 from skewcoh.group_action import OrderExceedsBoundError, sym_pairs, wedge_pairs
 from skewcoh.oracle import _group_rows, _jacobi_rows, _negated
 
-from conftest import one_minus, suite_group
+from conftest import elementary_conjugate, one_minus, reference_twist, suite_group
 from test_trusted_builders import SETTINGS, prime_generators
 
 ORDER_BOUND = 1000
@@ -109,9 +116,41 @@ def test_identity_contributes_no_jacobi_row():
     gr = suite_group("diag_2_3_4_f5")
     f, n = gr.field, gr.n
     one_minus_1 = one_minus(gr.power(0)).rows
-    assert _jacobi_rows(f, cochain_dim(n), one_minus_1, n) == []
+    assert _jacobi_rows(f, cochain_dim(n), one_minus_1, _negated(f, one_minus_1), n) == []
     assert len(every_jacobi_row(f, cochain_dim(n), one_minus_1, n)) == 6
     # what is left at the identity are the nonzero rows of conditions (1) and (2)
     rows = _group_rows(gr)
     kept = [tuple(r) for r in rows.transfer] + [tuple(t) for *_, t in rows.twist if any(t)]
     assert list(cocycle_conditions(gr, 0).rows) == kept
+
+
+@st.composite
+def conjugated_generators(draw, field, n):
+    """A signed permutation, or over F_p also +-J_n(1), conjugated by up to
+    four elementary steps with Fraction coefficients whose denominators
+    (1, 2 or 7) are units in F_3, F_5 and Q."""
+    if field.p is not None and draw(st.booleans()):
+        sign = draw(st.sampled_from([1, -1]))
+        base = [[sign * (b in (a, a + 1)) for b in range(n)] for a in range(n)]
+    else:
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        base = [[signs[a] if b == perm[a] else 0 for b in range(n)] for a in range(n)]
+    steps = []
+    if n > 1:
+        steps = draw(st.lists(st.tuples(st.permutations(range(n)),
+                                        st.integers(-3, 3), st.sampled_from([1, 2, 7])),
+                              max_size=4))
+        steps = [(ij[0], ij[1], Fraction(c, d)) for ij, c, d in steps]
+    return elementary_conjugate(base, steps)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("field", [Field.prime(3), Field.prime(5), Field.rational()],
+                         ids=["F3", "F5", "Q"])
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_twist_block_is_the_entrywise_reference(field, n, data):
+    rows = data.draw(conjugated_generators(field, n))
+    gr = group_from_generator(field, rows, order_bound=ORDER_BOUND)
+    assert _group_rows(gr).twist == reference_twist(gr)
