@@ -396,21 +396,24 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
       checked by length, then in the order v1, v2, g; a letter of a smaller
       class comes first in alphabet order, and g^1 is the least g letter,
       so a mismatch names the same first word as full enumeration in
-      alphabet order; for d < 1 only length <= d+1 is checked, as full
+      alphabet order; for d = 0 only length <= 1 is checked, as full
       enumeration would.
     - Count.  Once the 13 class words agree, the Shape argument makes the
       irreducible words exactly the shaped ones: v1^a v2^b (v-degree a + b,
       length a + b) and v1^a v2^b g^c for each of the N-1 letters g^c
       (length a + b + 1).  So the words of v-degree <= d and length
       <= d+1 are N for each pair (a, b) with a + b <= d, and there are
-      C(d+2, 2) such pairs; for d < 0 there are none.  The count is read off
-      that, and `expected`, the graded dimension, is computed on its own,
-      so the verdict rests on the shape check: a wrong rule table fails it
-      with an AssertionError.
+      C(d+2, 2) such pairs.  The count is read off that, and `expected`,
+      the graded dimension, is computed on its own, so the verdict rests
+      on the shape check: a wrong rule table fails it with an
+      AssertionError.
 
     Cost at most 13 `is_normal` calls at any N, where enumerating the
-    words of length <= d+1 takes (N+1)^(d+1).
+    words of length <= d+1 takes (N+1)^(d+1).  A negative d is refused
+    with ValueError: the graded piece of negative degree is zero.
     """
+    if d < 0:
+        raise ValueError("degree must be at least 0, got %d" % d)
     if not confluence.ok:
         raise PrerequisiteFailed("rewrite system is not confluent: %s" % confluence.witness)
     # the class representatives v1, v2, g; no g class when N = 1
@@ -423,7 +426,7 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
             if rs.is_normal(w) != _pbw_shaped(w):
                 raise AssertionError("normal form shape mismatch at %s" % word_str(w))
     # N shaped words (v1^a v2^b and its N-1 extensions by g^c) per pair a + b <= d
-    count = rs.N * ((d + 2) * (d + 1) // 2 if d >= 0 else 0)
+    count = rs.N * ((d + 2) * (d + 1) // 2)
     expected = rs.N * ((d + 2) * (d + 1) // 2)
     return HilbertReport(count == expected, d, count, expected)
 

@@ -9,6 +9,21 @@ S(V) x| G, G cyclic, worked element by element:
 plus the nonmodular cross-checks (coprime order: reflections contribute
 nothing; split characteristic polynomial: only det(h) = 1 elements of
 codimension at most 2 survive).
+
+In the coprime case, whether the characteristic polynomial of g splits
+over F is read off N = |G| and p = char F: it splits iff N divides p - 1
+over F_p, and iff N divides 2 over Q.
+
+- N is prime to p, so x^N - 1 is separable and g, a root of it, is
+  diagonalizable over the algebraic closure.  Its eigenvalues are N-th
+  roots of unity, and the lcm of their orders is N.
+- The characteristic polynomial splits over F iff every eigenvalue lies
+  in F.
+- Over F_p a nonzero lambda lies in F_p iff lambda^(p-1) = 1.  So every
+  eigenvalue does iff g^(p-1) = 1 (g is diagonalizable), that is, iff N
+  divides p - 1.
+- Over Q the only rational roots of unity are +-1.  So every eigenvalue is
+  rational iff g^2 = 1, that is, iff N divides 2.
 """
 
 from __future__ import annotations
@@ -18,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .group_action import CyclicGroup, chi_invariants, kron
-from .linalg import char_poly, poly_splits
 
 
 class WrongCaseError(ValueError):
@@ -112,14 +126,15 @@ def nonmodular_crosscheck(gr: CyclicGroup, report: CohomologyReport) -> Nonmodul
     the nonmodular statements.
 
     Coprime case: every codimension-1 summand must vanish.  Split case
-    (coprime + split characteristic polynomial): every codimension-1 or -2
+    (coprime + split characteristic polynomial, that is |G| dividing p - 1,
+    or 2 over Q; see the module docstring): every codimension-1 or -2
     summand at an element with det(h) != 1 must vanish.  In the modular
     case neither statement applies and the verdict is not_applicable; a
     coprime group with nothing to check passes vacuously.
     """
     p = gr.field.char
     prop_ok = p == 0 or math.gcd(gr.order, p) == 1
-    cor_ok = prop_ok and poly_splits(gr.field, char_poly(gr.generator))
+    cor_ok = prop_ok and (p - 1 if p else 2) % gr.order == 0
     checked = 0
     violations: List[str] = []
     for s in report.per_element:

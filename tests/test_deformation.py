@@ -379,6 +379,14 @@ def test_hilbert_requires_confluence():
         hilbert_check(rs, 2, confluence=confluence_check(rs))
 
 
+@pytest.mark.parametrize("d", [-1, -3])
+def test_hilbert_refuses_a_negative_degree(d):
+    # the graded piece of negative degree is zero, so there is nothing to count
+    rs = orbifold_algebra(builtin_transvection_gamma(3))
+    with pytest.raises(ValueError, match="degree must be at least 0, got %d" % d):
+        hilbert_check(rs, d, confluence=confluence_check(rs))
+
+
 # -- local count against full enumeration -------------------------------------------
 
 def brute_hilbert_check(rs, d):

@@ -35,12 +35,12 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 
 
 @st.composite
-def prime_generators(draw, max_n=4, min_n=1, sparse=st.booleans()):
-    """Invertible n x n generators over F_3, F_5 or F_7, dense or sparse as
-    `sparse` draws.  A sparse one is 1 + E with three in four entries of E
-    drawn as zero, so that 1 - g, and with it every 1 - h, often has a zero
-    row, which dense entries almost never give."""
-    f = Field.prime(draw(st.sampled_from([3, 5, 7])))
+def prime_generators(draw, max_n=4, min_n=1, sparse=st.booleans(), primes=(3, 5, 7)):
+    """Invertible n x n generators over F_p, p drawn from `primes`, dense
+    or sparse as `sparse` draws.  A sparse one is 1 + E with three in four
+    entries of E drawn as zero, so that 1 - g, and with it every 1 - h,
+    often has a zero row, which dense entries almost never give."""
+    f = Field.prime(draw(st.sampled_from(primes)))
     n = draw(st.integers(min_n, max_n))
     entry = st.integers(-f.p, 2 * f.p)
     sparse = draw(sparse)
