@@ -58,7 +58,6 @@ from .deformation import (
     AlgebraElement,
     ConfluenceReport,
     DeformationParams,
-    HilbertReport,
     PrerequisiteFailed,
     RewriteSystem,
     UnsupportedKappaShape,

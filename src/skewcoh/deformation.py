@@ -14,13 +14,13 @@ become rules
     v2 v1    -> v1 v2 + kappa(v2 ^ v1),
 
 confluence is checked on the critical pairs (overlap ambiguities), and
-normal-form counts are compared against the graded dimensions of
-F[v1,v2] x| G.  The check is local: both "irreducible" and "PBW-shaped"
-are decided by the factors of length 2 and read only a letter's class
-(v1, v2 or g), so it reads only words of length <= 2 in three letters.
-Once those agree, the irreducible words are exactly v1^a v2^b and
-v1^a v2^b g^c, N for each pair (a, b), and the count is read off that
-shape, not recounted (see hilbert_check).
+the irreducible words are shown to be PBW-shaped, so H has the graded
+dimensions of F[v1,v2] x| G.  The check is local: both "irreducible" and
+"PBW-shaped" are decided by the factors of length 2 and read only a
+letter's class (v1, v2 or g), so it reads only words of length <= 2 in
+three letters.  Once those agree, the irreducible words are exactly
+v1^a v2^b and v1^a v2^b g^c, N for each pair (a, b), and the count is
+read off that shape, not recounted (see hilbert_check).
 
 Every left side has length 2, none contains another, and the rules
 terminate, so by the diamond lemma (Bergman 1978) the system is confluent
@@ -363,19 +363,11 @@ def confluence_check(rs: RewriteSystem) -> ConfluenceReport:
     return ConfluenceReport(True, count, None, ())
 
 
-@dataclass(frozen=True)
-class HilbertReport:
-    ok: bool
-    degree: int
-    count: int
-    expected: int
-
-
-def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> HilbertReport:
-    """Count irreducible words of v-degree <= d and length <= d+1 against
-    the graded dimension N * C(d+2, 2) of F[v1,v2] x| G, and assert that
-    the irreducible words are exactly the PBW-shaped v1^a v2^b g^c.
-    Requires a passed confluence check.
+def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> int:
+    """Return N * C(d+2, 2), both the number of irreducible words of
+    v-degree <= d and length <= d+1 and the graded dimension of
+    F[v1,v2] x| G up to degree d, once the irreducible words are proved to
+    be exactly the PBW-shaped v1^a v2^b g^c.  Needs a passed confluence check.
 
     Both parts read only words of length <= 2 in three letters:
 
@@ -397,16 +389,15 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
       class comes first in alphabet order, and g^1 is the least g letter,
       so a mismatch names the same first word as full enumeration in
       alphabet order; for d = 0 only length <= 1 is checked, as full
-      enumeration would.
+      enumeration would.  A mismatch raises AssertionError.
     - Count.  Once the 13 class words agree, the Shape argument makes the
       irreducible words exactly the shaped ones: v1^a v2^b (v-degree a + b,
       length a + b) and v1^a v2^b g^c for each of the N-1 letters g^c
       (length a + b + 1).  So the words of v-degree <= d and length
       <= d+1 are N for each pair (a, b) with a + b <= d, and there are
-      C(d+2, 2) such pairs.  The count is read off that, and `expected`,
-      the graded dimension, is computed on its own, so the verdict rests
-      on the shape check: a wrong rule table fails it with an
-      AssertionError.
+      C(d+2, 2) such pairs.  The same words, read as v1^a v2^b g^c with
+      c in Z/N, are a basis of F[v1,v2] x| G up to degree d, so
+      N * C(d+2, 2) is both the count and the dimension, and is returned.
 
     Cost at most 13 `is_normal` calls at any N, where enumerating the
     words of length <= d+1 takes (N+1)^(d+1).  A negative d is refused
@@ -425,10 +416,7 @@ def hilbert_check(rs: RewriteSystem, d: int, confluence: ConfluenceReport) -> Hi
         for w in words:
             if rs.is_normal(w) != _pbw_shaped(w):
                 raise AssertionError("normal form shape mismatch at %s" % word_str(w))
-    # N shaped words (v1^a v2^b and its N-1 extensions by g^c) per pair a + b <= d
-    count = rs.N * ((d + 2) * (d + 1) // 2)
-    expected = rs.N * ((d + 2) * (d + 1) // 2)
-    return HilbertReport(count == expected, d, count, expected)
+    return rs.N * ((d + 2) * (d + 1) // 2)
 
 
 def _pbw_shaped(w: Word) -> bool:

@@ -465,15 +465,18 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
         raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
                          % (gamma.field, gamma.n, f, gr.n))
     _check_index(gr, i)
-    # the input boundary: a hand-built gamma may hold entries >= p, or
-    # Fractions over F_p, so its entries are coerced once, here, and every
-    # vector below is canonical.  Its entries are scalars: a str is refused.
+    # the input boundary: a hand-built gamma may be ragged, or hold entries
+    # >= p, or Fractions over F_p, so its shape is checked and its entries
+    # are coerced once, here, and every vector below is canonical.  Its
+    # entries are scalars: a str is refused.
+    n, k = gr.n, len(wedge_pairs(gr.n))
+    if len(gamma.lam) != n or len(gamma.alpha) != k or any(len(a) != n for a in gamma.alpha):
+        raise ValueError("cochain needs %d lambda entries and %d alpha values of %d entries"
+                         % (n, k, n))
     flat = gamma.flat()
     if any(isinstance(x, str) for x in flat):
         raise TypeError("cochain entries must be scalars, not strings")
     flat = [f.coerce(x) for x in flat]
-    if len(flat) != cochain_dim(gr.n):
-        raise ValueError("vector length mismatch")
     # aug = [dmat | gamma]; the guard found every column of cond @ aug zero
     _, aug = _guarded_complex(gr, i, gamma=flat)
     dist = distinguished_constraints(gr, i)

@@ -182,8 +182,7 @@ def test_criterion_7_deformation_lift(announce):
         rs = orbifold_algebra(params)
         conf = confluence_check(rs)
         ok = ok and conf.ok
-        hil = hilbert_check(rs, 4, confluence=conf)
-        ok = ok and hil.ok and hil.count == 15 * p
+        ok = ok and hilbert_check(rs, 4, confluence=conf) == 15 * p
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     announce(7, ok, "builtin deformation for p in {3,5,7}: bracket zero, "

@@ -16,9 +16,11 @@ anything of the same name is used, so a field called `index` passes on the
 JSON key "index", and a dead method passes on a live one of another class.
 
 A name whose only uses are string constants in `perfbench/` passes the
-guard on the benchmark's say-so alone, so those names are pinned as a set:
-a new one fails until it is added there, and the set is the deletion list
-for a benchmark change that stops naming them.
+guard on the benchmark's say-so alone, and so does a name whose other uses
+all sit inside the definition of such a name (`Field.inv` inside
+`Field.div`), and so on until the set stops growing.  Those names are
+pinned as a set: a new one fails until it is added there, and the set is
+the deletion list for a benchmark change that stops naming them.
 """
 
 import ast
@@ -79,9 +81,9 @@ def parsed_users():
 
 
 def public_name_uses():
-    """("file: qualified name", [(user file, kind), ...]) for each public
-    definition in the package, listing its uses outside its own
-    definition."""
+    """("file: qualified name", (file, first line, last line),
+    [(user file, line, kind), ...]) for each public definition in the
+    package, listing its uses outside its own definition."""
     trees = parsed_users()
     used = {path: uses(tree) for path, tree in trees.items()}
     out = []
@@ -89,23 +91,35 @@ def public_name_uses():
         for name, qual, first, last in public_definitions(trees[path]):
             # a method is reached through an attribute, never a bare name
             kinds = ("attr", "str") if "." in qual else ("name", "attr", "str")
-            out.append(("%s: %s" % (path.name, qual),
-                        [(p, kind) for p, found in used.items() for n, line, kind in found
+            out.append(("%s: %s" % (path.name, qual), (path, first, last),
+                        [(p, line, kind) for p, found in used.items()
+                         for n, line, kind in found
                          if n == name and kind in kinds
                          and not (p == path and first <= line <= last)]))
     return out
 
 
 def unused_public_names():
-    return [qual for qual, found in public_name_uses() if not found]
+    return [qual for qual, _, found in public_name_uses() if not found]
 
 
 def tracer_only_names():
-    """Public names whose only uses are string constants in `perfbench/`:
-    the tracer's SPANNED entries and "Field." + op names, and run.py's
-    metric names."""
-    return [qual for qual, found in public_name_uses()
-            if found and all(kind == "str" and p.parent == BENCH for p, kind in found)]
+    """Public names whose only uses are string constants in `perfbench/`
+    (the tracer's SPANNED entries and "Field." + op names, and run.py's
+    metric names) or sit inside the definition of a tracer-only name,
+    grown until the set stops changing."""
+    names = public_name_uses()
+    only = set()
+    while True:
+        spans = [span for qual, span, _ in names if qual in only]
+        grown = {qual for qual, _, found in names
+                 if found and all((kind == "str" and p.parent == BENCH)
+                                  or any(p == sp and first <= line <= last
+                                         for sp, first, last in spans)
+                                  for p, line, kind in found)}
+        if grown == only:
+            return sorted(only)
+        only = grown
 
 
 def unread_fields():
@@ -121,9 +135,9 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def test_tracer_only_names_are_the_pinned_set():
-    assert sorted(tracer_only_names()) == [
-        "fields.py: Field.div", "fields.py: Field.neg",
-        "linalg.py: Matrix.inverse", "linalg.py: char_poly",
+    assert tracer_only_names() == [
+        "fields.py: Field.div", "fields.py: Field.inv", "fields.py: Field.neg",
+        "linalg.py: Matrix.augment", "linalg.py: Matrix.inverse", "linalg.py: char_poly",
         "linalg.py: eigenspace", "linalg.py: poly_splits"]
 
 

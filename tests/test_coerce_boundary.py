@@ -199,8 +199,12 @@ def test_reduce_refuses_what_it_refused_before():
         with pytest.raises(exc):
             reduce_to_representative(gr, gamma)
     short = CochainTwo(f, 2, 1, good[:2], (good[2:3],))
-    with pytest.raises(ValueError):
-        reduce_to_representative(gr, short)
+    # ragged: the flat length is right, but lambda or alpha has the wrong shape
+    ragged = (CochainTwo(f, 2, 1, good[:3], (good[3:],)),
+              CochainTwo(f, 2, 1, good[:1], (good[1:],)))
+    for gamma in (short,) + ragged:
+        with pytest.raises(ValueError, match="cochain needs 2 lambda entries"):
+            reduce_to_representative(gr, gamma)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

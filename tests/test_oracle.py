@@ -24,6 +24,7 @@ import pytest
 from skewcoh import (
     CochainOne,
     CochainTwo,
+    CyclicGroup,
     Field,
     Matrix,
     NotACocycleError,
@@ -44,7 +45,8 @@ from skewcoh import (
 from skewcoh import linalg, oracle
 from skewcoh.cli import EXIT_FAIL, main
 
-from conftest import JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, assembled_complex, suite_group
+from conftest import (
+    JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, SUITE, assembled_complex, suite_group)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -234,6 +236,25 @@ def test_oracle_report_builds_the_group_rows_once(monkeypatch):
     gr = suite_group("companion8_f3")
     assert [p.hh_dim for p in oracle_report(gr)] == [0] * 8
     assert calls == {"wedge2": 1, "inverse": 0}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_coboundary_matrix_without_a_record_derives_no_transfer(name, monkeypatch):
+    # without a record, coboundary_matrix builds only 1 - g, so a caller
+    # that wants no im T (nor anything it would warm) can call it bare;
+    # cocycle_conditions needs condition (1), so it derives im T
+    gr = suite_group(name)
+    record = oracle._group_rows(gr)
+    with_record = [coboundary_matrix(gr, i, record).rows for i in range(gr.order)]
+
+    def no_transfer(self):
+        raise AssertionError("im T derived")
+    monkeypatch.setattr(CyclicGroup, "transfer", no_transfer)
+    gr = suite_group(name)
+    for i in range(gr.order):
+        assert coboundary_matrix(gr, i).rows == with_record[i]
+        with pytest.raises(AssertionError, match="im T derived"):
+            cocycle_conditions(gr, i)
 
 
 def test_transvection_z_and_b():
