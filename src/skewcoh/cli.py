@@ -15,11 +15,12 @@ cochain-complex oracle), reps (distinguished representative bases), deform
 (square bracket + confluence + Hilbert count for the worked 2-dimensional
 deformation).
 
-Exit codes: 0 pass, 1 verification failure, 2 input error.  Only the input
+Exit codes: 0 pass, 1 verification failure, 2 input error.  The input
 boundary gives 2: `main` (for `--max-order`), `load_job` and the
 constructors that see nothing but the job (the field, the group, the
 deform generator and prime) raise JobError for whatever the input can get
-wrong.  Any other exception is a failed verification or a bug, and exits 1.
+wrong.  A MemoryError, an input too large to check here, also exits 2.
+Any other exception is a failed verification or a bug, and exits 1.
 """
 
 from __future__ import annotations
@@ -415,6 +416,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except JobError as e:
         print("error: %s" % e, file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory: the input is too large for this machine", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:
         print("verification failed: %s" % e, file=sys.stderr)

@@ -13,21 +13,16 @@ bases) is deterministic.
 
 Coercion happens only at the input boundary: `Matrix(field, rows)`,
 `Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`
-and `Subspace.contains` go through `Field.coerce`, once per entry
-(`solve` takes a `Matrix`, so it coerces nothing).  Each of these has a
-trusted twin that takes canonical entries (an int in [0, p) over F_p, a
-Fraction over Q) and checks nothing:
-`Matrix._of`, `Subspace._of`, `Matrix._apply` and `Subspace._coordinates`
-(and, in the oracle, `CochainTwo._of` for `CochainTwo.from_flat`).  The
-public form coerces and checks lengths, then calls its twin.  Every matrix
-this module derives, and the matrices the oracle and group-action builders
-assemble, go through `Matrix._of`; `restricted_matrix` and
-`quotient_matrix` apply a matrix to RREF basis rows through the trusted
-twins; `representative_basis` turns kernel rows into cochains through
-`CochainTwo._of`; and `reduce_to_representative` coerces its cochain once
-on entry and works on canonical vectors from there.  `@`, `stack` and
-`augment` check once per call that both operands are over the same field,
-so entries of two fields never mix.
+and `Subspace.contains` go through `Field.coerce`, once per entry.  Each
+has a trusted twin that takes canonical entries (an int in [0, p) over
+F_p, a Fraction over Q) and checks nothing: `Matrix._of`, `Subspace._of`,
+`Matrix._apply` and `Subspace._coordinates` (and the oracle's
+`CochainTwo._of`).  Every matrix this module and the group-action builders
+derive goes through `Matrix._of`.  The oracle builds, guards and
+eliminates each per-element complex as plain row lists, through
+`_product` and `_eliminate`, and wraps in `Matrix._of` only what a caller
+keeps.  `@`, `stack` and `augment` check once per call that both operands
+are over the same field, so entries of two fields never mix.
 
 A matrix minus a scalar, m - c I, has one builder, `minus_scalar`, which
 takes a canonical c and rewrites only the diagonal.  The eigenspaces,
@@ -68,8 +63,9 @@ matrix.
   and invertible, so det = (-1)^swaps * (product of the final pivots) *
   (contents) / (lcms, negations, multipliers).
 
-The product `a @ b` is row-sparse for the same reason: it lists the nonzero
-(column, value) pairs of each row of b once, and builds row t of the
+The product `_product(f, a, b, ncols)` of row lists, which `a @ b` wraps
+after its operand check, is row-sparse for the same reason: it lists the
+nonzero (column, value) pairs of each row of b once, and builds row t of the
 product from the nonzeros of row t of a alone, reducing each output entry
 once.  Over F_p the nonzero columns of a row of a come from
 `itertools.compress(range(ncols), row)`, so its zeros are skipped in C,
@@ -177,35 +173,8 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._operand(other, "@", self.ncols == other.nrows)
-        p = self.field.p
-        out = []
-        if p is None:
-            # b over one common denominator db, each row of a over its own da
-            db = lcm(*[y._denominator for row in other.rows for y in row])
-            nz = [[(j, y._numerator * (db // y._denominator)) for j, y in enumerate(row)
-                   if y._numerator] for row in other.rows]
-            zero = Fraction(0)
-            for r in self.rows:
-                da = lcm(*[x._denominator for x in r])
-                acc = [0] * other.ncols
-                for x, terms in zip(r, nz):
-                    if x._numerator:
-                        x = x._numerator * (da // x._denominator)
-                        for j, y in terms:
-                            acc[j] += x * y
-                d = da * db
-                out.append([Fraction(v, d) if v else zero for v in acc])
-        else:
-            nz = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
-            cols = range(self.ncols)
-            for r in self.rows:
-                acc = [0] * other.ncols
-                for k in compress(cols, r):
-                    x = r[k]
-                    for j, y in nz[k]:
-                        acc[j] += x * y
-                out.append([v % p for v in acc])
-        return Matrix._of(self.field, out, other.ncols)
+        return Matrix._of(self.field, _product(self.field, self.rows, other.rows, other.ncols),
+                          other.ncols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
@@ -260,6 +229,40 @@ def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
     if f.p is None:
         return sum((x * y for x, y in zip(a, b) if x), f.zero())
     return sum(map(mul, a, b)) % f.p
+
+
+def _product(f: Field, a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> List[list]:
+    """The rows of a b for row lists of canonical scalars, len(b) columns
+    in a and ncols in b; nothing is checked (`@` checks)."""
+    p = f.p
+    out = []
+    if p is None:
+        # b over one common denominator db, each row of a over its own da
+        db = lcm(*[y._denominator for row in b for y in row])
+        nz = [[(j, y._numerator * (db // y._denominator)) for j, y in enumerate(row)
+               if y._numerator] for row in b]
+        zero = Fraction(0)
+        for r in a:
+            da = lcm(*[x._denominator for x in r])
+            acc = [0] * ncols
+            for x, terms in zip(r, nz):
+                if x._numerator:
+                    x = x._numerator * (da // x._denominator)
+                    for j, y in terms:
+                        acc[j] += x * y
+            d = da * db
+            out.append([Fraction(v, d) if v else zero for v in acc])
+    else:
+        nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        cols = range(len(b))
+        for r in a:
+            acc = [0] * ncols
+            for k in compress(cols, r):
+                x = r[k]
+                for j, y in nz[k]:
+                    acc[j] += x * y
+            out.append([v % p for v in acc])
+    return out
 
 
 def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...], Scalar]:

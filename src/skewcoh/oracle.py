@@ -28,7 +28,7 @@ pre-decomposition form, as an independent check of the lambda-to-hg
 bookkeeping.
 
 The elimination takes the first candidate row as the pivot, and a dense
-pivot row fills every row it is subtracted from.  So `cocycle_conditions`
+pivot row fills every row it is subtracted from.  So `_condition_rows`
 lists the sparse rows first, condition (3) (at most six nonzeros a row),
 then (1), then (2), and builds no all-zero row: a condition (3) row whose
 entries 1 - h kills is skipped before it is built (at h = 1 all of them
@@ -45,14 +45,12 @@ Hom(wedge^2 V, V); one `kron` and `minus_scalar`, never the formula's
 and so does the CLI's `reps` to `representative_basis`; a caller that
 passes none (`reduce_to_representative`, a direct call) gets one built
 for the call, or, from `coboundary_matrix`, just 1 - g.  Per element
-there remain h - 1 (from `minus_scalar`, which rewrites only the
-diagonal) and its negation 1 - h, both signs being read by conditions (2)
-and (3) and the coboundary, the lambda coupling of condition (2) (two entries on a copy
-of each twist row), condition (3) and the coboundary's alpha rows, all
-built entry by entry with plain int or Fraction arithmetic (one `% p` per
-entry over F_p), and then, on every complex, the d^2 = 0 product, and in
-`per_element_cohomology` `rank` of the coboundary matrix and one `rref` of
-the conditions.
+there remain h - 1 (from `minus_scalar`), 1 - h, the lambda coupling of
+condition (2), condition (3) and the coboundary's alpha rows, which
+`_condition_rows` and `_coboundary_rows` build as lists of ints or
+Fractions (one `% p` per entry over F_p); `cocycle_conditions` and
+`coboundary_matrix` wrap those builders.  Each complex gets new lists,
+the record's rows copied, since it is then eliminated in place.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -62,41 +60,33 @@ columns, so the cut is "alpha(e_a ^ e_b)_c = 0 for every pivot column c of
 V_h", with no matrix inverse.  Distinguished constraints are built only by
 `representative_basis` and `reduce_to_representative`.
 
-`_guarded_complex` builds the conditions and the coboundary matrix of one
-element and multiplies the unreduced conditions by the coboundary matrix,
-the d^2 = 0 check, every time a complex is built.
-`per_element_cohomology` then eliminates the conditions once: z is read
-from the pivots of their RREF, and
-`PerElementComplex.cocycle_condition_matrix` keeps the nonzero RREF rows
-(the same kernel, in at most cochain_dim rows), which
-`representative_basis` stacks the distinguished cut under.
+`_guarded_complex` multiplies the condition rows of one element, as
+built, by its coboundary rows (`_product`, the product behind `@`): the
+d^2 = 0 check, on every complex.  `per_element_cohomology` then
+eliminates the condition rows in place (`_eliminate`): z is read from the
+pivots, b is `rank` of the coboundary matrix, and `cocycle_condition_matrix`
+keeps the nonzero RREF rows (the same kernel, in at most cochain_dim
+rows), which `representative_basis` stacks the distinguished cut under.
 
 `reduce_to_representative` eliminates nothing of the complex and reads
-each matrix once.  It hands gamma to the guard, which multiplies
-cond @ [dmat | gamma] (dmat the coboundary matrix): the n coboundary
-columns of that product are the d^2 = 0 check, and its last column is
-cond gamma, tested on the condition rows as built (the same kernel as the
-RREF rows), so a `NotACocycleError` names the first violated row of
-`cocycle_conditions`.  Then one product dist @ [dmat | gamma] (dist the
-distinguished constraints) and one `solve` of it give the witness f0 and
-the kernel of dist @ dmat.  The representative gamma - dmat f0 is
-[dmat | gamma] (-f0, 1).  Its conditions are read off the guard's product
-once: cond (gamma - dmat f0) = cond gamma - (cond dmat) f0, and the guard
-has found both terms zero on every condition row, so the representative
-is a cocycle with no second pass over the rows.  The product with dist
-checks it against dist in n + 1 columns, and dmat checks each kernel
-vector for uniqueness.
+each matrix once: the guard's one product cond @ [dmat | gamma] (dmat the
+coboundary rows) checks d^2 = 0 and gamma's conditions on the rows as
+built, so a `NotACocycleError` names the first violated row of
+`cocycle_conditions`, and one product with the distinguished constraints
+and one `solve` give the witness and the kernel; its docstring and
+comments say why the representative needs no further cocycle check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, kron, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import Matrix, Vector, kernel_basis, minus_scalar, rank, rref, solve
+from .linalg import Matrix, Vector, _eliminate, _product, kernel_basis, minus_scalar, rank, solve
 
 
 class NotACocycleError(ValueError):
@@ -167,7 +157,7 @@ class PerElementComplex(ComplexDims):
 
 
 def cochain_dim(n: int) -> int:
-    return n + n * len(wedge_pairs(n))
+    return n + n * comb(n, 2)
 
 
 def _negated(f: Field, rows) -> List[List[Scalar]]:
@@ -296,21 +286,15 @@ def _group_rows(gr: CyclicGroup) -> _GroupRows:
                       _signed_shifts(f, gr.generator)[0])
 
 
-def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
-    """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates."""
-    f = gr.field
-    n = gr.n
-    dim = cochain_dim(n)
-    if rows is None:
-        rows = _group_rows(gr)
-    one_minus_h, h_minus_1 = _signed_shifts(f, gr.power(i))
-
-    # (3) one Sym^2-valued condition per basis triple; the sparsest rows
-    # come first, so they are the pivot rows of the elimination
-    out = _jacobi_rows(f, dim, one_minus_h, h_minus_1, n)
+def _condition_rows(f: Field, rows: _GroupRows, one_minus_h, h_minus_1) -> List[List[Scalar]]:
+    """The rows of cocycle_conditions at the h of these 1 - h and h - 1, as new lists."""
+    n = len(one_minus_h)
+    # (3) one Sym^2-valued condition per basis triple (none below n = 3); the
+    # sparsest rows come first, so they are the pivot rows of the elimination
+    out = _jacobi_rows(f, cochain_dim(n), one_minus_h, h_minus_1, n) if n > 2 else []
 
     # (1) lambda vanishes on im T
-    out += rows.transfer
+    out += map(list, rows.transfer)
 
     # (2) one V-valued condition per basis pair, in its g^{-1}-twisted form:
     # the twist row plus - lambda(e_b)(e_a - ^h e_a)_r + lambda(e_a)(e_b - ^h e_b)_r
@@ -321,7 +305,15 @@ def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) 
             row[b] = u
             row[a] = v
             out.append(row)
-    return Matrix._of(f, out, dim)
+    return out
+
+
+def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
+    """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates."""
+    f = gr.field
+    rows = _group_rows(gr) if rows is None else rows
+    return Matrix._of(f, _condition_rows(f, rows, *_signed_shifts(f, gr.power(i))),
+                      cochain_dim(gr.n))
 
 
 def coboundary_matrix(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
@@ -377,28 +369,29 @@ def _check_index(gr: CyclicGroup, i: int) -> None:
 
 
 def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
-                     gamma: Sequence[Scalar] | None = None) -> Tuple[Matrix, Matrix]:
-    """The cocycle conditions and the coboundary matrix at h = g^i, as
-    built, once d^2 = 0 holds on them.
+                     gamma: Sequence[Scalar] | None = None) -> Tuple[List[list], List[list]]:
+    """The rows of the cocycle conditions and of the coboundary matrix at
+    h = g^i, as built (new lists), once d^2 = 0 holds on them.
 
     Given gamma, a cochain of cochain_dim(n) canonical scalars, the
-    coboundary matrix comes back as [cob | gamma], one column more, and the
+    coboundary rows come back as [cob | gamma], one column more, and the
     one product cond @ [cob | gamma] serves both checks: its n coboundary
     columns are tested for zero first, on every row, and then its last
     column, cond gamma, whose first nonzero entry raises NotACocycleError
     with that row of cocycle_conditions.  So on return every column of the
     product is zero.  The caller has checked i."""
-    if rows is None:
-        rows = _group_rows(gr)
-    cond = cocycle_conditions(gr, i, rows)
-    cob = coboundary_matrix(gr, i, rows)
+    f = gr.field
+    rows = _group_rows(gr) if rows is None else rows
+    shifts = _signed_shifts(f, gr.power(i))
+    cond = _condition_rows(f, rows, *shifts)
+    cob = _coboundary_rows(f, rows.one_minus_g, *shifts)
     if gamma is not None:
-        cob = Matrix._of(gr.field, [r + (x,) for r, x in zip(cob.rows, gamma)], cob.ncols + 1)
-    d2 = cond @ cob
-    if any(map(any, d2.rows if gamma is None else (r[:-1] for r in d2.rows))):
+        cob = [r + [x] for r, x in zip(cob, gamma)]
+    d2 = _product(f, cond, cob, gr.n + (gamma is not None))
+    if any(map(any, d2 if gamma is None else (r[:-1] for r in d2))):
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
     if gamma is not None:
-        bad = next((r for r, row in enumerate(d2.rows) if row[-1]), None)
+        bad = next((r for r, row in enumerate(d2) if row[-1]), None)
         if bad is not None:
             raise NotACocycleError("cochain violates the cocycle conditions at element %d: "
                                    "first violated row %d of cocycle_conditions" % (i, bad),
@@ -409,15 +402,15 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
 def per_element_cohomology(gr: CyclicGroup, i: int,
                            rows: _GroupRows | None = None) -> PerElementComplex:
     _check_index(gr, i)
+    f, dim = gr.field, cochain_dim(gr.n)
     cond, cob = _guarded_complex(gr, i, rows)
-    b = rank(cob)
-    red, piv = rref(cond)
-    z = cond.ncols - len(piv)
+    b = rank(Matrix._of(f, cob, gr.n))
+    piv, _ = _eliminate(f, cond, dim)      # cond is now its RREF
+    z = dim - len(piv)
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    zrows = Matrix._of(gr.field, red.rows[:len(piv)], cond.ncols)
-    return PerElementComplex(i, z, b, hh, zrows)
+    return PerElementComplex(i, z, b, hh, Matrix._of(f, cond[:len(piv)], dim))
 
 
 def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
@@ -478,7 +471,7 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
         raise TypeError("cochain entries must be scalars, not strings")
     flat = [f.coerce(x) for x in flat]
     # aug = [dmat | gamma]; the guard found every column of cond @ aug zero
-    _, aug = _guarded_complex(gr, i, gamma=flat)
+    aug = Matrix._of(f, _guarded_complex(gr, i, gamma=flat)[1], gr.n + 1)
     dist = distinguished_constraints(gr, i)
     m = dist @ aug
     f0, kernel = solve(m)

@@ -355,6 +355,20 @@ def test_invariant_failure_is_verification_failure(job, capsys, monkeypatch, exc
     assert "wrong dimension" in err
 
 
+@pytest.mark.parametrize("command, name", [("analyze", "full_report"),
+                                           ("compare", "oracle_report"),
+                                           ("reps", "representative_basis")])
+def test_out_of_memory_is_an_input_error_not_a_verification_failure(job, capsys, monkeypatch,
+                                                                     command, name):
+    def exhausted(*args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, name, exhausted)
+    assert main([command, job(TRANSV3)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "verification failed" not in err
+
+
 def test_transfer_outside_the_invariants_is_verification_failure(job, capsys, monkeypatch):
     # only im T goes wrong: image_basis answers the whole space for the transfer
     # matrix T = 1 + g of diag(1, -1), and V^G is the line of e1

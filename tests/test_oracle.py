@@ -15,6 +15,7 @@ substituting basis vectors into the three conditions):
     representatives: (t, s, 0, t)                   dim 2 = hh
 """
 
+import copy
 import hashlib
 import json
 import random
@@ -190,19 +191,57 @@ def test_stored_cocycle_rows_are_the_reduced_conditions(suite_entry):
         assert kernel_basis(zrows) == kernel_basis(cocycle_conditions(gr, i))
 
 
-def perturb_coboundaries(monkeypatch):
-    """Make coboundary_matrix add 1 to one entry of d(e_0^* tensor h), in a
-    row that the cocycle conditions read, so that d^2 != 0."""
-    real = oracle.coboundary_matrix
+# the 3-cycle, prime to p: its im T row (1, 1, 1) has nonzeros at lambda
+# columns where later condition rows pivot, so an elimination that reached
+# the record would rewrite it (on the suite groups it would not)
+CYCLE3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+RECORD_GROUPS = {**{name: SUITE[name][:2] for name in SUITE},
+                 "cycle3_f5": (F5, CYCLE3), "cycle3_q": (Field.rational(), CYCLE3)}
 
-    def perturbed(gr, i, rows=None):
-        cob = real(gr, i, rows)
-        cond = cocycle_conditions(gr, i)
-        r = next(r for r in range(cond.ncols) if any(row[r] for row in cond.rows))
-        rows = [list(row) for row in cob.rows]
-        rows[r][0] = gr.field.add(rows[r][0], gr.field.one())
-        return Matrix(gr.field, rows, ncols=cob.ncols)
-    monkeypatch.setattr(oracle, "coboundary_matrix", perturbed)
+
+@pytest.mark.parametrize("name", sorted(RECORD_GROUPS))
+def test_a_shared_record_is_read_and_never_written(name, monkeypatch):
+    # each complex eliminates its condition rows in place, so the rows it
+    # takes from the group record must be copies: after oracle_report and
+    # representative_basis share one record, the record is as built, and
+    # every result equals the call that builds a record of its own
+    gr = group_from_generator(*RECORD_GROUPS[name])
+    order = gr.order
+    alone = (oracle_report(gr), [representative_basis(gr, i) for i in range(order)])
+    record = oracle._group_rows(gr)
+    built = copy.deepcopy(record)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "_group_rows", lambda g: record)
+        shared = (oracle_report(gr), [representative_basis(gr, i, record) for i in range(order)])
+    assert record == built
+    assert shared == alone
+    # the stored rows are exactly the nonzero rows of the conditions' RREF
+    for i in range(order):
+        red, piv = rref(cocycle_conditions(gr, i))
+        assert per_element_cohomology(gr, i, record).cocycle_condition_matrix == \
+            Matrix(gr.field, red.rows[:len(piv)], ncols=red.ncols)
+    assert record == built
+
+
+def perturb_coboundaries(monkeypatch):
+    """Make the coboundary row builder that the d^2 = 0 guard reads add 1
+    to one entry of d(e_0^* tensor h), in a row that the condition rows
+    built just before it read, so that d^2 != 0."""
+    real_conditions, real_coboundary = oracle._condition_rows, oracle._coboundary_rows
+    column = None
+
+    def conditions(*args):
+        nonlocal column
+        cond = real_conditions(*args)
+        column = next(c for c in range(len(cond[0])) if any(row[c] for row in cond))
+        return cond
+
+    def perturbed(f, *args):
+        cob = real_coboundary(f, *args)
+        cob[column][0] = f.add(cob[column][0], f.one())
+        return cob
+    monkeypatch.setattr(oracle, "_condition_rows", conditions)
+    monkeypatch.setattr(oracle, "_coboundary_rows", perturbed)
 
 
 def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, capsys):
@@ -441,7 +480,7 @@ def reduce_inputs(gr):
 def forbid_elimination(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("reduce_to_representative must not eliminate the complex")
-    for name in ("per_element_cohomology", "rank", "rref"):
+    for name in ("per_element_cohomology", "rank", "_eliminate"):
         monkeypatch.setattr(oracle, name, refuse)
 
 
