@@ -43,12 +43,13 @@ from .oracle import (
     CochainTwo,
     ComplexDims,
     DimensionMismatchError,
+    GroupRows,
     NotACocycleError,
-    PerElementComplex,
     coboundary_matrix,
     cochain_dim,
     cocycle_conditions,
     distinguished_constraints,
+    group_rows,
     oracle_report,
     per_element_cohomology,
     reduce_to_representative,

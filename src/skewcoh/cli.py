@@ -47,7 +47,7 @@ from .group_action import (
     wedge_pairs,
 )
 from .linalg import Matrix
-from .oracle import _group_rows, oracle_report, representative_basis
+from .oracle import group_rows, oracle_report, representative_basis
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -281,7 +281,7 @@ def _rep_to_dict(gr: CyclicGroup, c) -> dict:
 
 def cmd_reps(args) -> int:
     gr = build_group(args)
-    record = _group_rows(gr)
+    record = group_rows(gr)
     out = []
     for i in range(gr.order):
         basis = representative_basis(gr, i, record)

@@ -36,21 +36,21 @@ are), and so is a condition (2) row that comes out zero.  The row space,
 and so the RREF, z and the stored rows, are those of every row in any
 order.
 
-What does not depend on the element is built once per group, by
-`_group_rows`: the condition (1) rows from im T, the alpha-twist block of
-condition (2), which is I - (wedge^2 g)^T kron g^{-1} (g^{-1} acting on
-Hom(wedge^2 V, V); one `kron` and `minus_scalar`, never the formula's
-`induced_action`), and 1 - g, which gives the coboundary's lambda rows.
-`oracle_report` builds that record once and hands it to every element,
-and so does the CLI's `reps` to `representative_basis`; a caller that
-passes none (`reduce_to_representative`, a direct call) gets one built
-for the call, or, from `coboundary_matrix`, just 1 - g.  Per element
-there remain h - 1 (from `minus_scalar`), 1 - h, the lambda coupling of
-condition (2), condition (3) and the coboundary's alpha rows, which
-`_condition_rows` and `_coboundary_rows` build as lists of ints or
-Fractions (one `% p` per entry over F_p); `cocycle_conditions` and
-`coboundary_matrix` wrap those builders.  Each complex gets new lists,
-the record's rows copied, since it is then eliminated in place.
+What does not depend on the element is the group's record, `GroupRows`,
+built once by `group_rows`: the condition (1) rows from im T, the
+alpha-twist block of condition (2), which is I - (wedge^2 g)^T kron g^{-1}
+(g^{-1} acting on Hom(wedge^2 V, V); one `kron` and `minus_scalar`, never
+the formula's `induced_action`), and 1 - g, which gives the coboundary's
+lambda rows.  Every complex is built from a record, which is a required
+argument: `oracle_report`, the CLI's `reps` and `reduce_to_representative`
+each build one per call, and `cocycle_conditions` one for its complex.
+Only `coboundary_matrix`, which is no complex, takes none and builds just
+1 - g.  Per element there remain h - 1 (from `minus_scalar`), 1 - h, the
+lambda coupling of condition (2), condition (3) and the coboundary's
+alpha rows, which `_condition_rows` and `_coboundary_rows` build as lists
+of ints or Fractions (one `% p` per entry over F_p).  Each complex gets
+new lists, the record's rows copied, since it is then eliminated in place.
+Every element index is checked to lie in 0..|G|-1; none is read mod |G|.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -62,11 +62,12 @@ V_h", with no matrix inverse.  Distinguished constraints are built only by
 
 `_guarded_complex` multiplies the condition rows of one element, as
 built, by its coboundary rows (`_product`, the product behind `@`): the
-d^2 = 0 check, on every complex.  `per_element_cohomology` then
-eliminates the condition rows in place (`_eliminate`): z is read from the
-pivots, b is `rank` of the coboundary matrix, and `cocycle_condition_matrix`
-keeps the nonzero RREF rows (the same kernel, in at most cochain_dim
-rows), which `representative_basis` stacks the distinguished cut under.
+d^2 = 0 check, on every complex, so every condition matrix the oracle
+hands out has passed it.  `_cohomology` then eliminates the condition
+rows in place (`_eliminate`): z is read from the pivots, b is `rank` of
+the coboundary matrix, and the nonzero RREF rows (the same kernel, in at
+most cochain_dim rows) are what `representative_basis` stacks the
+distinguished cut under; `per_element_cohomology` keeps the dimensions.
 
 `reduce_to_representative` eliminates nothing of the complex and reads
 each matrix once: the guard's one product cond @ [dmat | gamma] (dmat the
@@ -149,11 +150,6 @@ class ComplexDims:
     z_dim: int
     b_dim: int
     hh_dim: int
-
-
-@dataclass(frozen=True)
-class PerElementComplex(ComplexDims):
-    cocycle_condition_matrix: Matrix     # nonzero RREF rows of cocycle_conditions
 
 
 def cochain_dim(n: int) -> int:
@@ -259,17 +255,18 @@ def _wedge_vanish_rows(f: Field, dim: int, uv_pairs, at: int) -> List[List[Scala
 
 
 @dataclass(frozen=True)
-class _GroupRows:
+class GroupRows:
     """The parts of every complex of one group that do not depend on the
-    element h = g^i.  Condition (2) at the pair (a, b) and coordinate r is
-    its alpha-twist row, (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r, whose lambda
+    element h = g^i: build it with `group_rows` and hand it to every complex
+    of the group.  Condition (2) at the pair (a, b) and coordinate r is its
+    alpha-twist row, (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r, whose lambda
     block is zero, plus a lambda coupling that depends on h."""
     transfer: List[List[Scalar]]                      # condition (1): lambda(im T) = 0
     twist: List[Tuple[int, int, int, Vector]]         # (a, b, r, alpha-twist row)
     one_minus_g: List[List[Scalar]]
 
 
-def _group_rows(gr: CyclicGroup) -> _GroupRows:
+def group_rows(gr: CyclicGroup) -> GroupRows:
     """The record of gr.  The twist row at (w0, r) holds
     delta - (wedge^2 g)[w][w0] (g^{-1})[r][s] at alpha(w)_s, column
     n + w*n + s: the rows of I - (wedge^2 g)^T kron g^{-1}, in order, behind
@@ -282,11 +279,11 @@ def _group_rows(gr: CyclicGroup) -> _GroupRows:
     lam = (f.zero(),) * n
     twist = [(a, b, r, lam + row)
              for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block.rows)]
-    return _GroupRows(_vanish_rows(f, cochain_dim(n), gr.transfer().basis_rows(), 0), twist,
-                      _signed_shifts(f, gr.generator)[0])
+    return GroupRows(_vanish_rows(f, cochain_dim(n), gr.transfer().basis_rows(), 0), twist,
+                     _signed_shifts(f, gr.generator)[0])
 
 
-def _condition_rows(f: Field, rows: _GroupRows, one_minus_h, h_minus_1) -> List[List[Scalar]]:
+def _condition_rows(f: Field, rows: GroupRows, one_minus_h, h_minus_1) -> List[List[Scalar]]:
     """The rows of cocycle_conditions at the h of these 1 - h and h - 1, as new lists."""
     n = len(one_minus_h)
     # (3) one Sym^2-valued condition per basis triple (none below n = 3); the
@@ -308,27 +305,26 @@ def _condition_rows(f: Field, rows: _GroupRows, one_minus_h, h_minus_1) -> List[
     return out
 
 
-def cocycle_conditions(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
-    """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates."""
-    f = gr.field
-    rows = _group_rows(gr) if rows is None else rows
-    return Matrix._of(f, _condition_rows(f, rows, *_signed_shifts(f, gr.power(i))),
-                      cochain_dim(gr.n))
+def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
+    """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates:
+    the condition rows of the complex, as built, once d^2 = 0 holds on them."""
+    return Matrix._of(gr.field, _guarded_complex(gr, i, group_rows(gr))[0], cochain_dim(gr.n))
 
 
-def coboundary_matrix(gr: CyclicGroup, i: int, rows: _GroupRows | None = None) -> Matrix:
+def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
     """The (n + n*C(n,2)) x n matrix taking f in V* to d(f tensor h) in the
-    flat coordinates at h = g^i (lambda lands at tag hg)."""
+    flat coordinates at h = g^i (lambda lands at tag hg).  Only 1 - g and
+    1 - h are built, so im T is not derived for it."""
+    _check_index(gr, i)
     f = gr.field
-    # without a record only 1 - g is needed, so im T is not derived for it
-    one_minus_g = _signed_shifts(f, gr.generator)[0] if rows is None else rows.one_minus_g
-    return Matrix._of(f, _coboundary_rows(f, one_minus_g, *_signed_shifts(f, gr.power(i))),
-                      gr.n)
+    return Matrix._of(f, _coboundary_rows(f, _signed_shifts(f, gr.generator)[0],
+                                          *_signed_shifts(f, gr.power(i))), gr.n)
 
 
 def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     """Linear constraints cutting out the distinguished representatives at
     h = g^i: pi_h o alpha = 0 always, plus the codimension case conditions."""
+    _check_index(gr, i)
     f = gr.field
     n = gr.n
     dim = cochain_dim(n)
@@ -368,10 +364,11 @@ def _check_index(gr: CyclicGroup, i: int) -> None:
         raise ValueError("element index %d outside 0..%d" % (i, gr.order - 1))
 
 
-def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
+def _guarded_complex(gr: CyclicGroup, i: int, rows: GroupRows,
                      gamma: Sequence[Scalar] | None = None) -> Tuple[List[list], List[list]]:
     """The rows of the cocycle conditions and of the coboundary matrix at
-    h = g^i, as built (new lists), once d^2 = 0 holds on them.
+    h = g^i, built from gr's record `rows` (new lists), once d^2 = 0 holds
+    on them.  Every complex the oracle builds comes from here.
 
     Given gamma, a cochain of cochain_dim(n) canonical scalars, the
     coboundary rows come back as [cob | gamma], one column more, and the
@@ -379,9 +376,9 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
     columns are tested for zero first, on every row, and then its last
     column, cond gamma, whose first nonzero entry raises NotACocycleError
     with that row of cocycle_conditions.  So on return every column of the
-    product is zero.  The caller has checked i."""
+    product is zero."""
+    _check_index(gr, i)
     f = gr.field
-    rows = _group_rows(gr) if rows is None else rows
     shifts = _signed_shifts(f, gr.power(i))
     cond = _condition_rows(f, rows, *shifts)
     cob = _coboundary_rows(f, rows.one_minus_g, *shifts)
@@ -399,9 +396,9 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: _GroupRows | None = None,
     return cond, cob
 
 
-def per_element_cohomology(gr: CyclicGroup, i: int,
-                           rows: _GroupRows | None = None) -> PerElementComplex:
-    _check_index(gr, i)
+def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> Tuple[ComplexDims, List[list]]:
+    """The dimensions of the complex at h = g^i, and the nonzero rows of
+    its conditions' RREF (the same kernel, in at most cochain_dim rows)."""
     f, dim = gr.field, cochain_dim(gr.n)
     cond, cob = _guarded_complex(gr, i, rows)
     b = rank(Matrix._of(f, cob, gr.n))
@@ -410,31 +407,32 @@ def per_element_cohomology(gr: CyclicGroup, i: int,
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    return PerElementComplex(i, z, b, hh, Matrix._of(f, cond[:len(piv)], dim))
+    return ComplexDims(i, z, b, hh), cond[:len(piv)]
+
+
+def per_element_cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> ComplexDims:
+    """z, b and hh of the complex at h = g^i; `rows` is gr's record."""
+    return _cohomology(gr, i, rows)[0]
 
 
 def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
-    """The dimensions of every element's complex; each complex's matrices
-    are dropped as soon as its dimensions are read."""
-    rows = _group_rows(gr)
-    out = []
-    for i in range(gr.order):
-        pec = per_element_cohomology(gr, i, rows)
-        out.append(ComplexDims(i, pec.z_dim, pec.b_dim, pec.hh_dim))
-    return out
+    """The dimensions of every element's complex, all from one record; each
+    complex's rows are dropped as soon as its dimensions are read."""
+    rows = group_rows(gr)
+    return [per_element_cohomology(gr, i, rows) for i in range(gr.order)]
 
 
-def representative_basis(gr: CyclicGroup, i: int,
-                         rows: _GroupRows | None = None) -> List[CochainTwo]:
+def representative_basis(gr: CyclicGroup, i: int, rows: GroupRows) -> List[CochainTwo]:
     """Basis of Z^2_{-1}(h) cut down by the distinguished constraints; its
     size must equal hh_dim (that is the uniqueness statement).  `rows` is
-    gr's record, as for per_element_cohomology."""
-    pec = per_element_cohomology(gr, i, rows)
-    ker = kernel_basis(pec.cocycle_condition_matrix.stack(distinguished_constraints(gr, i)))
-    if ker.dim != pec.hh_dim:
+    gr's record."""
+    dims, zrows = _cohomology(gr, i, rows)
+    dist = distinguished_constraints(gr, i)
+    ker = kernel_basis(Matrix._of(gr.field, [*zrows, *dist.rows], dist.ncols))
+    if ker.dim != dims.hh_dim:
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
-            % (ker.dim, pec.hh_dim, i))
+            % (ker.dim, dims.hh_dim, i))
     return [CochainTwo._of(gr.field, gr.n, i, row) for row in ker.basis_rows()]
 
 
@@ -457,7 +455,6 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     if gamma.field != f or gamma.n != gr.n:
         raise ValueError("cochain over %r with n = %d, group over %r with n = %d"
                          % (gamma.field, gamma.n, f, gr.n))
-    _check_index(gr, i)
     # the input boundary: a hand-built gamma may be ragged, or hold entries
     # >= p, or Fractions over F_p, so its shape is checked and its entries
     # are coerced once, here, and every vector below is canonical.  Its
@@ -471,7 +468,7 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
         raise TypeError("cochain entries must be scalars, not strings")
     flat = [f.coerce(x) for x in flat]
     # aug = [dmat | gamma]; the guard found every column of cond @ aug zero
-    aug = Matrix._of(f, _guarded_complex(gr, i, gamma=flat)[1], gr.n + 1)
+    aug = Matrix._of(f, _guarded_complex(gr, i, group_rows(gr), flat)[1], gr.n + 1)
     dist = distinguished_constraints(gr, i)
     m = dist @ aug
     f0, kernel = solve(m)

@@ -23,6 +23,7 @@ from skewcoh import (
     cochain_dim,
     eigenspace,
     group_from_generator,
+    group_rows,
     image_basis,
     kernel_basis,
     kron,
@@ -30,7 +31,7 @@ from skewcoh import (
     wedge_pairs,
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
-from skewcoh.oracle import _coboundary_rows, _jacobi_rows, _vanish_rows
+from skewcoh.oracle import _coboundary_rows, _cohomology, _jacobi_rows, _vanish_rows
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -71,6 +72,13 @@ JORDAN2_REFL_I5_F3_ZB = [(115, 2), (8, 8), (45, 7), (8, 8), (45, 7), (8, 8)]
 def suite_group(name):
     field, rows = SUITE[name][0], SUITE[name][1]
     return group_from_generator(field, rows)
+
+
+def reduced_conditions(gr: CyclicGroup, i: int, record=None) -> Matrix:
+    """The nonzero RREF rows of the conditions at g^i, as the oracle keeps
+    them, wrapped by the trusted constructor so that nothing is coerced."""
+    rows = _cohomology(gr, i, group_rows(gr) if record is None else record)[1]
+    return Matrix._of(gr.field, rows, cochain_dim(gr.n))
 
 
 @pytest.fixture(params=sorted(SUITE))

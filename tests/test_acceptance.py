@@ -37,6 +37,7 @@ from skewcoh.oracle import (
     coboundary_matrix,
     cocycle_conditions,
     distinguished_constraints,
+    group_rows,
     per_element_cohomology,
     reduce_to_representative,
 )
@@ -143,8 +144,9 @@ def test_criterion_5_representative_uniqueness(announce):
     reductions = 0
     for name in sorted(SUITE):
         gr = suite_group(name)
+        record = group_rows(gr)
         for i in range(gr.order):
-            pc = per_element_cohomology(gr, i)
+            pc = per_element_cohomology(gr, i, record)
             cut = cocycle_conditions(gr, i).stack(distinguished_constraints(gr, i))
             ok = ok and kernel_basis(cut).dim == pc.hh_dim
         rng = random.Random(hash(name) & 0xFFFF)

@@ -25,6 +25,7 @@ from skewcoh import (
     group_action,
     linalg,
     oracle,
+    group_rows,
     reduce_to_representative,
     representative_basis,
 )
@@ -346,7 +347,7 @@ def test_float_entry_rejected(job, capsys):
 @pytest.mark.parametrize("exc", [AssertionError, DimensionMismatchError, ValueError,
                                  ZeroDivisionError, KeyError])
 def test_invariant_failure_is_verification_failure(job, capsys, monkeypatch, exc):
-    def broken(gr, i, rows=None):
+    def broken(gr, i, rows):
         raise exc("distinguished space has the wrong dimension")
     monkeypatch.setattr(cli, "representative_basis", broken)
     assert main(["reps", job(TRANSV3)]) == EXIT_FAIL
@@ -402,8 +403,9 @@ def test_library_calls_no_field_arithmetic_and_no_matrix_inverse(job, capsys, mo
     assert capsys.readouterr().err == ""
     for name in ("jordan3_refl_f3", "trivial_n3_q", "rot4_q"):
         gr = suite_group(name)
+        record = group_rows(gr)
         for i in range(gr.order):
-            basis = representative_basis(gr, i)
+            basis = representative_basis(gr, i, record)
             rep = basis[0].flat() if basis else (0,) * cochain_dim(gr.n)
             cob = coboundary_matrix(gr, i).apply(range(1, gr.n + 1))
             gamma = CochainTwo.from_flat(gr.field, gr.n, i, [x + y for x, y in zip(rep, cob)])

@@ -20,6 +20,7 @@ from skewcoh import (
     Matrix,
     Subspace,
     coboundary_matrix,
+    group_rows,
     reduce_to_representative,
     representative_basis,
     solve,
@@ -155,8 +156,9 @@ def test_reduce_sees_through_noncanonical_entries(name):
     f = gr.field
     rng = random.Random(name)
     checked = 0
+    record = group_rows(gr)
     for i in range(gr.order):
-        basis = representative_basis(gr, i)
+        basis = representative_basis(gr, i, record)
         cob = coboundary_matrix(gr, i)
         for _ in range(3):
             flat = [f.zero()] * len(cob.rows)

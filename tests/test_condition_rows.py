@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from skewcoh import Field, Matrix, cochain_dim, cocycle_conditions, group_from_generator, rref
 from skewcoh.group_action import OrderExceedsBoundError, sym_pairs, wedge_pairs
-from skewcoh.oracle import _group_rows, _jacobi_rows, _negated
+from skewcoh.oracle import _jacobi_rows, _negated, group_rows
 
 from conftest import elementary_conjugate, one_minus, reference_twist, suite_group
 from test_trusted_builders import SETTINGS, prime_generators
@@ -64,7 +64,7 @@ def every_condition_row(gr, i):
     """Conditions (1), (2), (3) at g^i, in that order, every row kept."""
     f, n = gr.field, gr.n
     dim = cochain_dim(n)
-    rows = _group_rows(gr)
+    rows = group_rows(gr)
     one_minus_h = one_minus(gr.power(i)).rows
     h_minus_1 = _negated(f, one_minus_h)
     out = list(rows.transfer)
@@ -119,7 +119,7 @@ def test_identity_contributes_no_jacobi_row():
     assert _jacobi_rows(f, cochain_dim(n), one_minus_1, _negated(f, one_minus_1), n) == []
     assert len(every_jacobi_row(f, cochain_dim(n), one_minus_1, n)) == 6
     # what is left at the identity are the nonzero rows of conditions (1) and (2)
-    rows = _group_rows(gr)
+    rows = group_rows(gr)
     kept = [tuple(r) for r in rows.transfer] + [tuple(t) for *_, t in rows.twist if any(t)]
     assert list(cocycle_conditions(gr, 0).rows) == kept
 
@@ -153,4 +153,4 @@ def conjugated_generators(draw, field, n):
 def test_twist_block_is_the_entrywise_reference(field, n, data):
     rows = data.draw(conjugated_generators(field, n))
     gr = group_from_generator(field, rows, order_bound=ORDER_BOUND)
-    assert _group_rows(gr).twist == reference_twist(gr)
+    assert group_rows(gr).twist == reference_twist(gr)

@@ -35,6 +35,7 @@ from skewcoh import (
     cocycle_conditions,
     distinguished_constraints,
     group_from_generator,
+    group_rows,
     kernel_basis,
     per_element_cohomology,
     oracle_report,
@@ -44,10 +45,11 @@ from skewcoh import (
     rref,
 )
 from skewcoh import linalg, oracle
-from skewcoh.cli import EXIT_FAIL, main
+from skewcoh.cli import EXIT_FAIL, EXIT_PASS, main
 
 from conftest import (
-    JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, SUITE, assembled_complex, suite_group)
+    JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, SUITE, assembled_complex, reduced_conditions,
+    suite_group)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -171,20 +173,21 @@ def test_trivial_group_has_no_coboundaries():
 
 def test_per_element_dims_match_formula(suite_entry):
     name, gr, order, codims, dims, imt = suite_entry
+    record = group_rows(gr)
     for i, expected in enumerate(dims):
-        pec = per_element_cohomology(gr, i)
+        pec = per_element_cohomology(gr, i, record)
         assert pec.hh_dim == expected
         assert pec.hh_dim == pec.z_dim - pec.b_dim
         assert pec.element_index == i
 
 
 def test_stored_cocycle_rows_are_the_reduced_conditions(suite_entry):
-    # per_element_cohomology keeps the nonzero RREF rows of the conditions,
-    # which representative_basis reads (reduce_to_representative reads the
-    # rows as built)
+    # the oracle keeps the nonzero RREF rows of the conditions, which
+    # representative_basis reads (reduce_to_representative reads the rows
+    # as built)
     name, gr, order, codims, dims, imt = suite_entry
     for i in range(order):
-        zrows = per_element_cohomology(gr, i).cocycle_condition_matrix
+        zrows = reduced_conditions(gr, i)
         assert zrows.ncols == cochain_dim(gr.n)
         red, piv = rref(zrows)
         assert red == zrows and len(piv) == zrows.nrows     # RREF, no zero rows
@@ -204,21 +207,22 @@ def test_a_shared_record_is_read_and_never_written(name, monkeypatch):
     # each complex eliminates its condition rows in place, so the rows it
     # takes from the group record must be copies: after oracle_report and
     # representative_basis share one record, the record is as built, and
-    # every result equals the call that builds a record of its own
+    # every result equals the one from a second record built separately
     gr = group_from_generator(*RECORD_GROUPS[name])
     order = gr.order
-    alone = (oracle_report(gr), [representative_basis(gr, i) for i in range(order)])
-    record = oracle._group_rows(gr)
+    alone = (oracle_report(gr),
+             [representative_basis(gr, i, group_rows(gr)) for i in range(order)])
+    record = group_rows(gr)
     built = copy.deepcopy(record)
     with monkeypatch.context() as mp:
-        mp.setattr(oracle, "_group_rows", lambda g: record)
+        mp.setattr(oracle, "group_rows", lambda g: record)
         shared = (oracle_report(gr), [representative_basis(gr, i, record) for i in range(order)])
     assert record == built
     assert shared == alone
     # the stored rows are exactly the nonzero rows of the conditions' RREF
     for i in range(order):
         red, piv = rref(cocycle_conditions(gr, i))
-        assert per_element_cohomology(gr, i, record).cocycle_condition_matrix == \
+        assert reduced_conditions(gr, i, record) == \
             Matrix(gr.field, red.rows[:len(piv)], ncols=red.ncols)
     assert record == built
 
@@ -249,7 +253,10 @@ def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, 
     perturb_coboundaries(monkeypatch)
     for i in range(gr.order):
         with pytest.raises(AssertionError, match="coboundaries violate"):
-            per_element_cohomology(gr, i)
+            per_element_cohomology(gr, i, group_rows(gr))
+        # the condition matrix handed out alone passes the same guard
+        with pytest.raises(AssertionError, match="coboundaries violate"):
+            cocycle_conditions(gr, i)
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"field": {"type": "prime", "p": 3},
                                 "generator": [[1, 1], [0, 1]]}))
@@ -257,9 +264,10 @@ def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, 
     assert "coboundaries violate the cocycle conditions" in capsys.readouterr().err
 
 
-def test_oracle_report_builds_the_group_rows_once(monkeypatch):
+def test_oracle_report_builds_the_group_rows_once(monkeypatch, tmp_path):
     # g^{-1}, wedge^2 g and the twist rows do not depend on the element:
-    # one wedge2_matrix per report, and g^{-1} is a stored power
+    # one wedge2_matrix per report, and g^{-1} is a stored power.  A CLI
+    # run builds one record too, for compare and for reps
     calls = {"wedge2": 0, "inverse": 0}
     real_wedge2, real_inverse = oracle.wedge2_matrix, Matrix.inverse
 
@@ -275,23 +283,31 @@ def test_oracle_report_builds_the_group_rows_once(monkeypatch):
     gr = suite_group("companion8_f3")
     assert [p.hh_dim for p in oracle_report(gr)] == [0] * 8
     assert calls == {"wedge2": 1, "inverse": 0}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": {"type": "prime", "p": 3},
+                                "generator": SUITE["companion8_f3"][1]}))
+    for command in ("compare", "reps"):
+        calls["wedge2"] = 0
+        assert main([command, "--json", str(path)]) == EXIT_PASS
+        assert calls == {"wedge2": 1, "inverse": 0}, command
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_coboundary_matrix_without_a_record_derives_no_transfer(name, monkeypatch):
-    # without a record, coboundary_matrix builds only 1 - g, so a caller
-    # that wants no im T (nor anything it would warm) can call it bare;
-    # cocycle_conditions needs condition (1), so it derives im T
+    # coboundary_matrix takes no record and builds only 1 - g, so a caller
+    # that wants no im T (nor anything it would warm) can call it; its rows
+    # are the coboundary rows of the guarded complex.  cocycle_conditions
+    # needs condition (1), so it derives im T
     gr = suite_group(name)
-    record = oracle._group_rows(gr)
-    with_record = [coboundary_matrix(gr, i, record).rows for i in range(gr.order)]
+    record = group_rows(gr)
+    guarded = [oracle._guarded_complex(gr, i, record)[1] for i in range(gr.order)]
 
     def no_transfer(self):
         raise AssertionError("im T derived")
     monkeypatch.setattr(CyclicGroup, "transfer", no_transfer)
     gr = suite_group(name)
     for i in range(gr.order):
-        assert coboundary_matrix(gr, i).rows == with_record[i]
+        assert coboundary_matrix(gr, i).rows == tuple(map(tuple, guarded[i]))
         with pytest.raises(AssertionError, match="im T derived"):
             cocycle_conditions(gr, i)
 
@@ -319,12 +335,13 @@ def test_n8_jordan_reflection_z_and_b():
 
 def test_codim_above_two_gives_zero():
     gr = suite_group("companion8_f3")
-    pec = per_element_cohomology(gr, 3)
+    pec = per_element_cohomology(gr, 3, group_rows(gr))
     assert pec.hh_dim == 0
 
 
 def test_trivial_group_invariant_alphas():
-    pec = per_element_cohomology(suite_group("trivial_n2_f3"), 0)
+    gr = suite_group("trivial_n2_f3")
+    pec = per_element_cohomology(gr, 0, group_rows(gr))
     assert (pec.z_dim, pec.b_dim, pec.hh_dim) == (2, 0, 2)
 
 
@@ -353,8 +370,9 @@ def test_trivial_group_distinguished_is_everything():
 
 def test_representative_basis_sizes(suite_entry):
     name, gr, order, codims, dims, imt = suite_entry
+    record = group_rows(gr)
     for i, expected in enumerate(dims):
-        basis = representative_basis(gr, i)
+        basis = representative_basis(gr, i, record)
         assert len(basis) == expected
         for c in basis:
             assert c.element_index == i
@@ -364,7 +382,7 @@ def test_representative_basis_sizes(suite_entry):
 
 def test_transvection_representative_basis():
     gr = suite_group("transvection_f3")
-    basis = representative_basis(gr, 1)
+    basis = representative_basis(gr, 1, group_rows(gr))
     flats = [c.flat() for c in basis]
     assert flats == [(1, 0, 0, 1), (0, 1, 0, 0)]
     # the class with alpha(e2 ^ e1) = e2 (i.e. alpha(e1 ^ e2) = -e2) is
@@ -374,7 +392,8 @@ def test_transvection_representative_basis():
 
 
 def test_diag_reflection_has_no_representatives():
-    assert representative_basis(suite_group("diag_1_m1_f5"), 1) == []
+    gr = suite_group("diag_1_m1_f5")
+    assert representative_basis(gr, 1, group_rows(gr)) == []
 
 
 def test_reduce_fixes_distinguished_cocycles():
@@ -405,7 +424,7 @@ def test_reduce_rejects_non_cocycles():
 
 def test_reduce_rejects_a_cochain_of_another_field():
     gr3, gr5 = suite_group("transvection_f3"), suite_group("transvection_f5")
-    gamma = representative_basis(gr5, 1)[0]
+    gamma = representative_basis(gr5, 1, group_rows(gr5))[0]
     assert reduce_to_representative(gr5, gamma)[0] == gamma
     with pytest.raises(ValueError, match="cochain over F_5 with n = 2, group over F_3"):
         reduce_to_representative(gr3, gamma)
@@ -413,7 +432,8 @@ def test_reduce_rejects_a_cochain_of_another_field():
 
 def test_reduce_rejects_a_cochain_of_another_dimension():
     gr = suite_group("transvection_f3")
-    gamma = representative_basis(suite_group("jordan3_refl_f3"), 0)[0]
+    jordan = suite_group("jordan3_refl_f3")
+    gamma = representative_basis(jordan, 0, group_rows(jordan))[0]
     with pytest.raises(ValueError, match="n = 3, group over F_3 with n = 2"):
         reduce_to_representative(gr, gamma)
 
@@ -426,12 +446,23 @@ def test_reduce_rejects_an_element_index_out_of_range(index):
         reduce_to_representative(gr, gamma)
 
 
-@pytest.mark.parametrize("compute", [per_element_cohomology, representative_basis])
-@pytest.mark.parametrize("index", [-1, 3])
+# every oracle function that takes an element index, by name
+INDEXED = {
+    "per_element_cohomology": lambda gr, i: per_element_cohomology(gr, i, group_rows(gr)),
+    "representative_basis": lambda gr, i: representative_basis(gr, i, group_rows(gr)),
+    "cocycle_conditions": cocycle_conditions,
+    "coboundary_matrix": coboundary_matrix,
+    "distinguished_constraints": distinguished_constraints,
+}
+
+
+@pytest.mark.parametrize("compute", sorted(INDEXED))
+@pytest.mark.parametrize("index", [-1, 3, 7])
 def test_element_index_out_of_range_is_rejected(compute, index):
-    # the complex at i mod N would come back labelled with the raw index
+    # the complex at i mod N would come back labelled with the raw index,
+    # or, from the matrix builders, unlabelled as the complex at i mod N
     with pytest.raises(ValueError, match="element index %d outside 0..2" % index):
-        compute(suite_group("transvection_f3"), index)
+        INDEXED[compute](suite_group("transvection_f3"), index)
 
 
 @pytest.mark.parametrize("name", ["transvection_f3", "diag_1_m1_f5", "jordan3_refl_f3"])
@@ -472,7 +503,7 @@ def reduce_inputs(gr):
     for i in range(gr.order):
         d = coboundary_matrix(gr, i).apply(list(range(1, gr.n + 1)))
         out.append(CochainTwo.from_flat(f, gr.n, i, d))
-        for c in representative_basis(gr, i):
+        for c in representative_basis(gr, i, group_rows(gr)):
             out.append(CochainTwo.from_flat(f, gr.n, i, [f.add(x, y) for x, y in zip(c.flat(), d)]))
     return out
 
@@ -542,7 +573,7 @@ def test_reduce_refuses_a_cut_that_leaves_the_representative_free(monkeypatch):
     # with no distinguished cut every f reaches it, and at h = g, where
     # b = 1, some f moves the representative
     gr = suite_group("transvection_f3")
-    gamma = representative_basis(gr, 1)[0]
+    gamma = representative_basis(gr, 1, group_rows(gr))[0]
     monkeypatch.setattr(oracle, "distinguished_constraints",
                         lambda gr, i: Matrix(gr.field, [], ncols=cochain_dim(gr.n)))
     with pytest.raises(AssertionError, match="distinguished representative is not unique"):
@@ -553,7 +584,7 @@ def test_reduce_refuses_a_cut_that_no_coboundary_reaches(monkeypatch):
     # the cut gamma = 0 is reached only by the coboundaries, so a cocycle
     # with a nonzero class cannot be moved into it
     gr = suite_group("transvection_f3")
-    gamma = representative_basis(gr, 1)[0]
+    gamma = representative_basis(gr, 1, group_rows(gr))[0]
     coboundary = CochainTwo.from_flat(gr.field, gr.n, 1,
                                       coboundary_matrix(gr, 1).apply([1, 2]))
     monkeypatch.setattr(oracle, "distinguished_constraints",

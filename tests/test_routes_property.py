@@ -14,7 +14,7 @@ and b; its matrices grow with |G| * dim, so larger orders would dominate
 the run.
 
 `reduce_to_representative` tests membership against the condition rows as
-built, not the RREF rows that `per_element_cohomology` keeps.  On the same
+built, not the RREF rows that the oracle's `_cohomology` keeps.  On the same
 groups, a random cochain must be refused with `NotACocycleError` exactly
 when the stored RREF rows reject it, the error naming the element and the
 first violated row of `cocycle_conditions`; a cocycle's representative
@@ -37,15 +37,15 @@ from skewcoh import (
     distinguished_constraints,
     full_report,
     group_from_generator,
+    group_rows,
     kernel_basis,
     oracle_report,
-    per_element_cohomology,
     rank,
     reduce_to_representative,
     representative_basis,
 )
 
-from conftest import assembled_complex
+from conftest import assembled_complex, reduced_conditions
 from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
 
 MAX_ORDER = 30
@@ -74,9 +74,10 @@ def check_routes(field, rows, seed):
     rng = random.Random(seed)
     formula = full_report(gr).per_element
     report = oracle_report(gr)
+    record = group_rows(gr)
     for i, complex_ in enumerate(report):
         assert formula[i].total == complex_.hh_dim, (rows, i)
-        assert len(representative_basis(gr, i)) == complex_.hh_dim
+        assert len(representative_basis(gr, i, record)) == complex_.hh_dim
         rep, _ = reduce_to_representative(gr, random_cocycle(gr, i, rng))
         assert reduce_to_representative(gr, rep)[0] == rep
     if gr.order <= ASSEMBLED_MAX_ORDER:
@@ -104,7 +105,7 @@ def check_reduce_membership(field, rows, seed):
     rng = random.Random(seed)
     i = rng.randrange(gr.order)
     cond = cocycle_conditions(gr, i)
-    zrows = per_element_cohomology(gr, i).cocycle_condition_matrix
+    zrows = reduced_conditions(gr, i)
     cob = coboundary_matrix(gr, i)
     dist = distinguished_constraints(gr, i)
     flats = [[f.coerce(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(cond.ncols)]
