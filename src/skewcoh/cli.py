@@ -330,7 +330,7 @@ def cmd_deform(args) -> int:
     params = _from_input(builtin_transvection_gamma, p, args.max_order)
     f = params.group.field
     bracket = square_bracket_transvection(params)
-    bracket_zero = all(all(x == 0 for x in v) for v in bracket)
+    bracket_zero = not any(map(any, bracket))
     rs = orbifold_algebra(params)
     conf = confluence_check(rs)
     dim = hilbert_check(rs, 4, confluence=conf) if conf.ok else None

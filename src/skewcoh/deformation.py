@@ -79,8 +79,13 @@ resolves iff g^i.r lies in r.FG.  The reduced overlap g v2 v1 resolves,
 so g.r = r.y for some y in FG, and then g^i.r = g^{i-1}.r.y = ... = r.y^i
 in B.
 
-So the check costs 2N-1 reductions of two reducts each and O(N) redex
-tests.
+So the check costs 2N-1 reductions of two reducts each.  A rewrite
+system derives each word's leftmost reduct once (see
+RewriteSystem.normal_form), so it makes one redex test per distinct word
+those reductions meet, about 11N for the builtin tables, plus the 2N-1
+on the overlaps themselves.  Building the rules and the square bracket
+read the dense tables in C and do Python-level work only per nonzero
+entry: the builtin tables have one in each lambda row and one in kappa.
 
 The lambda-table signs are forced: resolving the overlap word g.v2.v1 both
 ways requires kappa = -lambda(g tensor v1)-compatible signs, and resolving
@@ -92,6 +97,7 @@ any sign breaks confluence (the check below finds the offending word).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .fields import Field, Scalar
@@ -148,14 +154,20 @@ def builtin_transvection_gamma(p: int, order_bound: int = DEFAULT_ORDER_BOUND) -
     return DeformationParams(group, table, kv1, tuple(kv2))
 
 
-def _gamma_on_ga(params: DeformationParams, acc: List[int], v: GroupVec, k: int,
-                 scale: int) -> None:
+def _nonzeros(v: GroupVec) -> List[Tuple[int, Scalar]]:
+    """The (index, coefficient) pairs of v's nonzero entries; the zeros are
+    skipped in C, so the Python-level work is one step per nonzero."""
+    return [(m, v[m]) for m in compress(range(len(v)), v)]
+
+
+def _gamma_on_ga(sparse: Dict[Tuple[int, int], List[Tuple[int, Scalar]]],
+                 acc: Dict[int, int], v: List[Tuple[int, Scalar]], k: int, scale: int) -> None:
     """Add scale * gamma(x tensor v_k) to acc, unreduced, for x in FG with
-    coefficients v (bilinear extension)."""
-    for j, c in enumerate(v):
-        if c:
-            for m, x in enumerate(params.lambda_table[(j, k)]):
-                acc[m] += scale * c * x
+    nonzero coefficients v (bilinear extension); sparse holds the nonzeros
+    of each lambda-table row."""
+    for j, c in v:
+        for m, x in sparse[(j, k)]:
+            acc[m] = acc.get(m, 0) + scale * c * x
 
 
 def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
@@ -184,16 +196,21 @@ def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
     if any(x != 0 for j, x in enumerate(params.kappa_v2) if j != 1 % N):
         raise UnsupportedKappaShape("kappa is not a multiple of v2 tensor g")
     c = params.kappa_v2[1 % N]
+    sparse = {key: _nonzeros(v) for key, v in params.lambda_table.items()}
     # a transvection has finite order only in characteristic p, so the
-    # integer sums are reduced once, mod p
+    # integer sums are reduced once, mod p, and only where they are nonzero
     out = []
     for i in range(N):
-        acc = [0] * N
-        _gamma_on_ga(params, acc, params.lambda_table[(i, 2)], 1, 1)
-        _gamma_on_ga(params, acc, params.lambda_table[(i, 1)], 2, -1)
-        for m, x in enumerate(params.lambda_table[(i, 2)]):
-            acc[(m + 1) % N] -= c * x
-        out.append(tuple(x % f.p for x in acc))
+        acc: Dict[int, int] = {}
+        _gamma_on_ga(sparse, acc, sparse[(i, 2)], 1, 1)
+        _gamma_on_ga(sparse, acc, sparse[(i, 1)], 2, -1)
+        for m, x in sparse[(i, 2)]:
+            m = (m + 1) % N
+            acc[m] = acc.get(m, 0) - c * x
+        row = [f.zero()] * N
+        for m, x in acc.items():
+            row[m] = x % f.p
+        out.append(tuple(row))
     return out
 
 
@@ -249,18 +266,23 @@ class RewriteSystem:
         # right-hand side of each g^i v_k rule and of the v2 v1 rule as
         # [(word, coeff), ...]; its words are distinct and its coeffs nonzero
         self._rules: Dict[Tuple[Letter, Letter], List[Tuple[Word, Scalar]]] = {}
+        # only the nonzero table entries get a word
         for i in range(1, N):
             m = self.group.power(i)
+            gi = g_letter(i, N)
             for k in (1, 2):
-                rhs = [((("v", row),) + g_letter(i, N), m.rows[row - 1][k - 1])
-                       for row in (1, 2)]
+                rhs = [((("v", row),) + gi, m.rows[row - 1][k - 1])
+                       for row in (1, 2) if m.rows[row - 1][k - 1] != 0]
                 rhs += [(g_letter(c, N), coef)
-                        for c, coef in enumerate(params.lambda_table[(i, k)])]
-                self._rules[(("g", i), ("v", k))] = [t for t in rhs if t[1] != 0]
+                        for c, coef in _nonzeros(params.lambda_table[(i, k)])]
+                self._rules[(("g", i), ("v", k))] = rhs
         rhs = [((("v", 1), ("v", 2)), f.one())]
         for row, kappa in ((1, params.kappa_v1), (2, params.kappa_v2)):
-            rhs += [((("v", row),) + g_letter(c, N), coef) for c, coef in enumerate(kappa)]
-        self._rules[(("v", 2), ("v", 1))] = [t for t in rhs if t[1] != 0]
+            rhs += [((("v", row),) + g_letter(c, N), coef) for c, coef in _nonzeros(kappa)]
+        self._rules[(("v", 2), ("v", 1))] = rhs
+        # word -> its leftmost one-step reduct, or None if it is normal;
+        # filled by normal_form on first sight (the rules are fixed by now)
+        self._reducts: Dict[Word, Optional[Dict[Word, Scalar]]] = {}
 
     def redex_positions(self, w: Word) -> List[int]:
         out = []
@@ -286,21 +308,29 @@ class RewriteSystem:
     def normal_form(self, terms) -> AlgebraElement:
         """Exhaustive leftmost rewriting of a word or a term dict.  Terms
         are taken in any order: the result is linear in the terms and each
-        word's leftmost reduct is fixed, so the order cannot change it."""
+        word's leftmost reduct is fixed, so the order cannot change it.
+
+        That reduct is derived once per word and system, through
+        `redex_positions` and `rewrite_at`, and kept for every later
+        call, so a word met again costs one dict lookup."""
         f = self.field
         p = f.p
         if isinstance(terms, tuple):
             terms = {terms: f.one()}
         work: Dict[Word, Scalar] = {w: c for w, c in terms.items() if c != 0}
         done: Dict[Word, Scalar] = {}
+        reducts = self._reducts
         steps = 0
         while work:
             steps += 1
             if steps > MAX_REWRITE_STEPS:
                 raise AssertionError("rewrite step budget exceeded; termination broken")
             w, c = work.popitem()
-            pos = self.redex_positions(w)
-            if not pos:
+            if w not in reducts:
+                pos = self.redex_positions(w)
+                reducts[w] = self.rewrite_at(w, pos[0]) if pos else None
+            reduct = reducts[w]
+            if reduct is None:
                 nc = done.get(w, 0) + c
                 if p is not None:
                     nc %= p
@@ -309,7 +339,7 @@ class RewriteSystem:
                 else:
                     done[w] = nc
                 continue
-            for nw, nc in self.rewrite_at(w, pos[0]).items():
+            for nw, nc in reduct.items():
                 acc = work.get(nw, 0) + c * nc
                 if p is not None:
                     acc %= p
@@ -351,7 +381,8 @@ def confluence_check(rs: RewriteSystem) -> ConfluenceReport:
     is skipped unless `rs.redex_positions` flags both of its pairs, so
     subclasses with fewer rules still work.  words_checked counts the
     overlaps reduced: 2N-1 for the builtin rules, at a cost of 2N-1
-    reductions of two reducts each and O(N) redex tests."""
+    reductions of two reducts each and one redex test per distinct word
+    met (see the module docstring)."""
     count = 0
     for w in _reduced_overlaps(rs.N):
         if rs.redex_positions(w) != [0, 1]:

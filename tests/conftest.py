@@ -4,9 +4,10 @@ space codimensions, total dimension, transfer image), the assembled
 cochain complex the oracle tests check the per-element split against, and
 the per-element derivation that `CyclicGroup.element` shares per cyclic
 subgroup, kept here as a reference, Fraction Gauss-Jordan, the
-reference for the library's elimination on integer rows over Q, and the
+reference for the library's elimination on integer rows over Q, the
 entrywise alpha-twist rows of condition (2), the reference for the
-oracle's Kronecker form."""
+oracle's Kronecker form, and the dense square bracket, the reference for
+the deformation layer's sparse one."""
 
 from fractions import Fraction
 from typing import List, Tuple
@@ -148,6 +149,33 @@ def reference_twist(gr: CyclicGroup) -> List[Tuple[int, int, int, Tuple[Scalar, 
                         row[n + w * n + s] -= c * y
             twist.append((a, b, r, tuple(row if p is None else [x % p for x in row])))
     return twist
+
+
+def reference_square_bracket(params) -> List[Tuple[Scalar, ...]]:
+    """[gamma,gamma](g^i tensor v1 ^ v2) for each i, with kappa = c (v2
+    tensor g), by the dense loops `square_bracket_transvection` once ran:
+    every entry of every lambda row is read, zeros included, and each
+    accumulator is reduced mod p.  The reference for its sparse form."""
+    gr = params.group
+    N = gr.order
+    table = params.lambda_table
+    c = params.kappa_v2[1 % N]
+
+    def gamma_on_ga(acc, v, k, scale):
+        for j, x in enumerate(v):
+            if x:
+                for m, y in enumerate(table[(j, k)]):
+                    acc[m] += scale * x * y
+
+    out = []
+    for i in range(N):
+        acc = [0] * N
+        gamma_on_ga(acc, table[(i, 2)], 1, 1)
+        gamma_on_ga(acc, table[(i, 1)], 2, -1)
+        for m, x in enumerate(table[(i, 2)]):
+            acc[(m + 1) % N] -= c * x
+        out.append(tuple(x % gr.field.p for x in acc))
+    return out
 
 
 def fraction_rref(m: Matrix) -> Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[int, ...], Fraction]:

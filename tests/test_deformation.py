@@ -35,6 +35,7 @@ from skewcoh.deformation import (
     word_str,
 )
 from skewcoh.group_action import group_from_generator
+from conftest import reference_square_bracket
 
 F3 = Field.prime(3)
 V1 = ("v", 1)
@@ -136,6 +137,59 @@ def test_square_bracket_i2_p3_term_by_term():
 def test_square_bracket_zero_params():
     values = square_bracket_transvection(zero_params(transvection_group(5)))
     assert all(all(x == 0 for x in v) for v in values)
+
+
+def with_kappa(params, c):
+    """params with kappa = c (v2 tensor g), the one shape the bracket takes."""
+    f = params.group.field
+    N = params.group.order
+    return dataclasses.replace(params, kappa_v1=(f.zero(),) * N,
+                               kappa_v2=with_entry((f.zero(),) * N, 1, f.coerce(c)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_square_bracket_matches_the_dense_reference_on_single_entries(p):
+    """Each lambda entry (every row (i, k), every power m) set in turn to
+    every other value, under kappa = c (v2 tensor g) for every c; most of
+    these brackets do not vanish."""
+    params = builtin_transvection_gamma(p)
+    f = params.group.field
+    nonzero = 0
+    for (i, k), row in sorted(params.lambda_table.items()):
+        for m in range(p):
+            for x in range(p):
+                if x == row[m]:
+                    continue
+                table = dict(params.lambda_table)
+                table[(i, k)] = with_entry(row, m, f.coerce(x))
+                for c in range(p):
+                    perturbed = with_kappa(dataclasses.replace(params, lambda_table=table), c)
+                    got = square_bracket_transvection(perturbed)
+                    assert got == reference_square_bracket(perturbed)
+                    nonzero += any(map(any, got))
+    assert nonzero > 0
+
+
+@st.composite
+def lambda_perturbations(draw):
+    """Builtin lambda tables over F_3, F_5 or F_7 with a few entries redrawn
+    at random, under kappa = c (v2 tensor g) for a random c."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    params = builtin_transvection_gamma(p)
+    f = params.group.field
+    table = dict(params.lambda_table)
+    for _ in range(draw(st.integers(1, 6))):
+        key = draw(st.sampled_from(sorted(table)))
+        m, x = draw(st.integers(0, p - 1)), f.coerce(draw(st.integers(0, p - 1)))
+        table[key] = with_entry(table[key], m, x)
+    return with_kappa(dataclasses.replace(params, lambda_table=table),
+                      draw(st.integers(0, p - 1)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(lambda_perturbations())
+def test_square_bracket_matches_the_dense_reference_on_random_tables(params):
+    assert square_bracket_transvection(params) == reference_square_bracket(params)
 
 
 def test_square_bracket_needs_transvection():
@@ -296,31 +350,67 @@ def test_confluence_reduces_linearly_many_overlaps(p):
 
 
 class CountingRewriteSystem(RewriteSystem):
-    """Counts its normal_form and redex_positions calls."""
+    """Counts its normal_form calls and records the words it tests for
+    redexes."""
 
     def __init__(self, params):
         super().__init__(params)
-        self.calls = {"normal_form": 0, "redex_positions": 0}
+        self.normal_form_calls = 0
+        self.tested = []
 
     def normal_form(self, terms):
-        self.calls["normal_form"] += 1
+        self.normal_form_calls += 1
         return super().normal_form(terms)
 
     def redex_positions(self, w):
-        self.calls["redex_positions"] += 1
+        self.tested.append(w)
         return super().redex_positions(w)
 
 
 @pytest.mark.parametrize("p", [13, 101])
 def test_confluence_work_is_linear_in_p(p):
-    # two normal forms per overlap and about 15 redex tests per overlap
-    # (30p - 10 in all); a table of the overlaps over all letter pairs
+    # two normal forms per overlap and one redex test per distinct word:
+    # the 2p - 1 overlaps and the words their reductions meet (161 tests
+    # at p = 13, 1305 at p = 101); testing a word again at each sight
+    # takes 30p - 10, and a table of the overlaps over all letter pairs
     # would take (p+1)^2 tests on its own, 10404 at p = 101
     rs = CountingRewriteSystem(builtin_transvection_gamma(p))
     rep = confluence_check(rs)
     assert rep.ok and rep.words_checked == 2 * p - 1
-    assert rs.calls["normal_form"] == 2 * rep.words_checked
-    assert rs.calls["redex_positions"] <= 60 * p
+    assert rs.normal_form_calls == 2 * rep.words_checked
+    assert len(rs.tested) == len(set(rs.tested)) <= 13 * p
+
+
+def test_rewrite_rules_build_a_word_only_for_a_nonzero_entry(monkeypatch):
+    # the builtin tables have one nonzero per lambda row and one in kappa,
+    # so about 3p words; a word per entry would be about 2p^2, 20604 at p = 101
+    p = 101
+    params = builtin_transvection_gamma(p)
+    calls = []
+    real = g_letter
+    monkeypatch.setattr("skewcoh.deformation.g_letter",
+                        lambda c, N: calls.append(c) or real(c, N))
+    RewriteSystem(params)
+    assert 0 < len(calls) <= 8 * p
+
+
+def words_up_to_length_3(N):
+    words = [()]
+    for length in range(3):
+        words += [w + (l,) for w in words if len(w) == length for l in alphabet(N)]
+    return words
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_shared_system_gives_each_word_the_fresh_normal_form(p):
+    """A system that has already reduced other words keeps the reducts it
+    met; each word still gets the normal form a fresh system gives it."""
+    tables = [builtin_transvection_gamma(p), zero_params(transvection_group(p))]
+    tables += perturbed_params(p)
+    for params in tables:
+        shared = orbifold_algebra(params)
+        for w in words_up_to_length_3(p):
+            assert shared.normal_form(w) == orbifold_algebra(params).normal_form(w)
 
 
 def test_zero_params_are_confluent():
