@@ -334,6 +334,9 @@ def cmd_deform(args) -> int:
     rs = orbifold_algebra(params)
     conf = confluence_check(rs)
     dim = hilbert_check(rs, 4, confluence=conf) if conf.ok else None
+    # the output needs neither the system, with its cached reducts, nor
+    # the dense tables: free them before it is written
+    del params, rs
     ok = bracket_zero and conf.ok
     if args.json:
         doc = {

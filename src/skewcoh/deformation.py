@@ -305,18 +305,17 @@ class RewriteSystem:
             rhs = self._rules[(x, y)]
         return {w[:l] + mid + w[l + 2:]: c for mid, c in rhs}
 
-    def normal_form(self, terms) -> AlgebraElement:
-        """Exhaustive leftmost rewriting of a word or a term dict.  Terms
-        are taken in any order: the result is linear in the terms and each
-        word's leftmost reduct is fixed, so the order cannot change it.
+    def normal_form(self, terms: Dict[Word, Scalar]) -> AlgebraElement:
+        """Exhaustive leftmost rewriting of a term dict, word -> coefficient
+        (a single word w is {w: 1}).  Terms are taken in any order: the
+        result is linear in the terms and each word's leftmost reduct is
+        fixed, so the order cannot change it.
 
         That reduct is derived once per word and system, through
         `redex_positions` and `rewrite_at`, and kept for every later
         call, so a word met again costs one dict lookup."""
         f = self.field
         p = f.p
-        if isinstance(terms, tuple):
-            terms = {terms: f.one()}
         work: Dict[Word, Scalar] = {w: c for w, c in terms.items() if c != 0}
         done: Dict[Word, Scalar] = {}
         reducts = self._reducts

@@ -125,7 +125,10 @@ class Field:
         if t is Fraction and self.p is None:
             return x
         if isinstance(x, str):
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except ZeroDivisionError:
+                raise ZeroDivisionError("zero denominator in %r" % x) from None
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError("cannot coerce %r into %r" % (x, self))
         if self.p is None:

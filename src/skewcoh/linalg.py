@@ -11,18 +11,20 @@ row-echelon basis, so equal subspaces compare identically and every
 downstream choice (complements, quotient coordinates, representative
 bases) is deterministic.
 
-Coercion happens only at the input boundary: `Matrix(field, rows)`,
-`Subspace(field, ambient, rows)` and the vectors handed to `Matrix.apply`
-and `Subspace.contains` go through `Field.coerce`, once per entry.  Each
-has a trusted twin that takes canonical entries (an int in [0, p) over
-F_p, a Fraction over Q) and checks nothing: `Matrix._of`, `Subspace._of`,
-`Matrix._apply` and `Subspace._coordinates` (and the oracle's
-`CochainTwo._of`).  Every matrix this module and the group-action builders
-derive goes through `Matrix._of`.  The oracle builds, guards and
-eliminates each per-element complex as plain row lists, through
-`_product` and `_eliminate`, and wraps in `Matrix._of` only what a caller
-keeps.  `@`, `stack` and `augment` check once per call that both operands
-are over the same field, so entries of two fields never mix.
+Coercion happens only at the input boundary: `Matrix(field, rows)` and
+the vectors handed to `Matrix.apply` and `Subspace.contains` go through
+`Field.coerce`, once per entry.  Each has a trusted twin that takes
+canonical entries (an int in [0, p) over F_p, a Fraction over Q) and
+checks nothing: `Matrix._of`, `Matrix._apply` and
+`Subspace._coordinates` (and the oracle's `CochainTwo._of`).  Every
+matrix this module and the group-action builders derive goes through
+`Matrix._of`.  The one `Subspace` constructor trusts its RREF basis and
+pivots; `kernel_basis` and `image_basis` eliminate a spanning set into
+them (`_span`).  The oracle builds, guards and eliminates each
+per-element complex as plain row lists, through `_product` and
+`_eliminate`, and wraps in `Matrix._of` only what a caller keeps.  `@`,
+the one operation on two matrices, checks once per call that both
+operands are over the same field, so entries of two fields never mix.
 
 A matrix minus a scalar, m - c I, has one builder, `minus_scalar`, which
 takes a canonical c and rewrites only the diagonal.  The eigenspaces,
@@ -162,17 +164,13 @@ class Matrix:
             rows = ([x % p for x in r] for r in rows)
         return Matrix._of(self.field, rows, self.ncols if ncols is None else ncols)
 
-    def _operand(self, other: "Matrix", op: str, shapes_fit: bool) -> None:
-        """Raise ValueError unless other is over the same field and
-        shapes_fit; checked once per operation, not per entry."""
-        if self.field != other.field:
-            raise ValueError("field mismatch %r %s %r" % (self.field, op, other.field))
-        if not shapes_fit:
-            raise ValueError("shape mismatch %dx%d %s %dx%d"
-                             % (self.nrows, self.ncols, op, other.nrows, other.ncols))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._operand(other, "@", self.ncols == other.nrows)
+        # checked once per product, not per entry
+        if self.field != other.field:
+            raise ValueError("field mismatch %r @ %r" % (self.field, other.field))
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch %dx%d @ %dx%d"
+                             % (self.nrows, self.ncols, other.nrows, other.ncols))
         return Matrix._of(self.field, _product(self.field, self.rows, other.rows, other.ncols),
                           other.ncols)
 
@@ -195,23 +193,14 @@ class Matrix:
         cols = zip(*self.rows) if self.rows else [()] * self.ncols
         return Matrix._of(self.field, cols, self.nrows)
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        self._operand(other, "stack", self.ncols == other.ncols)
-        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
-
-    def augment(self, other: "Matrix") -> "Matrix":
-        self._operand(other, "augment", self.nrows == other.nrows)
-        return Matrix._of(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                          self.ncols + other.ncols)
-
     def inverse(self) -> "Matrix":
-        """Nothing in the package inverts a matrix; the benchmark's tracer
-        binds this method by name."""
+        """Read off the RREF of [self | I].  Nothing in the package inverts
+        a matrix; the benchmark's tracer binds this method by name."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        aug = self.augment(Matrix.identity(self.field, n))
-        red, piv = rref(aug)
+        unit = Matrix.identity(self.field, n).rows
+        red, piv = rref(Matrix._of(self.field, [r + u for r, u in zip(self.rows, unit)], 2 * n))
         if list(piv[:n]) != list(range(n)) or len(piv) != n:
             raise NotInvertibleError("matrix is singular")
         return Matrix._of(self.field, [r[n:] for r in red.rows], n)
@@ -380,30 +369,12 @@ def rank(m: Matrix) -> int:
 
 class Subspace:
     """A subspace of F^n held by its RREF basis (rows = basis vectors) and
-    the basis's pivot columns."""
+    the basis's pivot columns.  The constructor trusts both; `_span`
+    eliminates a spanning set into them."""
 
     __slots__ = ("field", "ambient", "basis", "dim", "_pivots")
 
-    def __init__(self, field: Field, ambient: int, spanning_rows: Iterable[Sequence] = ()):
-        self._span(Matrix(field, spanning_rows, ncols=ambient))
-
-    @classmethod
-    def _of(cls, field: Field, ambient: int, rows: Sequence[Sequence]) -> "Subspace":
-        """The span of rows whose entries are already canonical (see Matrix._of)."""
-        s = object.__new__(cls)
-        s._span(Matrix._of(field, rows, ambient))
-        return s
-
-    def _span(self, m: Matrix) -> None:
-        if m.nrows:
-            red, piv = rref(m)
-            basis = Matrix._of(m.field, red.rows[:len(piv)], m.ncols)
-        else:
-            basis, piv = m, ()
-        self._set(basis, piv)
-
-    def _set(self, basis: Matrix, pivots: Tuple[int, ...]) -> None:
-        """Hold basis, which must be in RREF with these pivot columns."""
+    def __init__(self, basis: Matrix, pivots: Tuple[int, ...]):
         object.__setattr__(self, "field", basis.field)
         object.__setattr__(self, "ambient", basis.ncols)
         object.__setattr__(self, "basis", basis)
@@ -422,9 +393,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of F^%d)" % (self.dim, self.ambient)
-
-    def basis_rows(self) -> Tuple[Vector, ...]:
-        return self.basis.rows
 
     def contains(self, v: Sequence) -> bool:
         f = self.field
@@ -463,9 +431,13 @@ class Subspace:
         pivset = set(self._pivots)
         free = tuple(j for j in range(self.ambient) if j not in pivset)
         unit = Matrix.identity(self.field, self.ambient).rows
-        s = object.__new__(Subspace)
-        s._set(Matrix._of(self.field, [unit[j] for j in free], self.ambient), free)
-        return s
+        return Subspace(Matrix._of(self.field, [unit[j] for j in free], self.ambient), free)
+
+
+def _span(field: Field, ambient: int, rows: Sequence[Sequence]) -> Subspace:
+    """The span of rows whose entries are already canonical (see Matrix._of)."""
+    red, piv = rref(Matrix._of(field, rows, ambient))
+    return Subspace(Matrix._of(field, red.rows[:len(piv)], ambient), piv)
 
 
 def _kernel_rows(red: Matrix, piv: Sequence[int], ncols: int) -> List[Vector]:
@@ -494,12 +466,12 @@ def _kernel_rows(red: Matrix, piv: Sequence[int], ncols: int) -> List[Vector]:
 def kernel_basis(m: Matrix) -> Subspace:
     """Solution space of m v = 0."""
     red, piv = rref(m)
-    return Subspace._of(m.field, m.ncols, _kernel_rows(red, piv, m.ncols))
+    return _span(m.field, m.ncols, _kernel_rows(red, piv, m.ncols))
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m."""
-    return Subspace._of(m.field, m.nrows, m.transpose().rows)
+    return _span(m.field, m.nrows, m.transpose().rows)
 
 
 def minus_scalar(m: Matrix, c: Scalar) -> Matrix:

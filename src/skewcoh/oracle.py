@@ -140,13 +140,11 @@ class CochainTwo:
 
 @dataclass(frozen=True)
 class CochainOne:
-    element_index: int
     f: Tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
 class ComplexDims:
-    element_index: int
     z_dim: int
     b_dim: int
     hh_dim: int
@@ -279,7 +277,7 @@ def group_rows(gr: CyclicGroup) -> GroupRows:
     lam = (f.zero(),) * n
     twist = [(a, b, r, lam + row)
              for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block.rows)]
-    return GroupRows(_vanish_rows(f, cochain_dim(n), gr.transfer().basis_rows(), 0), twist,
+    return GroupRows(_vanish_rows(f, cochain_dim(n), gr.transfer().basis.rows, 0), twist,
                      _signed_shifts(f, gr.generator)[0])
 
 
@@ -338,16 +336,16 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
         rows += _vanish_rows(f, dim, at_pivots, n + w * n)
 
     codim = ed.codim
-    fixed = ed.fixed_space.basis_rows()
+    fixed = ed.fixed_space.basis.rows
     if codim == 0:
         # lambda = 0 on (V^G)^perp
-        rows += _vanish_rows(f, dim, gr.invariants().complement().basis_rows(), 0)
+        rows += _vanish_rows(f, dim, gr.invariants().complement().basis.rows, 0)
     elif codim == 1:
         # alpha = 0 on wedge^2 V^h
         rows += _wedge_vanish_rows(f, dim, combinations(fixed, 2), n)
         # chi_h nontrivial: lambda = 0 on (V^h)^perp
         if ed.chi_of_generator != f.one():
-            rows += _vanish_rows(f, dim, ed.fixed_space.complement().basis_rows(), 0)
+            rows += _vanish_rows(f, dim, ed.fixed_space.complement().basis.rows, 0)
     elif codim == 2:
         # alpha(u ^ v) = 0 for u in V^h, v in V; lambda = 0 on V^h
         rows += _wedge_vanish_rows(f, dim, [(u, e) for u in fixed for e in unit], n)
@@ -407,7 +405,7 @@ def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> Tuple[ComplexDims, 
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    return ComplexDims(i, z, b, hh), cond[:len(piv)]
+    return ComplexDims(z, b, hh), cond[:len(piv)]
 
 
 def per_element_cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> ComplexDims:
@@ -433,7 +431,7 @@ def representative_basis(gr: CyclicGroup, i: int, rows: GroupRows) -> List[Cocha
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
             % (ker.dim, dims.hh_dim, i))
-    return [CochainTwo._of(gr.field, gr.n, i, row) for row in ker.basis_rows()]
+    return [CochainTwo._of(gr.field, gr.n, i, row) for row in ker.basis.rows]
 
 
 def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[CochainTwo, CochainOne]:
@@ -489,4 +487,4 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     for k in kernel:
         if any(aug._apply(k + zero)):
             raise AssertionError("distinguished representative is not unique")
-    return CochainTwo._of(f, gr.n, i, rep_flat), CochainOne(i, f0)
+    return CochainTwo._of(f, gr.n, i, rep_flat), CochainOne(f0)

@@ -20,6 +20,7 @@ from skewcoh import (
     Field,
     Matrix,
     Scalar,
+    Subspace,
     SummandReport,
     cochain_dim,
     eigenspace,
@@ -102,6 +103,12 @@ def difference(a: Matrix, b: Matrix) -> Matrix:
     `minus_scalar`, which rewrites only the diagonal."""
     return Matrix(a.field, [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)],
                   ncols=a.ncols)
+
+
+def span(field: Field, ambient: int, rows=()) -> Subspace:
+    """The span of rows in F^ambient, coerced: the column space of their
+    transpose."""
+    return image_basis(Matrix(field, rows, ncols=ambient).transpose())
 
 
 def one_minus(m: Matrix) -> Matrix:
@@ -249,7 +256,7 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
     g = gr.generator
     w2g = wedge2_matrix(g)
     one = Matrix.identity(f, n)
-    imt = gr.transfer().basis_rows()
+    imt = gr.transfer().basis.rows
 
     rows: List[List[Scalar]] = []
     cob = [[f.zero()] * (N * n) for _ in range(dim)]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from skewcoh import (
     CochainTwo,
     Field,
     Matrix,
-    Subspace,
     cli,
     coboundary_matrix,
     cochain_dim,
@@ -33,7 +33,7 @@ from skewcoh.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, main
 from skewcoh.oracle import DimensionMismatchError
 from skewcoh.group_action import group_from_generator
 
-from conftest import SUITE, one_minus, suite_group, transfer_matrix
+from conftest import SUITE, one_minus, span, suite_group, transfer_matrix
 
 TRANSV3 = {"field": {"type": "prime", "p": 3}, "generator": [[1, 1], [0, 1]]}
 DIAG23 = {"field": {"type": "prime", "p": 5}, "generator": [[2, 0], [0, 3]]}
@@ -266,7 +266,40 @@ def test_deform_char_two_rejected(capsys):
     assert main(["deform", "--deform-prime", "2"]) == EXIT_INPUT
 
 
+def test_deform_frees_the_system_and_the_tables_before_writing(monkeypatch, capsys):
+    # the output needs neither the rewrite system, with its cached reducts,
+    # nor the dense parameter tables, so both are gone when it is written
+    made = []
+
+    def recorded(construct):
+        def wrapped(*args):
+            out = construct(*args)
+            made.append(weakref.ref(out))
+            return out
+        return wrapped
+
+    def print_json(doc):
+        assert len(made) == 2 and all(ref() is None for ref in made)
+        real(doc)
+
+    real = cli._print_json
+    monkeypatch.setattr(cli, "builtin_transvection_gamma", recorded(cli.builtin_transvection_gamma))
+    monkeypatch.setattr(cli, "orbifold_algebra", recorded(cli.orbifold_algebra))
+    monkeypatch.setattr(cli, "_print_json", print_json)
+    assert main(["deform", "--deform-prime", "5", "--json"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 # -- input validation ------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [{"type": "prime", "p": 3}, {"type": "rational"}],
+                         ids=["F3", "Q"])
+def test_a_zero_denominator_names_itself(job, capsys, field):
+    # Fraction("1/0") alone says only "Fraction(1, 0)"
+    assert main(["analyze", job({"field": field, "generator": [[1, "1/0"], [0, 1]]})]) \
+        == EXIT_INPUT
+    assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
 
 def test_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == EXIT_INPUT
@@ -378,7 +411,7 @@ def test_transfer_outside_the_invariants_is_verification_failure(job, capsys, mo
     assert all(t != one_minus(h) for h in gr.powers)
     real = group_action.image_basis
     monkeypatch.setattr(group_action, "image_basis",
-                        lambda m: Subspace(m.field, 2, [[1, 0], [0, 1]]) if m == t else real(m))
+                        lambda m: span(m.field, 2, [[1, 0], [0, 1]]) if m == t else real(m))
     assert main(["compare", job(DIAG_1_M1)]) == EXIT_FAIL
     assert "im T not contained in V^G" in capsys.readouterr().err
 

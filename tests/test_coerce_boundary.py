@@ -18,7 +18,6 @@ from skewcoh import (
     CochainTwo,
     Field,
     Matrix,
-    Subspace,
     coboundary_matrix,
     group_rows,
     reduce_to_representative,
@@ -26,7 +25,7 @@ from skewcoh import (
     solve,
 )
 
-from conftest import suite_group
+from conftest import span, suite_group
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 FIELDS = [Field.prime(3), Field.prime(5), Field.prime(7), Field.rational()]
@@ -216,11 +215,11 @@ def test_complement_is_the_eliminated_span_of_its_unit_rows(field):
         n = rng.randint(1, 6)
         rows = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(n)]
                 for _ in range(rng.randint(0, n))]
-        space = Subspace(field, n, rows)
+        space = span(field, n, rows)
         comp = space.complement()
         pivots = set(space._pivots)
         units = [[int(j == c) for j in range(n)] for c in range(n) if c not in pivots]
-        eliminated = Subspace(field, n, units)
+        eliminated = span(field, n, units)
         assert comp == eliminated
         assert comp._pivots == eliminated._pivots
         assert comp.dim + space.dim == n

@@ -14,7 +14,6 @@ from skewcoh import (
     NotGStableError,
     NotInvertibleError,
     OrderExceedsBoundError,
-    Subspace,
     chi_invariants,
     eigenspace,
     group_from_generator,
@@ -26,7 +25,7 @@ from skewcoh import (
 
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import SUITE, dual_matrix, suite_group, transfer_matrix
+from conftest import SUITE, dual_matrix, span, suite_group, transfer_matrix
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -34,7 +33,7 @@ Q = Field.rational()
 
 
 def full(field, n):
-    return Subspace(field, n, Matrix.identity(field, n).rows)
+    return span(field, n, Matrix.identity(field, n).rows)
 
 
 # -- construction and order -------------------------------------------------
@@ -96,13 +95,13 @@ def test_codims(suite_entry):
         assert ed.moved_space.dim == ed.codim
         for space in (ed.fixed_space, ed.moved_space):
             joined = space.basis.rows + space.complement().basis.rows
-            assert Subspace(gr.field, gr.n, joined) == full(gr.field, gr.n)
+            assert span(gr.field, gr.n, joined) == full(gr.field, gr.n)
 
 
 def test_transvection_element_data():
     gr = suite_group("transvection_f3")
     ed = gr.element(1)
-    e1 = Subspace(F3, 2, [[1, 0]])
+    e1 = span(F3, 2, [[1, 0]])
     assert ed.fixed_space == e1
     assert ed.moved_space == e1
     assert ed.codim == 1
@@ -121,8 +120,8 @@ def test_identity_element_data():
 def test_diag_reflection_element_data():
     gr = suite_group("diag_1_m1_f5")
     ed = gr.element(1)
-    assert ed.fixed_space == Subspace(F5, 2, [[1, 0]])
-    assert ed.moved_space == Subspace(F5, 2, [[0, 1]])
+    assert ed.fixed_space == span(F5, 2, [[1, 0]])
+    assert ed.moved_space == span(F5, 2, [[0, 1]])
     assert ed.codim == 1
     assert ed.chi_of_generator == F5.coerce(-1)
 
@@ -147,9 +146,9 @@ def test_fixed_and_moved_spaces_are_stable(suite_entry):
     g = gr.generator
     for i in range(order):
         ed = gr.element(i)
-        for u in ed.fixed_space.basis_rows():
+        for u in ed.fixed_space.basis.rows:
             assert ed.fixed_space.contains(g.apply(u))
-        for u in ed.moved_space.basis_rows():
+        for u in ed.moved_space.basis.rows:
             assert ed.moved_space.contains(g.apply(u))
 
 
@@ -239,9 +238,9 @@ def test_tensor_action_dimensions():
 def test_quotient_by_unstable_subspace():
     gr = suite_group("transvection_f3")
     with pytest.raises(NotGStableError):
-        quotient_matrix(gr.generator, Subspace(F3, 2, [[0, 1]]))
+        quotient_matrix(gr.generator, span(F3, 2, [[0, 1]]))
     with pytest.raises(NotGStableError):
-        restricted_matrix(gr.generator, Subspace(F3, 2, [[0, 1]]))
+        restricted_matrix(gr.generator, span(F3, 2, [[0, 1]]))
 
 
 # -- chi invariants ----------------------------------------------------------------

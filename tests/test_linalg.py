@@ -17,7 +17,6 @@ from skewcoh import (
     Field,
     Matrix,
     NotInvertibleError,
-    Subspace,
     char_poly,
     eigenspace,
     image_basis,
@@ -32,19 +31,15 @@ from skewcoh import (
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 from skewcoh.oracle import _signed_shifts
 
-from conftest import difference, dual_matrix, fraction_rref, one_minus, zeros
+from conftest import difference, dual_matrix, fraction_rref, one_minus, span, zeros
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 Q = Field.rational()
 
 
-def span(field, ambient, *rows):
-    return Subspace(field, ambient, rows)
-
-
 def full(field, ambient):
-    return Subspace(field, ambient, Matrix.identity(field, ambient).rows)
+    return span(field, ambient, Matrix.identity(field, ambient).rows)
 
 
 # -- rref ----------------------------------------------------------------
@@ -97,7 +92,7 @@ def test_rref_idempotent_and_rank_nullity(field):
 def test_kernel_of_one_minus_transvection():
     g = Matrix(F3, [[1, 1], [0, 1]])
     m = one_minus(g)
-    assert kernel_basis(m) == span(F3, 2, [1, 0])
+    assert kernel_basis(m) == span(F3, 2, [[1, 0]])
 
 
 def test_kernel_identity_and_zero():
@@ -108,7 +103,7 @@ def test_kernel_identity_and_zero():
 def test_image_of_one_minus_transvection():
     g = Matrix(F3, [[1, 1], [0, 1]])
     m = one_minus(g)
-    assert image_basis(m) == span(F3, 2, [1, 0])
+    assert image_basis(m) == span(F3, 2, [[1, 0]])
 
 
 def test_image_identity_and_zero():
@@ -119,17 +114,17 @@ def test_image_identity_and_zero():
 # -- complements -----------------------------------------------------------
 
 def test_complement_of_e1():
-    assert span(F5, 2, [1, 0]).complement() == span(F5, 2, [0, 1])
+    assert span(F5, 2, [[1, 0]]).complement() == span(F5, 2, [[0, 1]])
 
 
 def test_complement_of_full_and_zero():
     assert full(F3, 2).complement().dim == 0
-    assert Subspace(F3, 2).complement() == full(F3, 2)
+    assert span(F3, 2).complement() == full(F3, 2)
 
 
 def test_complement_pivot_completion():
     # basis e1+e2 has its pivot at column 0, so the completion is e2
-    assert span(F5, 2, [1, 1]).complement() == span(F5, 2, [0, 1])
+    assert span(F5, 2, [[1, 1]]).complement() == span(F5, 2, [[0, 1]])
 
 
 @pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
@@ -138,11 +133,11 @@ def test_complement_is_a_complement(field):
     for _ in range(40):
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
-        u = Subspace(field, n, [[_rand(field, rng) for _ in range(n)] for _ in range(k)])
+        u = span(field, n, [[_rand(field, rng) for _ in range(n)] for _ in range(k)])
         c = u.complement()
         assert u.dim + c.dim == n
         # u + c is everything, so by the dimensions u and c meet in 0
-        assert Subspace(field, n, u.basis.rows + c.basis.rows) == full(field, n)
+        assert span(field, n, u.basis.rows + c.basis.rows) == full(field, n)
 
 
 def _rand(f, rng):
@@ -153,13 +148,13 @@ def _rand(f, rng):
 
 def test_eigenspace_diag():
     m = Matrix(F5, [[1, 0], [0, -1]])
-    assert eigenspace(m, 1) == span(F5, 2, [1, 0])
-    assert eigenspace(m, -1) == span(F5, 2, [0, 1])
+    assert eigenspace(m, 1) == span(F5, 2, [[1, 0]])
+    assert eigenspace(m, -1) == span(F5, 2, [[0, 1]])
 
 
 def test_eigenspace_jordan_block():
     m = Matrix(F3, [[1, 1], [0, 1]])
-    assert eigenspace(m, 1) == span(F3, 2, [1, 0])
+    assert eigenspace(m, 1) == span(F3, 2, [[1, 0]])
     assert eigenspace(m, 2).dim == 0
 
 
@@ -167,47 +162,47 @@ def test_eigenspace_jordan_block():
 
 def test_sum_and_intersect():
     # sums are spans of the joined bases; dim(U cap W) = dim U + dim W - dim(U + W)
-    e1 = span(F5, 2, [1, 0])
-    e2 = span(F5, 2, [0, 1])
-    diag = span(F5, 2, [1, 1])
-    assert span(F5, 2, *(e1.basis.rows + e2.basis.rows)) == full(F5, 2)
-    assert span(F5, 2, *(e1.basis.rows + diag.basis.rows)) == full(F5, 2)
+    e1 = span(F5, 2, [[1, 0]])
+    e2 = span(F5, 2, [[0, 1]])
+    diag = span(F5, 2, [[1, 1]])
+    assert span(F5, 2, e1.basis.rows + e2.basis.rows) == full(F5, 2)
+    assert span(F5, 2, e1.basis.rows + diag.basis.rows) == full(F5, 2)
     assert not e1.contains_space(diag) and not diag.contains_space(e1)
-    assert span(F5, 2, *(e1.basis.rows + e1.basis.rows)) == e1
+    assert span(F5, 2, e1.basis.rows + e1.basis.rows) == e1
 
 
 def test_contains():
-    u = span(Q, 3, [1, 0, 0], [0, 1, 0])
+    u = span(Q, 3, [[1, 0, 0], [0, 1, 0]])
     assert u.contains([2, -3, 0])
     assert not u.contains([0, 0, 1])
-    assert u.contains_space(span(Q, 3, [1, 1, 0]))
+    assert u.contains_space(span(Q, 3, [[1, 1, 0]]))
     assert not u.contains_space(full(Q, 3))
 
 
 @pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
 def test_membership_and_coordinates_need_ambient_length(field):
-    u = span(field, 3, [1, 0, 0])
+    u = span(field, 3, [[1, 0, 0]])
     for v in ([1, 0, 0, 5], [1, 0], []):
         with pytest.raises(ValueError):
             u.contains(v)
     assert u.contains([1, 0, 0])
     with pytest.raises(ValueError):
-        Subspace(field, 0).contains([0])
-    assert Subspace(field, 0).contains([])
+        span(field, 0).contains([0])
+    assert span(field, 0).contains([])
 
 
 def test_quotient_map_coordinates():
     # F^2 / span{e1}: the quotient coordinate of e2 is 1.  The one entry of
     # quotient_matrix(m, u) is the quotient coordinate of m e2, so choosing
     # m e2 = v reads the coordinate of v.
-    u = span(F5, 2, [1, 0])
+    u = span(F5, 2, [[1, 0]])
     for image_of_e2, coord in (([0, 1], 1), ([1, 0], 0), ([3, 2], 2)):
         m = Matrix(F5, [[1, image_of_e2[0]], [0, image_of_e2[1]]])
         assert quotient_matrix(m, u) == Matrix(F5, [[coord]])
 
 
 def test_equal_subspaces_identical_basis():
-    a = span(F5, 2, [1, 1], [1, 2])
+    a = span(F5, 2, [[1, 1], [1, 2]])
     b = full(F5, 2)
     assert a == b
     assert a.basis == b.basis
@@ -225,14 +220,12 @@ def test_matmul_and_apply():
 
 
 def test_operands_need_the_same_field():
-    # Q @ F_3 gave a Q matrix, and stack mixed the entries of both fields
+    # Q @ F_3 gave a Q matrix
     a3, aq, a5 = Matrix(F3, [[1, 2]]), Matrix(Q, [["1/2", 1]]), Matrix(F5, [[1, 2]])
     for a, b in ((a3, aq), (aq, a3), (a3, a5)):
-        for op in (Matrix.stack, Matrix.augment, lambda x, y: x @ y.transpose()):
-            with pytest.raises(ValueError, match="field mismatch"):
-                op(a, b)
+        with pytest.raises(ValueError, match="field mismatch"):
+            a @ b.transpose()
     assert (a3 @ a3.transpose()).rows == ((2,),)
-    assert a3.stack(a3).nrows == 2 and a3.augment(a3).ncols == 4
 
 
 @pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])
@@ -248,7 +241,7 @@ def test_empty_matrices_need_no_special_case(field):
     assert eigenspace(e, 1).dim == 0 and eigenspace(e, 2).ambient == 0
     q = quotient_matrix(m, full(field, 2))
     assert q == e and q.det() == one
-    assert restricted_matrix(m, Subspace(field, 2)) == e
+    assert restricted_matrix(m, span(field, 2)) == e
 
 
 def test_inverse_and_det():
@@ -296,11 +289,11 @@ def test_matrix_immutable_and_ragged():
 
 def test_solve():
     m = Matrix(F5, [[1, 2], [3, 4]])
-    x, kernel = solve(m.augment(Matrix(F5, [[1], [1]])))
+    x, kernel = solve(Matrix(F5, [[1, 2, 1], [3, 4, 1]]))
     assert x is not None and m.apply(x) == (1, 1) and kernel == []
     # inconsistent: the zero map cannot hit a nonzero vector, and its
     # kernel is everything
-    x, kernel = solve(zeros(F5, 2, 2).augment(Matrix(F5, [[1], [0]])))
+    x, kernel = solve(Matrix(F5, [[0, 0, 1], [0, 0, 0]]))
     assert x is None and kernel == [(1, 0), (0, 1)]
     # there is no b without a last column
     with pytest.raises(ValueError):
@@ -327,7 +320,7 @@ def augmented_systems(draw):
         b = m.apply(draw(st.lists(entry, min_size=c, max_size=c)))
     else:
         b = draw(st.lists(entry, min_size=r, max_size=r))
-    return m, m.augment(Matrix(f, [[y] for y in b], ncols=1))
+    return m, Matrix(f, [row + (y,) for row, y in zip(m.rows, b)], ncols=c + 1)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -343,7 +336,7 @@ def test_solve_reads_a_solution_and_the_kernel_off_one_elimination(system):
         assert len(x) == m.ncols and m.apply(x) == b
     assert len(kernel) == m.ncols - r
     assert all(not any(m.apply(k)) for k in kernel)
-    assert Subspace(m.field, m.ncols, kernel) == kernel_basis(m)
+    assert span(m.field, m.ncols, kernel) == kernel_basis(m)
 
 
 @st.composite
@@ -544,15 +537,13 @@ def test_poly_splits_at_large_primes():
 def test_explicit_ncols_must_match_the_rows():
     with pytest.raises(ValueError):
         Matrix(F5, [[1, 2]], ncols=3)
-    with pytest.raises(ValueError):
-        Subspace(F5, 3, [[1, 2]])
     assert Matrix(F5, [], ncols=3).ncols == 3
     assert Matrix(F5, [[1, 2]], ncols=2).rows == ((1, 2),)
 
 
 def test_subspace_membership_and_complement_reuse_the_stored_pivots(monkeypatch):
     import skewcoh.linalg as linalg
-    u = span(F5, 4, [1, 2, 0, 3], [0, 0, 1, 4])
+    u = span(F5, 4, [[1, 2, 0, 3], [0, 0, 1, 4]])
     reduced = []
 
     def recording_rref(m, rref=linalg.rref):
@@ -562,5 +553,5 @@ def test_subspace_membership_and_complement_reuse_the_stored_pivots(monkeypatch)
     assert u.contains([2, 4, 3, 3])              # 2*row0 + 3*row1
     assert not u.contains([0, 1, 0, 0])
     assert u.contains_space(u)
-    assert u.complement() == span(F5, 4, [0, 1, 0, 0], [0, 0, 0, 1])
+    assert u.complement() == span(F5, 4, [[0, 1, 0, 0], [0, 0, 0, 1]])
     assert u.basis.rows not in reduced

@@ -19,9 +19,9 @@ from math import factorial, prod
 
 import pytest
 
-from skewcoh import Field, Matrix, NotInvertibleError, Subspace, kernel_basis, rank, rref
+from skewcoh import Field, Matrix, NotInvertibleError, kernel_basis, rank, rref
 
-from conftest import zeros
+from conftest import span, zeros
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -90,7 +90,7 @@ def test_rref_rank_kernel_product_agree_with_sympy(field, kind):
         ker = kernel_basis(m)
         sker = dm.nullspace()
         assert ker.dim == sker.shape[0]
-        assert ker == Subspace(field, c, _rows(field, sker))
+        assert ker == span(field, c, _rows(field, sker))
         other = _random_matrix(field, rng, "dense", c, rng.randint(1, 4))
         assert (m @ other).rows == _rows(field, dm.matmul(_to_sympy(other)))
 
@@ -179,7 +179,7 @@ def _assert_elimination_agrees(m):
     assert red.rows == _rows(Q, sred)
     assert rank(m) == len(piv)
     ker = kernel_basis(m)
-    assert ker == Subspace(Q, m.ncols, _rows(Q, dm.nullspace()))
+    assert ker == span(Q, m.ncols, _rows(Q, dm.nullspace()))
     if m.nrows == m.ncols:
         det = _from_sympy(Q, dm.det())
         assert m.det() == det
@@ -220,6 +220,6 @@ def test_hilbert_matrix_agrees_with_sympy():
     assert h @ inv == Matrix.identity(Q, n)
     _assert_product_agrees(h, h)
     # a singular 11 x 10 stack of Hilbert rows and their fractional half-sums
-    mixed = h.stack(Matrix(Q, [[(x + y) / 2 for x, y in zip(h.rows[0], h.rows[9])]]))
+    mixed = Matrix(Q, [*h.rows, [(x + y) / 2 for x, y in zip(h.rows[0], h.rows[9])]])
     _assert_product_agrees(mixed, h)
     assert rank(mixed) == n and rank(mixed.transpose()) == n

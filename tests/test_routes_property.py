@@ -56,7 +56,7 @@ ROUTES = settings(SETTINGS, max_examples=60)
 def random_cocycle(gr, i, rng):
     f = gr.field
     flat = [f.zero()] * cochain_dim(gr.n)
-    for row in kernel_basis(cocycle_conditions(gr, i)).basis_rows():
+    for row in kernel_basis(cocycle_conditions(gr, i)).basis.rows:
         c = f.coerce(rng.randint(-3, 3))
         flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, row)]
     return CochainTwo.from_flat(f, gr.n, i, flat)

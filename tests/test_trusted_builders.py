@@ -27,7 +27,7 @@ from skewcoh import (
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import assembled_complex, dual_matrix, reduced_conditions, transfer_matrix, zeros
+from conftest import assembled_complex, dual_matrix, reduced_conditions, transfer_matrix
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -90,7 +90,7 @@ def check_builders(field, rows, i):
         # products, one with zero rows only (d^2 = 0) and one with a zero row
         cocycle_conditions(gr, i) @ coboundary_matrix(gr, i), h @ gr.generator,
         distinguished_constraints(gr, i) @ coboundary_matrix(gr, i),
-        zeros(field, 1, gr.n).stack(h) @ dual_matrix(h),
+        Matrix(field, [[0] * gr.n, *h.rows]) @ dual_matrix(h),
     ]
     if gr.order <= 4:
         built += assembled_complex(gr)
