@@ -56,7 +56,6 @@ from .oracle import (
     representative_basis,
 )
 from .deformation import (
-    AlgebraElement,
     ConfluenceReport,
     DeformationParams,
     PrerequisiteFailed,

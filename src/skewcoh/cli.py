@@ -305,29 +305,24 @@ def cmd_reps(args) -> int:
     return EXIT_PASS
 
 
-def _transvection_prime_from_job(args) -> int:
-    field, gen = load_job(args.job)
-    if field.char == 0:
-        raise JobError("deform needs a prime field")
-    p = field.char
-    m = _from_input(Matrix, field, gen)
-    expected = Matrix(field, [[1, 1], [0, 1]])
-    if m != expected:
-        raise JobError("deform covers the worked example generator [[1,1],[0,1]] over F_p; "
-                       "pass that job or use --deform-prime")
-    return p
-
-
 def cmd_deform(args) -> int:
     if args.job is not None and args.deform_prime is not None:
         raise JobError("deform takes a job file or --deform-prime, not both")
+    job_matrix = None
     if args.deform_prime is not None:
         p = args.deform_prime
     elif args.job is not None:
-        p = _transvection_prime_from_job(args)
+        field, gen = load_job(args.job)
+        if field.char == 0:
+            raise JobError("deform needs a prime field")
+        p = field.char
+        job_matrix = _from_input(Matrix, field, gen)
     else:
         raise JobError("deform needs a job file or --deform-prime")
     params = _from_input(builtin_transvection_gamma, p, args.max_order)
+    if job_matrix is not None and job_matrix != params.group.generator:
+        raise JobError("deform covers the worked example generator [[1,1],[0,1]] over F_p; "
+                       "pass that job or use --deform-prime")
     f = params.group.field
     bracket = square_bracket_transvection(params)
     bracket_zero = not any(map(any, bracket))

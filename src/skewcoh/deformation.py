@@ -214,31 +214,7 @@ def square_bracket_transvection(params: DeformationParams) -> List[GroupVec]:
     return out
 
 
-# -- elements and rewriting --------------------------------------------
-
-class AlgebraElement:
-    """A scalar combination of words in the generators; canonical once all
-    words are in normal form v1^a v2^b g^c."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms: Optional[Dict[Word, Scalar]] = None):
-        self.field = field
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement) and self.field == other.field
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            bits.append("%s*%s" % (self.field.to_str(c), word_str(w)))
-        return " + ".join(bits)
-
+# -- rewriting ------------------------------------------------------------
 
 def word_str(w: Word) -> str:
     if not w:
@@ -258,17 +234,17 @@ class RewriteSystem:
     """Rewrite rules of H_{lambda,kappa} for a 2-dimensional cyclic action."""
 
     def __init__(self, params: DeformationParams):
-        if params.group.n != 2:
+        group = params.group
+        if group.n != 2:
             raise ValueError("rewriting layer covers n = 2 only")
-        self.group = params.group
-        self.field = f = params.group.field
-        self.N = N = params.group.order
+        self.field = f = group.field
+        self.N = N = group.order
         # right-hand side of each g^i v_k rule and of the v2 v1 rule as
         # [(word, coeff), ...]; its words are distinct and its coeffs nonzero
         self._rules: Dict[Tuple[Letter, Letter], List[Tuple[Word, Scalar]]] = {}
         # only the nonzero table entries get a word
         for i in range(1, N):
-            m = self.group.power(i)
+            m = group.power(i)
             gi = g_letter(i, N)
             for k in (1, 2):
                 rhs = [((("v", row),) + gi, m.rows[row - 1][k - 1])
@@ -305,17 +281,18 @@ class RewriteSystem:
             rhs = self._rules[(x, y)]
         return {w[:l] + mid + w[l + 2:]: c for mid, c in rhs}
 
-    def normal_form(self, terms: Dict[Word, Scalar]) -> AlgebraElement:
+    def normal_form(self, terms: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
         """Exhaustive leftmost rewriting of a term dict, word -> coefficient
-        (a single word w is {w: 1}).  Terms are taken in any order: the
-        result is linear in the terms and each word's leftmost reduct is
-        fixed, so the order cannot change it.
+        (a single word w is {w: 1}), to the term dict of normal words with
+        no zero coefficient, so two elements are equal iff their normal
+        forms are equal dicts.  Terms are taken in any order: the result is
+        linear in the terms and each word's leftmost reduct is fixed, so
+        the order cannot change it.
 
         That reduct is derived once per word and system, through
         `redex_positions` and `rewrite_at`, and kept for every later
         call, so a word met again costs one dict lookup."""
-        f = self.field
-        p = f.p
+        p = self.field.p
         work: Dict[Word, Scalar] = {w: c for w, c in terms.items() if c != 0}
         done: Dict[Word, Scalar] = {}
         reducts = self._reducts
@@ -346,7 +323,7 @@ class RewriteSystem:
                     work.pop(nw, None)
                 else:
                     work[nw] = acc
-        return AlgebraElement(f, done)
+        return done
 
 
 def orbifold_algebra(params: DeformationParams) -> RewriteSystem:
@@ -373,15 +350,25 @@ def _reduced_overlaps(N: int):
         yield g, ("g", j), v2
 
 
+def _terms_str(f: Field, terms: Dict[Word, Scalar]) -> str:
+    """A term dict as "c*word + ...", words by length and then in alphabet
+    order, or "0" when it is empty."""
+    if not terms:
+        return "0"
+    return " + ".join("%s*%s" % (f.to_str(terms[w]), word_str(w))
+                      for w in sorted(terms, key=lambda w: (len(w), w)))
+
+
 def confluence_check(rs: RewriteSystem) -> ConfluenceReport:
     """Reduce both one-step reducts of the overlaps g v2 v1 and g g^j v_k,
-    in alphabet order, and demand one common normal form; the module
-    docstring proves that every other overlap then resolves.  A candidate
-    is skipped unless `rs.redex_positions` flags both of its pairs, so
-    subclasses with fewer rules still work.  words_checked counts the
-    overlaps reduced: 2N-1 for the builtin rules, at a cost of 2N-1
-    reductions of two reducts each and one redex test per distinct word
-    met (see the module docstring)."""
+    in alphabet order, and demand one common normal form: the two term
+    dicts must be equal, and a failure reports both, rendered by
+    `_terms_str`.  The module docstring proves that every other overlap
+    then resolves.  A candidate is skipped unless `rs.redex_positions`
+    flags both of its pairs, so subclasses with fewer rules still work.
+    words_checked counts the overlaps reduced: 2N-1 for the builtin
+    rules, at a cost of 2N-1 reductions of two reducts each and one redex
+    test per distinct word met (see the module docstring)."""
     count = 0
     for w in _reduced_overlaps(rs.N):
         if rs.redex_positions(w) != [0, 1]:
@@ -389,7 +376,8 @@ def confluence_check(rs: RewriteSystem) -> ConfluenceReport:
         left, right = (rs.normal_form(rs.rewrite_at(w, l)) for l in (0, 1))
         count += 1
         if left != right:
-            return ConfluenceReport(False, count, word_str(w), (repr(left), repr(right)))
+            return ConfluenceReport(False, count, word_str(w),
+                                    (_terms_str(rs.field, left), _terms_str(rs.field, right)))
     return ConfluenceReport(True, count, None, ())
 
 

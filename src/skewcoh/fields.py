@@ -13,9 +13,9 @@ module docstring); what the package builds itself is canonical already
 and skips `coerce`.
 
 The package combines scalars inline, with one % p per result over F_p;
-`Field.add/sub/mul/neg/inv/div` are kept only for the benchmark's tracer,
-which binds them by name.  Characteristic 2 is rejected outright (the
-theory assumes char F != 2 throughout).
+`Field.add/sub/mul/neg/inv/div` serve the benchmark: its tracer binds all
+six by name, and its reduce checks call add, sub and mul.  Characteristic
+2 is rejected outright (the theory assumes char F != 2 throughout).
 """
 
 from __future__ import annotations

@@ -73,8 +73,8 @@ once.  Over F_p the nonzero columns of a row of a come from
 `itertools.compress(range(ncols), row)`, so its zeros are skipped in C,
 not by a Python test per entry.  Over Q it first clears b by one common
 denominator db and each row of a by its own da, accumulates on ints and
-builds one Fraction (over da * db) per nonzero output entry.  `_dot`
-serves `char_poly`, and `Matrix.apply` over Q; over F_p a dot product is
+builds one Fraction (over da * db) per nonzero output entry.  `_dot` is
+the one dot product, for `char_poly` and `Matrix.apply`; over F_p it is
 `sum(map(mul, a, b)) % p`, the products and their sum in C and one
 reduction.
 
@@ -184,10 +184,7 @@ class Matrix:
 
     def _apply(self, v: Sequence) -> Vector:
         """Trusted `apply`: v holds ncols canonical scalars; nothing is checked."""
-        p = self.field.p
-        if p is None:
-            return tuple(_dot(self.field, r, v) for r in self.rows)
-        return tuple(sum(map(mul, r, v)) % p for r in self.rows)
+        return tuple(_dot(self.field, r, v) for r in self.rows)
 
     def transpose(self) -> "Matrix":
         cols = zip(*self.rows) if self.rows else [()] * self.ncols

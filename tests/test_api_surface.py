@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skewcoh"
 BENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 USERS = [PACKAGE, BENCH]
 
 
@@ -187,16 +188,17 @@ def test_the_guard_sees_definitions_and_uses():
 
 
 def unused_imports():
-    """"file: name" for each name bound by an import in a module of
-    `src/skewcoh` that the module never uses as an identifier.  `__init__`
-    only re-exports, and `from __future__` binds nothing."""
+    """"file: name", the file relative to the repository root, for each
+    name bound by an import in a module of `src/skewcoh`, `tests` or
+    `perfbench` that the module never uses as an identifier.  The package's
+    `__init__` only re-exports, and `from __future__` binds nothing."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]):
+        if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        out += ["%s: %s" % (path.name, bound)
+        out += ["%s: %s" % (path.relative_to(ROOT).as_posix(), bound)
                 for node in ast.walk(tree)
                 if isinstance(node, ast.Import)
                 or (isinstance(node, ast.ImportFrom) and node.module != "__future__")

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcoh import (
-    AlgebraElement,
     Field,
     PrerequisiteFailed,
     UnsupportedKappaShape,
@@ -31,6 +30,7 @@ from skewcoh.deformation import (
     DeformationParams,
     RewriteSystem,
     _pbw_shaped,
+    _terms_str,
     g_letter,
     word_str,
 )
@@ -54,8 +54,8 @@ def multiply(rs, a, b):
     """The product of two algebra elements: concatenate, then rewrite."""
     f = rs.field
     prod = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
             prod[w1 + w2] = f.add(prod.get(w1 + w2, f.zero()), f.mul(c1, c2))
     return rs.normal_form(prod)
 
@@ -234,28 +234,25 @@ def test_square_bracket_kappa_shape_guard():
 
 def test_rewrite_rules_builtin_p3():
     rs = orbifold_algebra(builtin_transvection_gamma(3))
-    assert rs.normal_form({(("g", 1), V1): 1}) == AlgebraElement(F3, {
-        (V1, ("g", 1)): 1, (("g", 2),): 2})
-    assert rs.normal_form({(V2, V1): 1}) == AlgebraElement(F3, {
-        (V1, V2): 1, (V2, ("g", 1)): 1})
+    assert rs.normal_form({(("g", 1), V1): 1}) == {(V1, ("g", 1)): 1, (("g", 2),): 2}
+    assert rs.normal_form({(V2, V1): 1}) == {(V1, V2): 1, (V2, ("g", 1)): 1}
 
 
 def test_rewrite_rules_zero_params():
     rs = orbifold_algebra(zero_params(transvection_group(3)))
     # plain skew group algebra: g v1 = v1 g, g v2 = (v1 + v2) g, v2 v1 = v1 v2
-    assert rs.normal_form({(("g", 1), V1): 1}) == AlgebraElement(F3, {(V1, ("g", 1)): 1})
-    assert rs.normal_form({(("g", 1), V2): 1}) == AlgebraElement(F3, {
-        (V1, ("g", 1)): 1, (V2, ("g", 1)): 1})
-    assert rs.normal_form({(V2, V1): 1}) == AlgebraElement(F3, {(V1, V2): 1})
+    assert rs.normal_form({(("g", 1), V1): 1}) == {(V1, ("g", 1)): 1}
+    assert rs.normal_form({(("g", 1), V2): 1}) == {(V1, ("g", 1)): 1, (V2, ("g", 1)): 1}
+    assert rs.normal_form({(V2, V1): 1}) == {(V1, V2): 1}
 
 
 def test_normal_form_examples():
     rs = orbifold_algebra(builtin_transvection_gamma(3))
-    assert rs.normal_form({(V1, V2): 1}) == AlgebraElement(F3, {(V1, V2): 1})
-    assert rs.normal_form({(V2, V1, ("g", 1)): 1}) == AlgebraElement(F3, {
-        (V1, V2, ("g", 1)): 1, (V2, ("g", 2)): 1})
-    assert rs.normal_form({(("g", 2), ("g", 2)): 1}) == AlgebraElement(F3, {(("g", 1),): 1})
-    assert rs.normal_form({(("g", 1), ("g", 2)): 1}) == AlgebraElement(F3, {(): 1})
+    assert rs.normal_form({(V1, V2): 1}) == {(V1, V2): 1}
+    assert rs.normal_form({(V2, V1, ("g", 1)): 1}) == {
+        (V1, V2, ("g", 1)): 1, (V2, ("g", 2)): 1}
+    assert rs.normal_form({(("g", 2), ("g", 2)): 1}) == {(("g", 1),): 1}
+    assert rs.normal_form({(("g", 1), ("g", 2)): 1}) == {(): 1}
 
 
 def test_normal_form_idempotent():
@@ -265,8 +262,9 @@ def test_normal_form_idempotent():
     for _ in range(50):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
         nf = rs.normal_form({w: 1})
-        assert rs.normal_form(dict(nf.terms)) == nf
-        for word in nf.terms:
+        assert type(nf) is dict and 0 not in nf.values()
+        assert rs.normal_form(nf) == nf
+        for word in nf:
             assert rs.is_normal(word)
 
 
@@ -283,9 +281,7 @@ def test_multiply_is_associative_spot_check():
     rng = random.Random(14)
     letters = alphabet(rs.N)
     for _ in range(25):
-        x, y, z = (AlgebraElement(rs.field,
-                                  {tuple(rng.choice(letters)
-                                         for _ in range(rng.randint(0, 2))): 1})
+        x, y, z = ({tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))): 1}
                    for _ in range(3))
         assert multiply(rs, multiply(rs, x, y), z) == multiply(rs, x, multiply(rs, y, z))
 
@@ -314,8 +310,8 @@ def test_zero_params_recover_skew_group_product():
     N = rs.N
     monos = [(a, b, c) for a in range(3) for b in range(3 - a) for c in range(N)]
     for (a, b, c), (A, B, C) in itertools.product(monos, monos):
-        x = AlgebraElement(f, {monomial_word(a, b, c, N): 1})
-        y = AlgebraElement(f, {monomial_word(A, B, C, N): 1})
+        x = {monomial_word(a, b, c, N): 1}
+        y = {monomial_word(A, B, C, N): 1}
         got = multiply(rs, x, y)
         # ^{g^c} v1 = v1 and ^{g^c} v2 = c v1 + v2, so
         # v2^B expands to sum_j C(B,j) c^j v1^j v2^{B-j}
@@ -325,7 +321,7 @@ def test_zero_params_recover_skew_group_product():
             if coef != 0:
                 w = monomial_word(a + A + j, b + B - j, (c + C) % N, N)
                 expected[w] = f.add(expected.get(w, f.zero()), coef)
-        assert got == AlgebraElement(f, expected)
+        assert got == expected
 
 
 # -- confluence --------------------------------------------------------------------
@@ -418,13 +414,14 @@ def test_zero_params_are_confluent():
     assert rep.ok
 
 
-def adversarial_params():
-    """Builtin tables over F_3 with lambda(g x v1) replaced by 1; the g.v2.v1
-    overlap then resolves two different ways."""
-    params = builtin_transvection_gamma(3)
+def adversarial_params(p=3, scale=1):
+    """Builtin tables over F_p with lambda(g x v1) replaced by scale (the
+    benchmark's negative control); the g.v2.v1 overlap then resolves two
+    different ways."""
+    params = builtin_transvection_gamma(p)
     f = params.group.field
     table = dict(params.lambda_table)
-    table[(1, 1)] = ga(f, 3, g0=1)
+    table[(1, 1)] = ga(f, p, g0=scale)
     return dataclasses.replace(params, lambda_table=table)
 
 
@@ -434,6 +431,20 @@ def test_adversarial_fixture_fails_confluence():
     assert rep.witness == "g*v2*v1"
     assert len(rep.witness_forms) == 2
     assert rep.witness_forms[0] != rep.witness_forms[1]
+
+
+@pytest.mark.parametrize("p, scale, forms", [
+    (3, 1, ("2*1 + 1*v1 + 1*v2 + 2*v1*g^2 + 1*v2*g^2 + 1*v1*v1*g + 1*v1*v2*g",
+            "2*1 + 1*v2 + 1*v2*g^2 + 1*v1*v1*g + 1*v1*v2*g")),
+    (5, 2, ("2*g^3 + 2*v1 + 2*v2 + 4*v1*g^2 + 1*v2*g^2 + 1*v1*v1*g + 1*v1*v2*g",
+            "4*g^3 + 2*v2 + 1*v2*g^2 + 1*v1*v1*g + 1*v1*v2*g")),
+])
+def test_witness_forms_are_pinned(p, scale, forms):
+    """The witness forms byte for byte, so the renderer is pinned apart from
+    the full enumeration that shares it."""
+    rep = confluence_check(orbifold_algebra(adversarial_params(p, scale)))
+    assert (rep.ok, rep.words_checked, rep.witness, rep.witness_forms) == \
+        (False, 1, "g*v2*v1", forms)
 
 
 # -- normal form counting --------------------------------------------------------------
@@ -576,7 +587,7 @@ def brute_confluence_check(rs):
                     distinct.append(nf)
             if len(distinct) > 1:
                 return ConfluenceReport(False, count, word_str(w),
-                                        tuple(repr(d) for d in distinct))
+                                        tuple(_terms_str(rs.field, d) for d in distinct))
     return ConfluenceReport(True, count, None, ())
 
 

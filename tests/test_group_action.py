@@ -25,7 +25,7 @@ from skewcoh import (
 
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import SUITE, dual_matrix, span, suite_group, transfer_matrix
+from conftest import dual_matrix, span, suite_group, transfer_matrix
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
