@@ -20,9 +20,8 @@ dimensions, containments, and distinguished representatives are plain
 rank/kernel computations.
 
 Each condition has one row builder, placed by column offset: `_vanish_rows`
-(condition (1) and the lambda cuts, and the pi_h cut on alpha),
-`_jacobi_rows` (condition (3)), `_coboundary_rows` (d(f tensor h)) and
-`_wedge_vanish_rows` (the alpha(u ^ v) = 0 cuts).  The test suite's
+(condition (1), the lambda cuts and the pi_h cut on alpha), `_jacobi_rows`
+(condition (3)) and `_coboundary_rows` (d(f tensor h)).  The test suite's
 assembled complex reuses them at other offsets, with condition (2) in its
 pre-decomposition form, as an independent check of the lambda-to-hg
 bookkeeping.
@@ -59,6 +58,29 @@ basis.  A vector lies in that complement iff it vanishes at the pivot
 columns, so the cut is "alpha(e_a ^ e_b)_c = 0 for every pivot column c of
 V_h", with no matrix inverse.  Distinguished constraints are built only by
 `representative_basis` and `reduce_to_representative`.
+
+Besides pi_h o alpha = 0 the cut holds two lambda rows: lambda = 0 on
+(V^G)^perp at codim 0, and on (V^h)^perp at codim 1 when chi_h is
+nontrivial.  The other case conditions of the distinguished
+representatives hold on every cocycle in the pi_h cut, and the cut is
+only ever applied to cocycles (`representative_basis` stacks it on Z,
+`reduce_to_representative` applies it to the cocycle columns
+[dmat | gamma]), so they get no rows.  Sym V is a domain, and u, v lie in
+V^h below:
+
+- codim 1, alpha on wedge^2 V^h: condition (3) at (u, v, w) reads
+  alpha(u ^ v)(w - ^h w) = 0; pick w with w != ^h w, so alpha(u ^ v) = 0.
+- codim 2, alpha(u ^ v) for u in V^h, v in V: if v is in V^h, as above.
+  Otherwise x = v - ^h v != 0; pick w with y = w - ^h w independent of x
+  (dim V_h = 2), and (3) gives alpha(u ^ v) y = alpha(u ^ w) x.  So x
+  divides alpha(u ^ v), which puts it in V_h, and the pi_h cut puts it in
+  the complement of V_h: it is 0.
+- codim 2, lambda on V^h: g keeps V^h, so by the last point condition (2)
+  at (u, v) reads 0 = -lambda(u)(v - ^h v); pick v with v != ^h v, so
+  lambda(u) = 0.
+- codim > 2: no row forces Z to meet the cut in 0 (the formula's zero
+  summand); `representative_basis`'s ker.dim == hh_dim and
+  `reduce_to_representative`'s uniqueness check test it.
 
 `_guarded_complex` multiplies the condition rows of one element, as
 built, by its coboundary rows (`_product`, the product behind `@`): the
@@ -229,29 +251,6 @@ def _coboundary_rows(f: Field, one_minus_g, one_minus_h, h_minus_1) -> List[List
     return rows
 
 
-def _wedge_vanish_rows(f: Field, dim: int, uv_pairs, at: int) -> List[List[Scalar]]:
-    """alpha(u ^ v) = 0 for each (u, v), one row per coordinate r of the
-    value: coefficient u_a v_b - u_b v_a on alpha(e_a ^ e_b)_r, alpha's block
-    starting at column `at`.  A pair with u ^ v = 0 gives only zero rows,
-    which are dropped."""
-    p = f.p
-    rows: List[List[Scalar]] = []
-    for u, v in uv_pairs:
-        n = len(u)
-        coefs = [u[a] * v[b] - u[b] * v[a] for (a, b) in wedge_pairs(n)]
-        if p is not None:
-            coefs = [c % p for c in coefs]
-        if not any(coefs):
-            continue
-        for r in range(n):
-            row = [f.zero()] * dim
-            for w, c in enumerate(coefs):
-                if c != 0:
-                    row[at + w * n + r] = c
-            rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class GroupRows:
     """The parts of every complex of one group that do not depend on the
@@ -321,7 +320,10 @@ def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
 
 def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     """Linear constraints cutting out the distinguished representatives at
-    h = g^i: pi_h o alpha = 0 always, plus the codimension case conditions."""
+    h = g^i from the cocycles: pi_h o alpha = 0, plus lambda = 0 on
+    (V^G)^perp at codim 0 and on (V^h)^perp at codim 1 with chi_h
+    nontrivial.  Every other case condition holds on the cocycles of this
+    cut (module docstring), so no row states it."""
     _check_index(gr, i)
     f = gr.field
     n = gr.n
@@ -335,25 +337,12 @@ def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
     for w in range(len(wedge_pairs(n))):
         rows += _vanish_rows(f, dim, at_pivots, n + w * n)
 
-    codim = ed.codim
-    fixed = ed.fixed_space.basis.rows
-    if codim == 0:
+    if ed.codim == 0:
         # lambda = 0 on (V^G)^perp
         rows += _vanish_rows(f, dim, gr.invariants().complement().basis.rows, 0)
-    elif codim == 1:
-        # alpha = 0 on wedge^2 V^h
-        rows += _wedge_vanish_rows(f, dim, combinations(fixed, 2), n)
-        # chi_h nontrivial: lambda = 0 on (V^h)^perp
-        if ed.chi_of_generator != f.one():
-            rows += _vanish_rows(f, dim, ed.fixed_space.complement().basis.rows, 0)
-    elif codim == 2:
-        # alpha(u ^ v) = 0 for u in V^h, v in V; lambda = 0 on V^h
-        rows += _wedge_vanish_rows(f, dim, [(u, e) for u in fixed for e in unit], n)
-        rows += _vanish_rows(f, dim, fixed, 0)
-    else:
-        # codim > 2: the zero cochain
-        rows += Matrix.identity(f, dim).rows
-
+    elif ed.codim == 1 and ed.chi_of_generator != f.one():
+        # lambda = 0 on (V^h)^perp
+        rows += _vanish_rows(f, dim, ed.fixed_space.complement().basis.rows, 0)
     return Matrix._of(f, rows, dim)
 
 

@@ -176,6 +176,20 @@ def test_nonmodular_report_round_trip():
                             tuple(d["violations"]), d["verdict"]) == r
 
 
+def test_nonmodular_violations_name_the_element_and_its_summand():
+    # a doctored report: the reflection of diag(1, -1) over F_5 (coprime and
+    # split, det -1) said to contribute 3 breaks both statements
+    gr = suite_group("diag_1_m1_f5")
+    report = full_report(gr)
+    doctored = SummandReport(1, "codim1", report.per_element[1].pieces, 3)
+    r = nonmodular_crosscheck(gr, CohomologyReport((report.per_element[0], doctored), 3))
+    assert r.verdict == "fail"
+    assert r.checked == 2
+    assert r.violations == (
+        "codim-1 element 1 contributes 3 in the coprime case",
+        "element 1 has det != 1 but contributes 3 in the split case")
+
+
 def test_nonmodular_assertions_hold_across_suite(suite_entry):
     name, gr, order, codims, dims, imt = suite_entry
     r = nonmodular_crosscheck(gr, full_report(gr))

@@ -243,6 +243,18 @@ def test_quotient_by_unstable_subspace():
         restricted_matrix(gr.generator, span(F3, 2, [[0, 1]]))
 
 
+def test_an_action_on_another_space_is_refused():
+    # a matrix of another size or field does not act on the subspace's ambient
+    sub = span(F3, 2, [[0, 1]])
+    for act in (quotient_matrix, restricted_matrix):
+        with pytest.raises(ValueError, match="^a 3x3 matrix over F_3 does not act on F\\^2 "
+                           "over F_3$"):
+            act(Matrix.identity(F3, 3), sub)
+        with pytest.raises(ValueError, match="^a 2x2 matrix over F_5 does not act on F\\^2 "
+                           "over F_3$"):
+            act(Matrix.identity(F5, 2), sub)
+
+
 # -- chi invariants ----------------------------------------------------------------
 
 def test_chi_invariants_trivial():

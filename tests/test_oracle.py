@@ -33,6 +33,7 @@ from skewcoh import (
     cochain_dim,
     cocycle_conditions,
     distinguished_constraints,
+    full_report,
     group_from_generator,
     group_rows,
     kernel_basis,
@@ -179,6 +180,24 @@ def test_per_element_dims_match_formula(suite_entry):
         assert pec.hh_dim == pec.z_dim - pec.b_dim
 
 
+# diag(a, b, ab): at its codim-2 element h the fixed line is e_3, on which g
+# acts by mu = ab = chi_h(g) with mu^2 != 1, so V/V_h (where g acts by mu)
+# and (V^h)* (by mu^{-1}) give different codim-2 summands
+CODIM2_DIAGONALS = {
+    "diag_3_3_2_f7": (Field.prime(7), [[3, 0, 0], [0, 3, 0], [0, 0, 2]], [1, 0, 0, 1, 0, 0]),
+    "diag_2_2_4_f13": (Field.prime(13), [[2, 0, 0], [0, 2, 0], [0, 0, 4]],
+                       [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODIM2_DIAGONALS))
+def test_codim2_summand_is_the_chi_part_of_v_mod_v_h(name):
+    field, gen, dims = CODIM2_DIAGONALS[name]
+    gr = group_from_generator(field, gen)
+    assert [s.total for s in full_report(gr).per_element] == dims
+    assert [c.hh_dim for c in oracle_report(gr)] == dims
+
+
 def test_stored_cocycle_rows_are_the_reduced_conditions(suite_entry):
     # the oracle keeps the nonzero RREF rows of the conditions, which
     # representative_basis reads (reduce_to_representative reads the rows
@@ -225,9 +244,9 @@ def test_a_shared_record_is_read_and_never_written(name, monkeypatch):
     assert record == built
 
 
-def perturb_coboundaries(monkeypatch):
+def perturb_coboundaries(monkeypatch, j=0):
     """Make the coboundary row builder that the d^2 = 0 guard reads add 1
-    to one entry of d(e_0^* tensor h), in a row that the condition rows
+    to one entry of d(e_j^* tensor h), in a row that the condition rows
     built just before it read, so that d^2 != 0."""
     real_conditions, real_coboundary = oracle._condition_rows, oracle._coboundary_rows
     column = None
@@ -240,7 +259,7 @@ def perturb_coboundaries(monkeypatch):
 
     def perturbed(f, *args):
         cob = real_coboundary(f, *args)
-        cob[column][0] = f.add(cob[column][0], f.one())
+        cob[column][j] = f.add(cob[column][j], f.one())
         return cob
     monkeypatch.setattr(oracle, "_condition_rows", conditions)
     monkeypatch.setattr(oracle, "_coboundary_rows", perturbed)
@@ -260,6 +279,24 @@ def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, 
                                 "generator": [[1, 1], [0, 1]]}))
     assert main(["compare", str(path)]) == EXIT_FAIL
     assert "coboundaries violate the cocycle conditions" in capsys.readouterr().err
+
+
+def test_negative_cohomology_dimension_is_refused(monkeypatch):
+    # a coboundary rank above dim Z, injected, must not give a negative hh
+    gr = suite_group("transvection_f3")
+    monkeypatch.setattr(oracle, "rank", lambda m: cochain_dim(gr.n) + 1)
+    with pytest.raises(AssertionError, match="^negative cohomology dimension at element 1$"):
+        per_element_cohomology(gr, 1, group_rows(gr))
+
+
+def test_a_cut_that_misses_hh_dim_is_refused(monkeypatch):
+    # with no distinguished rows the cut keeps all of Z (dim 3), not hh = 2
+    gr = suite_group("transvection_f3")
+    monkeypatch.setattr(oracle, "distinguished_constraints",
+                        lambda g, i: Matrix(g.field, [], ncols=cochain_dim(g.n)))
+    with pytest.raises(oracle.DimensionMismatchError,
+                       match="^distinguished space has dim 3 but hh_dim is 2 at element 1$"):
+        representative_basis(gr, 1, group_rows(gr))
 
 
 def test_oracle_report_builds_the_group_rows_once(monkeypatch, tmp_path):
@@ -355,9 +392,11 @@ def test_distinguished_cut_transvection():
 
 
 def test_distinguished_forces_zero_above_codim_two():
+    # the cut holds no codim > 2 row of its own: it meets the cocycles in 0
     gr = suite_group("companion8_f3")
-    dist = distinguished_constraints(gr, 2)
-    assert kernel_basis(dist).dim == 0
+    assert gr.element(2).codim > 2
+    cond, dist = cocycle_conditions(gr, 2), distinguished_constraints(gr, 2)
+    assert kernel_basis(Matrix(gr.field, cond.rows + dist.rows, ncols=dist.ncols)).dim == 0
 
 
 def test_trivial_group_distinguished_is_everything():
@@ -531,11 +570,14 @@ def test_reduce_neither_builds_nor_eliminates_the_per_element_complex(name, monk
                        "violated row %d of cocycle_conditions" % (i, row)) as err:
         reduce_to_representative(gr, CochainTwo.from_flat(f, gr.n, i, bad))
     assert (err.value.element_index, err.value.row) == (i, row)
-    perturb_coboundaries(monkeypatch)
-    for g in gammas:
-        with pytest.raises(AssertionError, match="coboundaries violate the cocycle conditions "
-                           "at element %d" % g.element_index):
-            reduce_to_representative(gr, g)
+    # the guard reads every coboundary column beside gamma's, not only the first
+    for j in (0, gr.n - 1):
+        with monkeypatch.context() as mp:
+            perturb_coboundaries(mp, j)
+            for g in gammas:
+                with pytest.raises(AssertionError, match="coboundaries violate the cocycle "
+                                   "conditions at element %d" % g.element_index):
+                    reduce_to_representative(gr, g)
 
 
 # Two conjugates over F_5 of J2(1) + (-1) + 1 (|G| = 10) and of J2(1) + diag(2, 3)

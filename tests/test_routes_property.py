@@ -5,13 +5,16 @@ On random invertible generators over F_3, F_5 and F_7 with n <= 3 and
 order <= 30, and on signed permutation matrices over Q, every element h
 must satisfy: the closed-form summand equals dim Z - dim B from the
 cochain complex; the distinguished cut of Z (pi_h o alpha = 0 plus the
-codimension cuts) has exactly hh_dim elements in its basis; and reducing
-a random cocycle to its representative twice gives the representative
-again.  On groups of order <= 12 the complex assembled without the
-per-element split (conftest.assembled_complex) must also satisfy d^2 = 0,
-and its nullity and coboundary rank must be the sums of the per-element z
-and b; its matrices grow with |G| * dim, so larger orders would dominate
-the run.
+lambda cuts at codim 0, and at codim 1 with chi_h nontrivial) has exactly
+hh_dim elements in its basis; and reducing a random cocycle to its
+representative twice gives the representative again.  The prime-field
+draws include diag(a, b, ab) over F_7 and F_13, whose codim-2 element
+fixes a line on which g acts by chi_h(g), of order above 2, so that
+V/V_h and (V^h)* give different summands.  On groups of order <= 12 the
+complex assembled without the per-element split
+(conftest.assembled_complex) must also satisfy d^2 = 0, and its nullity
+and coboundary rank must be the sums of the per-element z and b; its
+matrices grow with |G| * dim, so larger orders would dominate the run.
 
 `reduce_to_representative` tests membership against the condition rows as
 built, not the RREF rows that the oracle's `_cohomology` keeps.  On the same
@@ -20,15 +23,27 @@ when the stored RREF rows reject it, the error naming the element and the
 first violated row of `cocycle_conditions`; a cocycle's representative
 must be gamma - d(f tensor h) for the returned f and satisfy the
 distinguished constraints.
+
+The cut holds no row for the other case conditions of the distinguished
+representatives, since the cocycle conditions imply them on it (the
+`oracle` module docstring gives the arguments).  So on every basis vector
+of ker [Z; cut], for random generators over F_3, F_5 and F_7 with n <= 4
+and for signed permutations, they are evaluated directly, at the
+codimension that `reference_element` derives: alpha(u ^ v) = 0 for u, v
+in V^h at codim 1, alpha(u ^ e_j) = 0 and lambda(u) = 0 for u in V^h at
+codim 2, and no basis vector at all above codim 2.
 """
 
 import random
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewcoh import (
     CochainTwo,
+    Field,
+    Matrix,
     NotACocycleError,
     OrderExceedsBoundError,
     coboundary_matrix,
@@ -43,9 +58,10 @@ from skewcoh import (
     rank,
     reduce_to_representative,
     representative_basis,
+    wedge_pairs,
 )
 
-from conftest import assembled_complex, reduced_conditions
+from conftest import assembled_complex, reduced_conditions, reference_element
 from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
 
 MAX_ORDER = 30
@@ -60,6 +76,14 @@ def random_cocycle(gr, i, rng):
         c = f.coerce(rng.randint(-3, 3))
         flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, row)]
     return CochainTwo.from_flat(f, gr.n, i, flat)
+
+
+@st.composite
+def diag_products(draw):
+    """diag(a, b, ab) over F_7 or F_13."""
+    f = Field.prime(draw(st.sampled_from([7, 13])))
+    a, b = (draw(st.integers(1, f.p - 1)) for _ in range(2))
+    return f, [[a, 0, 0], [0, b, 0], [0, 0, a * b]]
 
 
 def bounded_group(field, rows):
@@ -88,7 +112,7 @@ def check_routes(field, rows, seed):
 
 
 @ROUTES
-@given(prime_generators(max_n=3), st.integers(0, 2 ** 16))
+@given(prime_generators(max_n=3) | diag_products(), st.integers(0, 2 ** 16))
 def test_formula_equals_oracle_over_prime_fields(gen, seed):
     check_routes(*gen, seed)
 
@@ -137,3 +161,41 @@ def test_reduce_refuses_exactly_the_non_cocycles_over_prime_fields(gen, seed):
 @given(signed_permutations(), st.integers(0, 2 ** 16))
 def test_reduce_refuses_exactly_the_non_cocycles_on_signed_permutations(gen, seed):
     check_reduce_membership(*gen, seed)
+
+
+def check_implied_cuts(field, rows):
+    gr = bounded_group(field, rows)
+    f, n = gr.field, gr.n
+    unit = Matrix.identity(f, n).rows
+
+    def alpha(flat, u, v):
+        # alpha(u ^ v) = sum over a < b of (u_a v_b - u_b v_a) alpha(e_a ^ e_b)
+        return [f.coerce(sum((u[a] * v[b] - u[b] * v[a]) * flat[n + w * n + r]
+                             for w, (a, b) in enumerate(wedge_pairs(n))))
+                for r in range(n)]
+
+    for i in range(gr.order):
+        ref = reference_element(gr, i)
+        codim, fixed = ref["codim"], ref["fixed_space"].basis.rows
+        cond, dist = cocycle_conditions(gr, i), distinguished_constraints(gr, i)
+        cut = kernel_basis(Matrix(f, cond.rows + dist.rows, ncols=dist.ncols)).basis.rows
+        assert codim <= 2 or not cut, (rows, i)
+        for c in cut:
+            if codim == 1:
+                assert not any(any(alpha(c, u, v)) for u, v in combinations(fixed, 2)), (rows, i)
+            elif codim == 2:
+                assert not any(f.coerce(sum(x * y for x, y in zip(u, c))) for u in fixed), \
+                    (rows, i)
+                assert not any(any(alpha(c, u, e)) for u in fixed for e in unit), (rows, i)
+
+
+@SETTINGS
+@given(prime_generators())
+def test_cut_cocycles_meet_the_implied_case_conditions_over_prime_fields(gen):
+    check_implied_cuts(*gen)
+
+
+@SETTINGS
+@given(signed_permutations())
+def test_cut_cocycles_meet_the_implied_case_conditions_on_signed_permutations(gen):
+    check_implied_cuts(*gen)
