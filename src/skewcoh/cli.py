@@ -13,7 +13,8 @@ rational field, a top-level "max_order") is an input error, not ignored.
 Subcommands: analyze (closed-form dimensions), compare (closed form vs
 cochain-complex oracle), reps (distinguished representative bases), deform
 (square bracket + confluence + Hilbert count for the worked 2-dimensional
-deformation).
+deformation).  Only deform needs the rewriting layer (`skewcoh.deformation`),
+and it loads that layer on first use, so the other commands never import it.
 
 Exit codes: 0 pass, 1 verification failure, 2 input error.  The input
 boundary gives 2: `main` (for `--max-order`), `load_job` and the
@@ -31,13 +32,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .deformation import (
-    builtin_transvection_gamma,
-    confluence_check,
-    hilbert_check,
-    orbifold_algebra,
-    square_bracket_transvection,
-)
 from .fields import Field
 from .formula import full_report, nonmodular_crosscheck
 from .group_action import (
@@ -148,8 +142,8 @@ def _write_json(x, out: List[str], nl: str) -> None:
     """Append the text of x, as `json.dumps(x, indent=2)` writes it, to out;
     nl is the newline and indentation of x's own line.  Only str-keyed
     dicts, lists, tuples, str, int, bool and None are written: anything
-    else, a float included, is a TypeError, so no inexact value reaches an
-    output."""
+    else, a float or a NamedTuple record included, is a TypeError, so no
+    inexact value or unconverted record reaches an output."""
     if isinstance(x, str):
         out.append(_encode_str(x))
     elif x is None:
@@ -160,7 +154,7 @@ def _write_json(x, out: List[str], nl: str) -> None:
         out.append("false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
-    elif isinstance(x, (list, tuple)):
+    elif type(x) is list or type(x) is tuple:     # a record is a tuple too
         if not x:
             out.append("[]")
             return
@@ -306,6 +300,10 @@ def cmd_reps(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    # the rewriting layer is loaded here, on first use: no other command needs it
+    from .deformation import (builtin_transvection_gamma, confluence_check, hilbert_check,
+                              orbifold_algebra, square_bracket_transvection)
+
     if args.job is not None and args.deform_prime is not None:
         raise JobError("deform takes a job file or --deform-prime, not both")
     job_matrix = None

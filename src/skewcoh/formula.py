@@ -29,8 +29,7 @@ over F_p, and iff N divides 2 over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .group_action import CyclicGroup, chi_invariants, kron
 
@@ -39,8 +38,7 @@ class WrongCaseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SummandReport:
+class SummandReport(NamedTuple):
     element_index: int
     case: str                      # identity | codim1 | codim2 | vanishing
     pieces: Tuple[Tuple[str, int], ...]
@@ -52,8 +50,7 @@ class SummandReport:
                 "total": self.total}
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     per_element: Tuple[SummandReport, ...]
     total_dim: int
 
@@ -105,8 +102,7 @@ def full_report(gr: CyclicGroup) -> CohomologyReport:
     return CohomologyReport(tuple(out), sum(s.total for s in out))
 
 
-@dataclass(frozen=True)
-class NonmodularReport:
+class NonmodularReport(NamedTuple):
     prop_applicable: bool          # gcd(|G|, char F) = 1
     cor_applicable: bool           # char poly of g splits over F
     checked: int                   # how many vanishing assertions were evaluated

@@ -42,9 +42,8 @@ when a summand first reads them.  Why g^i shares the data of h:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
 from .linalg import Matrix, Subspace, image_basis, kernel_basis, minus_scalar, rank
@@ -140,8 +139,7 @@ def is_transvection(h_minus_1: Matrix, codim: int) -> bool:
     return codim == 1 and (h_minus_1 @ h_minus_1).is_zero()
 
 
-@dataclass(frozen=True)
-class ElementData:
+class ElementData(NamedTuple):
     """What the summands read at h = g^i.  It depends only on the subgroup
     <h>, so every generator of <h> shares one record (module docstring)."""
     fixed_space: Subspace        # V^h

@@ -102,10 +102,9 @@ comments say why the representative needs no further cocycle check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, kron, wedge_pairs, sym_pairs, wedge2_matrix
@@ -128,8 +127,7 @@ class DimensionMismatchError(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class CochainTwo:
+class CochainTwo(NamedTuple):
     """(lambda, alpha) at element index i; lambda's group tag is hg = g^{i+1}."""
     field: Field
     n: int
@@ -160,13 +158,11 @@ class CochainTwo:
         return CochainTwo(field, n, i, lam, alpha)
 
 
-@dataclass(frozen=True)
-class CochainOne:
+class CochainOne(NamedTuple):
     f: Tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
-class ComplexDims:
+class ComplexDims(NamedTuple):
     z_dim: int
     b_dim: int
     hh_dim: int
@@ -251,8 +247,7 @@ def _coboundary_rows(f: Field, one_minus_g, one_minus_h, h_minus_1) -> List[List
     return rows
 
 
-@dataclass(frozen=True)
-class GroupRows:
+class GroupRows(NamedTuple):
     """The parts of every complex of one group that do not depend on the
     element h = g^i: build it with `group_rows` and hand it to every complex
     of the group.  Condition (2) at the pair (a, b) and coordinate r is its

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from skewcoh import (
     CochainTwo,
+    ComplexDims,
     Field,
     Matrix,
     cli,
     coboundary_matrix,
     cochain_dim,
+    deformation,
     formula,
     full_report,
     group_action,
@@ -283,8 +285,10 @@ def test_deform_frees_the_system_and_the_tables_before_writing(monkeypatch, caps
         real(doc)
 
     real = cli._print_json
-    monkeypatch.setattr(cli, "builtin_transvection_gamma", recorded(cli.builtin_transvection_gamma))
-    monkeypatch.setattr(cli, "orbifold_algebra", recorded(cli.orbifold_algebra))
+    # cmd_deform imports both from the rewriting layer when it runs
+    monkeypatch.setattr(deformation, "builtin_transvection_gamma",
+                        recorded(deformation.builtin_transvection_gamma))
+    monkeypatch.setattr(deformation, "orbifold_algebra", recorded(deformation.orbifold_algebra))
     monkeypatch.setattr(cli, "_print_json", print_json)
     assert main(["deform", "--deform-prime", "5", "--json"]) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
@@ -496,8 +500,10 @@ def test_print_json_writes_the_text_of_json_dumps(doc):
     assert _printed(doc) == json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("doc", [1.0, {"x": [0.5]}, {1: "a"}, {2, 3}],
-                         ids=["float", "nested float", "int key", "set"])
+# a record is a tuple, but an unconverted one must not be written as an array
+@pytest.mark.parametrize("doc", [1.0, {"x": [0.5]}, {1: "a"}, {2, 3},
+                                 {"oracle": [ComplexDims(2, 0, 2)]}],
+                         ids=["float", "nested float", "int key", "set", "record"])
 def test_print_json_refuses_what_it_cannot_write_exactly(doc):
     with pytest.raises(TypeError):
         _printed(doc)
@@ -589,3 +595,44 @@ def test_infinite_order_rational_generator_is_rejected_at_once(job, generator):
     assert r.returncode == EXIT_INPUT, r.stderr
     assert r.stderr.startswith("error:")
     assert "infinite order" in r.stderr
+
+
+# everything `import skewcoh, skewcoh.cli` loads beyond what a bare
+# interpreter had, then the rewriting layer's names, first read through the
+# package and the first of them before the layer is loaded
+STARTUP = """
+import sys
+bare = set(sys.modules)
+import skewcoh, skewcoh.cli
+loaded = sorted(set(sys.modules) - bare)
+hilbert = skewcoh.hilbert_check
+from skewcoh import DeformationParams, confluence_check
+from skewcoh import deformation
+same = [hilbert is deformation.hilbert_check, DeformationParams is deformation.DeformationParams,
+        confluence_check is deformation.confluence_check]
+same += [getattr(skewcoh, name) is getattr(deformation, name) for name in sys.argv[1:]]
+try:
+    skewcoh.no_such_name
+    unknown = None
+except AttributeError as e:
+    unknown = str(e)
+import json
+print(json.dumps({"loaded": loaded, "same": same, "unknown": unknown}))
+"""
+REWRITING_NAMES = ["ConfluenceReport", "DeformationParams", "PrerequisiteFailed", "RewriteSystem",
+                   "UnsupportedKappaShape", "builtin_transvection_gamma", "confluence_check",
+                   "hilbert_check", "orbifold_algebra", "square_bracket_transvection",
+                   "transvection_group"]
+
+
+def test_import_loads_neither_dataclasses_nor_the_rewriting_layer():
+    # a CLI process pays this import before every job; only deform needs the
+    # rewriting layer, and no record needs dataclasses
+    env = dict(os.environ, PYTHONPATH=SRC)
+    r = subprocess.run([sys.executable, "-c", STARTUP, *REWRITING_NAMES],
+                       capture_output=True, text=True, timeout=60, env=env, check=True)
+    d = json.loads(r.stdout)
+    assert "skewcoh.cli" in d["loaded"]
+    assert not {"dataclasses", "skewcoh.deformation"} & set(d["loaded"]), d["loaded"]
+    assert d["same"] == [True] * (3 + len(REWRITING_NAMES))
+    assert d["unknown"] == "module 'skewcoh' has no attribute 'no_such_name'"
