@@ -293,7 +293,7 @@ def cmd_reps(args) -> int:
             for k, r in enumerate(e["basis"]):
                 print("  rep %d:" % (k + 1))
                 print("    lambda at hg = %s: [%s]" % (e["hg"], ", ".join(r["lambda"])))
-                for key in sorted(r["alpha"]):
+                for key in r["alpha"]:      # wedge_pairs order, as in --json
                     print("    alpha  at h  = %s: %s -> [%s]"
                           % (e["h"], key, ", ".join(r["alpha"][key])))
     return EXIT_PASS
@@ -301,12 +301,11 @@ def cmd_reps(args) -> int:
 
 def cmd_deform(args) -> int:
     # the rewriting layer is loaded here, on first use: no other command needs it
-    from .deformation import (builtin_transvection_gamma, confluence_check, hilbert_check,
-                              orbifold_algebra, square_bracket_transvection)
+    from .deformation import (TRANSVECTION, builtin_transvection_gamma, confluence_check,
+                              hilbert_check, orbifold_algebra, square_bracket_transvection)
 
     if args.job is not None and args.deform_prime is not None:
         raise JobError("deform takes a job file or --deform-prime, not both")
-    job_matrix = None
     if args.deform_prime is not None:
         p = args.deform_prime
     elif args.job is not None:
@@ -314,13 +313,14 @@ def cmd_deform(args) -> int:
         if field.char == 0:
             raise JobError("deform needs a prime field")
         p = field.char
-        job_matrix = _from_input(Matrix, field, gen)
+        # refused before the tables, which are Theta(p^2), are built
+        if _from_input(Matrix, field, gen) != Matrix(field, TRANSVECTION):
+            raise JobError("deform covers the worked example generator %s over F_p; "
+                           "pass that job or use --deform-prime"
+                           % json.dumps(TRANSVECTION, separators=(",", ":")))
     else:
         raise JobError("deform needs a job file or --deform-prime")
     params = _from_input(builtin_transvection_gamma, p, args.max_order)
-    if job_matrix is not None and job_matrix != params.group.generator:
-        raise JobError("deform covers the worked example generator [[1,1],[0,1]] over F_p; "
-                       "pass that job or use --deform-prime")
     f = params.group.field
     bracket = square_bracket_transvection(params)
     bracket_zero = not any(map(any, bracket))

@@ -127,8 +127,12 @@ class DeformationParams:
     kappa_v2: GroupVec
 
 
+# the worked example's generator, v1 -> v1, v2 -> v1 + v2
+TRANSVECTION = [[1, 1], [0, 1]]
+
+
 def transvection_group(p: int, order_bound: int = DEFAULT_ORDER_BOUND) -> CyclicGroup:
-    return group_from_generator(Field.prime(p), [[1, 1], [0, 1]], order_bound=order_bound)
+    return group_from_generator(Field.prime(p), TRANSVECTION, order_bound=order_bound)
 
 
 def builtin_transvection_gamma(p: int, order_bound: int = DEFAULT_ORDER_BOUND) -> DeformationParams:

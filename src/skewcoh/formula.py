@@ -10,6 +10,12 @@ plus the nonmodular cross-checks (coprime order: reflections contribute
 nothing; split characteristic polynomial: only det(h) = 1 elements of
 codimension at most 2 survive).
 
+Every summand is a function of the subgroup <h> (the `group_action`
+docstring), so the codim-1 and codim-2 summands read their chi_h-invariant
+dimensions off `CyclicGroup.summand_dims`, derived once per divisor of
+|G| from g's actions on V/V_h and (V^h)*, which are not kept.  The report
+still has one summand per element; each call reads two ints.
+
 In the coprime case, whether the characteristic polynomial of g splits
 over F is read off N = |G| and p = char F: it splits iff N divides p - 1
 over F_p, and iff N divides 2 over Q.
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Tuple
 
-from .group_action import CyclicGroup, chi_invariants, kron
+from .group_action import CyclicGroup, chi_invariants
 
 
 class WrongCaseError(ValueError):
@@ -73,8 +79,7 @@ def codim1_contribution(gr: CyclicGroup, i: int) -> SummandReport:
         raise WrongCaseError("element %d has codim %d, expected 1" % (i, ed.codim))
     chi = ed.chi_of_generator
     piece_f = 1 if chi == gr.field.one() else 0
-    # generator's action on V/V_h tensor (V^h)*
-    piece_t = chi_invariants(kron(*gr.subgroup_actions(i)), chi)
+    piece_t = gr.summand_dims(i).tensor
     pieces = (("F^{chi_h}", piece_f), ("(V/V_h tensor (V^h)*)^{chi_h}", piece_t))
     return SummandReport(i, "codim1", pieces, piece_f + piece_t)
 
@@ -83,7 +88,7 @@ def codim2_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     ed = gr.element(i)
     if ed.codim != 2:
         raise WrongCaseError("element %d has codim %d, expected 2" % (i, ed.codim))
-    piece = chi_invariants(gr.subgroup_actions(i)[0], ed.chi_of_generator)
+    piece = gr.summand_dims(i).quotient
     return SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece)
 
 

@@ -300,10 +300,11 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
 
 
 def reference_element(gr: CyclicGroup, i: int) -> dict:
-    """What `gr.element(i)`, `gr.det(i)` and `gr.subgroup_actions(i)`
-    report, derived from h = g^i alone: no data is shared between elements,
-    det(h) is an elimination, and both induced actions of g come straight
-    from `quotient_matrix` and `restricted_matrix`.  It keeps its own
+    """What `gr.element(i)` and `gr.det(i)` report, and the two actions of
+    g that `gr.summand_dims(i)` reads, derived from h = g^i alone: no data
+    is shared between elements, det(h) is an elimination, and both induced
+    actions of g come straight from `quotient_matrix` and
+    `restricted_matrix`.  It keeps its own
     branches for the empty modules (chi = 1 at h = 1 here, the 0x0 guards
     in `reference_report`), so the library's uniform 0x0 handling is
     checked against them."""

@@ -213,6 +213,22 @@ def test_reps_builds_the_group_record_once(job, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_reps_prints_alpha_in_wedge_pair_order(job, capsys):
+    # from n = 10 string order would put e1^e10 before e1^e2; the text
+    # lists alpha in the order of --json and the flat coordinates
+    n = 10
+    gen = [[-1 if a == b == 0 else int(a == b) for b in range(n)] for a in range(n)]
+    assert main(["reps", job({"field": {"type": "prime", "p": 3}, "generator": gen})]) == EXIT_PASS
+    out = capsys.readouterr().out
+    want = ["e%d^e%d" % (a + 1, b + 1) for a, b in group_action.wedge_pairs(n)]
+    blocks = out.split("  rep ")[1:]
+    assert blocks
+    for block in blocks:
+        keys = [line.split(": ", 1)[1].split(" -> ")[0]
+                for line in block.splitlines() if line.startswith("    alpha")]
+        assert keys == want
+
+
 # -- deform --------------------------------------------------------------------
 
 def test_deform_builtin_prime(capsys):
@@ -242,6 +258,36 @@ def test_deform_json(capsys):
 def test_deform_rejects_other_generators(job, capsys):
     assert main(["deform", job(DIAG23)]) == EXIT_INPUT
     assert "worked example" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_order", [None, "3"], ids=["default", "p_above_max_order"])
+def test_deform_refuses_another_generator_before_building_tables(job, capsys, monkeypatch,
+                                                                  max_order):
+    # the generator is checked first, so the Theta(p^2) tables are never
+    # built for a job they cannot serve, even one whose p is above --max-order
+    def refuse(*args):
+        raise AssertionError("tables built for a refused job")
+    monkeypatch.setattr(deformation, "builtin_transvection_gamma", refuse)
+    argv = ["deform", job(DIAG23)] + (["--max-order", max_order] if max_order else [])
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "worked example generator [[1,1],[0,1]] over F_p" in err
+
+
+@pytest.mark.parametrize("from_job", [False, True], ids=["prime", "job"])
+def test_deform_builds_the_group_once(job, capsys, monkeypatch, from_job):
+    built = []
+    real = deformation.group_from_generator
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(deformation, "group_from_generator", counted)
+    source = ([job({"field": {"type": "prime", "p": 5}, "generator": [[1, 1], [0, 1]]})]
+              if from_job else ["--deform-prime", "5"])
+    assert main(["deform"] + source) == EXIT_PASS
+    assert "verdict: pass" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_deform_needs_job_or_prime(capsys):

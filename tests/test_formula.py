@@ -14,9 +14,11 @@ from skewcoh import (
     codim1_contribution,
     codim2_contribution,
     full_report,
+    group_from_generator,
     identity_contribution,
     nonmodular_crosscheck,
 )
+from skewcoh import formula, group_action
 
 from conftest import suite_group
 
@@ -107,6 +109,28 @@ def test_transvection_family_is_2p():
     for p in (3, 7):
         gr = suite_group("transvection_f%d" % p)
         assert full_report(gr).total_dim == 2 * p
+
+
+def test_full_report_takes_chi_invariants_once_per_subgroup(monkeypatch):
+    # the F_p transvection has one proper subgroup, of order 1, and one of
+    # order p: the identity summand takes one chi-invariant dimension and
+    # `summand_dims` two for all p - 1 codim-1 elements, whatever p is
+    calls = []
+    chi_invariants = group_action.chi_invariants
+
+    def counted(*args):
+        calls.append(args)
+        return chi_invariants(*args)
+
+    for module in (group_action, formula):
+        monkeypatch.setattr(module, "chi_invariants", counted)
+    counts = []
+    for p in (11, 101):
+        calls.clear()
+        rep = full_report(group_from_generator(Field.prime(p), [[1, 1], [0, 1]]))
+        assert rep.total_dim == 2 * p and len(rep.per_element) == p
+        counts.append(len(calls))
+    assert counts == [3, 3]
 
 
 def test_trivial_n3_total():

@@ -2,13 +2,15 @@
 
 `element(i)` returns the record derived at d = gcd(i, |G|), the same
 object for every generator of <g^i>, and `det(i)` gives det(g)^i;
-`subgroup_actions` builds the two induced actions of g the summands read
-once per subgroup as well.  On random groups whose orders have several
-divisors, every element must report what `reference_element`
+`summand_dims` derives the two chi_h-invariant dimensions the summands
+read once per subgroup as well.  On random groups whose orders have
+several divisors, every element must report what `reference_element`
 (tests/conftest.py) derives from g^i alone: fixed space, moved space,
-codim, chi_h(g), det, the transvection flag and the two induced actions.
-The whole formula report must equal `reference_report`, built one element
-at a time with `quotient_matrix` and `restricted_matrix`.
+codim, chi_h(g), det, the transvection flag, and the chi_h-invariants of
+g on V/V_h and on V/V_h tensor (V^h)*, taken by `chi_invariants` of the
+two reference actions.  The whole formula report must equal
+`reference_report`, built one element at a time with `quotient_matrix`
+and `restricted_matrix`.
 
 diag(-1, 2) over F_7 has order 6, and g^2 = diag(1, 4) and g^3 = diag(-1, 1)
 are both reflections with different mirrors, so class data keyed by codim
@@ -22,7 +24,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewcoh import Field, Matrix, OrderExceedsBoundError, full_report, group_from_generator
+from skewcoh import (
+    Field,
+    Matrix,
+    OrderExceedsBoundError,
+    chi_invariants,
+    full_report,
+    group_from_generator,
+    kron,
+)
 
 from conftest import SUITE, reference_element, reference_report, suite_group
 from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
@@ -58,7 +68,11 @@ def check_against_reference(gr):
         ref = reference_element(gr, i)
         assert {k: getattr(ed, k) for k in FIELDS} == {k: ref[k] for k in FIELDS}, (gr.generator, i)
         assert gr.det(i) == ref["det"] == gr.power(i).det(), (gr.generator, i)
-        assert gr.subgroup_actions(i) == (ref["quotient_action"], ref["dual_fixed_action"])
+        quot, chi = ref["quotient_action"], ref["chi_of_generator"]
+        dims = gr.summand_dims(i)
+        assert dims is gr.summand_dims(math.gcd(i, gr.order))
+        assert dims == (chi_invariants(quot, chi),
+                        chi_invariants(kron(quot, ref["dual_fixed_action"]), chi)), (gr.generator, i)
     assert full_report(gr) == reference_report(gr)
 
 

@@ -78,10 +78,13 @@ def check_builders(field, rows, i):
     gr = group_from_generator(field, rows)
     i %= gr.order
     h, ed = gr.power(i), gr.element(i)
+    # g's actions on V/V_h and (V^h)*, built as `CyclicGroup.summand_dims` builds them
+    quot = quotient_matrix(gr.generator, ed.moved_space)
+    dual_fixed = restricted_matrix(gr.power(-1), ed.fixed_space).transpose()
     built = [
         h, transfer_matrix(gr), gr.transfer().basis, dual_matrix(h),
         restricted_matrix(gr.generator, ed.fixed_space),
-        quotient_matrix(gr.generator, ed.moved_space), *gr.subgroup_actions(i),
+        quot, dual_fixed, kron(quot, dual_fixed),
         cocycle_conditions(gr, i), coboundary_matrix(gr, i),
         distinguished_constraints(gr, i),
         wedge2_matrix(h), kron(h, wedge2_matrix(dual_matrix(h))),
