@@ -7,7 +7,8 @@ Job files are a single JSON document:
 
 The document takes exactly the keys "field" and "generator"; the field
 takes "type" and, for a prime field, "p".  Any other key (a "p" in a
-rational field, a top-level "max_order") is an input error, not ignored.
+rational field, a top-level "max_order") is an input error, not ignored,
+and so is a key given twice at any level, whose last value json would keep.
 `--max-order` must be at least 1.
 
 Subcommands: analyze (closed-form dimensions), compare (closed form vs
@@ -70,6 +71,17 @@ def _refuse_stray_keys(spec: dict, allowed, what: str) -> None:
                        % (stray[0], what, ", ".join('"%s"' % k for k in allowed)))
 
 
+def _unique_keys(pairs) -> dict:
+    """`object_pairs_hook` for a job: json keeps only the last value of a
+    key given twice, so a repeated key, at any level, is an input error."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise JobError("duplicate key %r in the job" % (key,))
+        doc[key] = value
+    return doc
+
+
 def load_job(path: str):
     """Read a job file; returns (Field, generator row lists)."""
     try:
@@ -78,7 +90,7 @@ def load_job(path: str):
         raise JobError("cannot read %s: %s" % (path, e)) from e
     try:
         with fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise JobError("cannot read %s: %s" % (path, e)) from e
     except (ValueError, RecursionError) as e:

@@ -20,11 +20,10 @@ dimensions, containments, and distinguished representatives are plain
 rank/kernel computations.
 
 Each condition has one row builder, placed by column offset: `_vanish_rows`
-(condition (1), the lambda cuts and the pi_h cut on alpha), `_jacobi_rows`
-(condition (3)) and `_coboundary_rows` (d(f tensor h)).  The test suite's
-assembled complex reuses them at other offsets, with condition (2) in its
-pre-decomposition form, as an independent check of the lambda-to-hg
-bookkeeping.
+(condition (1)), `_jacobi_rows` (condition (3)) and `_coboundary_rows`
+(d(f tensor h)).  The test suite's assembled complex reuses them at other
+offsets, with condition (2) in its pre-decomposition form, as an
+independent check of the lambda-to-hg bookkeeping.
 
 The elimination takes the first candidate row as the pivot, and a dense
 pivot row fills every row it is subtracted from.  So `_condition_rows`
@@ -56,16 +55,18 @@ projects V onto V_h along the pivot-completion complement of V_h: the span
 of the unit vectors e_j at the columns j that are not pivots of V_h's RREF
 basis.  A vector lies in that complement iff it vanishes at the pivot
 columns, so the cut is "alpha(e_a ^ e_b)_c = 0 for every pivot column c of
-V_h", with no matrix inverse.  Distinguished constraints are built only by
-`representative_basis` and `reduce_to_representative`.
+V_h", with no matrix inverse.  Besides it, lambda = 0 on (V^G)^perp at
+codim 0, and on (V^h)^perp at codim 1 when chi_h is nontrivial; that
+perp is again a pivot-completion complement, so lambda_j = 0 at the
+non-pivot columns j of V^G or V^h.  Each part sets single flat
+coordinates to zero, so `distinguished_constraints` returns the cut as
+the strictly increasing tuple of those coordinates, and no matrix.
 
-Besides pi_h o alpha = 0 the cut holds two lambda rows: lambda = 0 on
-(V^G)^perp at codim 0, and on (V^h)^perp at codim 1 when chi_h is
-nontrivial.  The other case conditions of the distinguished
-representatives hold on every cocycle in the pi_h cut, and the cut is
-only ever applied to cocycles (`representative_basis` stacks it on Z,
-`reduce_to_representative` applies it to the cocycle columns
-[dmat | gamma]), so they get no rows.  Sym V is a domain, and u, v lie in
+The other case conditions of the distinguished representatives hold on
+every cocycle in this cut, and the cut is only ever applied to cocycles
+(`representative_basis` eliminates Z outside it,
+`reduce_to_representative` reads the cocycle columns [dmat | gamma] at
+it), so they get no coordinates.  Sym V is a domain, and u, v lie in
 V^h below:
 
 - codim 1, alpha on wedge^2 V^h: condition (3) at (u, v, w) reads
@@ -88,16 +89,18 @@ d^2 = 0 check, on every complex, so every condition matrix the oracle
 hands out has passed it.  `_cohomology` then eliminates the condition
 rows in place (`_eliminate`): z is read from the pivots, b is `rank` of
 the coboundary matrix, and the nonzero RREF rows (the same kernel, in at
-most cochain_dim rows) are what `representative_basis` stacks the
-distinguished cut under; `per_element_cohomology` keeps the dimensions.
+most cochain_dim rows) are what `representative_basis` eliminates again
+at the coordinates outside the distinguished cut, putting zeros back at
+the cut; `per_element_cohomology` keeps the dimensions.
 
 `reduce_to_representative` eliminates nothing of the complex and reads
 each matrix once: the guard's one product cond @ [dmat | gamma] (dmat the
 coboundary rows) checks d^2 = 0 and gamma's conditions on the rows as
 built, so a `NotACocycleError` names the first violated row of
-`cocycle_conditions`, and one product with the distinguished constraints
-and one `solve` give the witness and the kernel; its docstring and
-comments say why the representative needs no further cocycle check.
+`cocycle_conditions`.  Its rows at the distinguished cut, selected with
+no product, and one `solve` give the witness and the kernel, and the
+representative is checked at the cut by reading it there; its docstring
+and comments say why it needs no further cocycle check.
 """
 
 from __future__ import annotations
@@ -313,32 +316,24 @@ def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
                                           *_signed_shifts(f, gr.power(i))), gr.n)
 
 
-def distinguished_constraints(gr: CyclicGroup, i: int) -> Matrix:
-    """Linear constraints cutting out the distinguished representatives at
-    h = g^i from the cocycles: pi_h o alpha = 0, plus lambda = 0 on
-    (V^G)^perp at codim 0 and on (V^h)^perp at codim 1 with chi_h
-    nontrivial.  Every other case condition holds on the cocycles of this
-    cut (module docstring), so no row states it."""
+def distinguished_constraints(gr: CyclicGroup, i: int) -> Tuple[int, ...]:
+    """The flat coordinates, strictly increasing, at which the distinguished
+    representatives at h = g^i vanish: the cocycles that are zero there are
+    the distinguished ones.  pi_h o alpha = 0 sets alpha's values to 0 at
+    the pivot columns of V_h; lambda = 0 on (V^G)^perp at codim 0, or on
+    (V^h)^perp at codim 1 with chi_h nontrivial, sets lambda_j to 0 at the
+    non-pivot columns j of that space.  Every other case condition holds on
+    the cocycles of this cut (module docstring), so no coordinate states it."""
     _check_index(gr, i)
-    f = gr.field
-    n = gr.n
-    dim = cochain_dim(n)
-    ed = gr.element(i)
-    rows: List[List[Scalar]] = []
-
-    # pi_h o alpha = 0: alpha's values vanish at the pivot columns of V_h
-    unit = Matrix.identity(f, n).rows
-    at_pivots = [unit[c] for c in ed.moved_space._pivots]
-    for w in range(len(wedge_pairs(n))):
-        rows += _vanish_rows(f, dim, at_pivots, n + w * n)
-
+    n, ed = gr.n, gr.element(i)
+    kept = range(n)                 # the lambda coordinates outside the cut
     if ed.codim == 0:
-        # lambda = 0 on (V^G)^perp
-        rows += _vanish_rows(f, dim, gr.invariants().complement().basis.rows, 0)
-    elif ed.codim == 1 and ed.chi_of_generator != f.one():
-        # lambda = 0 on (V^h)^perp
-        rows += _vanish_rows(f, dim, ed.fixed_space.complement().basis.rows, 0)
-    return Matrix._of(f, rows, dim)
+        kept = gr.invariants()._pivots
+    elif ed.codim == 1 and ed.chi_of_generator != gr.field.one():
+        kept = ed.fixed_space._pivots
+    # pi_h o alpha = 0: alpha's values vanish at the pivot columns of V_h
+    return tuple(j for j in range(n) if j not in kept) + tuple(
+        n + w * n + c for w in range(len(wedge_pairs(n))) for c in ed.moved_space._pivots)
 
 
 def _check_index(gr: CyclicGroup, i: int) -> None:
@@ -407,15 +402,23 @@ def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
 def representative_basis(gr: CyclicGroup, i: int, rows: GroupRows) -> List[CochainTwo]:
     """Basis of Z^2_{-1}(h) cut down by the distinguished constraints; its
     size must equal hh_dim (that is the uniqueness statement).  `rows` is
-    gr's record."""
+    gr's record.  Only the coordinates outside the cut are eliminated: the
+    RREF kernel basis of Z's columns there, with zeros put back at the cut,
+    is the RREF basis of {x in Z : x = 0 on the cut}, since inserting zero
+    columns keeps a matrix in RREF."""
+    f, dim = gr.field, cochain_dim(gr.n)
     dims, zrows = _cohomology(gr, i, rows)
-    dist = distinguished_constraints(gr, i)
-    ker = kernel_basis(Matrix._of(gr.field, [*zrows, *dist.rows], dist.ncols))
+    cut = distinguished_constraints(gr, i)
+    free = sorted(set(range(dim)).difference(cut))
+    ker = kernel_basis(Matrix._of(f, [[r[j] for j in free] for r in zrows], len(free)))
     if ker.dim != dims.hh_dim:
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
             % (ker.dim, dims.hh_dim, i))
-    return [CochainTwo._of(gr.field, gr.n, i, row) for row in ker.basis.rows]
+    cols = dict(zip(free, zip(*ker.basis.rows)))     # the basis's columns outside the cut
+    zero = (f.zero(),) * ker.dim
+    return [CochainTwo._of(f, gr.n, i, flat)
+            for flat in zip(*(cols.get(j, zero) for j in range(dim)))]
 
 
 def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[CochainTwo, CochainOne]:
@@ -427,11 +430,10 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     conditions, on the rows as built; neither the rank of the coboundaries
     nor the RREF of the conditions is taken, and the representative, a
     combination of the columns of [dmat | gamma], is a cocycle by that
-    product.  One product
-    dist @ [dmat | gamma] and one elimination of it (`solve`) give f and
-    the kernel of dist @ dmat.  A non-cocycle raises NotACocycleError with
-    the element index and the first violated row of
-    cocycle_conditions(gr, i)."""
+    product.  The rows of [dmat | gamma] at the distinguished cut and one
+    elimination of them (`solve`) give f and the kernel of dmat's rows
+    there.  A non-cocycle raises NotACocycleError with the element index
+    and the first violated row of cocycle_conditions(gr, i)."""
     i = gamma.element_index
     f = gr.field
     if gamma.field != f or gamma.n != gr.n:
@@ -451,21 +453,19 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     flat = [f.coerce(x) for x in flat]
     # aug = [dmat | gamma]; the guard found every column of cond @ aug zero
     aug = Matrix._of(f, _guarded_complex(gr, i, group_rows(gr), flat)[1], gr.n + 1)
-    dist = distinguished_constraints(gr, i)
-    m = dist @ aug
-    f0, kernel = solve(m)
+    cut = distinguished_constraints(gr, i)
+    f0, kernel = solve(Matrix._of(f, [aug.rows[c] for c in cut], gr.n + 1))
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
-    # the representative gamma - dmat f0 is aug v for v = (-f0, 1), so dist
-    # reads it through the product m = dist @ aug.  It is a cocycle with no
-    # further check: cond (aug v) = (cond @ aug) v, and the guard found
-    # cond @ aug zero.
+    # the representative gamma - dmat f0 is aug v for v = (-f0, 1).  It is
+    # a cocycle with no further check: cond (aug v) = (cond @ aug) v, and
+    # the guard found cond @ aug zero.
     p = f.p
     v = [-x if p is None else -x % p for x in f0] + [f.one()]
     rep_flat = aug._apply(v)
-    if any(m._apply(v)):
+    if any(rep_flat[c] for c in cut):
         raise AssertionError("representative escapes the distinguished subspace")
-    # uniqueness: every f-freedom (dist dmat k = 0) leaves the
+    # uniqueness: every f-freedom (dmat k = 0 at the cut) leaves the
     # representative untouched (dmat k = 0)
     zero = (f.zero(),)
     for k in kernel:

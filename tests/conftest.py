@@ -23,6 +23,7 @@ from skewcoh import (
     Subspace,
     SummandReport,
     cochain_dim,
+    distinguished_constraints,
     eigenspace,
     group_from_generator,
     group_rows,
@@ -109,6 +110,17 @@ def span(field: Field, ambient: int, rows=()) -> Subspace:
     """The span of rows in F^ambient, coerced: the column space of their
     transpose."""
     return image_basis(Matrix(field, rows, ncols=ambient).transpose())
+
+
+def cut_matrix(gr: CyclicGroup, i: int) -> Matrix:
+    """The distinguished cut at g^i as linear constraints: one unit row of
+    length cochain_dim(n) per coordinate of distinguished_constraints(gr, i).
+    The kernel of Z stacked on it, [Z; cut_matrix], is the reference for
+    `representative_basis`, which eliminates only the coordinates outside
+    the cut."""
+    dim = cochain_dim(gr.n)
+    unit = Matrix.identity(gr.field, dim).rows
+    return Matrix._of(gr.field, [unit[c] for c in distinguished_constraints(gr, i)], dim)
 
 
 def one_minus(m: Matrix) -> Matrix:

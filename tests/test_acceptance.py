@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import SUITE, suite_group
+from conftest import SUITE, cut_matrix, suite_group
 from skewcoh import (
     Field,
     builtin_transvection_gamma,
@@ -36,7 +36,6 @@ from skewcoh.oracle import (
     cochain_dim,
     coboundary_matrix,
     cocycle_conditions,
-    distinguished_constraints,
     group_rows,
     per_element_cohomology,
     reduce_to_representative,
@@ -147,7 +146,7 @@ def test_criterion_5_representative_uniqueness(announce):
         record = group_rows(gr)
         for i in range(gr.order):
             pc = per_element_cohomology(gr, i, record)
-            dist = distinguished_constraints(gr, i)
+            dist = cut_matrix(gr, i)
             cut = Matrix(gr.field, cocycle_conditions(gr, i).rows + dist.rows,
                          ncols=dist.ncols)
             ok = ok and kernel_basis(cut).dim == pc.hh_dim

@@ -573,6 +573,23 @@ def test_stray_job_keys_are_input_errors(job, capsys, doc, key, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, key", [
+    # json.load keeps a repeated key's last value: this would run over F_5
+    ('{"field": {"type": "prime", "p": 3}, "field": {"type": "prime", "p": 5}, '
+     '"generator": [[1, 1], [0, 1]]}', "field"),
+    # and this over F_7
+    ('{"field": {"type": "prime", "p": 3, "p": 7}, "generator": [[1, 1], [0, 1]]}', "p"),
+], ids=["field twice", "p twice"])
+@pytest.mark.parametrize("command", ["analyze", "compare", "reps", "deform"])
+def test_duplicate_job_keys_are_input_errors(tmp_path, capsys, text, key, command):
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: duplicate key %r in the job\n" % key, captured.err
+    assert captured.out == ""
+
+
 # -- order bound -----------------------------------------------------------------
 
 def test_max_order_flag(job, capsys):

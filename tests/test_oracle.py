@@ -48,8 +48,8 @@ from skewcoh import linalg, oracle
 from skewcoh.cli import EXIT_FAIL, EXIT_PASS, main
 
 from conftest import (
-    JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, SUITE, assembled_complex, reduced_conditions,
-    span, suite_group)
+    JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, SUITE, assembled_complex, cut_matrix,
+    reduced_conditions, span, suite_group)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -292,8 +292,7 @@ def test_negative_cohomology_dimension_is_refused(monkeypatch):
 def test_a_cut_that_misses_hh_dim_is_refused(monkeypatch):
     # with no distinguished rows the cut keeps all of Z (dim 3), not hh = 2
     gr = suite_group("transvection_f3")
-    monkeypatch.setattr(oracle, "distinguished_constraints",
-                        lambda g, i: Matrix(g.field, [], ncols=cochain_dim(g.n)))
+    monkeypatch.setattr(oracle, "distinguished_constraints", lambda g, i: ())
     with pytest.raises(oracle.DimensionMismatchError,
                        match="^distinguished space has dim 3 but hh_dim is 2 at element 1$"):
         representative_basis(gr, 1, group_rows(gr))
@@ -384,8 +383,9 @@ def test_trivial_group_invariant_alphas():
 
 def test_distinguished_cut_transvection():
     gr = suite_group("transvection_f3")
-    dist = distinguished_constraints(gr, 1)
-    # the single cut is the V_h component of alpha
+    # the single cut is the V_h component of alpha, alpha(e_0 ^ e_1)_0
+    assert distinguished_constraints(gr, 1) == (2,)
+    dist = cut_matrix(gr, 1)
     assert rank(dist) == 1
     assert in_kernel(dist, (2, 1, 0, 2))
     assert not in_kernel(dist, (0, 0, 1, 0))
@@ -395,14 +395,14 @@ def test_distinguished_forces_zero_above_codim_two():
     # the cut holds no codim > 2 row of its own: it meets the cocycles in 0
     gr = suite_group("companion8_f3")
     assert gr.element(2).codim > 2
-    cond, dist = cocycle_conditions(gr, 2), distinguished_constraints(gr, 2)
+    cond, dist = cocycle_conditions(gr, 2), cut_matrix(gr, 2)
     assert kernel_basis(Matrix(gr.field, cond.rows + dist.rows, ncols=dist.ncols)).dim == 0
 
 
 def test_trivial_group_distinguished_is_everything():
     gr = suite_group("trivial_n2_f3")
-    dist = distinguished_constraints(gr, 0)
-    assert rank(dist) == 0
+    assert distinguished_constraints(gr, 0) == ()
+    assert rank(cut_matrix(gr, 0)) == 0
 
 
 def test_representative_basis_sizes(suite_entry):
@@ -414,7 +414,7 @@ def test_representative_basis_sizes(suite_entry):
         for c in basis:
             assert c.element_index == i
             assert in_kernel(cocycle_conditions(gr, i), c.flat())
-            assert in_kernel(distinguished_constraints(gr, i), c.flat())
+            assert in_kernel(cut_matrix(gr, i), c.flat())
 
 
 def test_transvection_representative_basis():
@@ -614,8 +614,7 @@ def test_reduce_refuses_a_cut_that_leaves_the_representative_free(monkeypatch):
     # b = 1, some f moves the representative
     gr = suite_group("transvection_f3")
     gamma = representative_basis(gr, 1, group_rows(gr))[0]
-    monkeypatch.setattr(oracle, "distinguished_constraints",
-                        lambda gr, i: Matrix(gr.field, [], ncols=cochain_dim(gr.n)))
+    monkeypatch.setattr(oracle, "distinguished_constraints", lambda gr, i: ())
     with pytest.raises(AssertionError, match="distinguished representative is not unique"):
         reduce_to_representative(gr, gamma)
 
@@ -628,11 +627,41 @@ def test_reduce_refuses_a_cut_that_no_coboundary_reaches(monkeypatch):
     coboundary = CochainTwo.from_flat(gr.field, gr.n, 1,
                                       coboundary_matrix(gr, 1).apply([1, 2]))
     monkeypatch.setattr(oracle, "distinguished_constraints",
-                        lambda gr, i: Matrix.identity(gr.field, cochain_dim(gr.n)))
+                        lambda gr, i: tuple(range(cochain_dim(gr.n))))
     rep, _ = reduce_to_representative(gr, coboundary)
     assert not any(rep.flat())
     with pytest.raises(AssertionError, match="no coboundary reaches the distinguished subspace"):
         reduce_to_representative(gr, gamma)
+
+
+@pytest.mark.parametrize("name", REDUCE_GROUPS)
+def test_reduce_selects_the_cut_rows_and_makes_no_product(name, monkeypatch):
+    # the cut is a set of coordinates, so reduce reads the rows of
+    # [dmat | gamma] there, with no product
+    gr = suite_group(name)
+    gammas = reduce_inputs(gr)
+    expected = [reduce_to_representative(gr, g) for g in gammas]
+
+    def refuse(*args):
+        raise RuntimeError("reduce_to_representative must not multiply matrices")
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert [reduce_to_representative(gr, g) for g in gammas] == expected
+
+
+def test_the_cut_builds_no_matrix(suite_entry, monkeypatch):
+    # the element records are derived once per subgroup; past them the cut
+    # is read off their pivots, with no matrix built
+    name, gr, order, codims, dims, imt = suite_entry
+    for i in range(order):
+        gr.element(i)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("distinguished_constraints must build no matrix")
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_of", refuse)
+    for i in range(order):
+        cut = distinguished_constraints(gr, i)
+        assert cut == tuple(sorted(set(cut)))
 
 
 @pytest.mark.parametrize("name", REDUCE_GROUPS)
@@ -654,7 +683,7 @@ def test_reduce_eliminates_once_and_builds_no_kernel_subspace(name, monkeypatch)
     for gamma in gammas:
         shapes.clear()
         reduce_to_representative(gr, gamma)
-        # the one elimination is of dist @ [dmat | gamma]
+        # the one elimination is of the rows of [dmat | gamma] at the cut
         assert len(shapes) == 1 and shapes[0][1] == gr.n + 1
 
 

@@ -19,7 +19,6 @@ from skewcoh import (
     Matrix,
     coboundary_matrix,
     cocycle_conditions,
-    distinguished_constraints,
     group_from_generator,
     kron,
     rref,
@@ -27,7 +26,8 @@ from skewcoh import (
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import assembled_complex, dual_matrix, reduced_conditions, transfer_matrix
+from conftest import (
+    assembled_complex, cut_matrix, dual_matrix, reduced_conditions, transfer_matrix)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -86,13 +86,13 @@ def check_builders(field, rows, i):
         restricted_matrix(gr.generator, ed.fixed_space),
         quot, dual_fixed, kron(quot, dual_fixed),
         cocycle_conditions(gr, i), coboundary_matrix(gr, i),
-        distinguished_constraints(gr, i),
+        cut_matrix(gr, i),
         wedge2_matrix(h), kron(h, wedge2_matrix(dual_matrix(h))),
         rref(cocycle_conditions(gr, i))[0],
         reduced_conditions(gr, i),
         # products, one with zero rows only (d^2 = 0) and one with a zero row
         cocycle_conditions(gr, i) @ coboundary_matrix(gr, i), h @ gr.generator,
-        distinguished_constraints(gr, i) @ coboundary_matrix(gr, i),
+        cut_matrix(gr, i) @ coboundary_matrix(gr, i),
         Matrix(field, [[0] * gr.n, *h.rows]) @ dual_matrix(h),
     ]
     if gr.order <= 4:
