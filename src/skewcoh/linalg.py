@@ -19,8 +19,9 @@ checks nothing: `Matrix._of`, `Matrix._apply` and
 `Subspace._coordinates` (and the oracle's `CochainTwo._of`).  Every
 matrix this module and the group-action builders derive goes through
 `Matrix._of`.  The one `Subspace` constructor trusts its RREF basis and
-pivots; `kernel_basis` and `image_basis` eliminate a spanning set into
-them (`_span`).  The oracle builds, guards and eliminates each
+pivots; `image_basis` eliminates a spanning set into them, and
+`kernel_basis` reads them off its one elimination (below).  The oracle
+builds, guards and eliminates each
 per-element complex as plain row lists, through `_product` and
 `_eliminate`, and wraps in `Matrix._of` only what a caller keeps.  `@`,
 the one operation on two matrices, checks once per call that both
@@ -36,8 +37,11 @@ The loops below do their arithmetic inline on those entries, with no
 entry; over Q the elimination and the product run on ints too (below),
 and the rest uses the Fraction operators.
 
-There is one elimination loop, `_eliminate` (Gauss-Jordan).  For each
-pivot it collects the pivot row's nonzero columns once and updates only
+There is one elimination loop, `_eliminate` (Gauss-Jordan).  It visits
+the pivot columns in a given order, by default left to right, and leaves
+the rows in RREF with respect to that order.  For each pivot it collects
+the pivot row's nonzero columns among those still to visit once (at the
+columns already visited every candidate row is zero) and updates only
 those entries in the rows with a nonzero in the pivot column; the
 oracle's cocycle matrices are mostly zeros.  The pivot is the first row,
 from the current one down, with a nonzero in the pivot column, and its
@@ -78,12 +82,19 @@ the one dot product, for `char_poly` and `Matrix.apply`; over F_p it is
 `sum(map(mul, a, b)) % p`, the products and their sum in C and one
 reduction.
 
+`_kernel_rows` is the one reader of kernel vectors.  Read off an
+elimination that ran right to left they are already the RREF basis (its
+docstring says why), so `kernel_basis` is one descending elimination and
+no second, and the oracle's `representative_basis` reads the
+distinguished representatives off the conditions' one elimination.
+
 `solve` takes the augmented matrix [m | b] and reads two things off its
 one `rref`: a solution of m x = b (zero at the free columns), or None when
-b adds a pivot, and the kernel of m, one vector per free column of m,
-built as `kernel_basis` builds its vectors but not eliminated again into
-a `Subspace`.  A caller that needs both (the oracle's reduction) pays one
-elimination.
+b adds a pivot, and the kernel of m, one vector per free column of m, read
+by `_kernel_rows` over m's columns.  The elimination runs left to right,
+so the vectors are a basis of the kernel but not its RREF basis, and no
+`Subspace` is built.  A caller that needs both (the oracle's reduction)
+pays one elimination.
 
 The Q loops read the Fraction slots `_numerator` and `_denominator`
 rather than the public `numerator` and `denominator` properties: a slot
@@ -251,13 +262,17 @@ def _product(f: Field, a: Sequence[Sequence], b: Sequence[Sequence], ncols: int)
     return out
 
 
-def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...], Scalar]:
+def _eliminate(f: Field, rows: List[list], ncols: int,
+               order: Sequence[int] | None = None) -> Tuple[Tuple[int, ...], Scalar]:
     """Gauss-Jordan elimination of `rows` (lists of canonical scalars),
-    leaving them in reduced row echelon form (over Q each row is replaced by
-    a new list).  Returns the pivot columns and, when the rows form a square
-    matrix, its determinant (zero if it is singular).  The first candidate
-    row becomes the pivot, so callers list sparse rows first and build no
-    all-zero rows.
+    visiting the pivot columns in `order`, a permutation of range(ncols)
+    (by default range(ncols) itself), and leaving the rows in reduced row
+    echelon form with respect to that order (over Q each row is replaced by
+    a new list).  Returns the pivot columns in visit order, row k pivoting
+    at the k-th, and, when the rows form a square matrix, its determinant
+    with the columns taken in `order` (zero if it is singular).  The first
+    candidate row becomes the pivot, so callers list sparse rows first and
+    build no all-zero rows.
 
     Over Q the loop runs on integer rows (module docstring); `up` and
     `down` record the factors the working rows were multiplied and divided
@@ -280,7 +295,7 @@ def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...],
     pivots: List[int] = []
     det = 1
     r = 0
-    for c in range(ncols):
+    for k, c in enumerate(range(ncols) if order is None else order):
         if r == nrows:
             break
         for i in range(r, nrows):
@@ -293,13 +308,15 @@ def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...],
             det = -det
         prow = rows[r]
         pv = prow[c]
-        # left of c the pivot row is zero; only its nonzero columns change
+        # at the columns already visited the pivot row is zero; only its
+        # nonzero columns among those still to visit change
+        later = range(c + 1, ncols) if order is None else order[k + 1:]
         if p is None:
             if pv < 0:
                 prow = rows[r] = [-y for y in prow]
                 pv = -pv
                 up.append(-1)
-            nz = [(j, prow[j]) for j in range(c + 1, ncols) if prow[j]]
+            nz = [(j, prow[j]) for j in later if prow[j]]
             for i, row in enumerate(rows):
                 x = row[c]
                 if x and i != r:
@@ -322,7 +339,7 @@ def _eliminate(f: Field, rows: List[list], ncols: int) -> Tuple[Tuple[int, ...],
             det = det * pv % p
             prow[c] = 1
             inv = pow(pv, -1, p)
-            nz = [(j, prow[j] * inv % p) for j in range(c + 1, ncols) if prow[j]]
+            nz = [(j, prow[j] * inv % p) for j in later if prow[j]]
             for j, y in nz:
                 prow[j] = y
             for i, row in enumerate(rows):
@@ -366,8 +383,9 @@ def rank(m: Matrix) -> int:
 
 class Subspace:
     """A subspace of F^n held by its RREF basis (rows = basis vectors) and
-    the basis's pivot columns.  The constructor trusts both; `_span`
-    eliminates a spanning set into them."""
+    the basis's pivot columns.  The constructor trusts both; `image_basis`
+    eliminates a spanning set into them, and `kernel_basis` reads them off
+    its one elimination."""
 
     __slots__ = ("field", "ambient", "basis", "dim", "_pivots")
 
@@ -431,44 +449,51 @@ class Subspace:
         return Subspace(Matrix._of(self.field, [unit[j] for j in free], self.ambient), free)
 
 
-def _span(field: Field, ambient: int, rows: Sequence[Sequence]) -> Subspace:
-    """The span of rows whose entries are already canonical (see Matrix._of)."""
-    red, piv = rref(Matrix._of(field, rows, ambient))
-    return Subspace(Matrix._of(field, red.rows[:len(piv)], ambient), piv)
-
-
-def _kernel_rows(red: Matrix, piv: Sequence[int], ncols: int) -> List[Vector]:
-    """Kernel of the first ncols columns of red, an RREF with pivot columns
-    piv: one vector per free column j < ncols, 1 at j and minus column j of
-    red at the pivot columns."""
-    f = red.field
+def _kernel_rows(f: Field, rows: Sequence[Sequence], piv: Sequence[int],
+                 cols: Sequence[int], ncols: int) -> List[Vector]:
+    """Kernel vectors read off rows that `_eliminate` left in RREF, row k
+    pivoting at piv[k], with an order that visited the columns cols first,
+    so that the rows pivoting elsewhere are zero at cols: one vector of
+    ncols entries per non-pivot j of cols (increasing), 1 at j, minus
+    rows[k][j] at each pivot piv[k] and zero elsewhere.  They are a basis
+    of the kernel of the rows' columns cols, padded with zeros.  When the
+    order visited cols in descending order, the nonzeros of row k in cols
+    other than its 1 sit at non-pivots left of piv[k], so each vector is 0
+    at every other non-pivot and nonzero only at j and at pivots right of
+    it: the vectors are the RREF basis of that kernel, pivoting at the
+    non-pivots of cols, with no second elimination."""
     p = f.p
     zero, one = f.zero(), f.one()
     pivset = set(piv)
-    rows = []
-    for j in range(ncols):
+    out = []
+    for j in cols:
         if j in pivset:
             continue
         v = [zero] * ncols
         v[j] = one
-        for r, c in enumerate(piv):
-            if c >= ncols:
-                break
-            x = red.rows[r][j]
-            v[c] = -x if p is None else -x % p
-        rows.append(tuple(v))
-    return rows
+        for row, c in zip(rows, piv):
+            x = row[j]          # 0 when c is outside cols
+            if x:
+                v[c] = -x if p is None else p - x
+        out.append(tuple(v))
+    return out
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Solution space of m v = 0."""
-    red, piv = rref(m)
-    return _span(m.field, m.ncols, _kernel_rows(red, piv, m.ncols))
+    """Solution space of m v = 0: one elimination with the columns visited
+    in descending order, whose kernel vectors are already its RREF basis
+    (`_kernel_rows`)."""
+    n = m.ncols
+    rows = [list(r) for r in m.rows]
+    piv, _ = _eliminate(m.field, rows, n, range(n - 1, -1, -1))
+    return Subspace(Matrix._of(m.field, _kernel_rows(m.field, rows, piv, range(n), n), n),
+                    tuple(sorted(set(range(n)).difference(piv))))
 
 
 def image_basis(m: Matrix) -> Subspace:
-    """Column space of m."""
-    return _span(m.field, m.nrows, m.transpose().rows)
+    """Column space of m: the nonzero rows of the RREF of its transpose."""
+    red, piv = rref(m.transpose())
+    return Subspace(Matrix._of(m.field, red.rows[:len(piv)], m.nrows), piv)
 
 
 def minus_scalar(m: Matrix, c: Scalar) -> Matrix:
@@ -499,7 +524,7 @@ def solve(aug: Matrix) -> Tuple[Vector | None, List[Vector]]:
     if n < 0:
         raise ValueError("solve needs the column b")
     red, piv = rref(aug)
-    kernel = _kernel_rows(red, piv, n)
+    kernel = _kernel_rows(aug.field, red.rows, piv, range(n), n)
     if n in piv:
         return None, kernel
     x = [aug.field.zero()] * n

@@ -64,7 +64,7 @@ the strictly increasing tuple of those coordinates, and no matrix.
 
 The other case conditions of the distinguished representatives hold on
 every cocycle in this cut, and the cut is only ever applied to cocycles
-(`representative_basis` eliminates Z outside it,
+(`representative_basis` reads Z's kernel outside it,
 `reduce_to_representative` reads the cocycle columns [dmat | gamma] at
 it), so they get no coordinates.  Sym V is a domain, and u, v lie in
 V^h below:
@@ -80,18 +80,19 @@ V^h below:
   at (u, v) reads 0 = -lambda(u)(v - ^h v); pick v with v != ^h v, so
   lambda(u) = 0.
 - codim > 2: no row forces Z to meet the cut in 0 (the formula's zero
-  summand); `representative_basis`'s ker.dim == hh_dim and
+  summand); `representative_basis`'s size == hh_dim check and
   `reduce_to_representative`'s uniqueness check test it.
 
 `_guarded_complex` multiplies the condition rows of one element, as
 built, by its coboundary rows (`_product`, the product behind `@`): the
 d^2 = 0 check, on every complex, so every condition matrix the oracle
 hands out has passed it.  `_cohomology` then eliminates the condition
-rows in place (`_eliminate`): z is read from the pivots, b is `rank` of
-the coboundary matrix, and the nonzero RREF rows (the same kernel, in at
-most cochain_dim rows) are what `representative_basis` eliminates again
-at the coordinates outside the distinguished cut, putting zeros back at
-the cut; `per_element_cohomology` keeps the dimensions.
+rows in place (`_eliminate`), once: z is read from the pivots and b is
+`rank` of the coboundary matrix.  `per_element_cohomology` keeps the
+dimensions.  `representative_basis` has the elimination visit the
+coordinates outside the distinguished cut first, in descending order,
+and then the cut, and reads the distinguished basis off the nonzero RREF
+rows (`_kernel_rows`), with no second elimination.
 
 `reduce_to_representative` eliminates nothing of the complex and reads
 each matrix once: the guard's one product cond @ [dmat | gamma] (dmat the
@@ -111,7 +112,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, kron, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import Matrix, Vector, _eliminate, _product, kernel_basis, minus_scalar, rank, solve
+from .linalg import Matrix, Vector, _eliminate, _kernel_rows, _product, minus_scalar, rank, solve
 
 
 class NotACocycleError(ValueError):
@@ -373,18 +374,21 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: GroupRows,
     return cond, cob
 
 
-def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> Tuple[ComplexDims, List[list]]:
-    """The dimensions of the complex at h = g^i, and the nonzero rows of
-    its conditions' RREF (the same kernel, in at most cochain_dim rows)."""
+def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows, order: Sequence[int] | None = None
+                ) -> Tuple[ComplexDims, List[list], Tuple[int, ...]]:
+    """The dimensions of the complex at h = g^i, the nonzero rows of its
+    conditions' RREF with respect to `order` (the same kernel, in at most
+    cochain_dim rows; `_eliminate` visits the columns in that order) and
+    their pivot columns, row k pivoting at the k-th."""
     f, dim = gr.field, cochain_dim(gr.n)
     cond, cob = _guarded_complex(gr, i, rows)
     b = rank(Matrix._of(f, cob, gr.n))
-    piv, _ = _eliminate(f, cond, dim)      # cond is now its RREF
+    piv, _ = _eliminate(f, cond, dim, order)      # cond is now its RREF
     z = dim - len(piv)
     hh = z - b
     if hh < 0:
         raise AssertionError("negative cohomology dimension at element %d" % i)
-    return ComplexDims(z, b, hh), cond[:len(piv)]
+    return ComplexDims(z, b, hh), cond[:len(piv)], piv
 
 
 def per_element_cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> ComplexDims:
@@ -402,23 +406,23 @@ def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
 def representative_basis(gr: CyclicGroup, i: int, rows: GroupRows) -> List[CochainTwo]:
     """Basis of Z^2_{-1}(h) cut down by the distinguished constraints; its
     size must equal hh_dim (that is the uniqueness statement).  `rows` is
-    gr's record.  Only the coordinates outside the cut are eliminated: the
-    RREF kernel basis of Z's columns there, with zeros put back at the cut,
-    is the RREF basis of {x in Z : x = 0 on the cut}, since inserting zero
-    columns keeps a matrix in RREF."""
+    gr's record.  The conditions are eliminated once, visiting the
+    coordinates outside the cut in descending order and then the cut.  The
+    first steps see only the free coordinates, and the cut steps subtract
+    rows that are zero there, so the rows pivoting outside the cut, read
+    there, are a descending RREF whose kernel is {x in Z : x = 0 on the
+    cut}.  Their kernel vectors (`_kernel_rows`), zero at the cut, are its
+    RREF basis: the basis of ker [Z; unit rows at the cut]."""
     f, dim = gr.field, cochain_dim(gr.n)
-    dims, zrows = _cohomology(gr, i, rows)
     cut = distinguished_constraints(gr, i)
     free = sorted(set(range(dim)).difference(cut))
-    ker = kernel_basis(Matrix._of(f, [[r[j] for j in free] for r in zrows], len(free)))
-    if ker.dim != dims.hh_dim:
+    dims, zrows, piv = _cohomology(gr, i, rows, free[::-1] + list(cut))
+    basis = _kernel_rows(f, zrows, piv, free, dim)
+    if len(basis) != dims.hh_dim:
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
-            % (ker.dim, dims.hh_dim, i))
-    cols = dict(zip(free, zip(*ker.basis.rows)))     # the basis's columns outside the cut
-    zero = (f.zero(),) * ker.dim
-    return [CochainTwo._of(f, gr.n, i, flat)
-            for flat in zip(*(cols.get(j, zero) for j in range(dim)))]
+            % (len(basis), dims.hh_dim, i))
+    return [CochainTwo._of(f, gr.n, i, flat) for flat in basis]
 
 
 def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[CochainTwo, CochainOne]:

@@ -5,6 +5,9 @@ cochain complex the oracle tests check the per-element split against, and
 the per-element derivation that `CyclicGroup.element` shares per cyclic
 subgroup, kept here as a reference, Fraction Gauss-Jordan, the
 reference for the library's elimination on integer rows over Q, the
+kernel and the distinguished representatives as they were once read off
+three eliminations, the references for the one reversed-order
+elimination of `kernel_basis` and `representative_basis`, the
 entrywise alpha-twist rows of condition (2), the reference for the
 oracle's Kronecker form, and the dense square bracket, the reference for
 the deformation layer's sparse one."""
@@ -30,6 +33,7 @@ from skewcoh import (
     image_basis,
     kernel_basis,
     kron,
+    rref,
     wedge2_matrix,
     wedge_pairs,
 )
@@ -82,6 +86,46 @@ def reduced_conditions(gr: CyclicGroup, i: int, record=None) -> Matrix:
     them, wrapped by the trusted constructor so that nothing is coerced."""
     rows = _cohomology(gr, i, group_rows(gr) if record is None else record)[1]
     return Matrix._of(gr.field, rows, cochain_dim(gr.n))
+
+
+def reference_kernel_basis(m: Matrix) -> Subspace:
+    """The kernel of m as three eliminations' worth of code once built it:
+    rref(m), one vector per free column j (1 at j, minus column j of the
+    RREF at the pivot columns), and those vectors eliminated again into
+    their RREF basis (`span`).  The reference for `kernel_basis`, which
+    reads the same basis off one elimination."""
+    f, n = m.field, m.ncols
+    red, piv = rref(m)
+    vectors = []
+    for j in range(n):
+        if j in piv:
+            continue
+        v = [f.zero()] * n
+        v[j] = f.one()
+        for row, c in zip(red.rows, piv):
+            v[c] = f.coerce(-row[j])
+        vectors.append(v)
+    return span(f, n, vectors)
+
+
+def reference_representative_basis(gr: CyclicGroup, i: int, record) -> List[Tuple[Scalar, ...]]:
+    """The flat distinguished representatives at g^i as they were once
+    built: the kernel (reference_kernel_basis) of the conditions' nonzero
+    RREF rows at the coordinates outside the cut, with zeros put back at
+    the cut.  The reference for `representative_basis`, which reads them
+    off the conditions' one elimination."""
+    f, dim = gr.field, cochain_dim(gr.n)
+    zrows = _cohomology(gr, i, record)[1]
+    cut = set(distinguished_constraints(gr, i))
+    free = [j for j in range(dim) if j not in cut]
+    ker = reference_kernel_basis(Matrix._of(f, [[r[j] for j in free] for r in zrows], len(free)))
+    out = []
+    for vec in ker.basis.rows:
+        flat = [f.zero()] * dim
+        for j, x in zip(free, vec):
+            flat[j] = x
+        out.append(tuple(flat))
+    return out
 
 
 @pytest.fixture(params=sorted(SUITE))

@@ -28,10 +28,12 @@ from skewcoh import (
     rref,
     solve,
 )
+from skewcoh import linalg
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 from skewcoh.oracle import _signed_shifts
 
-from conftest import difference, dual_matrix, fraction_rref, one_minus, span, zeros
+from conftest import (difference, dual_matrix, fraction_rref, one_minus, reference_kernel_basis,
+                      span, zeros)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -337,6 +339,74 @@ def test_solve_reads_a_solution_and_the_kernel_off_one_elimination(system):
     assert len(kernel) == m.ncols - r
     assert all(not any(m.apply(k)) for k in kernel)
     assert span(m.field, m.ncols, kernel) == kernel_basis(m)
+
+
+# -- the kernel layer -----------------------------------------------------------
+
+@st.composite
+def kernel_matrices(draw):
+    """(m, order) over F_3, F_5 or Q: m with 0 to 6 rows and 0 to 6
+    columns, drawn freely, all zero, or with some rows repeated, and order
+    a permutation of its columns."""
+    f = draw(st.sampled_from([F3, F5, Q]))
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 0, 1, -1, 2]) if f.p else \
+        st.one_of(st.just(0), st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 7])))
+    kind = draw(st.sampled_from(["free", "zero", "repeated"]))
+    if kind == "zero":
+        rows = [[0] * c] * r
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        if kind == "repeated" and rows:
+            rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+    return Matrix(f, rows, ncols=c), tuple(draw(st.permutations(range(c))))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(kernel_matrices())
+def test_eliminate_in_an_order_is_the_rref_of_the_permuted_columns(case):
+    m, order = case
+    permuted = Matrix(m.field, [[row[c] for c in order] for row in m.rows], ncols=m.ncols)
+    red, piv = rref(permuted)
+    rows = [list(r) for r in m.rows]
+    pivots, det = linalg._eliminate(m.field, rows, m.ncols, order)
+    assert pivots == tuple(order[k] for k in piv)
+    assert [tuple(row[c] for c in order) for row in rows] == list(red.rows)
+    if m.field.p is None:
+        assert all(type(x) is Fraction for row in rows for x in row)
+    if m.nrows == m.ncols:
+        assert det == permuted.det()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(kernel_matrices())
+def test_kernel_basis_is_the_rref_basis_of_the_kernel_vectors(case):
+    # one reversed-order elimination gives the basis that rref, the kernel
+    # vectors and a second elimination of them gave
+    m, _ = case
+    ker, ref = kernel_basis(m), reference_kernel_basis(m)
+    assert ker == ref and ker._pivots == ref._pivots
+
+
+def test_kernel_basis_eliminates_once_in_descending_order(monkeypatch):
+    real = linalg._eliminate
+    orders = []
+
+    def counted(f, rows, ncols, order=None):
+        orders.append(None if order is None else tuple(order))
+        return real(f, rows, ncols, order)
+
+    def refuse(*args):
+        raise RuntimeError("kernel_basis must eliminate once, with no rref")
+    rng = random.Random(7)
+    cases = [one_minus(Matrix(F3, [[1, 1], [0, 1]])), Matrix.identity(Q, 3), zeros(F5, 2, 4),
+             zeros(Q, 0, 3), _random_matrix(Q, rng, 4, 6), _random_matrix(F5, rng, 5, 3)]
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for m in cases:
+        orders.clear()
+        kernel_basis(m)
+        assert orders == [tuple(range(m.ncols - 1, -1, -1))]
 
 
 @st.composite

@@ -25,11 +25,15 @@ must be gamma - d(f tensor h) for the returned f and satisfy the
 distinguished constraints.
 
 The cut is a strictly increasing tuple of flat coordinates, and
-`representative_basis` eliminates Z only at the coordinates outside it.
-On random generators over F_3, F_5 and F_7 with n <= 4 and on signed
-permutations, its basis must equal, vector for vector, the RREF kernel
-basis of Z stacked on the unit rows at the cut (conftest.cut_matrix),
-and vanish on the cut.
+`representative_basis` eliminates the conditions once, visiting the
+coordinates outside the cut first, in descending order.  On random
+generators over F_3, F_5 and F_7 with n <= 4 and on signed permutations,
+its basis must equal, vector for vector, the RREF kernel basis of Z
+stacked on the unit rows at the cut (conftest.cut_matrix), and vanish on
+the cut.  On the same generators it must also equal the basis the
+conditions' natural RREF rows gave through two more eliminations
+(conftest.reference_representative_basis), from one `_eliminate` of the
+conditions and one `rref`, the rank of the coboundaries, per element.
 
 The cut holds no row for the other case conditions of the distinguished
 representatives, since the cocycle conditions imply them on it (the
@@ -44,6 +48,7 @@ codim 2, and no basis vector at all above codim 2.
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -67,8 +72,10 @@ from skewcoh import (
     representative_basis,
     wedge_pairs,
 )
+from skewcoh import linalg, oracle
 
-from conftest import assembled_complex, cut_matrix, reduced_conditions, reference_element
+from conftest import (assembled_complex, cut_matrix, reduced_conditions, reference_element,
+                      reference_representative_basis)
 from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
 
 MAX_ORDER = 30
@@ -233,3 +240,45 @@ def test_representatives_are_the_kernel_of_the_stacked_cut_over_prime_fields(gen
 @given(signed_permutations())
 def test_representatives_are_the_kernel_of_the_stacked_cut_on_signed_permutations(gen):
     check_cut_coordinates(*gen)
+
+
+def check_reference_representatives(field, rows):
+    gr = bounded_group(field, rows)
+    record = group_rows(gr)
+    for i in range(gr.order):
+        gr.element(i)               # the element records are derived once, here
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    def refuse(*args):
+        raise RuntimeError("representative_basis must read its kernel off one elimination")
+    bases = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_eliminate", counted("conditions", oracle._eliminate))
+        mp.setattr(linalg, "rref", counted("rref", linalg.rref))
+        mp.setattr(linalg, "_eliminate", counted("rref's", linalg._eliminate))
+        mp.setattr(linalg, "kernel_basis", refuse)
+        for i in range(gr.order):
+            calls.clear()
+            bases.append([c.flat() for c in representative_basis(gr, i, record)])
+            # the conditions once, and rank(cob), one rref
+            assert sorted(calls) == ["conditions", "rref", "rref's"], (rows, i, calls)
+    for i, basis in enumerate(bases):
+        assert basis == reference_representative_basis(gr, i, record), (rows, i)
+
+
+@SETTINGS
+@given(prime_generators())
+def test_representatives_are_the_eliminated_free_kernel_over_prime_fields(gen):
+    check_reference_representatives(*gen)
+
+
+@SETTINGS
+@given(signed_permutations())
+def test_representatives_are_the_eliminated_free_kernel_on_signed_permutations(gen):
+    check_reference_representatives(*gen)
