@@ -2,15 +2,20 @@
 
 Elements of F_p are plain ints in [0, p); rational scalars are
 fractions.Fraction.  These are the canonical scalars.  A Field object is
-the input boundary: `Field.coerce` takes ints, Fractions and 'a/b' strings
-(never floats or bools) to canonical scalars, and the field gives zero,
-one and the printed form.  `coerce` settles the common cases by exact
-type before any isinstance test: a plain int is reduced mod p (over Q it
-becomes a Fraction), and a Fraction over Q is already canonical and is
-returned as it is.  Everything else takes the general checks.  Only
-vectors and matrices from outside the package are coerced (see the linalg
-module docstring); what the package builds itself is canonical already
-and skips `coerce`.
+the input boundary: `Field.coerce` takes ints, Fractions, and integer and
+'a/b' strings (never floats or bools) to canonical scalars, and the field
+gives zero, one and the printed form.  A string must be an integer or a
+fraction: an optional sign, then digits, then optionally a slash and more
+digits ("-7", "3/4"), with whitespace around it but none inside.  Any
+other string is a ValueError, decimal and exponent forms ("1.5", "1e3")
+and digit-group underscores included: `Fraction` alone would read
+"1e10000000" as an integer of ten million digits.  `coerce` settles the
+common cases by exact type before any isinstance test: a plain int is
+reduced mod p (over Q it becomes a Fraction), and a Fraction over Q is
+already canonical and is returned as it is.  Everything else takes the
+general checks.  Only vectors and matrices from outside the package are
+coerced (see the linalg module docstring); what the package builds itself
+is canonical already and skips `coerce`.
 
 The package combines scalars inline, with one % p per result over F_p;
 `Field.add/sub/mul/neg/inv/div` serve the benchmark: its tracer binds all
@@ -20,11 +25,16 @@ six by name, and its reduce checks call add, sub and mul.  Characteristic
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction]
+
+# the strings `Field.coerce` reads; `re` compiles the pattern on the first
+# string entry, so a job of plain ints never pays for it
+_SCALAR_STRING = r"\s*[-+]?\d+(?:/\d+)?\s*"
 
 
 class CharacteristicTwoError(ValueError):
@@ -112,7 +122,13 @@ class Field:
     # -- element construction ------------------------------------------
 
     def coerce(self, x) -> Scalar:
-        """Bring an int, Fraction, or 'a/b' string into the field.
+        """Bring an int, a Fraction, or an integer or 'a/b' string into the
+        field.
+
+        A string must match `_SCALAR_STRING`: an optional sign, digits, and
+        optionally '/' and digits, with whitespace only around them.  Any
+        other string raises ValueError before `Fraction` reads it, so an
+        exponent form such as '1e10000000' costs nothing.
 
         A plain int, and a Fraction over Q, is settled by its exact type
         first: `isinstance(x, Fraction)` goes through the ABC machinery and
@@ -125,6 +141,8 @@ class Field:
         if t is Fraction and self.p is None:
             return x
         if isinstance(x, str):
+            if not re.fullmatch(_SCALAR_STRING, x):
+                raise ValueError("not an integer or 'a/b' fraction: %r" % (x,))
             try:
                 x = Fraction(x)
             except ZeroDivisionError:

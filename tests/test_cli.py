@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -424,6 +425,16 @@ def test_float_entry_rejected(job, capsys):
                                  "generator": [[1.5, 0], [0, 1]]})]) == EXIT_INPUT
 
 
+def test_an_exponent_string_is_refused_at_once(job, capsys):
+    # Fraction("1e10000000") alone takes seconds to build its ten-million-digit
+    # integer; the entry grammar refuses the string before Fraction reads it
+    path = job({"field": {"type": "prime", "p": 3}, "generator": [["1e10000000"]]})
+    start = time.perf_counter()
+    assert main(["analyze", path]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "not an integer or 'a/b' fraction: '1e10000000'" in capsys.readouterr().err
+
+
 # -- internal invariant failures ---------------------------------------------------
 
 # past the input boundary no exception is the input's fault, whatever its type
@@ -690,12 +701,99 @@ REWRITING_NAMES = ["ConfluenceReport", "DeformationParams", "PrerequisiteFailed"
 
 def test_import_loads_neither_dataclasses_nor_the_rewriting_layer():
     # a CLI process pays this import before every job; only deform needs the
-    # rewriting layer, and no record needs dataclasses
+    # rewriting layer, and no record needs dataclasses.  pyproject.toml
+    # declares no dependencies, so no test dependency may load either
     env = dict(os.environ, PYTHONPATH=SRC)
     r = subprocess.run([sys.executable, "-c", STARTUP, *REWRITING_NAMES],
                        capture_output=True, text=True, timeout=60, env=env, check=True)
     d = json.loads(r.stdout)
     assert "skewcoh.cli" in d["loaded"]
     assert not {"dataclasses", "skewcoh.deformation"} & set(d["loaded"]), d["loaded"]
+    assert not {"sympy", "hypothesis", "pytest"} & set(d["loaded"]), d["loaded"]
     assert d["same"] == [True] * (3 + len(REWRITING_NAMES))
     assert d["unknown"] == "module 'skewcoh' has no attribute 'no_such_name'"
+
+
+# -- the end-to-end table ------------------------------------------------------
+
+# Each row runs one command on one job (None: deform's builtin prime) and
+# reads its output, parsed when the command has --json and plain text
+# otherwise.  The command must exit 0, and READ[name](output) must equal
+# each expected value.  Where two commands on one job must agree, both rows
+# carry the same literal.
+READ = {
+    "verdict": lambda d: d["verdict"],
+    "hilbert": lambda d: d["hilbert"],
+    "hilbert line": lambda text: [ln.strip() for ln in text.splitlines()
+                                  if ln.strip().startswith("Hilbert count")],
+    "last line": lambda text: text.splitlines()[-1],
+    "order": lambda d: d["group"]["order"],
+    "codims": lambda d: sorted({e["codim"] for e in d["group"]["elements"]}),
+    "total": lambda d: d["formula"]["total_dim"],
+    "formula column": lambda d: [e["formula"] for e in d["oracle"]],
+    "oracle column": lambda d: [e["oracle"] for e in d["oracle"]],
+    "hh_dim": lambda d: [e["hh_dim"] for e in d["elements"]],
+    "basis sizes": lambda d: [len(e["basis"]) for e in d["elements"]],
+    "per-element totals": lambda d: [s["total"] for s in d["formula"]["per_element"]],
+    "nonmodular verdict": lambda d: d["nonmodular"]["verdict"],
+}
+
+# diag(3, 3, 2) over F_7: element 3 has codim 2 and hh = 1
+DIAG332_F7 = {"field": {"type": "prime", "p": 7}, "generator": [[3, 0, 0], [0, 3, 0], [0, 0, 2]]}
+CYCLE4_Q = {"field": {"type": "rational"},
+            "generator": [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}
+# J_2(1) + (2) over F_11, conjugated: 11 divides |G| = 110, and the elements
+# have codim 0, 1 and 2, so every summand kind occurs
+J2_F11 = {"field": {"type": "prime", "p": 11}, "generator": [[7, 6, 5], [5, 7, 6], [0, 1, 1]]}
+J2_F11_COLUMN = ([3] + [0] * 9) * 11
+
+CLI_TABLE = {
+    # the deform verdict and its degree-4 Hilbert block, 15p words at p
+    "deform-p13-json": (None, ["deform", "--deform-prime", "13", "--json"], {
+        "verdict": "pass", "hilbert": {"ok": True, "degree": 4, "count": 195, "expected": 195}}),
+    # plain text at p = 1009, where the tables have p^2 entries and the
+    # rewriting layer reads only their nonzeros
+    "deform-p1009-text": (None, ["deform", "--deform-prime", "1009"], {
+        "hilbert line": ["Hilbert count at degree 4: 15135 (expected 15135) pass"],
+        "last line": "verdict: pass"}),
+    "compare-diag332-f7": (DIAG332_F7, ["compare", "--json"], {
+        "verdict": "pass", "oracle column": [1, 0, 0, 1, 0, 0]}),
+    "reps-diag332-f7": (DIAG332_F7, ["reps", "--json"], {
+        "hh_dim": [1, 0, 0, 1, 0, 0], "basis sizes": [1, 0, 0, 1, 0, 0]}),
+    "compare-cycle4-q": (CYCLE4_Q, ["compare", "--json"], {
+        "verdict": "pass", "oracle column": [6, 0, 1, 0]}),
+    "reps-cycle4-q": (CYCLE4_Q, ["reps", "--json"], {
+        "hh_dim": [6, 0, 1, 0], "basis sizes": [6, 0, 1, 0]}),
+    "compare-j2-f11": (J2_F11, ["compare", "--json"], {
+        "verdict": "pass", "total": 33, "order": 110, "codims": [0, 1, 2],
+        "formula column": J2_F11_COLUMN}),
+    "analyze-j2-f11": (J2_F11, ["analyze", "--json", "--nonmodular-check"], {
+        "per-element totals": J2_F11_COLUMN, "nonmodular verdict": "not_applicable"}),
+}
+
+
+def _table_argv(row, job):
+    doc, argv, _ = CLI_TABLE[row]
+    return argv if doc is None else argv + [job(doc)]
+
+
+@pytest.mark.parametrize("row", CLI_TABLE)
+def test_cli_table(row, job, capsys):
+    argv = _table_argv(row, job)
+    assert main(argv) == EXIT_PASS, argv
+    out = capsys.readouterr().out
+    if "--json" in argv:
+        out = json.loads(out)
+    for name, want in CLI_TABLE[row][2].items():
+        assert READ[name](out) == want, (row, name)
+
+
+def test_cli_table_row_across_the_process_boundary(job, capsys):
+    # `python -m skewcoh.cli` runs the same main through the __main__ guard:
+    # same exit code, same stdout bytes
+    argv = _table_argv("compare-j2-f11", job)
+    code = main(argv)
+    out = capsys.readouterr().out
+    r = subprocess.run([sys.executable, "-m", "skewcoh.cli", *argv], capture_output=True,
+                       timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (r.returncode, r.stdout) == (code, out.encode()), r.stderr

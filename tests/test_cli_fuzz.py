@@ -4,8 +4,10 @@ Whatever the job file holds, `main` must return 0 (pass), 1 (verification
 failure) or 2 (input error, with an "error:" message), and no exception
 may escape it.  Jobs mix valid documents with non-objects, bad field specs,
 non-square and ragged generators, and entries that are floats, booleans,
-nulls, lists, non-numeric strings, "1/p", "inf", "1/0", and rationals with
-hundreds of digits; a file that is not a JSON job at all must be an input
+nulls, lists, non-numeric strings, "1/p", "inf", "1/0", rationals with
+hundreds of digits, and exponent strings such as "1e100000000", which
+`Fraction` would expand to a hundred million digits and which must be
+refused at once; a file that is not a JSON job at all must be an input
 error.  `--max-order` is small, so no job can run long, `deform` included;
 the primes are small as well.  Each listed
 hostile entry is also run once on its own, so coverage of the list does
@@ -26,7 +28,8 @@ FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200
                 suppress_health_check=[HealthCheck.too_slow])
 
 BAD_STRINGS = ["1/p", "inf", "-inf", "nan", "1/0", "abc", "", " ", "1e400", "0x10", "1/2/3",
-               "--1", "1.5", "-7/3", str(10 ** 300), "1/%d" % 10 ** 300, "%d/7" % 10 ** 200]
+               "--1", "1.5", "-7/3", str(10 ** 300), "1/%d" % 10 ** 300, "%d/7" % 10 ** 200,
+               "1e100000000", "1e-100000000"]
 
 hostile_entries = st.one_of(
     st.builds(lambda s, k: s * 10 ** k, st.sampled_from([1, -1]), st.integers(20, 400)),

@@ -3,11 +3,14 @@ F_p dot product of `Matrix.apply`, and the trusted twins the package uses
 on its own canonical vectors.
 
 `reference_coerce` is `Field.coerce` as it was before it dispatched on
-exact type; the new one must agree with it on every input, in value, in
-type and in the exception it raises.
+exact type, with strings limited to an optionally signed integer or one
+over an unsigned integer, with surrounding whitespace; the new one must
+agree with it on every input, in value, in type and in the exception it
+raises.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,8 @@ FIELDS = [Field.prime(3), Field.prime(5), Field.prime(7), Field.rational()]
 
 def reference_coerce(field, x):
     if isinstance(x, str):
+        if not re.fullmatch(r"\s*[-+]?\d+(/\d+)?\s*", x):
+            raise ValueError(x)
         x = Fraction(x)
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError("cannot coerce %r into %r" % (x, field))

@@ -104,6 +104,18 @@ def test_coerce_rejects_junk():
         f.coerce("1/3")
 
 
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rational()], ids=repr)
+def test_coerce_reads_only_integer_and_fraction_strings(field):
+    # whitespace around the number, and a sign on the numerator, as Fraction
+    # reads them
+    assert field.coerce(" +6/4\n") == field.coerce(Fraction(3, 2))
+    assert field.coerce("\t-7 ") == field.coerce(-7)
+    for s in ("1.5", "1e3", "1E3", "-2e-1", ".5", "3.", "1_000", "1 / 2", "1/-2", "+1/+2",
+              "1e10000000", "1/2/3", "0x10", "inf"):
+        with pytest.raises(ValueError, match="not an integer or 'a/b' fraction"):
+            field.coerce(s)
+
+
 def test_inverse_errors():
     for f in (Field.prime(7), Field.rational()):
         with pytest.raises(NotInvertibleError):

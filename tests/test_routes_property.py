@@ -16,6 +16,13 @@ complex assembled without the per-element split
 and coboundary rank must be the sums of the per-element z and b; its
 matrices grow with |G| * dim, so larger orders would dominate the run.
 
+The same checks run in the paper's modular regime up to n = 6
+(`modular_jordan_generators`): a Jordan block J_k(lam), k = 2..4, next to
+one or two lines, over F_3, F_5 and F_7, conjugated, with p dividing
+|G| <= 200.  An n = 6 group of order 20 to 42 takes about a second, so the
+example count is small; most draws hold codim-1 and codim-2 elements in
+one group, and a test counts them over 100 draws.
+
 `reduce_to_representative` tests membership against the condition rows as
 built, not the RREF rows that the oracle's `_cohomology` keeps.  On the same
 groups, a random cochain must be refused with `NotACocycleError` exactly
@@ -76,11 +83,13 @@ from skewcoh import linalg, oracle
 
 from conftest import (assembled_complex, cut_matrix, reduced_conditions, reference_element,
                       reference_representative_basis)
-from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
+from test_trusted_builders import (MODULAR_MAX_ORDER, SETTINGS, modular_jordan_generators,
+                                   prime_generators, signed_permutations)
 
 MAX_ORDER = 30
 ASSEMBLED_MAX_ORDER = 12
 ROUTES = settings(SETTINGS, max_examples=60)
+MODULAR = settings(SETTINGS, max_examples=8)
 
 
 def random_cocycle(gr, i, rng):
@@ -100,24 +109,24 @@ def diag_products(draw):
     return f, [[a, 0, 0], [0, b, 0], [0, 0, a * b]]
 
 
-def bounded_group(field, rows):
+def bounded_group(field, rows, max_order=MAX_ORDER):
     try:
-        return group_from_generator(field, rows, order_bound=MAX_ORDER)
+        return group_from_generator(field, rows, order_bound=max_order)
     except OrderExceedsBoundError:
         assume(False)
 
 
-def check_routes(field, rows, seed):
-    gr = bounded_group(field, rows)
+def check_routes(field, rows, seed, max_order=MAX_ORDER):
+    gr = bounded_group(field, rows, max_order)
     rng = random.Random(seed)
     formula = full_report(gr).per_element
     report = oracle_report(gr)
     record = group_rows(gr)
     for i, complex_ in enumerate(report):
-        assert formula[i].total == complex_.hh_dim, (rows, i)
-        assert len(representative_basis(gr, i, record)) == complex_.hh_dim
+        assert formula[i].total == complex_.hh_dim, (field, rows, i)
+        assert len(representative_basis(gr, i, record)) == complex_.hh_dim, (field, rows, i)
         rep, _ = reduce_to_representative(gr, random_cocycle(gr, i, rng))
-        assert reduce_to_representative(gr, rep)[0] == rep
+        assert reduce_to_representative(gr, rep)[0] == rep, (field, rows, i)
     if gr.order <= ASSEMBLED_MAX_ORDER:
         cond, cob = assembled_complex(gr)
         assert (cond @ cob).is_zero(), rows
@@ -135,6 +144,25 @@ def test_formula_equals_oracle_over_prime_fields(gen, seed):
 @given(signed_permutations(), st.integers(0, 2 ** 16))
 def test_formula_equals_oracle_on_signed_permutations(gen, seed):
     check_routes(*gen, seed)
+
+
+@MODULAR
+@given(modular_jordan_generators(), st.integers(0, 2 ** 16))
+def test_formula_equals_oracle_in_the_modular_regime(gen, seed):
+    check_routes(*gen, seed, max_order=MODULAR_MAX_ORDER)
+
+
+def test_modular_draws_meet_codim_1_and_codim_2_in_one_group():
+    met = []
+
+    @settings(MODULAR, max_examples=100)
+    @given(modular_jordan_generators())
+    def draw(gen):
+        gr = group_from_generator(*gen, order_bound=MODULAR_MAX_ORDER)
+        met.append({1, 2} <= {gr.element(i).codim for i in range(gr.order)})
+
+    draw()
+    assert 2 * sum(met) > len(met) >= 50, (sum(met), len(met))
 
 
 def check_reduce_membership(field, rows, seed):

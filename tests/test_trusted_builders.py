@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from skewcoh import (
     Field,
     Matrix,
+    OrderExceedsBoundError,
     coboundary_matrix,
     cocycle_conditions,
     group_from_generator,
@@ -50,6 +51,41 @@ def prime_generators(draw, max_n=4, min_n=1, sparse=st.booleans(), primes=(3, 5,
         rows = [[x + (r == c) for c, x in enumerate(row)] for r, row in enumerate(rows)]
     assume(Matrix(f, rows).det() != 0)
     return f, rows
+
+
+MODULAR_MAX_ORDER = 200
+
+
+@st.composite
+def modular_jordan_generators(draw):
+    """The paper's modular regime over F_3, F_5 or F_7, with n = 3..6: one
+    Jordan block J_k(lam), 2 <= k <= 4 and lam = 1 in about half the
+    draws, then one or two lines J_1(mu) with mu != 1, then the identity,
+    conjugated by a random integer matrix; kept when p divides
+    |G| <= MODULAR_MAX_ORDER.  The block makes g non-diagonalizable and p
+    divide |G|.  A codim-1 element moves a single line, which more moved
+    blocks rarely leave room for, so this is the shape in which codim-1 and
+    codim-2 elements most often meet in one group."""
+    f = Field.prime(draw(st.sampled_from([3, 5, 7])))
+    n = draw(st.integers(3, 6))
+    k = draw(st.sampled_from([k for k in (2, 2, 3, 4) if k < n]))
+    lines = draw(st.integers(1, min(2, n - k)))
+    diag = ([draw(st.one_of(st.just(1), st.integers(1, f.p - 1)))] * k
+            + [draw(st.integers(2, f.p - 1)) for _ in range(lines)] + [1] * (n - k - lines))
+    rows = [[0] * n for _ in range(n)]
+    for r, x in enumerate(diag):
+        rows[r][r] = x
+    for r in range(k - 1):
+        rows[r][r + 1] = 1                  # the superdiagonal of J_k(lam)
+    try:
+        order = group_from_generator(f, rows, order_bound=MODULAR_MAX_ORDER).order
+    except OrderExceedsBoundError:
+        assume(False)
+    assume(order % f.p == 0)
+    u = Matrix(f, draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                min_size=n, max_size=n)))
+    assume(u.det() != 0)
+    return f, [list(row) for row in (u @ Matrix(f, rows) @ u.inverse()).rows]
 
 
 @st.composite
