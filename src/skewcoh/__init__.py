@@ -24,7 +24,6 @@ from .group_action import (
     ElementData,
     NotGStableError,
     OrderExceedsBoundError,
-    SummandDims,
     chi_invariants,
     group_from_generator,
     kron,

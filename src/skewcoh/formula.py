@@ -12,9 +12,9 @@ codimension at most 2 survive).
 
 Every summand is a function of the subgroup <h> (the `group_action`
 docstring), so the codim-1 and codim-2 summands read their chi_h-invariant
-dimensions off `CyclicGroup.summand_dims`, derived once per divisor of
-|G| from g's actions on V/V_h and (V^h)*, which are not kept.  The report
-still has one summand per element; each call reads two ints.
+dimension off `CyclicGroup.summand_dim`, derived once per divisor of |G|
+from g's action on V/V_h, and at codim 1 on (V^h)*, which are not kept.
+The report still has one summand per element; each call reads one int.
 
 In the coprime case, whether the characteristic polynomial of g splits
 over F is read off N = |G| and p = char F: it splits iff N divides p - 1
@@ -79,7 +79,7 @@ def codim1_contribution(gr: CyclicGroup, i: int) -> SummandReport:
         raise WrongCaseError("element %d has codim %d, expected 1" % (i, ed.codim))
     chi = ed.chi_of_generator
     piece_f = 1 if chi == gr.field.one() else 0
-    piece_t = gr.summand_dims(i).tensor
+    piece_t = gr.summand_dim(i)
     pieces = (("F^{chi_h}", piece_f), ("(V/V_h tensor (V^h)*)^{chi_h}", piece_t))
     return SummandReport(i, "codim1", pieces, piece_f + piece_t)
 
@@ -88,7 +88,7 @@ def codim2_contribution(gr: CyclicGroup, i: int) -> SummandReport:
     ed = gr.element(i)
     if ed.codim != 2:
         raise WrongCaseError("element %d has codim %d, expected 2" % (i, ed.codim))
-    piece = gr.summand_dims(i).quotient
+    piece = gr.summand_dim(i)
     return SummandReport(i, "codim2", (("(V/V_h)^{chi_h}", piece),), piece)
 
 

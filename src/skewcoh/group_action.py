@@ -6,25 +6,25 @@ space V^h = ker(1-h), the moved space V_h = im(1-h), the codimension,
 and the character value chi_h(g) = det of g acting on V/V^h.  Three
 induced modules feed the summands, all with the contragredient convention
 (^g f)(m) = f(^{g^{-1}} m): `CyclicGroup.induced_action(i)` is h on
-V tensor wedge^2 V*, its one module, and `CyclicGroup.summand_dims` reads
-the chi_h-invariants of g on V/V_h and on V/V_h tensor (V^h)*.  No inverse
-is computed: h^{-1} = g^{N-i} is a stored power, wedge^2 of a transpose is
-the transpose of wedge^2, and g^{-1} restricted to the g-stable V^h is the
-inverse of g there, so each dual action is a transpose (`Matrix.inverse`
-is kept only for the benchmark's tracer).  An empty module is a 0x0
-matrix, which the linear algebra handles like any other (det 1, a 0x0
-transpose, a 0x0 Kronecker product, rank 0 and so chi-invariants of
-dimension 0), so no caller tests for one.
+V tensor wedge^2 V*, its one module, and `CyclicGroup.summand_dim` reads
+the chi_h-invariants of g on V/V_h (codim 2) or on V/V_h tensor (V^h)*
+(codim 1).  No inverse is computed: h^{-1} = g^{N-i} is a stored power,
+wedge^2 of a transpose is the transpose of wedge^2, and g^{-1} restricted
+to the g-stable V^h is the inverse of g there, so each dual action is a
+transpose (`Matrix.inverse` is kept only for the benchmark's tracer).  An
+empty module is a 0x0 matrix, which the linear algebra handles like any
+other (det 1, a 0x0 transpose, a 0x0 Kronecker product, rank 0 and so
+chi-invariants of dimension 0), so no caller tests for one.
 
 All of this depends only on the subgroup <g^i>, so `CyclicGroup.element`
 derives it once per divisor d of N = |G|, at h = g^d, and `element(i)`
 returns the record of <g^i>, that of d = gcd(i, N).  What belongs to the
 element alone is g^i itself (`CyclicGroup.power`) and det(g^i), which
-`CyclicGroup.det` gives as det(g)^i.  `CyclicGroup.summand_dims` likewise
-derives, once per divisor and when a summand first reads it, the two
-chi_h-invariant dimensions the codim-1 and codim-2 summands read; it keeps
-the two ints, not the action matrices they come from.  Why g^i shares the
-data of h:
+`CyclicGroup.det` gives as det(g)^i.  `CyclicGroup.summand_dim` likewise
+derives, once per divisor and when a summand first reads it, the one
+chi_h-invariant dimension the codim-1 or codim-2 summand reads; it keeps
+the int, not the action matrix it comes from.  Why g^i shares the data
+of h:
 
 * g^i and h generate the same subgroup.  Write i = d k; then k is prime
   to N/d, the order of h, so g^i = h^k and h = (h^k)^{k'} with
@@ -151,14 +151,6 @@ class ElementData(NamedTuple):
     transvection: bool           # codim 1 and (1-h)^2 = 0
 
 
-class SummandDims(NamedTuple):
-    """The chi_h-invariant dimensions the codim-1 and codim-2 summands
-    read at h = g^i, of g's actions on modules of the subgroup <h>, so
-    every generator of <h> shares one record (module docstring)."""
-    quotient: int                # dim (V/V_h)^{chi_h}
-    tensor: int                  # dim (V/V_h tensor (V^h)*)^{chi_h}
-
-
 class CyclicGroup:
     """The cyclic group generated by an invertible matrix, with cached powers."""
 
@@ -186,7 +178,7 @@ class CyclicGroup:
         self.powers = powers
         self._det = det
         self._classes: dict[int, ElementData] = {}     # keyed by gcd(i, N)
-        self._summand_dims: dict[int, SummandDims] = {}  # keyed by gcd(i, N)
+        self._summand_dim: dict[int, int] = {}         # keyed by gcd(i, N)
         self._transfer: Optional[Subspace] = None
 
     def power(self, i: int) -> Matrix:
@@ -222,23 +214,24 @@ class CyclicGroup:
             chi_of_generator=quotient_matrix(self.generator, fixed).det(),
             transvection=is_transvection(h_minus_1, codim))
 
-    def summand_dims(self, i: int) -> SummandDims:
-        """The chi_h-invariant dimensions the codim-1 and codim-2 summands
-        read at h = g^i, from the actions of g on V/V_h and on (V^h)*.
-        Derived on first use, once per subgroup <h> (module docstring),
-        and only the two ints are kept: the oracle and the group summary
-        never read them."""
+    def summand_dim(self, i: int) -> int:
+        """The chi_h-invariant dimension the summand of h = g^i reads:
+        dim (V/V_h)^{chi_h} at codim 2 and dim (V/V_h tensor (V^h)*)^{chi_h}
+        at codim 1, from the actions of g on V/V_h and on (V^h)*.  Derived
+        on first use, once per subgroup <h> (module docstring); only the
+        int is kept.  No other codim has such a summand: ValueError."""
         d = math.gcd(i % self.order, self.order)
-        dims = self._summand_dims.get(d)
-        if dims is None:
+        dim = self._summand_dim.get(d)
+        if dim is None:
             ed = self.element(d)
-            chi = ed.chi_of_generator
-            quot = quotient_matrix(self.generator, ed.moved_space)
-            dual_fixed = restricted_matrix(self.power(-1), ed.fixed_space).transpose()
-            dims = self._summand_dims[d] = SummandDims(
-                quotient=chi_invariants(quot, chi),
-                tensor=chi_invariants(kron(quot, dual_fixed), chi))
-        return dims
+            if ed.codim not in (1, 2):
+                raise ValueError("element %d has codim %d, not 1 or 2" % (i, ed.codim))
+            action = quotient_matrix(self.generator, ed.moved_space)
+            if ed.codim == 1:
+                dual_fixed = restricted_matrix(self.power(-1), ed.fixed_space).transpose()
+                action = kron(action, dual_fixed)
+            dim = self._summand_dim[d] = chi_invariants(action, ed.chi_of_generator)
+        return dim
 
     def transfer(self) -> Subspace:
         """im T for the transfer T = sum of the powers of g; it lies in V^G."""

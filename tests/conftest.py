@@ -9,8 +9,9 @@ kernel and the distinguished representatives as they were once read off
 three eliminations, the references for the one reversed-order
 elimination of `kernel_basis` and `representative_basis`, the
 entrywise alpha-twist rows of condition (2), the reference for the
-oracle's Kronecker form, and the dense square bracket, the reference for
-the deformation layer's sparse one."""
+oracle's Kronecker form, the dense square bracket, the reference for
+the deformation layer's sparse one, and the helpers several test modules
+share (`full`, `random_cocycle`, `trial_division_is_prime`)."""
 
 from fractions import Fraction
 from typing import List, Tuple
@@ -18,6 +19,7 @@ from typing import List, Tuple
 import pytest
 
 from skewcoh import (
+    CochainTwo,
     CohomologyReport,
     CyclicGroup,
     Field,
@@ -26,6 +28,7 @@ from skewcoh import (
     Subspace,
     SummandReport,
     cochain_dim,
+    cocycle_conditions,
     distinguished_constraints,
     eigenspace,
     group_from_generator,
@@ -154,6 +157,35 @@ def span(field: Field, ambient: int, rows=()) -> Subspace:
     """The span of rows in F^ambient, coerced: the column space of their
     transpose."""
     return image_basis(Matrix(field, rows, ncols=ambient).transpose())
+
+
+def full(field: Field, ambient: int) -> Subspace:
+    """The whole of F^ambient."""
+    return span(field, ambient, Matrix.identity(field, ambient).rows)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division, the reference for the library's test."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def random_cocycle(gr: CyclicGroup, i: int, rng, low: int = 0, high: int = 6) -> CochainTwo:
+    """A random element of Z at h = g^i (possibly zero): the kernel basis
+    rows of the conditions, each times rng.randint(low, high), drawn in
+    row order."""
+    f = gr.field
+    flat = [f.zero()] * cochain_dim(gr.n)
+    for row in kernel_basis(cocycle_conditions(gr, i)).basis.rows:
+        c = f.coerce(rng.randint(low, high))
+        flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, row)]
+    return CochainTwo.from_flat(f, gr.n, i, flat)
 
 
 def cut_matrix(gr: CyclicGroup, i: int) -> Matrix:
@@ -356,8 +388,9 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
 
 
 def reference_element(gr: CyclicGroup, i: int) -> dict:
-    """What `gr.element(i)` and `gr.det(i)` report, and the two actions of
-    g that `gr.summand_dims(i)` reads, derived from h = g^i alone: no data
+    """What `gr.element(i)` and `gr.det(i)` report, and the actions of g
+    that `gr.summand_dim(i)` reads (on V/V_h, and at codim 1 on (V^h)*),
+    derived from h = g^i alone: no data
     is shared between elements, det(h) is an elimination, and both induced
     actions of g come straight from `quotient_matrix` and
     `restricted_matrix`.  It keeps its own

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import SUITE, cut_matrix, suite_group
+from conftest import SUITE, cut_matrix, random_cocycle, suite_group
 from skewcoh import (
     Field,
     builtin_transvection_gamma,
@@ -32,8 +32,6 @@ from skewcoh import (
 from skewcoh.group_action import group_from_generator
 from skewcoh.linalg import Matrix, char_poly, kernel_basis, poly_splits
 from skewcoh.oracle import (
-    CochainTwo,
-    cochain_dim,
     coboundary_matrix,
     cocycle_conditions,
     group_rows,
@@ -49,16 +47,6 @@ def announce(capsys):
             print("criterion %d: %s - %s" % (num, "PASS" if ok else "FAIL", detail))
         assert ok, "criterion %d: %s" % (num, detail)
     return _announce
-
-
-def random_cocycle(gr, i, rng):
-    f = gr.field
-    ker = kernel_basis(cocycle_conditions(gr, i))
-    flat = [f.zero()] * cochain_dim(gr.n)
-    for row in ker.basis.rows:
-        c = f.coerce(rng.randint(0, 6))
-        flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, row)]
-    return CochainTwo.from_flat(f, gr.n, i, flat)
 
 
 def test_criterion_1_transvection_dimension(announce):

@@ -27,18 +27,9 @@ from skewcoh.group_action import OrderExceedsBoundError, sym_pairs, wedge_pairs
 from skewcoh.oracle import _jacobi_rows, _negated, group_rows
 
 from conftest import elementary_conjugate, one_minus, reference_twist, suite_group
-from test_trusted_builders import SETTINGS, prime_generators
+from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
 
 ORDER_BOUND = 1000
-
-
-@st.composite
-def signed_permutations(draw, max_n=5):
-    n = draw(st.integers(1, max_n))
-    perm = draw(st.permutations(range(n)))
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
-    return Field.rational(), [[signs[i] if j == perm[i] else 0 for j in range(n)]
-                              for i in range(n)]
 
 
 def every_jacobi_row(f, dim, one_minus_h, at):
@@ -106,7 +97,7 @@ def test_sparse_prime_field_conditions_have_no_zero_row_and_the_same_rref(gen, i
 
 
 @SETTINGS
-@given(signed_permutations(), st.integers(0, 50))
+@given(signed_permutations(max_n=5), st.integers(0, 50))
 def test_rational_conditions_have_no_zero_row_and_the_same_rref(gen, i):
     check_conditions(*gen, i)
 

@@ -8,6 +8,8 @@ import pytest
 from skewcoh import CharacteristicTwoError, Field, NotInvertibleError
 from skewcoh.fields import _is_prime
 
+from conftest import trial_division_is_prime
+
 
 def test_prime_field_construction():
     f = Field.prime(5)
@@ -26,17 +28,6 @@ def test_nonprime_rejected():
     for bad in (1, 4, 9, 15, 0, -3, None, 3.0, "3", True):
         with pytest.raises(ValueError):
             Field.prime(bad)
-
-
-def trial_division_is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def test_is_prime_matches_trial_division():

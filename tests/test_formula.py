@@ -114,7 +114,7 @@ def test_transvection_family_is_2p():
 def test_full_report_takes_chi_invariants_once_per_subgroup(monkeypatch):
     # the F_p transvection has one proper subgroup, of order 1, and one of
     # order p: the identity summand takes one chi-invariant dimension and
-    # `summand_dims` two for all p - 1 codim-1 elements, whatever p is
+    # `summand_dim` one for all p - 1 codim-1 elements, whatever p is
     calls = []
     chi_invariants = group_action.chi_invariants
 
@@ -130,7 +130,7 @@ def test_full_report_takes_chi_invariants_once_per_subgroup(monkeypatch):
         rep = full_report(group_from_generator(Field.prime(p), [[1, 1], [0, 1]]))
         assert rep.total_dim == 2 * p and len(rep.per_element) == p
         counts.append(len(calls))
-    assert counts == [3, 3]
+    assert counts == [2, 2]
 
 
 def test_trivial_n3_total():

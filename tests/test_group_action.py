@@ -25,15 +25,11 @@ from skewcoh import (
 
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import dual_matrix, span, suite_group, transfer_matrix
+from conftest import dual_matrix, full, span, suite_group, transfer_matrix
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 Q = Field.rational()
-
-
-def full(field, n):
-    return span(field, n, Matrix.identity(field, n).rows)
 
 
 # -- construction and order -------------------------------------------------

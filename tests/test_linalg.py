@@ -32,16 +32,12 @@ from skewcoh import linalg
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 from skewcoh.oracle import _signed_shifts
 
-from conftest import (difference, dual_matrix, fraction_rref, one_minus, reference_kernel_basis,
-                      span, zeros)
+from conftest import (difference, dual_matrix, fraction_rref, full, one_minus,
+                      reference_kernel_basis, span, zeros)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 Q = Field.rational()
-
-
-def full(field, ambient):
-    return span(field, ambient, Matrix.identity(field, ambient).rows)
 
 
 # -- rref ----------------------------------------------------------------

@@ -49,7 +49,7 @@ from skewcoh.cli import EXIT_FAIL, EXIT_PASS, main
 
 from conftest import (
     JORDAN2_REFL_I5_F3, JORDAN2_REFL_I5_F3_ZB, SUITE, assembled_complex, cut_matrix,
-    reduced_conditions, span, suite_group)
+    random_cocycle, reduced_conditions, span, suite_group)
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -57,17 +57,6 @@ F5 = Field.prime(5)
 
 def in_kernel(m, v):
     return all(x == 0 for x in m.apply(v))
-
-
-def random_cocycle(gr, i, rng):
-    """Random element of Z at h = g^i (possibly zero)."""
-    f = gr.field
-    ker = kernel_basis(cocycle_conditions(gr, i))
-    flat = [f.zero()] * cochain_dim(gr.n)
-    for row in ker.basis.rows:
-        c = f.coerce(rng.randint(0, 6))
-        flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, row)]
-    return CochainTwo.from_flat(f, gr.n, i, flat)
 
 
 # -- cochain plumbing -----------------------------------------------------

@@ -16,7 +16,6 @@ from skewcoh import (
     Field,
     GroupRows,
     NonmodularReport,
-    SummandDims,
     SummandReport,
     full_report,
     group_from_generator,
@@ -40,7 +39,6 @@ def cochain(gr):
 RECORDS = [
     (ElementData, ["fixed_space", "moved_space", "codim", "chi_of_generator", "transvection"],
      lambda gr: gr.element(1)),
-    (SummandDims, ["quotient", "tensor"], lambda gr: gr.summand_dims(1)),
     (SummandReport, ["element_index", "case", "pieces", "total"],
      lambda gr: full_report(gr).per_element[1]),
     (CohomologyReport, ["per_element", "total_dim"], full_report),

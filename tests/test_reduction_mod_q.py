@@ -42,7 +42,7 @@ import pytest
 
 from skewcoh import Field, cochain_dim, full_report, group_from_generator, oracle_report
 
-from conftest import elementary_conjugate
+from conftest import elementary_conjugate, trial_division_is_prime
 
 COMPANION = {"Phi3": [[0, -1], [1, -1]], "Phi4": [[0, -1], [1, 0]], "Phi6": [[0, -1], [1, 1]]}
 SCALAR = {"-1": [[-1]], "+1": [[1]]}
@@ -68,14 +68,10 @@ def direct_sum(blocks):
     return out
 
 
-def is_prime(q):
-    return q > 1 and all(q % d for d in range(2, int(q ** 0.5) + 1))
-
-
 def good_primes(n, order, count=2):
     """The `count` smallest primes q > cochain_dim(n) with q not dividing order."""
     return list(itertools.islice((q for q in itertools.count(cochain_dim(n) + 1)
-                                  if is_prime(q) and order % q), count))
+                                  if trial_division_is_prime(q) and order % q), count))
 
 
 def conjugated_generator(names, seed):

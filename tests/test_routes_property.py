@@ -81,8 +81,8 @@ from skewcoh import (
 )
 from skewcoh import linalg, oracle
 
-from conftest import (assembled_complex, cut_matrix, reduced_conditions, reference_element,
-                      reference_representative_basis)
+from conftest import (assembled_complex, cut_matrix, random_cocycle, reduced_conditions,
+                      reference_element, reference_representative_basis)
 from test_trusted_builders import (MODULAR_MAX_ORDER, SETTINGS, modular_jordan_generators,
                                    prime_generators, signed_permutations)
 
@@ -90,15 +90,6 @@ MAX_ORDER = 30
 ASSEMBLED_MAX_ORDER = 12
 ROUTES = settings(SETTINGS, max_examples=60)
 MODULAR = settings(SETTINGS, max_examples=8)
-
-
-def random_cocycle(gr, i, rng):
-    f = gr.field
-    flat = [f.zero()] * cochain_dim(gr.n)
-    for row in kernel_basis(cocycle_conditions(gr, i)).basis.rows:
-        c = f.coerce(rng.randint(-3, 3))
-        flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, row)]
-    return CochainTwo.from_flat(f, gr.n, i, flat)
 
 
 @st.composite
@@ -125,7 +116,7 @@ def check_routes(field, rows, seed, max_order=MAX_ORDER):
     for i, complex_ in enumerate(report):
         assert formula[i].total == complex_.hh_dim, (field, rows, i)
         assert len(representative_basis(gr, i, record)) == complex_.hh_dim, (field, rows, i)
-        rep, _ = reduce_to_representative(gr, random_cocycle(gr, i, rng))
+        rep, _ = reduce_to_representative(gr, random_cocycle(gr, i, rng, -3, 3))
         assert reduce_to_representative(gr, rep)[0] == rep, (field, rows, i)
     if gr.order <= ASSEMBLED_MAX_ORDER:
         cond, cob = assembled_complex(gr)
@@ -177,7 +168,7 @@ def check_reduce_membership(field, rows, seed):
     flats = [[f.coerce(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(cond.ncols)]
              for _ in range(3)]
     for gamma in [CochainTwo.from_flat(f, gr.n, i, v) for v in flats] + \
-            [random_cocycle(gr, i, rng)]:
+            [random_cocycle(gr, i, rng, -3, 3)]:
         flat = gamma.flat()
         try:
             rep, w = reduce_to_representative(gr, gamma)

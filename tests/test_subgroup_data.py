@@ -2,15 +2,16 @@
 
 `element(i)` returns the record derived at d = gcd(i, |G|), the same
 object for every generator of <g^i>, and `det(i)` gives det(g)^i;
-`summand_dims` derives the two chi_h-invariant dimensions the summands
-read once per subgroup as well.  On random groups whose orders have
-several divisors, every element must report what `reference_element`
+`summand_dim` derives the one chi_h-invariant dimension a codim-1 or
+codim-2 summand reads once per subgroup as well, with one
+`chi_invariants` call.  On random groups whose orders have several
+divisors, every element must report what `reference_element`
 (tests/conftest.py) derives from g^i alone: fixed space, moved space,
 codim, chi_h(g), det, the transvection flag, and the chi_h-invariants of
-g on V/V_h and on V/V_h tensor (V^h)*, taken by `chi_invariants` of the
-two reference actions.  The whole formula report must equal
-`reference_report`, built one element at a time with `quotient_matrix`
-and `restricted_matrix`.
+g on V/V_h at codim 2 and on V/V_h tensor (V^h)* at codim 1, taken by
+`chi_invariants` of the reference actions.  The whole formula report must
+equal `reference_report`, built one element at a time with
+`quotient_matrix` and `restricted_matrix`.
 
 diag(-1, 2) over F_7 has order 6, and g^2 = diag(1, 4) and g^3 = diag(-1, 1)
 are both reflections with different mirrors, so class data keyed by codim
@@ -33,6 +34,7 @@ from skewcoh import (
     group_from_generator,
     kron,
 )
+from skewcoh import group_action
 
 from conftest import SUITE, reference_element, reference_report, suite_group
 from test_trusted_builders import SETTINGS, prime_generators, signed_permutations
@@ -62,17 +64,34 @@ def divisor_count(n):
 
 
 def check_against_reference(gr):
-    for i in range(gr.order):
-        ed = gr.element(i)
-        assert ed is gr.element(math.gcd(i, gr.order))
-        ref = reference_element(gr, i)
-        assert {k: getattr(ed, k) for k in FIELDS} == {k: ref[k] for k in FIELDS}, (gr.generator, i)
-        assert gr.det(i) == ref["det"] == gr.power(i).det(), (gr.generator, i)
-        quot, chi = ref["quotient_action"], ref["chi_of_generator"]
-        dims = gr.summand_dims(i)
-        assert dims is gr.summand_dims(math.gcd(i, gr.order))
-        assert dims == (chi_invariants(quot, chi),
-                        chi_invariants(kron(quot, ref["dual_fixed_action"]), chi)), (gr.generator, i)
+    """gr must be new: no `summand_dim` taken yet, so that each codim-1 or
+    codim-2 divisor of |G| is counted as one `chi_invariants` call."""
+    calls, divisors = [], set()
+
+    def counted(*args):
+        calls.append(args)
+        return chi_invariants(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group_action, "chi_invariants", counted)
+        for i in range(gr.order):
+            ed = gr.element(i)
+            assert ed is gr.element(math.gcd(i, gr.order))
+            ref = reference_element(gr, i)
+            assert {k: getattr(ed, k) for k in FIELDS} == {k: ref[k] for k in FIELDS}, (gr.generator, i)
+            assert gr.det(i) == ref["det"] == gr.power(i).det(), (gr.generator, i)
+            quot, chi = ref["quotient_action"], ref["chi_of_generator"]
+            if ref["codim"] == 1:
+                piece = chi_invariants(kron(quot, ref["dual_fixed_action"]), chi)
+            elif ref["codim"] == 2:
+                piece = chi_invariants(quot, chi)
+            else:
+                with pytest.raises(ValueError):
+                    gr.summand_dim(i)
+                continue
+            assert gr.summand_dim(i) == piece, (gr.generator, i)
+            divisors.add(math.gcd(i, gr.order))
+    assert len(calls) == len(divisors), (gr.generator, calls)
     assert full_report(gr) == reference_report(gr)
 
 
@@ -100,6 +119,19 @@ def test_equal_codim_subgroups_with_different_mirrors():
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_suite_groups_match_reference(name):
     check_against_reference(suite_group(name))
+
+
+def test_codim2_summand_builds_no_dual_action(monkeypatch):
+    # element 3 of diag(3, 3, 2) over F_7 is diag(6, 6, 1), of codim 2: its
+    # summand reads g on V/V_h alone, so neither (V^h)* nor a tensor is built
+    gr = group_from_generator(Field.prime(7), [[3, 0, 0], [0, 3, 0], [0, 0, 2]])
+    assert gr.element(3).codim == 2
+
+    def refuse(*args):
+        raise AssertionError("a codim-2 summand builds no dual action or tensor")
+    for name in ("restricted_matrix", "kron"):
+        monkeypatch.setattr(group_action, name, refuse)
+    assert gr.summand_dim(3) == 1
 
 
 def test_elements_of_one_subgroup_share_their_spaces():

@@ -89,8 +89,8 @@ def modular_jordan_generators(draw):
 
 
 @st.composite
-def signed_permutations(draw):
-    n = draw(st.integers(1, 4))
+def signed_permutations(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
     perm = draw(st.permutations(range(n)))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
     return Field.rational(), [[signs[i] if j == perm[i] else 0 for j in range(n)]
@@ -114,7 +114,7 @@ def check_builders(field, rows, i):
     gr = group_from_generator(field, rows)
     i %= gr.order
     h, ed = gr.power(i), gr.element(i)
-    # g's actions on V/V_h and (V^h)*, built as `CyclicGroup.summand_dims` builds them
+    # g's actions on V/V_h and (V^h)*, built as `CyclicGroup.summand_dim` builds them
     quot = quotient_matrix(gr.generator, ed.moved_space)
     dual_fixed = restricted_matrix(gr.power(-1), ed.fixed_space).transpose()
     built = [
