@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process via main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -737,6 +738,10 @@ READ = {
     "per-element totals": lambda d: [s["total"] for s in d["formula"]["per_element"]],
     "nonmodular verdict": lambda d: d["nonmodular"]["verdict"],
 }
+# readers of the stdout text itself, --json or not
+READ_TEXT = {
+    "stdout sha256": lambda text: hashlib.sha256(text.encode()).hexdigest(),
+}
 
 # diag(3, 3, 2) over F_7: element 3 has codim 2 and hh = 1
 DIAG332_F7 = {"field": {"type": "prime", "p": 7}, "generator": [[3, 0, 0], [0, 3, 0], [0, 0, 2]]}
@@ -746,6 +751,11 @@ CYCLE4_Q = {"field": {"type": "rational"},
 # have codim 0, 1 and 2, so every summand kind occurs
 J2_F11 = {"field": {"type": "prime", "p": 11}, "generator": [[7, 6, 5], [5, 7, 6], [0, 1, 1]]}
 J2_F11_COLUMN = ([3] + [0] * 9) * 11
+# an order-4 generator over Q with denominators 2, 4 and 8 (codims 0, 2, 2,
+# 2): its conditions eliminate through pivots other than +-1, and its
+# representatives have denominators
+DENOM4_Q = {"field": {"type": "rational"},
+            "generator": [["-3/4", "3/4", "1/2"], ["-3/2", "1/2", "1"], ["1/8", "-5/8", "5/4"]]}
 
 CLI_TABLE = {
     # the deform verdict and its degree-4 Hilbert block, 15p words at p
@@ -764,6 +774,11 @@ CLI_TABLE = {
         "verdict": "pass", "oracle column": [6, 0, 1, 0]}),
     "reps-cycle4-q": (CYCLE4_Q, ["reps", "--json"], {
         "hh_dim": [6, 0, 1, 0], "basis sizes": [6, 0, 1, 0]}),
+    "compare-denom4-q": (DENOM4_Q, ["compare", "--json"], {
+        "verdict": "pass", "total": 6, "oracle column": [3, 1, 1, 1]}),
+    "reps-denom4-q": (DENOM4_Q, ["reps", "--json"], {
+        "hh_dim": [3, 1, 1, 1],
+        "stdout sha256": "56c47c13e374722f4e7dd739823b5c3c2efd1dc20b701ef15d573217e2d4bfd5"}),
     "compare-j2-f11": (J2_F11, ["compare", "--json"], {
         "verdict": "pass", "total": 33, "order": 110, "codims": [0, 1, 2],
         "formula column": J2_F11_COLUMN}),
@@ -781,11 +796,11 @@ def _table_argv(row, job):
 def test_cli_table(row, job, capsys):
     argv = _table_argv(row, job)
     assert main(argv) == EXIT_PASS, argv
-    out = capsys.readouterr().out
-    if "--json" in argv:
-        out = json.loads(out)
+    text = capsys.readouterr().out
+    out = json.loads(text) if "--json" in argv else text
     for name, want in CLI_TABLE[row][2].items():
-        assert READ[name](out) == want, (row, name)
+        got = READ_TEXT[name](text) if name in READ_TEXT else READ[name](out)
+        assert got == want, (row, name)
 
 
 def test_cli_table_row_across_the_process_boundary(job, capsys):

@@ -136,6 +136,15 @@ def conjugated_generators(draw, field, n):
     return elementary_conjugate(base, steps)
 
 
+def rational_conjugates(max_n=4):
+    """(Q, rows): a signed permutation of size 1..max_n conjugated as in
+    `conjugated_generators`, so that g has entries with denominators 2 and 7
+    and the conditions eliminate through pivots other than +-1."""
+    q = Field.rational()
+    return st.integers(1, max_n).flatmap(
+        lambda n: conjugated_generators(q, n)).map(lambda rows: (q, rows))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("field", [Field.prime(3), Field.prime(5), Field.rational()],
                          ids=["F3", "F5", "Q"])

@@ -50,6 +50,13 @@ and for signed permutations, they are evaluated directly, at the
 codimension that `reference_element` derives: alpha(u ^ v) = 0 for u, v
 in V^h at codim 1, alpha(u ^ e_j) = 0 and lambda(u) = 0 for u in V^h at
 codim 2, and no basis vector at all above codim 2.
+
+Signed permutations are unimodular: every pivot of their conditions is
++-1 and no entry has a denominator, so an elimination that left a Q row
+unnormalised would pass on them.  The route, reduction, implied-cut,
+cut-coordinate and canonical-entry checks therefore run on signed
+permutations with n <= 4 conjugated by elementary steps with
+coefficients c/2 and c/7 as well (`test_condition_rows.rational_conjugates`).
 """
 
 import random
@@ -83,8 +90,10 @@ from skewcoh import linalg, oracle
 
 from conftest import (assembled_complex, cut_matrix, random_cocycle, reduced_conditions,
                       reference_element, reference_representative_basis)
-from test_trusted_builders import (MODULAR_MAX_ORDER, SETTINGS, modular_jordan_generators,
-                                   prime_generators, signed_permutations)
+from test_condition_rows import rational_conjugates
+from test_trusted_builders import (MODULAR_MAX_ORDER, SETTINGS, check_builders,
+                                   modular_jordan_generators, prime_generators,
+                                   signed_permutations)
 
 MAX_ORDER = 30
 ASSEMBLED_MAX_ORDER = 12
@@ -134,6 +143,12 @@ def test_formula_equals_oracle_over_prime_fields(gen, seed):
 @SETTINGS
 @given(signed_permutations(), st.integers(0, 2 ** 16))
 def test_formula_equals_oracle_on_signed_permutations(gen, seed):
+    check_routes(*gen, seed)
+
+
+@SETTINGS
+@given(rational_conjugates(), st.integers(0, 2 ** 16))
+def test_formula_equals_oracle_on_conjugated_rationals(gen, seed):
     check_routes(*gen, seed)
 
 
@@ -196,6 +211,12 @@ def test_reduce_refuses_exactly_the_non_cocycles_on_signed_permutations(gen, see
     check_reduce_membership(*gen, seed)
 
 
+@SETTINGS
+@given(rational_conjugates(), st.integers(0, 2 ** 16))
+def test_reduce_refuses_exactly_the_non_cocycles_on_conjugated_rationals(gen, seed):
+    check_reduce_membership(*gen, seed)
+
+
 def check_implied_cuts(field, rows):
     gr = bounded_group(field, rows)
     f, n = gr.field, gr.n
@@ -234,6 +255,12 @@ def test_cut_cocycles_meet_the_implied_case_conditions_on_signed_permutations(ge
     check_implied_cuts(*gen)
 
 
+@SETTINGS
+@given(rational_conjugates())
+def test_cut_cocycles_meet_the_implied_case_conditions_on_conjugated_rationals(gen):
+    check_implied_cuts(*gen)
+
+
 def check_cut_coordinates(field, rows):
     gr = bounded_group(field, rows)
     f, dim = gr.field, cochain_dim(gr.n)
@@ -259,6 +286,18 @@ def test_representatives_are_the_kernel_of_the_stacked_cut_over_prime_fields(gen
 @given(signed_permutations())
 def test_representatives_are_the_kernel_of_the_stacked_cut_on_signed_permutations(gen):
     check_cut_coordinates(*gen)
+
+
+@SETTINGS
+@given(rational_conjugates())
+def test_representatives_are_the_kernel_of_the_stacked_cut_on_conjugated_rationals(gen):
+    check_cut_coordinates(*gen)
+
+
+@SETTINGS
+@given(rational_conjugates(), st.integers(0, 50))
+def test_conjugated_rational_builders_hold_canonical_entries(gen, i):
+    check_builders(*gen, i)
 
 
 def check_reference_representatives(field, rows):

@@ -6,9 +6,15 @@ stored RREF rows of the cocycle conditions.  On random invertible generators
 (n <= 4 over F_3, F_5, F_7, dense and sparse, and signed permutations over
 Q) every matrix they return must hold canonical field elements, an int in
 [0, p) or a Fraction, and equal its coerced copy `Matrix(field, m.rows)`;
-a builder that hands `_of` an unreduced value fails here.
+a builder that hands `_of` an unreduced value fails here.  So must every
+cochain the oracle hands out: each `representative_basis` vector (its
+lambda and alpha), and the representative and witness f that
+`reduce_to_representative` returns for a random cocycle.  Over Q an int
+prints the same digits as the equal Fraction, so no byte check of the
+output would see one there.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,14 +27,18 @@ from skewcoh import (
     coboundary_matrix,
     cocycle_conditions,
     group_from_generator,
+    group_rows,
     kron,
+    reduce_to_representative,
+    representative_basis,
     rref,
     wedge2_matrix,
 )
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
 from conftest import (
-    assembled_complex, cut_matrix, dual_matrix, reduced_conditions, transfer_matrix)
+    assembled_complex, cut_matrix, dual_matrix, random_cocycle, reduced_conditions,
+    transfer_matrix)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -97,16 +107,20 @@ def signed_permutations(draw, max_n=4):
                               for i in range(n)]
 
 
+def assert_canonical_scalars(f, xs):
+    for x in xs:
+        if f.p is None:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < f.p
+
+
 def assert_canonical(m):
     f = m.field
     assert len(m.rows) == m.nrows
     for row in m.rows:
         assert len(row) == m.ncols
-        for x in row:
-            if f.p is None:
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int and 0 <= x < f.p
+        assert_canonical_scalars(f, row)
     assert m == Matrix(f, m.rows, ncols=m.ncols)
 
 
@@ -135,6 +149,10 @@ def check_builders(field, rows, i):
         built += assembled_complex(gr)
     for m in built:
         assert_canonical(m)
+    for c in representative_basis(gr, i, group_rows(gr)):
+        assert_canonical_scalars(field, c.lam + sum(c.alpha, ()))
+    rep, witness = reduce_to_representative(gr, random_cocycle(gr, i, random.Random(i), -3, 3))
+    assert_canonical_scalars(field, rep.lam + sum(rep.alpha, ()) + witness.f)
 
 
 @SETTINGS
