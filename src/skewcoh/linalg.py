@@ -21,66 +21,81 @@ matrix this module and the group-action builders derive goes through
 `Matrix._of`.  The one `Subspace` constructor trusts its RREF basis and
 pivots; `image_basis` eliminates a spanning set into them, and
 `kernel_basis` reads them off its one elimination (below).  The oracle
-builds, guards and eliminates each
-per-element complex as plain row lists, through `_product` and
-`_eliminate`, and wraps in `Matrix._of` only what a caller keeps.  `@`,
-the one operation on two matrices, checks once per call that both
-operands are over the same field, so entries of two fields never mix.
+builds, guards and eliminates each per-element complex as plain row lists
+of ints, over Q as well (the `oracle` docstring says how it clears the
+denominators), through `_product` and `_eliminate`, and wraps in
+`Matrix._of` only what a caller keeps.  `@`, the one operation on two
+matrices, checks once per call that both operands are over the same
+field, so entries of two fields never mix.
 
 A matrix minus a scalar, m - c I, has one builder, `minus_scalar`, which
 takes a canonical c and rewrites only the diagonal.  The eigenspaces,
 `chi_invariants`, the fixed and moved spaces of h (read from h - 1, which
 has the kernel, image, rank and square of 1 - h) and the oracle's h - 1
 all come from it; the oracle negates h - 1 once for 1 - h.
-The loops below do their arithmetic inline on those entries, with no
-`Field` method dispatch: over F_p on plain ints with one `% p` per result
-entry; over Q the elimination and the product run on ints too (below),
-and the rest uses the Fraction operators.
+The loops below do their arithmetic inline, with no `Field` method
+dispatch: over F_p on the canonical ints with one `% p` per result entry,
+over Q on ints that a Fraction caller clears its rows to first (below);
+the rest uses the Fraction operators.
 
 There is one elimination loop, `_eliminate` (Gauss-Jordan).  It visits
-the pivot columns in a given order, by default left to right, and leaves
-the rows in RREF with respect to that order.  For each pivot it collects
-the pivot row's nonzero columns among those still to visit once (at the
-columns already visited every candidate row is zero) and updates only
-those entries in the rows with a nonzero in the pivot column; the
-oracle's cocycle matrices are mostly zeros.  The pivot is the first row,
-from the current one down, with a nonzero in the pivot column, and its
-nonzeros spread to every row it updates, so a builder lists its sparse
-rows first and builds no all-zero row (each would only be scanned at
-every pivot column).  `rref` returns the rows and pivot columns it
-leaves, and `Matrix.det` takes the determinant it returns for a square
-matrix.
+the pivot columns in a given order, by default left to right.  For each
+pivot it collects the pivot row's nonzero columns among those still to
+visit once (at the columns already visited every candidate row is zero)
+and updates only those entries in the rows with a nonzero in the pivot
+column; the oracle's cocycle matrices are mostly zeros.  The pivot is the
+first row, from the current one down, with a nonzero in the pivot column,
+and its nonzeros spread to every row it updates, so a builder lists its
+sparse rows first and builds no all-zero row (each would only be scanned
+at every pivot column).
+
+The caller says how many leading columns of the visit order it reads.  A
+pivot among them clears its column in every row; a later pivot only in
+the rows below it, which finds the same pivots with less work.  The rows
+that pivot among the read columns come first and are RREF rows there:
+- `rref`, `kernel_basis`, `solve` (through `rref`) and `Matrix.det` read
+  every column, and get the whole RREF;
+- the oracle's `representative_basis` reads the coordinates outside the
+  distinguished cut, which it visits first, and only the rows that pivot
+  there;
+- the oracle's `per_element_cohomology`, and its rank b of the coboundary
+  rows, read none: no row is reduced above its pivot.
 
 - Over F_p the rows are updated in place, each pivot row is scaled to 1,
   and det is (-1)^swaps times the product of the pivots met.
-- Over Q the loop is fraction-free (Bareiss 1968 is the textbook form).
-  Each row is multiplied by the lcm of its denominators and divided by the
-  gcd of the resulting ints (its content), so it starts as a primitive
-  integer row.  A pivot row with a negative pivot is negated.  With pivot
-  pv and x in the pivot column of another row, g = gcd(pv, x), that row
-  becomes (pv/g) row - (x/g) pivot row and is divided by its content
-  again; a zero row has content 0 and is left as it is.  At the end each
-  pivot row is divided by its pivot once, and every row is written back
-  as canonical Fractions with one shared zero.  The RREF is unique, so
-  the rows and pivots are those of plain Fraction Gauss-Jordan.
+- Over Q the rows that enter are lists of ints.  A Fraction caller
+  (`rref`, `kernel_basis`, `Matrix.det`) first makes them with
+  `_working_rows`: each row is multiplied by the lcm of its denominators
+  and divided by the gcd of the resulting ints (its content), so it
+  starts as a primitive integer row.  The loop is fraction-free (Bareiss
+  1968 is the textbook form).  A pivot row with a negative pivot is
+  negated.  With pivot pv and x in the pivot column of another row,
+  g = gcd(pv, x), that row becomes (pv/g) row - (x/g) pivot row and is
+  divided by its content again; a zero row has content 0 and is left as
+  it is.  At the end only the rows that pivot among the read columns are
+  divided by their pivots and written back as canonical Fractions (with
+  one shared zero), and, when every column is read, the rest become zero
+  rows.  The RREF is unique, so those rows and the pivots are those of
+  plain Fraction Gauss-Jordan; a rank writes back nothing.
 - The working rows of the Q loop are multiplied by the row lcms, the
   negations and the multipliers pv/g, and divided by the contents, each
-  of which the loop records.  They end diagonal when the matrix is square
+  of which `_working_rows` and the loop record.  They end diagonal, or
+  triangular when only some columns are read, when the matrix is square
   and invertible, so det = (-1)^swaps * (product of the final pivots) *
   (contents) / (lcms, negations, multipliers).
 
-The product `_product(f, a, b, ncols)` of row lists, which `a @ b` wraps
-after its operand check, is row-sparse for the same reason: it lists the
-nonzero (column, value) pairs of each row of b once, and builds row t of the
-product from the nonzeros of row t of a alone, reducing each output entry
-once.  Over F_p the nonzero columns of a row of a come from
-`itertools.compress(range(ncols), row)`, so its zeros are skipped in C,
-not by a Python test per entry.  Over Q it first clears b by one common
-denominator db and each row of a by its own da, accumulates on ints and
-builds one Fraction (over da * db) per nonzero output entry.  `_dot` is
-the one dot product, for `char_poly` and `Matrix.apply`; over F_p it is
-`sum(map(mul, a, b)) % p`, the products and their sum in C and one
-reduction.
+The product `_product(a, b, ncols, p)` of row lists of ints, which `a @ b`
+wraps after its operand check, is row-sparse for the same reason: it lists
+the nonzero (column, value) pairs of each row of b once, and builds row t
+of the product from the nonzeros of row t of a alone, reducing each output
+entry mod p once over F_p.  The nonzero columns of a row of a come from
+`itertools.compress(range(ncols), row)`, so its zeros are skipped in C, not
+by a Python test per entry.  The oracle calls it on its integer rows.  Over
+Q `@` first clears b by one common denominator db and each row of a by its
+own da, runs the same loop and builds one Fraction (over da * db) per
+nonzero output entry.  `_dot` is the one dot product, for `char_poly` and
+`Matrix.apply`; over F_p it is `sum(map(mul, a, b)) % p`, the products
+and their sum in C and one reduction.
 
 `_kernel_rows` is the one reader of kernel vectors.  Read off an
 elimination that ran right to left they are already the RREF basis (its
@@ -182,8 +197,17 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        return Matrix._of(self.field, _product(self.field, self.rows, other.rows, other.ncols),
-                          other.ncols)
+        f, ncols = self.field, other.ncols
+        if f.p is not None:
+            return Matrix._of(f, _product(self.rows, other.rows, ncols, f.p), ncols)
+        # b over one common denominator db, each row of a over its own da
+        db = lcm(*{y._denominator for row in other.rows for y in row})
+        das = [lcm(*{x._denominator for x in row}) for row in self.rows]
+        acc = _product([_numerators(row, da) for row, da in zip(self.rows, das)],
+                       [_numerators(row, db) for row in other.rows], ncols)
+        zero = Fraction(0)
+        return Matrix._of(f, [[Fraction(v, da * db) if v else zero for v in row]
+                              for row, da in zip(acc, das)], ncols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
@@ -217,7 +241,9 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        return _eliminate(self.field, [list(r) for r in self.rows], n)[1]
+        scales: List[Fraction] = []
+        det = _eliminate(self.field, _working_rows(self, scales), n)[1]
+        return det / prod(scales) if scales else det
 
 
 def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
@@ -228,72 +254,83 @@ def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
     return sum(map(mul, a, b)) % f.p
 
 
-def _product(f: Field, a: Sequence[Sequence], b: Sequence[Sequence], ncols: int) -> List[list]:
-    """The rows of a b for row lists of canonical scalars, len(b) columns
-    in a and ncols in b; nothing is checked (`@` checks)."""
-    p = f.p
+def _product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], ncols: int,
+             p: int | None = None) -> List[List[int]]:
+    """The rows of a b for row lists of ints, len(b) columns in a and ncols
+    in b, each entry reduced mod p when p is given; nothing is checked
+    (`@` checks)."""
+    nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    cols = range(len(b))
     out = []
-    if p is None:
-        # b over one common denominator db, each row of a over its own da
-        db = lcm(*[y._denominator for row in b for y in row])
-        nz = [[(j, y._numerator * (db // y._denominator)) for j, y in enumerate(row)
-               if y._numerator] for row in b]
-        zero = Fraction(0)
-        for r in a:
-            da = lcm(*[x._denominator for x in r])
-            acc = [0] * ncols
-            for x, terms in zip(r, nz):
-                if x._numerator:
-                    x = x._numerator * (da // x._denominator)
-                    for j, y in terms:
-                        acc[j] += x * y
-            d = da * db
-            out.append([Fraction(v, d) if v else zero for v in acc])
-    else:
-        nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-        cols = range(len(b))
-        for r in a:
-            acc = [0] * ncols
-            for k in compress(cols, r):
-                x = r[k]
-                for j, y in nz[k]:
-                    acc[j] += x * y
-            out.append([v % p for v in acc])
+    for r in a:
+        acc = [0] * ncols
+        for k in compress(cols, r):
+            x = r[k]
+            for j, y in nz[k]:
+                acc[j] += x * y
+        out.append(acc if p is None else [v % p for v in acc])
     return out
 
 
-def _eliminate(f: Field, rows: List[list], ncols: int,
-               order: Sequence[int] | None = None) -> Tuple[Tuple[int, ...], Scalar]:
-    """Gauss-Jordan elimination of `rows` (lists of canonical scalars),
-    visiting the pivot columns in `order`, a permutation of range(ncols)
-    (by default range(ncols) itself), and leaving the rows in reduced row
-    echelon form with respect to that order (over Q each row is replaced by
-    a new list).  Returns the pivot columns in visit order, row k pivoting
-    at the k-th, and, when the rows form a square matrix, its determinant
-    with the columns taken in `order` (zero if it is singular).  The first
-    candidate row becomes the pivot, so callers list sparse rows first and
-    build no all-zero rows.
+def _numerators(row: Sequence[Fraction], d: int) -> List[int]:
+    """The integer row d * row, for a d that every denominator of the row
+    divides, read through the Fraction slots."""
+    if d == 1:
+        return [x._numerator for x in row]
+    return [x._numerator * (d // x._denominator) for x in row]
 
-    Over Q the loop runs on integer rows (module docstring); `up` and
-    `down` record the factors the working rows were multiplied and divided
-    by, for the determinant."""
+
+def _working_rows(m: Matrix, scales: List[Fraction] | None = None) -> List[list]:
+    """The rows of m as `_eliminate` takes them, as new lists: m's entries
+    over F_p; over Q each row times the lcm of its denominators and over
+    the gcd of the resulting ints (its content), a primitive integer row,
+    with the factor appended to `scales` when it is given."""
+    if m.field.p is not None:
+        return [list(r) for r in m.rows]
+    out = []
+    for row in m.rows:
+        d = lcm(*{x._denominator for x in row})
+        ints = _numerators(row, d)
+        g = gcd(*ints)
+        if g > 1:
+            ints = [y // g for y in ints]
+        if scales is not None:
+            scales.append(Fraction(d, g or 1))
+        out.append(ints)
+    return out
+
+
+def _eliminate(f: Field, rows: List[list], ncols: int, order: Sequence[int] | None = None,
+               reduced: int | None = None) -> Tuple[Tuple[int, ...], Scalar]:
+    """Gauss-Jordan elimination of `rows` (over F_p lists of canonical ints,
+    over Q lists of ints), visiting the pivot columns in `order`, a
+    permutation of range(ncols) (by default range(ncols) itself).  Returns
+    the pivot columns in visit order, row k pivoting at the k-th, and, when
+    the rows form a square matrix, its determinant with the columns taken
+    in `order` (zero if it is singular).  The first candidate row becomes
+    the pivot, so callers list sparse rows first and build no all-zero rows.
+
+    The caller reads the rows at the first `reduced` columns of the visit
+    order (by default at every column).  A pivot among those clears its
+    column in every other row, a later one only in the rows below it, and
+    the pivots are the same either way.  The rows that pivot among those
+    columns come first, and there they are the rows of the reduced row
+    echelon form with respect to the order: over F_p in place, over Q
+    written back as new lists of canonical Fractions.  When every column is
+    read the rows after the pivot rows are zero rows of the field; the rest
+    of the rows are left as they are, unread (reduced = 0 is a rank).
+
+    Over Q (module docstring) `up` and `down` record the factors the
+    working rows were multiplied and divided by, for the determinant."""
     p = f.p
     nrows = len(rows)
-    if p is None:
-        up: List[int] = []
-        down: List[int] = []
-        for i, row in enumerate(rows):
-            m = lcm(*[x._denominator for x in row])
-            ints = [x._numerator * (m // x._denominator) for x in row] if m > 1 \
-                else [x._numerator for x in row]
-            g = gcd(*ints)
-            if g > 1:
-                ints = [y // g for y in ints]
-                down.append(g)
-            up.append(m)
-            rows[i] = ints
+    if reduced is None:
+        reduced = ncols
+    up: List[int] = []
+    down: List[int] = []
     pivots: List[int] = []
     det = 1
+    read = 0                # the rows that pivot among the read columns
     r = 0
     for k, c in enumerate(range(ncols) if order is None else order):
         if r == nrows:
@@ -311,13 +348,19 @@ def _eliminate(f: Field, rows: List[list], ncols: int,
         # at the columns already visited the pivot row is zero; only its
         # nonzero columns among those still to visit change
         later = range(c + 1, ncols) if order is None else order[k + 1:]
+        if k < reduced:
+            targets = range(nrows)
+            read += 1
+        else:
+            targets = range(r + 1, nrows)
         if p is None:
             if pv < 0:
                 prow = rows[r] = [-y for y in prow]
                 pv = -pv
                 up.append(-1)
             nz = [(j, prow[j]) for j in later if prow[j]]
-            for i, row in enumerate(rows):
+            for i in targets:
+                row = rows[i]
                 x = row[c]
                 if x and i != r:
                     # row <- (pv/g) row - (x/g) prow, then over its content
@@ -342,7 +385,8 @@ def _eliminate(f: Field, rows: List[list], ncols: int,
             nz = [(j, prow[j] * inv % p) for j in later if prow[j]]
             for j, y in nz:
                 prow[j] = y
-            for i, row in enumerate(rows):
+            for i in targets:
+                row = rows[i]
                 x = row[c]
                 if x and i != r:
                     row[c] = 0
@@ -352,25 +396,28 @@ def _eliminate(f: Field, rows: List[list], ncols: int,
         r += 1
     invertible = nrows == ncols and len(pivots) == ncols
     if p is None:
-        # each pivot row over its pivot, as canonical Fractions
         zero, one = Fraction(0), Fraction(1)
-        for k, c in enumerate(pivots):
+        if invertible:
+            det = Fraction(det * prod(rows[k][c] for k, c in enumerate(pivots)) * prod(down),
+                           prod(up))
+        # each row the caller reads over its pivot, as canonical Fractions
+        for k in range(read):
             row = rows[k]
-            d = row[c]
-            det *= d
+            d = row[pivots[k]]
             row = [Fraction(y, d) if y else zero for y in row] if d != 1 \
                 else [Fraction(y) if y else zero for y in row]
-            row[c] = one
+            row[pivots[k]] = one
             rows[k] = row
-        for k in range(len(pivots), nrows):
-            rows[k] = [zero] * ncols
-        return tuple(pivots), Fraction(det * prod(down), prod(up)) if invertible else zero
+        if reduced == ncols:
+            for k in range(len(pivots), nrows):
+                rows[k] = [zero] * ncols
+        return tuple(pivots), det if invertible else zero
     return tuple(pivots), det if invertible else 0
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    rows = [list(r) for r in m.rows]
+    rows = _working_rows(m)
     pivots, _ = _eliminate(m.field, rows, m.ncols)
     for i, r in enumerate(rows):      # one row at a time, so only one copy is live
         rows[i] = tuple(r)
@@ -484,7 +531,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     in descending order, whose kernel vectors are already its RREF basis
     (`_kernel_rows`)."""
     n = m.ncols
-    rows = [list(r) for r in m.rows]
+    rows = _working_rows(m)
     piv, _ = _eliminate(m.field, rows, n, range(n - 1, -1, -1))
     return Subspace(Matrix._of(m.field, _kernel_rows(m.field, rows, piv, range(n), n), n),
                     tuple(sorted(set(range(n)).difference(piv))))

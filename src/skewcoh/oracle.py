@@ -46,9 +46,25 @@ Only `coboundary_matrix`, which is no complex, takes none and builds just
 1 - g.  Per element there remain h - 1 (from `minus_scalar`), 1 - h, the
 lambda coupling of condition (2), condition (3) and the coboundary's
 alpha rows, which `_condition_rows` and `_coboundary_rows` build as lists
-of ints or Fractions (one `% p` per entry over F_p).  Each complex gets
-new lists, the record's rows copied, since it is then eliminated in place.
-Every element index is checked to lie in 0..|G|-1; none is read mod |G|.
+of ints (one `% p` per entry over F_p).  Each complex gets new lists, the
+record's rows copied, since it is then eliminated in place.  Every element
+index is checked to lie in 0..|G|-1; none is read mod |G|.
+
+Over Q every complex is built on ints too, so that no Fraction is made or
+tested while it is built, guarded or eliminated.  The record clears the
+denominators once per group, with one positive integer L (its `scale`):
+the lcm of every denominator of g's powers and of the alpha-twist block,
+1 for an integral generator.  It holds L (1 - g), the twist rows times L,
+and each im T row times the lcm of its own denominators.  Per element,
+`_signed_shifts` reads each entry of h once, through its Fraction slots,
+into L (h - 1) and L (1 - h).  So every condition row is a positive
+integer multiple of its row over Q (L, or the im T row's own factor), and
+the coboundary rows are L times dmat.  Scaling rows by positive integers
+changes neither a kernel nor a rank nor which rows are zero, so z, b, the
+RREF (hence every representative), d^2 = 0, and the index of the first
+row a cochain violates are those of the unscaled complex.
+`cocycle_conditions` hands out the integer rows as Fractions;
+`coboundary_matrix` stays the exact, unscaled dmat.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -86,33 +102,47 @@ V^h below:
 `_guarded_complex` multiplies the condition rows of one element, as
 built, by its coboundary rows (`_product`, the product behind `@`): the
 d^2 = 0 check, on every complex, so every condition matrix the oracle
-hands out has passed it.  `_cohomology` then eliminates the condition
-rows in place (`_eliminate`), once: z is read from the pivots and b is
-`rank` of the coboundary matrix.  `per_element_cohomology` keeps the
-dimensions.  `representative_basis` has the elimination visit the
-coordinates outside the distinguished cut first, in descending order,
-and then the cut, and reads the distinguished basis off the nonzero RREF
-rows (`_kernel_rows`), with no second elimination.
+hands out has passed it.  `_cohomology` then eliminates the coboundary
+rows and the condition rows in place (`_eliminate`), once each: b and z
+are read from the pivots.  `per_element_cohomology` keeps the dimensions
+and reads no row, so neither elimination reduces a row above its pivot
+or writes a Fraction back.  `representative_basis` has the elimination
+visit the coordinates outside the distinguished cut first, in descending
+order, and then the cut, and reads the distinguished basis off the RREF
+rows that pivot outside the cut, at the coordinates outside it
+(`_kernel_rows`), with no second elimination; only those rows are
+reduced above their pivots and, over Q, written back as Fractions.
 
 `reduce_to_representative` eliminates nothing of the complex and reads
 each matrix once: the guard's one product cond @ [dmat | gamma] (dmat the
 coboundary rows) checks d^2 = 0 and gamma's conditions on the rows as
 built, so a `NotACocycleError` names the first violated row of
-`cocycle_conditions`.  Its rows at the distinguished cut, selected with
-no product, and one `solve` give the witness and the kernel, and the
-representative is checked at the cut by reading it there; its docstring
-and comments say why it needs no further cocycle check.
+`cocycle_conditions`.  Over Q the product runs on L dmat beside gamma
+times the lcm of its denominators, so it is the unscaled one with its
+columns scaled.  Its rows at the distinguished cut, selected with no
+product and, over Q, divided back by L into exact Fractions, and one
+`solve` give the witness f0 and the kernel.  One more product of the
+integer rows gives gamma - dmat f0, exactly, and dmat at each kernel
+vector; the representative is checked at the cut by reading it there,
+and its docstring and comments say why it needs no further cocycle
+check.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb
+from fractions import Fraction
+from itertools import chain, combinations, product
+from math import comb, lcm
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, kron, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import Matrix, Vector, _eliminate, _kernel_rows, _product, minus_scalar, rank, solve
+from .linalg import (Matrix, Vector, _eliminate, _kernel_rows, _numerators, _product,
+                     minus_scalar, rank, solve)
+
+# Nothing here calls `rank`: the benchmark's tracer rebinds it in every
+# module that imports it, and its self-test reads it as `oracle.rank`.
+_TRACED = rank
 
 
 class NotACocycleError(ValueError):
@@ -181,17 +211,32 @@ def _negated(f: Field, rows) -> List[List[Scalar]]:
         [[-x % f.p for x in r] for r in rows]
 
 
-def _signed_shifts(f: Field, h: Matrix) -> Tuple[List[List[Scalar]], Tuple[Vector, ...]]:
+def _signed_shifts(f: Field, h: Matrix, scale: int | None = None
+                   ) -> Tuple[List[List[Scalar]], Sequence[Sequence[Scalar]]]:
     """The rows of 1 - h and of h - 1: h - 1 from `minus_scalar`, which
-    rewrites only the diagonal, and 1 - h its negation."""
-    h_minus_1 = minus_scalar(h, f.one()).rows
+    rewrites only the diagonal, and 1 - h its negation.  Given a scale (over
+    Q, a group record's), the integer rows of scale (1 - h) and
+    scale (h - 1) instead, each entry of h read once through its slots."""
+    if scale is None:
+        h_minus_1 = minus_scalar(h, f.one()).rows
+    else:
+        h_minus_1 = [_numerators(row, scale) for row in h.rows]
+        for k, row in enumerate(h_minus_1):
+            row[k] -= scale
     return _negated(f, h_minus_1), h_minus_1
 
 
-def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
+def _cleared(v: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """v times the lcm d of its denominators, as ints, and d."""
+    d = lcm(*{x._denominator for x in v})
+    return _numerators(v, d), d
+
+
+def _vanish_rows(zero: Scalar, dim: int, vectors, at: int) -> List[List[Scalar]]:
     """One row per vector u: the block of coordinates starting at column
-    `at` vanishes on u, i.e. lambda(u) = 0 when that block is lambda."""
-    zero = f.zero()
+    `at` vanishes on u, i.e. lambda(u) = 0 when that block is lambda.  Like
+    the other row builders it takes the zero of the entries it is given: 0
+    for the oracle's rows, which hold ints over both fields."""
     rows = []
     for u in vectors:
         row = [zero] * dim
@@ -200,7 +245,7 @@ def _vanish_rows(f: Field, dim: int, vectors, at: int) -> List[List[Scalar]]:
     return rows
 
 
-def _jacobi_rows(f: Field, dim: int, one_minus_h, h_minus_1, at: int) -> List[List[Scalar]]:
+def _jacobi_rows(zero: Scalar, dim: int, one_minus_h, h_minus_1, at: int) -> List[List[Scalar]]:
     """Condition (3) at h, one Sym^2-valued condition per basis triple, with
     alpha(e_a ^ e_b)_s (pair number w) in column at + w*n + s; one_minus_h
     and h_minus_1 are the rows of 1 - h and of h - 1, both of which the
@@ -208,7 +253,6 @@ def _jacobi_rows(f: Field, dim: int, one_minus_h, h_minus_1, at: int) -> List[Li
     the coordinates i0 and j0 of the triple's three vectors, so it is
     built only when one of them is nonzero (at h = 1 none is)."""
     n = len(one_minus_h)
-    zero = f.zero()
     pos = {p: k for k, p in enumerate(wedge_pairs(n))}
     x = list(zip(*one_minus_h))           # the vectors (1-h)e_t
     minus_x = list(zip(*h_minus_1))
@@ -234,13 +278,12 @@ def _jacobi_rows(f: Field, dim: int, one_minus_h, h_minus_1, at: int) -> List[Li
     return rows
 
 
-def _coboundary_rows(f: Field, one_minus_g, one_minus_h, h_minus_1) -> List[List[Scalar]]:
+def _coboundary_rows(zero: Scalar, one_minus_g, one_minus_h, h_minus_1) -> List[List[Scalar]]:
     """The cochain_dim(n) x n matrix of f -> d(f tensor h), column j the
     image of e_j^*: lambda(e_k) = (1-g)[j][k] in row k, and
     alpha(e_a ^ e_b) = f(e_b)(1-h)e_a + f(e_a)(h-1)e_b (pair number w) in
     rows n + w*n .. n + w*n + n-1.  The arguments are row lists."""
     n = len(one_minus_h)
-    zero = f.zero()
     rows = [list(col) for col in zip(*one_minus_g)]
     for a, b in wedge_pairs(n):
         for r in range(n):
@@ -256,35 +299,49 @@ class GroupRows(NamedTuple):
     element h = g^i: build it with `group_rows` and hand it to every complex
     of the group.  Condition (2) at the pair (a, b) and coordinate r is its
     alpha-twist row, (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r, whose lambda
-    block is zero, plus a lambda coupling that depends on h."""
+    block is zero, plus a lambda coupling that depends on h.  Over F_p the
+    rows hold canonical ints and `scale` is None; over Q they hold ints,
+    the twist rows and 1 - g times `scale`, L (module docstring), and each
+    transfer row times the lcm of its own denominators."""
     transfer: List[List[Scalar]]                      # condition (1): lambda(im T) = 0
     twist: List[Tuple[int, int, int, Vector]]         # (a, b, r, alpha-twist row)
     one_minus_g: List[List[Scalar]]
+    scale: int | None
 
 
 def group_rows(gr: CyclicGroup) -> GroupRows:
     """The record of gr.  The twist row at (w0, r) holds
     delta - (wedge^2 g)[w][w0] (g^{-1})[r][s] at alpha(w)_s, column
     n + w*n + s: the rows of I - (wedge^2 g)^T kron g^{-1}, in order, behind
-    n zero lambda columns.  g^{-1} is read off the stored powers."""
+    n zero lambda columns.  g^{-1} is read off the stored powers.  Over Q
+    the scale L is the lcm of every denominator of the powers and of that
+    block, read once here."""
     f = gr.field
     n = gr.n
     neg_ginv = Matrix._of(f, _negated(f, gr.power(-1).rows), n)
     block = minus_scalar(kron(wedge2_matrix(gr.generator).transpose(), neg_ginv),
-                         f.coerce(-1))
-    lam = (f.zero(),) * n
-    twist = [(a, b, r, lam + row)
-             for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block.rows)]
-    return GroupRows(_vanish_rows(f, cochain_dim(n), gr.transfer().basis.rows, 0), twist,
-                     _signed_shifts(f, gr.generator)[0])
+                         f.coerce(-1)).rows
+    transfer = gr.transfer().basis.rows
+    scale = None
+    if f.p is None:
+        scale = lcm(*{x._denominator for rows in chain((m.rows for m in gr.powers), [block])
+                      for row in rows for x in row})
+        block = [_numerators(row, scale) for row in block]
+        transfer = [_cleared(row)[0] for row in transfer]
+    lam = (0,) * n
+    twist = [(a, b, r, lam + tuple(row))
+             for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block)]
+    return GroupRows(_vanish_rows(0, cochain_dim(n), transfer, 0), twist,
+                     _signed_shifts(f, gr.generator, scale)[0], scale)
 
 
-def _condition_rows(f: Field, rows: GroupRows, one_minus_h, h_minus_1) -> List[List[Scalar]]:
-    """The rows of cocycle_conditions at the h of these 1 - h and h - 1, as new lists."""
+def _condition_rows(rows: GroupRows, one_minus_h, h_minus_1) -> List[List[Scalar]]:
+    """The condition rows of the complex at the h of these 1 - h and h - 1
+    (over Q times the record's scale), as new lists of ints."""
     n = len(one_minus_h)
     # (3) one Sym^2-valued condition per basis triple (none below n = 3); the
     # sparsest rows come first, so they are the pivot rows of the elimination
-    out = _jacobi_rows(f, cochain_dim(n), one_minus_h, h_minus_1, n) if n > 2 else []
+    out = _jacobi_rows(0, cochain_dim(n), one_minus_h, h_minus_1, n) if n > 2 else []
 
     # (1) lambda vanishes on im T
     out += map(list, rows.transfer)
@@ -303,8 +360,13 @@ def _condition_rows(f: Field, rows: GroupRows, one_minus_h, h_minus_1) -> List[L
 
 def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
     """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates:
-    the condition rows of the complex, as built, once d^2 = 0 holds on them."""
-    return Matrix._of(gr.field, _guarded_complex(gr, i, group_rows(gr))[0], cochain_dim(gr.n))
+    the condition rows of the complex, as built, once d^2 = 0 holds on them
+    (over Q the integer rows, each a positive multiple of its condition, as
+    Fractions)."""
+    cond = _guarded_complex(gr, i, group_rows(gr))[0]
+    if gr.field.p is None:
+        cond = [[Fraction(x) for x in row] for row in cond]
+    return Matrix._of(gr.field, cond, cochain_dim(gr.n))
 
 
 def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
@@ -313,7 +375,7 @@ def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
     1 - h are built, so im T is not derived for it."""
     _check_index(gr, i)
     f = gr.field
-    return Matrix._of(f, _coboundary_rows(f, _signed_shifts(f, gr.generator)[0],
+    return Matrix._of(f, _coboundary_rows(f.zero(), _signed_shifts(f, gr.generator)[0],
                                           *_signed_shifts(f, gr.power(i))), gr.n)
 
 
@@ -345,10 +407,12 @@ def _check_index(gr: CyclicGroup, i: int) -> None:
 def _guarded_complex(gr: CyclicGroup, i: int, rows: GroupRows,
                      gamma: Sequence[Scalar] | None = None) -> Tuple[List[list], List[list]]:
     """The rows of the cocycle conditions and of the coboundary matrix at
-    h = g^i, built from gr's record `rows` (new lists), once d^2 = 0 holds
-    on them.  Every complex the oracle builds comes from here.
+    h = g^i, built from gr's record `rows` as new lists of ints (over Q
+    times the record's scale), once d^2 = 0 holds on them.  Every complex
+    the oracle builds comes from here.
 
-    Given gamma, a cochain of cochain_dim(n) canonical scalars, the
+    Given gamma, a cochain of cochain_dim(n) ints (over F_p canonical, over
+    Q a positive multiple of the cochain), the
     coboundary rows come back as [cob | gamma], one column more, and the
     one product cond @ [cob | gamma] serves both checks: its n coboundary
     columns are tested for zero first, on every row, and then its last
@@ -357,12 +421,12 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: GroupRows,
     product is zero."""
     _check_index(gr, i)
     f = gr.field
-    shifts = _signed_shifts(f, gr.power(i))
-    cond = _condition_rows(f, rows, *shifts)
-    cob = _coboundary_rows(f, rows.one_minus_g, *shifts)
+    shifts = _signed_shifts(f, gr.power(i), rows.scale)
+    cond = _condition_rows(rows, *shifts)
+    cob = _coboundary_rows(0, rows.one_minus_g, *shifts)
     if gamma is not None:
         cob = [r + [x] for r, x in zip(cob, gamma)]
-    d2 = _product(f, cond, cob, gr.n + (gamma is not None))
+    d2 = _product(cond, cob, gr.n + (gamma is not None), f.p)
     if any(map(any, d2 if gamma is None else (r[:-1] for r in d2))):
         raise AssertionError("coboundaries violate the cocycle conditions at element %d" % i)
     if gamma is not None:
@@ -374,16 +438,19 @@ def _guarded_complex(gr: CyclicGroup, i: int, rows: GroupRows,
     return cond, cob
 
 
-def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows, order: Sequence[int] | None = None
-                ) -> Tuple[ComplexDims, List[list], Tuple[int, ...]]:
+def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows, order: Sequence[int] | None = None,
+                reduced: int | None = None) -> Tuple[ComplexDims, List[list], Tuple[int, ...]]:
     """The dimensions of the complex at h = g^i, the nonzero rows of its
-    conditions' RREF with respect to `order` (the same kernel, in at most
-    cochain_dim rows; `_eliminate` visits the columns in that order) and
-    their pivot columns, row k pivoting at the k-th."""
+    conditions' elimination with respect to `order` (the same kernel, in at
+    most cochain_dim rows) and their pivot columns, row k pivoting at the
+    k-th.  `_eliminate` visits the columns in that order, and the rows that
+    pivot among its first `reduced` columns (by default all of them) are
+    RREF rows there; the rest are not to be read.  b is the rank of the
+    coboundary rows, which nothing reads after it."""
     f, dim = gr.field, cochain_dim(gr.n)
     cond, cob = _guarded_complex(gr, i, rows)
-    b = rank(Matrix._of(f, cob, gr.n))
-    piv, _ = _eliminate(f, cond, dim, order)      # cond is now its RREF
+    b = len(_eliminate(f, cob, gr.n, None, 0)[0])
+    piv, _ = _eliminate(f, cond, dim, order, reduced)
     z = dim - len(piv)
     hh = z - b
     if hh < 0:
@@ -392,8 +459,9 @@ def _cohomology(gr: CyclicGroup, i: int, rows: GroupRows, order: Sequence[int] |
 
 
 def per_element_cohomology(gr: CyclicGroup, i: int, rows: GroupRows) -> ComplexDims:
-    """z, b and hh of the complex at h = g^i; `rows` is gr's record."""
-    return _cohomology(gr, i, rows)[0]
+    """z, b and hh of the complex at h = g^i; `rows` is gr's record.  Only
+    ranks are read, so no row is reduced above its pivot."""
+    return _cohomology(gr, i, rows, None, 0)[0]
 
 
 def oracle_report(gr: CyclicGroup) -> List[ComplexDims]:
@@ -412,12 +480,15 @@ def representative_basis(gr: CyclicGroup, i: int, rows: GroupRows) -> List[Cocha
     rows that are zero there, so the rows pivoting outside the cut, read
     there, are a descending RREF whose kernel is {x in Z : x = 0 on the
     cut}.  Their kernel vectors (`_kernel_rows`), zero at the cut, are its
-    RREF basis: the basis of ker [Z; unit rows at the cut]."""
+    RREF basis: the basis of ker [Z; unit rows at the cut].  Only those rows
+    are read, and only at the free coordinates, so the cut steps reduce no
+    row above their pivot."""
     f, dim = gr.field, cochain_dim(gr.n)
     cut = distinguished_constraints(gr, i)
     free = sorted(set(range(dim)).difference(cut))
-    dims, zrows, piv = _cohomology(gr, i, rows, free[::-1] + list(cut))
-    basis = _kernel_rows(f, zrows, piv, free, dim)
+    dims, zrows, piv = _cohomology(gr, i, rows, free[::-1] + list(cut), len(free))
+    k = len(set(piv).difference(cut))           # the rows pivoting outside the cut
+    basis = _kernel_rows(f, zrows[:k], piv[:k], free, dim)
     if len(basis) != dims.hh_dim:
         raise DimensionMismatchError(
             "distinguished space has dim %d but hh_dim is %d at element %d"
@@ -436,8 +507,10 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     combination of the columns of [dmat | gamma], is a cocycle by that
     product.  The rows of [dmat | gamma] at the distinguished cut and one
     elimination of them (`solve`) give f and the kernel of dmat's rows
-    there.  A non-cocycle raises NotACocycleError with the element index
-    and the first violated row of cocycle_conditions(gr, i)."""
+    there, and one product of the rows as built gives the representative
+    and dmat at each kernel vector.  A non-cocycle raises NotACocycleError
+    with the element index and the first violated row of
+    cocycle_conditions(gr, i)."""
     i = gamma.element_index
     f = gr.field
     if gamma.field != f or gamma.n != gr.n:
@@ -455,24 +528,38 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     if any(isinstance(x, str) for x in flat):
         raise TypeError("cochain entries must be scalars, not strings")
     flat = [f.coerce(x) for x in flat]
-    # aug = [dmat | gamma]; the guard found every column of cond @ aug zero
-    aug = Matrix._of(f, _guarded_complex(gr, i, group_rows(gr), flat)[1], gr.n + 1)
+    rows = group_rows(gr)
+    p = f.p
+    s = rows.scale if p is None else 1
+    # aug holds the rows of [s dmat | d gamma] as built, ints (s = d = 1
+    # over F_p); the guard found every column of cond @ aug zero
+    gamma_ints, d = (flat, 1) if p is not None else _cleared(flat)
+    aug = _guarded_complex(gr, i, rows, gamma_ints)[1]
     cut = distinguished_constraints(gr, i)
-    f0, kernel = solve(Matrix._of(f, [aug.rows[c] for c in cut], gr.n + 1))
+    # the rows of [dmat | gamma] at the cut, exactly: over Q dmat's over s
+    at_cut = [aug[c] for c in cut] if p is not None else \
+        [[Fraction(x, s) for x in aug[c][:n]] + [flat[c]] for c in cut]
+    f0, kernel = solve(Matrix._of(f, at_cut, n + 1))
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
-    # the representative gamma - dmat f0 is aug v for v = (-f0, 1).  It is
-    # a cocycle with no further check: cond (aug v) = (cond @ aug) v, and
-    # the guard found cond @ aug zero.
-    p = f.p
-    v = [-x if p is None else -x % p for x in f0] + [f.one()]
-    rep_flat = aug._apply(v)
-    if any(rep_flat[c] for c in cut):
+    # one product of aug's rows with the column v and the columns (k, 0), k
+    # in the kernel as ints.  With f0 = f0_ints / e, aug v for
+    # v = (-d f0_ints, s e) is s e d (gamma - dmat f0), the representative.
+    # It is a cocycle with no further check: cond (aug v) = (cond @ aug) v,
+    # and the guard found cond @ aug zero
+    if p is None:
+        (f0_ints, e), kernel = _cleared(f0), [_cleared(k)[0] for k in kernel]
+    else:
+        f0_ints, e = f0, 1
+    cols = [[-d * x for x in f0_ints] + [s * e]] + [list(k) + [0] for k in kernel]
+    out = _product(aug, list(zip(*cols)), len(cols), p)
+    if any(out[c][0] for c in cut):
         raise AssertionError("representative escapes the distinguished subspace")
     # uniqueness: every f-freedom (dmat k = 0 at the cut) leaves the
     # representative untouched (dmat k = 0)
-    zero = (f.zero(),)
-    for k in kernel:
-        if any(aug._apply(k + zero)):
-            raise AssertionError("distinguished representative is not unique")
-    return CochainTwo._of(f, gr.n, i, rep_flat), CochainOne(f0)
+    if any(any(r[1:]) for r in out):
+        raise AssertionError("distinguished representative is not unique")
+    rep_flat = [r[0] for r in out]
+    if p is None:
+        rep_flat = [Fraction(x, s * e * d) for x in rep_flat]
+    return CochainTwo._of(f, n, i, rep_flat), CochainOne(f0)

@@ -353,7 +353,7 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
         lam = j * blk                       # lambda_j
         prev = ((j - 1) % N) * blk + n      # alpha_{j-1}
         # (1) lambda_j(im T) = 0
-        rows += _vanish_rows(f, dim, imt, lam)
+        rows += _vanish_rows(f.zero(), dim, imt, lam)
         # (2) at group element g^j:
         # 0 = g alpha_{j-1}(u^v) - alpha_{j-1}(^g u ^ ^g v)
         #     - lambda_j(v)(^g u - ^{g^j} u) + lambda_j(u)(^g v - ^{g^j} v)
@@ -375,10 +375,10 @@ def assembled_complex(gr: CyclicGroup) -> Tuple[Matrix, Matrix]:
                 row[lam + a] = f.add(row[lam + a], gm.rows[r][b])
                 rows.append(row)
         # (3) the commutator Jacobi condition, valued in Sym^2 V, at g^j
-        rows += _jacobi_rows(f, dim, one_minus(hj).rows, difference(hj, one).rows, lam + n)
+        rows += _jacobi_rows(f.zero(), dim, one_minus(hj).rows, difference(hj, one).rows, lam + n)
         # d^1 on f_j tensor g^j, in columns j*n .. j*n + n-1: its lambda rows
         # land at g^{j+1}, its alpha rows at g^j
-        block = _coboundary_rows(f, one_minus(g).rows, one_minus(hj).rows,
+        block = _coboundary_rows(f.zero(), one_minus(g).rows, one_minus(hj).rows,
                                  difference(hj, one).rows)
         for k, row in enumerate(block):
             at = ((j + 1) % N) * blk + k if k < n else lam + k

@@ -12,11 +12,14 @@ on the zero rows.
 The alpha-twist block of condition (2) is built once per group as
 I - (wedge^2 g)^T kron g^{-1}; on conjugated generators with Fraction
 entries (n = 1..5 over F_3, F_5 and Q) it must equal, row for row, the
-entrywise loop kept in conftest as `reference_twist`.
+entrywise loop kept in conftest as `reference_twist`.  Over Q the record
+holds integer rows: the reference times L, the lcm of every denominator of
+g's powers and of the reference rows, which the record keeps as its scale.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -107,7 +110,7 @@ def test_identity_contributes_no_jacobi_row():
     gr = suite_group("diag_2_3_4_f5")
     f, n = gr.field, gr.n
     one_minus_1 = one_minus(gr.power(0)).rows
-    assert _jacobi_rows(f, cochain_dim(n), one_minus_1, _negated(f, one_minus_1), n) == []
+    assert _jacobi_rows(f.zero(), cochain_dim(n), one_minus_1, _negated(f, one_minus_1), n) == []
     assert len(every_jacobi_row(f, cochain_dim(n), one_minus_1, n)) == 6
     # what is left at the identity are the nonzero rows of conditions (1) and (2)
     rows = group_rows(gr)
@@ -153,4 +156,13 @@ def rational_conjugates(max_n=4):
 def test_twist_block_is_the_entrywise_reference(field, n, data):
     rows = data.draw(conjugated_generators(field, n))
     gr = group_from_generator(field, rows, order_bound=ORDER_BOUND)
-    assert group_rows(gr).twist == reference_twist(gr)
+    record, ref = group_rows(gr), reference_twist(gr)
+    if field.p is None:
+        scale = lcm(*[x.denominator for m in gr.powers for row in m.rows for x in row],
+                    *[x.denominator for *_, row in ref for x in row])
+        assert record.scale == scale
+        assert all(type(x) is int for *_, row in record.twist for x in row)
+        ref = [(a, b, r, tuple(x * scale for x in row)) for a, b, r, row in ref]
+    else:
+        assert record.scale is None
+    assert record.twist == ref

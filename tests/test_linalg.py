@@ -8,6 +8,7 @@ are the exact computations the cohomology layers lean on.
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -364,14 +365,37 @@ def test_eliminate_in_an_order_is_the_rref_of_the_permuted_columns(case):
     m, order = case
     permuted = Matrix(m.field, [[row[c] for c in order] for row in m.rows], ncols=m.ncols)
     red, piv = rref(permuted)
-    rows = [list(r) for r in m.rows]
+    # over Q `_eliminate` takes each row times the factor in `scales`
+    scales = []
+    rows = linalg._working_rows(m, scales)
     pivots, det = linalg._eliminate(m.field, rows, m.ncols, order)
     assert pivots == tuple(order[k] for k in piv)
     assert [tuple(row[c] for c in order) for row in rows] == list(red.rows)
     if m.field.p is None:
         assert all(type(x) is Fraction for row in rows for x in row)
+        assert all(type(x) is int for row in linalg._working_rows(m) for x in row)
     if m.nrows == m.ncols:
-        assert det == permuted.det()
+        assert det == permuted.det() * prod(scales)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(kernel_matrices(), st.data())
+def test_eliminating_only_the_read_columns_keeps_the_pivots_and_the_read_rows(case, data):
+    # a caller that reads the first `reduced` columns of the order gets the
+    # same pivots, and the rows pivoting there are the full elimination's
+    # rows at those columns (over Q canonical Fractions)
+    m, order = case
+    reduced = data.draw(st.integers(0, m.ncols))
+    full, part = linalg._working_rows(m), linalg._working_rows(m)
+    pivots = linalg._eliminate(m.field, full, m.ncols, order)[0]
+    assert linalg._eliminate(m.field, part, m.ncols, order, reduced)[0] == pivots
+    read = order[:reduced]
+    k = len(set(pivots).intersection(read))
+    assert pivots[:k] == tuple(c for c in read if c in pivots)
+    assert [[row[c] for c in read] for row in part[:k]] == \
+        [[row[c] for c in read] for row in full[:k]]
+    if m.field.p is None:
+        assert all(type(x) is Fraction for row in part[:k] for x in row)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

@@ -236,7 +236,8 @@ def test_a_shared_record_is_read_and_never_written(name, monkeypatch):
 def perturb_coboundaries(monkeypatch, j=0):
     """Make the coboundary row builder that the d^2 = 0 guard reads add 1
     to one entry of d(e_j^* tensor h), in a row that the condition rows
-    built just before it read, so that d^2 != 0."""
+    built just before it read, so that d^2 != 0.  Over F_p the entry may
+    reach p, which the guard's product reduces like (x + 1) mod p."""
     real_conditions, real_coboundary = oracle._condition_rows, oracle._coboundary_rows
     column = None
 
@@ -246,9 +247,9 @@ def perturb_coboundaries(monkeypatch, j=0):
         column = next(c for c in range(len(cond[0])) if any(row[c] for row in cond))
         return cond
 
-    def perturbed(f, *args):
-        cob = real_coboundary(f, *args)
-        cob[column][j] = f.add(cob[column][j], f.one())
+    def perturbed(zero, *args):
+        cob = real_coboundary(zero, *args)
+        cob[column][j] += 1
         return cob
     monkeypatch.setattr(oracle, "_condition_rows", conditions)
     monkeypatch.setattr(oracle, "_coboundary_rows", perturbed)
@@ -273,7 +274,13 @@ def test_d_squared_guard_fires_on_a_perturbed_coboundary(monkeypatch, tmp_path, 
 def test_negative_cohomology_dimension_is_refused(monkeypatch):
     # a coboundary rank above dim Z, injected, must not give a negative hh
     gr = suite_group("transvection_f3")
-    monkeypatch.setattr(oracle, "rank", lambda m: cochain_dim(gr.n) + 1)
+    real = oracle._eliminate
+
+    def inflated(f, rows, ncols, *rest):
+        # b is the rank of the coboundary rows, the one elimination of n columns
+        piv, det = real(f, rows, ncols, *rest)
+        return (tuple(range(cochain_dim(gr.n) + 1)) if ncols == gr.n else piv), det
+    monkeypatch.setattr(oracle, "_eliminate", inflated)
     with pytest.raises(AssertionError, match="^negative cohomology dimension at element 1$"):
         per_element_cohomology(gr, 1, group_rows(gr))
 

@@ -47,7 +47,7 @@ RECORDS = [
     (CochainTwo, ["field", "n", "element_index", "lam", "alpha"], cochain),
     (CochainOne, ["f"], lambda gr: reduce_to_representative(gr, cochain(gr))[1]),
     (ComplexDims, ["z_dim", "b_dim", "hh_dim"], lambda gr: oracle_report(gr)[1]),
-    (GroupRows, ["transfer", "twist", "one_minus_g"], group_rows),
+    (GroupRows, ["transfer", "twist", "one_minus_g", "scale"], group_rows),
 ]
 
 
