@@ -133,6 +133,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import comb, lcm
+from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .fields import Field, Scalar
@@ -226,8 +227,11 @@ def _signed_shifts(f: Field, h: Matrix, scale: int | None = None
     return _negated(f, h_minus_1), h_minus_1
 
 
-def _cleared(v: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """v times the lcm d of its denominators, as ints, and d."""
+def _cleared(f: Field, v: Sequence[Scalar]) -> Tuple[List[int], int]:
+    """v as ints and the factor d it was multiplied by: over F_p v itself
+    and 1, over Q v times the lcm d of its denominators."""
+    if f.p is not None:
+        return list(v), 1
     d = lcm(*{x._denominator for x in v})
     return _numerators(v, d), d
 
@@ -321,13 +325,12 @@ def group_rows(gr: CyclicGroup) -> GroupRows:
     neg_ginv = Matrix._of(f, _negated(f, gr.power(-1).rows), n)
     block = minus_scalar(kron(wedge2_matrix(gr.generator).transpose(), neg_ginv),
                          f.coerce(-1)).rows
-    transfer = gr.transfer().basis.rows
     scale = None
     if f.p is None:
         scale = lcm(*{x._denominator for rows in chain((m.rows for m in gr.powers), [block])
                       for row in rows for x in row})
         block = [_numerators(row, scale) for row in block]
-        transfer = [_cleared(row)[0] for row in transfer]
+    transfer = [_cleared(f, row)[0] for row in gr.transfer().basis.rows]
     lam = (0,) * n
     twist = [(a, b, r, lam + tuple(row))
              for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block)]
@@ -529,11 +532,10 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
         raise TypeError("cochain entries must be scalars, not strings")
     flat = [f.coerce(x) for x in flat]
     rows = group_rows(gr)
-    p = f.p
-    s = rows.scale if p is None else 1
+    p, s = f.p, rows.scale or 1
     # aug holds the rows of [s dmat | d gamma] as built, ints (s = d = 1
     # over F_p); the guard found every column of cond @ aug zero
-    gamma_ints, d = (flat, 1) if p is not None else _cleared(flat)
+    gamma_ints, d = _cleared(f, flat)
     aug = _guarded_complex(gr, i, rows, gamma_ints)[1]
     cut = distinguished_constraints(gr, i)
     # the rows of [dmat | gamma] at the cut, exactly: over Q dmat's over s
@@ -542,24 +544,23 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     f0, kernel = solve(Matrix._of(f, at_cut, n + 1))
     if f0 is None:
         raise AssertionError("no coboundary reaches the distinguished subspace")
-    # one product of aug's rows with the column v and the columns (k, 0), k
-    # in the kernel as ints.  With f0 = f0_ints / e, aug v for
-    # v = (-d f0_ints, s e) is s e d (gamma - dmat f0), the representative.
-    # It is a cocycle with no further check: cond (aug v) = (cond @ aug) v,
-    # and the guard found cond @ aug zero
-    if p is None:
-        (f0_ints, e), kernel = _cleared(f0), [_cleared(k)[0] for k in kernel]
-    else:
-        f0_ints, e = f0, 1
-    cols = [[-d * x for x in f0_ints] + [s * e]] + [list(k) + [0] for k in kernel]
-    out = _product(aug, list(zip(*cols)), len(cols), p)
-    if any(out[c][0] for c in cut):
+    def applied(v):
+        # aug v for an int vector v, reduced mod p over F_p
+        out = [sum(map(mul, row, v)) for row in aug]
+        return out if p is None else [x % p for x in out]
+
+    # with f0 = f0_ints / e, aug v for v = (-d f0_ints, s e) is
+    # s e d (gamma - dmat f0), the representative.  It is a cocycle with no
+    # further check: cond (aug v) = (cond @ aug) v, and the guard found
+    # cond @ aug zero
+    f0_ints, e = _cleared(f, f0)
+    rep_flat = applied([-d * x for x in f0_ints] + [s * e])
+    if any(rep_flat[c] for c in cut):
         raise AssertionError("representative escapes the distinguished subspace")
     # uniqueness: every f-freedom (dmat k = 0 at the cut) leaves the
     # representative untouched (dmat k = 0)
-    if any(any(r[1:]) for r in out):
+    if any(any(applied(_cleared(f, k)[0] + [0])) for k in kernel):
         raise AssertionError("distinguished representative is not unique")
-    rep_flat = [r[0] for r in out]
     if p is None:
         rep_flat = [Fraction(x, s * e * d) for x in rep_flat]
     return CochainTwo._of(f, n, i, rep_flat), CochainOne(f0)
