@@ -91,9 +91,8 @@ of the product from the nonzeros of row t of a alone, reducing each output
 entry mod p once over F_p.  The nonzero columns of a row of a come from
 `itertools.compress(range(ncols), row)`, so its zeros are skipped in C, not
 by a Python test per entry.  The oracle calls it on its integer rows.  Over
-Q `@` first clears b by one common denominator db and each row of a by its
-own da, runs the same loop and builds one Fraction (over da * db) per
-nonzero output entry.  `_dot` is the one dot product, for `char_poly` and
+Q `@` first clears a by one common denominator da and b by one db, runs the
+same loop and builds one Fraction (over da * db) per nonzero output entry.  `_dot` is the one dot product, for `char_poly` and
 `Matrix.apply`; over F_p it is `sum(map(mul, a, b)) % p`, the products
 and their sum in C and one reduction.
 
@@ -200,14 +199,12 @@ class Matrix:
         f, ncols = self.field, other.ncols
         if f.p is not None:
             return Matrix._of(f, _product(self.rows, other.rows, ncols, f.p), ncols)
-        # b over one common denominator db, each row of a over its own da
-        db = lcm(*{y._denominator for row in other.rows for y in row})
-        das = [lcm(*{x._denominator for x in row}) for row in self.rows]
-        acc = _product([_numerators(row, da) for row, da in zip(self.rows, das)],
+        # a over one common denominator da, b over db
+        da, db = (lcm(*{x._denominator for row in m.rows for x in row}) for m in (self, other))
+        acc = _product([_numerators(row, da) for row in self.rows],
                        [_numerators(row, db) for row in other.rows], ncols)
-        zero = Fraction(0)
-        return Matrix._of(f, [[Fraction(v, da * db) if v else zero for v in row]
-                              for row, da in zip(acc, das)], ncols)
+        d, zero = da * db, Fraction(0)
+        return Matrix._of(f, [[Fraction(v, d) if v else zero for v in row] for row in acc], ncols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
@@ -241,9 +238,10 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        scales: List[Fraction] = []
-        det = _eliminate(self.field, _working_rows(self, scales), n)[1]
-        return det / prod(scales) if scales else det
+        up: List[int] = []
+        down: List[int] = []
+        det = _eliminate(self.field, _working_rows(self, up, down), n)[1]
+        return det * Fraction(prod(down), prod(up)) if up else det
 
 
 def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
@@ -280,11 +278,13 @@ def _numerators(row: Sequence[Fraction], d: int) -> List[int]:
     return [x._numerator * (d // x._denominator) for x in row]
 
 
-def _working_rows(m: Matrix, scales: List[Fraction] | None = None) -> List[list]:
+def _working_rows(m: Matrix, up: List[int] | None = None,
+                  down: List[int] | None = None) -> List[list]:
     """The rows of m as `_eliminate` takes them, as new lists: m's entries
     over F_p; over Q each row times the lcm of its denominators and over
     the gcd of the resulting ints (its content), a primitive integer row,
-    with the factor appended to `scales` when it is given."""
+    with the lcm appended to `up` and the content to `down` when they are
+    given (for the determinant)."""
     if m.field.p is not None:
         return [list(r) for r in m.rows]
     out = []
@@ -294,8 +294,9 @@ def _working_rows(m: Matrix, scales: List[Fraction] | None = None) -> List[list]
         g = gcd(*ints)
         if g > 1:
             ints = [y // g for y in ints]
-        if scales is not None:
-            scales.append(Fraction(d, g or 1))
+        if up is not None:
+            up.append(d)
+            down.append(g or 1)
         out.append(ints)
     return out
 

@@ -365,9 +365,9 @@ def test_eliminate_in_an_order_is_the_rref_of_the_permuted_columns(case):
     m, order = case
     permuted = Matrix(m.field, [[row[c] for c in order] for row in m.rows], ncols=m.ncols)
     red, piv = rref(permuted)
-    # over Q `_eliminate` takes each row times the factor in `scales`
-    scales = []
-    rows = linalg._working_rows(m, scales)
+    # over Q `_eliminate` takes row k times up[k] / down[k]
+    up, down = [], []
+    rows = linalg._working_rows(m, up, down)
     pivots, det = linalg._eliminate(m.field, rows, m.ncols, order)
     assert pivots == tuple(order[k] for k in piv)
     assert [tuple(row[c] for c in order) for row in rows] == list(red.rows)
@@ -375,7 +375,7 @@ def test_eliminate_in_an_order_is_the_rref_of_the_permuted_columns(case):
         assert all(type(x) is Fraction for row in rows for x in row)
         assert all(type(x) is int for row in linalg._working_rows(m) for x in row)
     if m.nrows == m.ncols:
-        assert det == permuted.det() * prod(scales)
+        assert det * prod(down) == permuted.det() * prod(up)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
