@@ -121,11 +121,11 @@ built, so a `NotACocycleError` names the first violated row of
 times the lcm of its denominators, so it is the unscaled one with its
 columns scaled.  Its rows at the distinguished cut, selected with no
 product and, over Q, divided back by L into exact Fractions, and one
-`solve` give the witness f0 and the kernel.  One more product of the
-integer rows gives gamma - dmat f0, exactly, and dmat at each kernel
-vector; the representative is checked at the cut by reading it there,
-and its docstring and comments say why it needs no further cocycle
-check.
+`solve` give the witness f0 and the kernel.  The integer rows applied to
+one vector give gamma - dmat f0, exactly, and applied to each kernel
+vector give dmat there; the representative is checked at the cut by
+reading it there, and its docstring and comments say why it needs no
+further cocycle check.
 """
 
 from __future__ import annotations
@@ -510,9 +510,9 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     combination of the columns of [dmat | gamma], is a cocycle by that
     product.  The rows of [dmat | gamma] at the distinguished cut and one
     elimination of them (`solve`) give f and the kernel of dmat's rows
-    there, and one product of the rows as built gives the representative
-    and dmat at each kernel vector.  A non-cocycle raises NotACocycleError
-    with the element index and the first violated row of
+    there; the rows as built, applied to one vector and to each kernel
+    vector, give the representative and dmat there.  A non-cocycle raises
+    NotACocycleError with the element index and the first violated row of
     cocycle_conditions(gr, i)."""
     i = gamma.element_index
     f = gr.field
