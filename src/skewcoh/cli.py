@@ -22,7 +22,10 @@ boundary gives 2: `main` (for `--max-order`), `load_job` and the
 constructors that see nothing but the job (the field, the group, the
 deform generator and prime) raise JobError for whatever the input can get
 wrong.  A MemoryError, an input too large to check here, also exits 2.
-Any other exception is a failed verification or a bug, and exits 1.
+A reader that closes standard output early (`skewcoh analyze job.json |
+head -1`) gets no more output, nothing on stderr, and exit 141
+(128 + SIGPIPE), as a command killed by the signal would give.  Any
+other exception is a failed verification or a bug, and exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -47,6 +51,7 @@ from .oracle import group_rows, oracle_report, representative_basis
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 128 + 13        # the reader closed standard output (128 + SIGPIPE)
 
 
 class JobError(Exception):
@@ -421,7 +426,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.max_order < 1:
             raise JobError("--max-order must be at least 1, got %d" % args.max_order)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; point stdout at the null device
+        # so that the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except JobError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT

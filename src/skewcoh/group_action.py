@@ -16,6 +16,32 @@ empty module is a 0x0 matrix, which the linear algebra handles like any
 other (det 1, a 0x0 transpose, a 0x0 Kronecker product, rank 0 and so
 chi-invariants of dimension 0), so no caller tests for one.
 
+The matrices the group layer builds itself (wedge^2, the Kronecker
+products, T and the two subspace actions) come from integer products
+through one pair of `linalg` helpers: `_int_rows` gives a matrix's rows as ints
+over one common denominator d (over F_p its canonical rows themselves,
+uncopied, and d = 1) and `_of_ints` turns the integer result over its
+denominator back into one canonical Fraction per nonzero entry (over F_p
+into the matrix of the rows, which each loop reduced mod p entry by entry
+as it made them).  So over Q no Fraction is added or multiplied entry by
+entry:
+
+* `wedge2_matrix` takes the 2x2 minors of g's integer rows over d, so it
+  is over d^2; `kron` multiplies the integer rows of its two factors, over
+  the product of their denominators; `CyclicGroup.transfer` sums the
+  powers' integer rows over their common denominator.
+* `quotient_matrix` and `restricted_matrix` read g's action off integer
+  products with the RREF basis B of the subspace, over d_B, with pivots P.
+  Let C be the projection of V onto the pivot-completion complement (the
+  unit vectors at the non-pivots) along the subspace: d_B C has row
+  d_B e_q - sum_k B_k[q] e_{P_k} at each non-pivot q, because a vector
+  reduced against the RREF basis is zero at P.  The quotient action is C g
+  read at the non-pivot columns, entry (q, j) being
+  d_B g[q][j] - sum_k B_k[q] g[P_k][j] over d_B; the restriction is g B^T
+  read at the rows P, the coordinates of g B_k on B.  The subspace is
+  g-stable iff C g B^T = 0, and either builder raises NotGStableError
+  otherwise.
+
 All of this depends only on the subgroup <g^i>, so `CyclicGroup.element`
 derives it once per divisor d of N = |G|, at h = g^d, and `element(i)`
 returns the record of <g^i>, that of d = gcd(i, N).  What belongs to the
@@ -45,10 +71,12 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import List, NamedTuple, Optional, Tuple
+from operator import mul
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import Field, NotInvertibleError, Scalar, _is_prime
-from .linalg import Matrix, Subspace, image_basis, kernel_basis, minus_scalar, rank
+from .linalg import (Matrix, Subspace, _int_rows, _of_ints, image_basis, kernel_basis,
+                     minus_scalar, rank)
 
 DEFAULT_ORDER_BOUND = 10000
 
@@ -72,67 +100,106 @@ def sym_pairs(n: int) -> List[Tuple[int, int]]:
 
 
 def wedge2_matrix(m: Matrix) -> Matrix:
-    """Action on wedge^2 V in the e_a ^ e_b basis via 2x2 minors."""
-    r = m.rows
+    """Action on wedge^2 V in the e_a ^ e_b basis via 2x2 minors, taken of
+    m's integer rows over d (`_int_rows`), so over d^2."""
+    r, d = _int_rows(m)
+    p = m.field.p
     pairs = wedge_pairs(m.nrows)
-    return m._reduced(([r[a][c] * r[b][d] - r[a][d] * r[b][c] for c, d in pairs]
-                       for a, b in pairs), len(pairs))
+    rows = ([r[a][c] * r[b][e] - r[a][e] * r[b][c] for c, e in pairs] for a, b in pairs)
+    if p is not None:
+        rows = ([x % p for x in row] for row in rows)
+    return _of_ints(m.field, rows, d * d, len(pairs))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis of the tensor ordered with a's index major.
-    The factors are mostly zeros, so a zero factor costs no product, and
-    over F_p each product is reduced as it is made."""
+    It multiplies the integer rows of a over da by those of b over db
+    (`_int_rows`), so it is over da db.  The factors are mostly zeros, so a
+    zero factor costs no product, and over F_p each product is reduced as
+    it is made."""
     p = a.field.p
-    zero = a.field.zero()
-    blank = [zero] * b.ncols
+    ra, da = _int_rows(a)
+    rb, db = _int_rows(b)
+    blank = [0] * b.ncols
     rows = []
-    for ra in a.rows:
-        for rb in b.rows:
+    for xs in ra:
+        for ys in rb:
             row = []
-            for x in ra:
+            for x in xs:
                 if not x:
                     row += blank
                 elif p is None:
-                    row += [x * y if y else zero for y in rb]
+                    row += [x * y for y in ys]
                 else:
-                    row += [x * y % p for y in rb]
+                    row += [x * y % p for y in ys]
             rows.append(row)
-    return Matrix._of(a.field, rows, a.ncols * b.ncols)
+    return _of_ints(a.field, rows, da * db, a.ncols * b.ncols)
 
 
-def _acts_on(m: Matrix, sub: Subspace) -> None:
-    """Raise ValueError unless m is a square matrix over sub's field on
-    sub's ambient space, once, so the vectors below go through the trusted
-    `_apply` and `_coordinates`."""
+def _int_action(m: Matrix, sub: Subspace):
+    """m's integer rows g over dg and the rows B of sub's RREF basis over dB
+    (`_int_rows`), after checking once that m is a square matrix over sub's
+    field on sub's ambient space (ValueError otherwise)."""
     if m.field != sub.field or m.nrows != sub.ambient or m.ncols != sub.ambient:
         raise ValueError("a %dx%d matrix over %r does not act on F^%d over %r"
                          % (m.nrows, m.ncols, m.field, sub.ambient, sub.field))
+    return _int_rows(m) + _int_rows(sub.basis)
+
+
+def _projected(sub: Subspace, free: Sequence[int], b, db: int, x) -> List[Sequence[int]]:
+    """dB C x for integer rows x, one row per non-pivot column q of sub (in
+    `free`), C the projection of V onto the pivot-completion complement
+    along sub and B over dB its RREF basis: row q is
+    dB x[q] - sum_k B_k[q] x[P_k], P the pivots (x reduced against the basis
+    and read at q), mod p over F_p."""
+    p = sub.field.p
+    out = []
+    for q in free:
+        row = x[q] if db == 1 else [db * y for y in x[q]]
+        for brow, c in zip(b, sub._pivots):
+            y = brow[q]
+            if y:
+                row = [s - y * t for s, t in zip(row, x[c])] if p is None \
+                    else [(s - y * t) % p for s, t in zip(row, x[c])]
+        out.append(row)
+    return out
+
+
+def _unstable(p: int | None, entries) -> bool:
+    """Whether any of these ints is nonzero (mod p over F_p)."""
+    return any(entries if p is None else (x % p for x in entries))
 
 
 def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
-    """Matrix of m on the invariant subspace, in the subspace's RREF basis."""
-    _acts_on(m, sub)
-    f = m.field
-    cols = []
-    for u in sub.basis.rows:
-        coords, rest = sub._coordinates(m._apply(u))
-        if any(rest):
-            raise NotGStableError("subspace is not preserved")
-        cols.append(coords)
-    return Matrix._of(f, zip(*cols), len(cols))
+    """Matrix of m on the invariant subspace, in the subspace's RREF basis
+    B: column k holds the coordinates of m B_k on B, its entries at the
+    pivots.  So the matrix is m B^T read at the pivot rows, taken on the
+    integer rows of m and B (`_int_action`); sub is m-stable iff
+    C m B^T = 0 (`_projected`), else NotGStableError."""
+    g, dg, b, db = _int_action(m, sub)
+    p = m.field.p
+    gb = [[sum(map(mul, row, brow)) for brow in b] for row in g]
+    if _unstable(p, chain.from_iterable(_projected(sub, sub.complement()._pivots, b, db, gb))):
+        raise NotGStableError("subspace is not preserved")
+    rows = (gb[c] for c in sub._pivots)
+    if p is not None:
+        rows = ([x % p for x in row] for row in rows)
+    return _of_ints(m.field, rows, dg * db, len(b))
 
 
 def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
     """Matrix of the action induced by m on V/sub, in the pivot-completion
-    complement coordinates; sub must be m-stable."""
-    _acts_on(m, sub)
-    f = m.field
-    for u in sub.basis.rows:
-        if any(sub._coordinates(m._apply(u))[1]):
-            raise NotGStableError("subspace is not preserved")
-    cols = [sub._coordinates(m._apply(w))[1] for w in sub.complement().basis.rows]
-    return Matrix._of(f, zip(*cols), len(cols))
+    complement coordinates; sub must be m-stable.  Column j, for a
+    non-pivot j, holds the quotient coordinates of m e_j, so the matrix is
+    C m (`_projected`) read at the non-pivot columns, taken on the integer
+    rows of m and B (`_int_action`); sub is m-stable iff C m B^T = 0, else
+    NotGStableError."""
+    g, dg, b, db = _int_action(m, sub)
+    free = sub.complement()._pivots
+    cg = _projected(sub, free, b, db, g)
+    if _unstable(m.field.p, [sum(map(mul, row, brow)) for row in cg for brow in b]):
+        raise NotGStableError("subspace is not preserved")
+    return _of_ints(m.field, ([row[j] for j in free] for row in cg), dg * db, len(free))
 
 
 def is_transvection(h_minus_1: Matrix, codim: int) -> bool:
@@ -236,12 +303,19 @@ class CyclicGroup:
     def transfer(self) -> Subspace:
         """im T for the transfer T = sum of the powers of g; it lies in V^G."""
         if self._transfer is None:
-            # entry (r, c) of T sums entry (r, c) of every power, one pass over the powers
-            sums = [sum(xs, self.field.zero())
-                    for xs in zip(*(chain.from_iterable(m.rows) for m in self.powers))]
-            n = self.n
-            img = image_basis(self.generator._reduced(sums[r * n:(r + 1) * n]
-                                                      for r in range(n)))
+            f, n, p = self.field, self.n, self.field.p
+            if p is None:
+                # each power's integer rows over its own e, scaled to the common d
+                parts = [_int_rows(m) for m in self.powers]
+                d = math.lcm(*(e for _, e in parts))
+                flat = [[x * (d // e) for row in rows for x in row] for rows, e in parts]
+            else:
+                d, flat = 1, [chain.from_iterable(m.rows) for m in self.powers]
+            # entry (r, c) of d T sums entry (r, c) of every power, one pass over the powers
+            sums = [sum(xs) for xs in zip(*flat)]
+            if p is not None:
+                sums = [x % p for x in sums]
+            img = image_basis(_of_ints(f, (sums[r * n:(r + 1) * n] for r in range(n)), d, n))
             if not self.invariants().contains_space(img):
                 raise AssertionError("im T not contained in V^G")
             self._transfer = img

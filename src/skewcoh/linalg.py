@@ -16,7 +16,9 @@ the vectors handed to `Matrix.apply` and `Subspace.contains` go through
 `Field.coerce`, once per entry.  Each has a trusted twin that takes
 canonical entries (an int in [0, p) over F_p, a Fraction over Q) and
 checks nothing: `Matrix._of`, `Matrix._apply` and
-`Subspace._coordinates` (and the oracle's `CochainTwo._of`).  Every
+`Subspace._coordinates` (and the oracle's `CochainTwo._of`);
+`Subspace.contains_space` reads the other space's canonical basis rows
+through `_coordinates`, with no coercion.  Every
 matrix this module and the group-action builders derive goes through
 `Matrix._of`.  The one `Subspace` constructor trusts its RREF basis and
 pivots; `image_basis` eliminates a spanning set into them, and
@@ -90,11 +92,22 @@ the nonzero (column, value) pairs of each row of b once, and builds row t
 of the product from the nonzeros of row t of a alone, reducing each output
 entry mod p once over F_p.  The nonzero columns of a row of a come from
 `itertools.compress(range(ncols), row)`, so its zeros are skipped in C, not
-by a Python test per entry.  The oracle calls it on its integer rows.  Over
-Q `@` first clears a by one common denominator da and b by one db, runs the
-same loop and builds one Fraction (over da * db) per nonzero output entry.  `_dot` is the one dot product, for `char_poly` and
-`Matrix.apply`; over F_p it is `sum(map(mul, a, b)) % p`, the products
-and their sum in C and one reduction.
+by a Python test per entry.  The oracle calls it on its integer rows.
+
+A Fraction matrix reaches the integer loops through one pair of helpers.
+`_int_rows(m)` gives m's rows as ints over one common denominator d, the
+lcm of m's denominators; over F_p it returns m.rows itself, uncopied, with
+d = 1.  `_of_ints(f, rows, d, ncols)` gives the matrix of int rows over d:
+over Q one canonical Fraction per nonzero entry and one shared zero, over
+F_p the rows as they are, which the caller reduced into [0, p) with one
+`% p` per entry as it made them.  Over Q `@` takes a over da and b over
+db, runs `_product` on them and hands the result to `_of_ints` over
+da * db (over F_p it runs `_product` on the rows as they are); the
+group layer's `wedge2_matrix`, `kron`, transfer sum, `quotient_matrix` and
+`restricted_matrix` use the same pair (the `group_action` docstring).
+`_dot` is the one dot product, for `char_poly` and `Matrix.apply`; over
+F_p it is `sum(map(mul, a, b)) % p`, the products and their sum in C and
+one reduction.
 
 `_kernel_rows` is the one reader of kernel vectors.  Read off an
 elimination that ran right to left they are already the RREF basis (its
@@ -180,15 +193,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
-    def _reduced(self, rows, ncols: int | None = None) -> "Matrix":
-        """A matrix over this field, of this shape or with ncols columns,
-        from exact sums and products of canonical entries, brought back into
-        [0, p) over F_p."""
-        p = self.field.p
-        if p is not None:
-            rows = ([x % p for x in r] for r in rows)
-        return Matrix._of(self.field, rows, self.ncols if ncols is None else ncols)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         # checked once per product, not per entry
         if self.field != other.field:
@@ -197,14 +201,11 @@ class Matrix:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         f, ncols = self.field, other.ncols
-        if f.p is not None:
+        if f.p is not None:         # the power tables' hot path: no helper calls
             return Matrix._of(f, _product(self.rows, other.rows, ncols, f.p), ncols)
-        # a over one common denominator da, b over db
-        da, db = (lcm(*{x._denominator for row in m.rows for x in row}) for m in (self, other))
-        acc = _product([_numerators(row, da) for row in self.rows],
-                       [_numerators(row, db) for row in other.rows], ncols)
-        d, zero = da * db, Fraction(0)
-        return Matrix._of(f, [[Fraction(v, d) if v else zero for v in row] for row in acc], ncols)
+        a, da = _int_rows(self)
+        b, db = _int_rows(other)
+        return _of_ints(f, _product(a, b, ncols), da * db, ncols)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector, returned as a tuple."""
@@ -276,6 +277,29 @@ def _numerators(row: Sequence[Fraction], d: int) -> List[int]:
     if d == 1:
         return [x._numerator for x in row]
     return [x._numerator * (d // x._denominator) for x in row]
+
+
+def _int_rows(m: Matrix) -> Tuple[Sequence[Sequence[int]], int]:
+    """(rows, d): m's rows as ints over one common denominator d.  Over F_p
+    they are m.rows itself, uncopied, and d = 1; over Q d is the lcm of
+    every denominator of m and the rows are new lists, d times m's."""
+    if m.field.p is not None:
+        return m.rows, 1
+    d = lcm(*{x._denominator for row in m.rows for x in row})
+    return [_numerators(row, d) for row in m.rows], d
+
+
+def _of_ints(f: Field, rows: Iterable[Sequence[int]], d: int, ncols: int) -> Matrix:
+    """The matrix of int rows over the denominator d, ncols columns: over
+    F_p the rows themselves, which the caller reduced into [0, p) (d is 1);
+    over Q one canonical Fraction v/d per nonzero v and one shared zero."""
+    if f.p is None:
+        zero = Fraction(0)
+        if d == 1:
+            rows = [[Fraction(v) if v else zero for v in row] for row in rows]
+        else:
+            rows = [[Fraction(v, d) if v else zero for v in row] for row in rows]
+    return Matrix._of(f, rows, ncols)
 
 
 def _working_rows(m: Matrix, up: List[int] | None = None,
@@ -485,16 +509,23 @@ class Subspace:
         return a, [y for j, y in enumerate(v) if j not in pivset]
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.rows)
+        """Whether other lies in self.  other's RREF rows are canonical, so
+        they go through the trusted `_coordinates` with no coercion."""
+        if other.field != self.field or other.ambient != self.ambient:
+            raise ValueError("a subspace of F^%d over %r is not one of F^%d over %r"
+                             % (other.ambient, other.field, self.ambient, self.field))
+        return not any(any(self._coordinates(r)[1]) for r in other.basis.rows)
 
     def complement(self) -> "Subspace":
         """Pivot-completion complement: standard basis vectors at non-pivot
         columns.  They are already an RREF basis, pivoting at those columns,
         so nothing is eliminated."""
+        n, f = self.ambient, self.field
         pivset = set(self._pivots)
-        free = tuple(j for j in range(self.ambient) if j not in pivset)
-        unit = Matrix.identity(self.field, self.ambient).rows
-        return Subspace(Matrix._of(self.field, [unit[j] for j in free], self.ambient), free)
+        free = tuple(j for j in range(n) if j not in pivset)
+        zero = (f.zero(),) * n
+        one = (f.one(),)
+        return Subspace(Matrix._of(f, [zero[:j] + one + zero[j + 1:] for j in free], n), free)
 
 
 def _kernel_rows(f: Field, rows: Sequence[Sequence], piv: Sequence[int],

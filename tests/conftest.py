@@ -10,8 +10,10 @@ three eliminations, the references for the one reversed-order
 elimination of `kernel_basis` and `representative_basis`, the
 entrywise alpha-twist rows of condition (2), the reference for the
 oracle's Kronecker form, the dense square bracket, the reference for
-the deformation layer's sparse one, and the helpers several test modules
-share (`full`, `random_cocycle`, `trial_division_is_prime`)."""
+the deformation layer's sparse one, the per-vector quotient and
+restricted actions and the entrywise minors, Kronecker product and
+transfer sum, the references for the group layer's integer-row builders,
+and the helpers several test modules share (`full`, `random_cocycle`, `trial_division_is_prime`)."""
 
 from fractions import Fraction
 from typing import List, Tuple
@@ -24,6 +26,7 @@ from skewcoh import (
     CyclicGroup,
     Field,
     Matrix,
+    NotGStableError,
     Scalar,
     Subspace,
     SummandReport,
@@ -40,7 +43,6 @@ from skewcoh import (
     wedge2_matrix,
     wedge_pairs,
 )
-from skewcoh.group_action import quotient_matrix, restricted_matrix
 from skewcoh.oracle import _coboundary_rows, _cohomology, _jacobi_rows, _vanish_rows
 
 F3 = Field.prime(3)
@@ -319,8 +321,54 @@ def dual_matrix(m: Matrix) -> Matrix:
     return m.inverse().transpose()
 
 
+def reference_restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
+    """m on the m-stable sub in its RREF basis, one basis vector u at a
+    time: the coordinates of m u on the basis, by `_apply` and
+    `_coordinates` in field arithmetic.  The reference for
+    `restricted_matrix`, which reads m B^T at the pivots on integer rows."""
+    cols = []
+    for u in sub.basis.rows:
+        coords, rest = sub._coordinates(m._apply(u))
+        if any(rest):
+            raise NotGStableError("subspace is not preserved")
+        cols.append(coords)
+    return Matrix._of(m.field, zip(*cols), len(cols))
+
+
+def reference_quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
+    """m on V/sub in the pivot-completion complement coordinates, one
+    complement vector w at a time: the quotient coordinates of m w, after
+    checking that m keeps every basis vector of sub in sub.  The reference
+    for `quotient_matrix`, which reads C m on integer rows."""
+    for u in sub.basis.rows:
+        if any(sub._coordinates(m._apply(u))[1]):
+            raise NotGStableError("subspace is not preserved")
+    cols = [sub._coordinates(m._apply(w))[1] for w in sub.complement().basis.rows]
+    return Matrix._of(m.field, zip(*cols), len(cols))
+
+
+def reference_wedge2_matrix(m: Matrix) -> Matrix:
+    """The 2x2 minors of m in field arithmetic, each reduced mod p over F_p:
+    the reference for `wedge2_matrix`, which takes them of integer rows."""
+    f, r = m.field, m.rows
+    pairs = wedge_pairs(m.nrows)
+    rows = [[r[a][c] * r[b][d] - r[a][d] * r[b][c] for c, d in pairs] for a, b in pairs]
+    if f.p is not None:
+        rows = [[x % f.p for x in row] for row in rows]
+    return Matrix._of(f, rows, len(pairs))
+
+
+def reference_kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product entry by entry in field arithmetic, a's index
+    major: the reference for `kron`, which multiplies integer rows."""
+    f = a.field
+    rows = [[f.mul(x, y) for x in ra for y in rb] for ra in a.rows for rb in b.rows]
+    return Matrix._of(f, rows, a.ncols * b.ncols)
+
+
 def transfer_matrix(gr: CyclicGroup) -> Matrix:
-    """The transfer T = sum of the powers of g; `gr.transfer()` is im T."""
+    """The transfer T = sum of the powers of g, entry by entry in field
+    arithmetic; `gr.transfer()` is im T, summed on integer rows."""
     n = gr.n
     return Matrix(gr.field, [[sum(p.rows[r][c] for p in gr.powers) for c in range(n)]
                              for r in range(n)], ncols=n)
@@ -392,8 +440,8 @@ def reference_element(gr: CyclicGroup, i: int) -> dict:
     that `gr.summand_dim(i)` reads (on V/V_h, and at codim 1 on (V^h)*),
     derived from h = g^i alone: no data
     is shared between elements, det(h) is an elimination, and both induced
-    actions of g come straight from `quotient_matrix` and
-    `restricted_matrix`.  It keeps its own
+    actions of g come from the per-vector `reference_quotient_matrix` and
+    `reference_restricted_matrix`.  It keeps its own
     branches for the empty modules (chi = 1 at h = 1 here, the 0x0 guards
     in `reference_report`), so the library's uniform 0x0 handling is
     checked against them."""
@@ -403,15 +451,15 @@ def reference_element(gr: CyclicGroup, i: int) -> dict:
     fixed = kernel_basis(one_minus_h)
     moved = image_basis(one_minus_h)
     codim = gr.n - fixed.dim
-    chi = f.one() if codim == 0 else quotient_matrix(gr.generator, fixed).det()
+    chi = f.one() if codim == 0 else reference_quotient_matrix(gr.generator, fixed).det()
     return {
         "fixed_space": fixed, "moved_space": moved, "codim": codim,
         "chi_of_generator": chi, "det": h.det(),
         "transvection": (codim == 1 and not one_minus_h.is_zero()
                          and (one_minus_h @ one_minus_h).is_zero()),
-        "quotient_action": quotient_matrix(gr.generator, moved),
-        "dual_fixed_action": (dual_matrix(restricted_matrix(gr.generator, fixed))
-                              if fixed.dim else restricted_matrix(gr.generator, fixed)),
+        "quotient_action": reference_quotient_matrix(gr.generator, moved),
+        "dual_fixed_action": (dual_matrix(reference_restricted_matrix(gr.generator, fixed))
+                              if fixed.dim else reference_restricted_matrix(gr.generator, fixed)),
     }
 
 

@@ -158,8 +158,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_tracer_only_names_are_the_pinned_set():
     assert tracer_only_names() == [
         "fields.py: Field.div", "fields.py: Field.inv", "fields.py: Field.neg",
-        "linalg.py: Matrix.inverse", "linalg.py: char_poly", "linalg.py: eigenspace",
-        "linalg.py: poly_splits"]
+        "linalg.py: Matrix.inverse", "linalg.py: Subspace.contains", "linalg.py: char_poly",
+        "linalg.py: eigenspace", "linalg.py: poly_splits"]
 
 
 def test_every_public_field_is_read_outside_the_tests():

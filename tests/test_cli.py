@@ -756,6 +756,11 @@ J2_F11_COLUMN = ([3] + [0] * 9) * 11
 # representatives have denominators
 DENOM4_Q = {"field": {"type": "rational"},
             "generator": [["-3/4", "3/4", "1/2"], ["-3/2", "1/2", "1"], ["1/8", "-5/8", "5/4"]]}
+# an order-6 generator over Q with denominators 2, 3 and 6: its elements
+# have codims 0 to 3, g^3 is a reflection, and chi_h(g) = -1 with fractions
+# in the quotient action (elements 1, 3 and 5)
+REFL6_Q = {"field": {"type": "rational"},
+           "generator": [["-5/6", "5/6", "-1/3"], ["1/6", "-1/6", "-1/3"], ["0", "3", "-1"]]}
 
 CLI_TABLE = {
     # the deform verdict and its degree-4 Hilbert block, 15p words at p
@@ -784,6 +789,9 @@ CLI_TABLE = {
         "formula column": J2_F11_COLUMN}),
     "analyze-j2-f11": (J2_F11, ["analyze", "--json", "--nonmodular-check"], {
         "per-element totals": J2_F11_COLUMN, "nonmodular verdict": "not_applicable"}),
+    "analyze-refl6-q": (REFL6_Q, ["analyze", "--json", "--nonmodular-check"], {
+        "per-element totals": [0] * 6, "codims": [0, 1, 2, 3], "nonmodular verdict": "pass",
+        "stdout sha256": "8c4de6ca9da220fa819c41da3db6cbf545b7149db3e1a0d914200b565779c26d"}),
 }
 
 
@@ -812,3 +820,23 @@ def test_cli_table_row_across_the_process_boundary(job, capsys):
     r = subprocess.run([sys.executable, "-m", "skewcoh.cli", *argv], capture_output=True,
                        timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
     assert (r.returncode, r.stdout) == (code, out.encode()), r.stderr
+
+
+def test_a_closed_stdout_pipe_exits_141_quietly(job):
+    # `analyze` on the transvection over F_9973 prints about 1.4 MB, more
+    # than a pipe holds; the reader takes one line and closes the pipe, so
+    # the rest of the output meets a closed pipe: no traceback, no
+    # "verification failed", nothing on stderr, and exit 128 + SIGPIPE
+    path = job({"field": {"type": "prime", "p": 9973}, "generator": [[1, 1], [0, 1]]})
+    r = subprocess.Popen([sys.executable, "-m", "skewcoh.cli", "analyze", path],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    try:
+        assert r.stdout.readline().startswith(b"group: F_9973, n = 2, |G| = 9973")
+        r.stdout.close()
+        err = r.stderr.read()
+        assert (r.wait(timeout=60), err) == (141, b"")
+    finally:
+        r.kill()
+        r.wait()
+        r.stderr.close()

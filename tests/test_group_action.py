@@ -25,7 +25,11 @@ from skewcoh import (
 
 from skewcoh.group_action import quotient_matrix, restricted_matrix
 
-from conftest import dual_matrix, full, span, suite_group, transfer_matrix
+from conftest import (dual_matrix, full, reference_kron, reference_quotient_matrix,
+                      reference_restricted_matrix, reference_wedge2_matrix, span, suite_group,
+                      transfer_matrix)
+from test_condition_rows import rational_conjugates
+from test_trusted_builders import MODULAR_MAX_ORDER, SETTINGS, modular_jordan_generators
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -233,10 +237,68 @@ def test_tensor_action_dimensions():
 
 def test_quotient_by_unstable_subspace():
     gr = suite_group("transvection_f3")
-    with pytest.raises(NotGStableError):
-        quotient_matrix(gr.generator, span(F3, 2, [[0, 1]]))
-    with pytest.raises(NotGStableError):
-        restricted_matrix(gr.generator, span(F3, 2, [[0, 1]]))
+    unstable = [
+        (gr.generator, span(F3, 2, [[0, 1]])),
+        # over Q, with denominators in the action and in the RREF basis
+        (Matrix(Q, [[1, "1/2"], [0, 1]]), span(Q, 2, [[0, 1]])),
+        (Matrix(Q, [["1/3", 0, 0], [0, 2, 0], [0, 0, 1]]), span(Q, 3, [[1, "2/7", 0]])),
+        # over F_5, g (1, 4, 0) = (1, 3, 0) leaves the line
+        (Matrix(F5, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]), span(F5, 3, [[1, 4, 0]])),
+    ]
+    for m, sub in unstable:
+        for act in (quotient_matrix, restricted_matrix,
+                    reference_quotient_matrix, reference_restricted_matrix):
+            with pytest.raises(NotGStableError):
+                act(m, sub)
+
+
+def test_stability_is_read_in_the_field():
+    # g = 2 on the plane x_2 = 0 keeps the line through (1, 4, 0) over F_5: the
+    # integer check C g B^T is 10 there, zero only mod 5; over Q the same
+    # check holds with denominators, g = 1/3 on the plane of (1, 2/7, 0)
+    stable = [(Matrix(F5, [[2, 0, 0], [0, 2, 0], [0, 0, 1]]), span(F5, 3, [[1, 4, 0]])),
+              (Matrix(Q, [["1/3", 0, 0], [0, "1/3", 0], [0, 0, 2]]),
+               span(Q, 3, [[1, "2/7", 0]]))]
+    for m, sub in stable:
+        assert quotient_matrix(m, sub) == reference_quotient_matrix(m, sub)
+        assert restricted_matrix(m, sub) == reference_restricted_matrix(m, sub)
+    assert restricted_matrix(*stable[0]) == Matrix(F5, [[2]])
+    assert quotient_matrix(*stable[1]) == Matrix(Q, [["1/3", 0], [0, 2]])
+
+
+def check_group_layer_against_references(field, rows, order_bound):
+    # every builder of the group layer against its field-arithmetic
+    # reference: the actions of g, g^{-1} and h on V^h and V_h and on
+    # their quotients, at every subgroup <h>, the minors and Kronecker
+    # products the summands and the oracle read, and the transfer sum
+    gr = group_from_generator(field, rows, order_bound=order_bound)
+    assert gr.transfer() == image_basis(transfer_matrix(gr))
+    g, ginv = gr.generator, gr.power(-1)
+    assert kron(g, wedge2_matrix(ginv)) == reference_kron(g, reference_wedge2_matrix(ginv))
+    for d in range(1, gr.order + 1):
+        if gr.order % d:
+            continue
+        ed, h = gr.element(d), gr.power(d)
+        assert wedge2_matrix(h) == reference_wedge2_matrix(h)
+        for sub in (ed.fixed_space, ed.moved_space):
+            for m in (g, ginv, h):
+                quot, res = quotient_matrix(m, sub), restricted_matrix(m, sub)
+                assert quot == reference_quotient_matrix(m, sub), (rows, d)
+                assert res == reference_restricted_matrix(m, sub), (rows, d)
+                dual = res.transpose()
+                assert kron(quot, dual) == reference_kron(quot, dual)
+
+
+@SETTINGS
+@given(rational_conjugates())
+def test_group_layer_builders_are_their_references_on_conjugated_rationals(gen):
+    check_group_layer_against_references(*gen, 10000)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(modular_jordan_generators())
+def test_group_layer_builders_are_their_references_in_the_modular_regime(gen):
+    check_group_layer_against_references(*gen, MODULAR_MAX_ORDER)
 
 
 def test_an_action_on_another_space_is_refused():

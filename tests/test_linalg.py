@@ -176,6 +176,11 @@ def test_contains():
     assert not u.contains([0, 0, 1])
     assert u.contains_space(span(Q, 3, [[1, 1, 0]]))
     assert not u.contains_space(full(Q, 3))
+    # the other space's rows are read without coercion, so a space of
+    # another field or ambient dimension is refused, not read
+    for other in (span(F5, 3, [[1, 1, 0]]), span(Q, 2, [[1, 1]])):
+        with pytest.raises(ValueError, match="^a subspace of F\\^"):
+            u.contains_space(other)
 
 
 @pytest.mark.parametrize("field", [F3, Q], ids=["F3", "Q"])

@@ -11,7 +11,9 @@ cochain the oracle hands out: each `representative_basis` vector (its
 lambda and alpha), and the representative and witness f that
 `reduce_to_representative` returns for a random cocycle.  Over Q an int
 prints the same digits as the equal Fraction, so no byte check of the
-output would see one there.
+output would see one there.  `check_builders` also runs on the Q draws
+with denominators 2 and 7 (`test_routes_property`).  Over F_p the group
+layer makes no Fraction at all: a counting `Fraction.__new__` sees none.
 """
 
 import random
@@ -26,6 +28,7 @@ from skewcoh import (
     OrderExceedsBoundError,
     coboundary_matrix,
     cocycle_conditions,
+    full_report,
     group_from_generator,
     group_rows,
     kron,
@@ -134,6 +137,8 @@ def check_builders(field, rows, i):
     built = [
         h, transfer_matrix(gr), gr.transfer().basis, dual_matrix(h),
         restricted_matrix(gr.generator, ed.fixed_space),
+        restricted_matrix(gr.generator, ed.moved_space),
+        quotient_matrix(gr.generator, ed.fixed_space), quotient_matrix(h, ed.moved_space),
         quot, dual_fixed, kron(quot, dual_fixed),
         cocycle_conditions(gr, i), coboundary_matrix(gr, i),
         cut_matrix(gr, i),
@@ -165,3 +170,26 @@ def test_prime_field_builders_hold_canonical_entries(gen, i):
 @given(signed_permutations(), st.integers(0, 50))
 def test_rational_builders_hold_canonical_entries(gen, i):
     check_builders(*gen, i)
+
+
+def test_the_prime_field_group_layer_makes_no_fraction(monkeypatch):
+    # over F_p the group layer works on the canonical ints and makes no
+    # Fraction: not for the group, its record, the formula's report or any
+    # element's record.  J_2(1) + (2) over F_5 has |G| = 20 and elements of
+    # codim 0, 1 and 2, so every summand's action is built
+    made = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    gr = group_from_generator(Field.prime(5), [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    group_rows(gr)
+    full_report(gr)
+    assert sorted({gr.element(i).codim for i in range(gr.order)}) == [0, 1, 2]
+    assert made == []
+    # the count sees a Fraction when one is made
+    Fraction(1, 3)
+    assert made == [(1, 3)]
