@@ -18,18 +18,19 @@ chi-invariants of dimension 0), so no caller tests for one.
 
 The matrices the group layer builds itself (wedge^2, the Kronecker
 products, T and the two subspace actions) come from integer products
-through one pair of `linalg` helpers: `_int_rows` gives a matrix's rows as ints
-over one common denominator d (over F_p its canonical rows themselves,
+through one pair of `linalg` helpers: `_int_rows` gives row lists as ints
+over one common denominator d (over F_p the canonical rows themselves,
 uncopied, and d = 1) and `_of_ints` turns the integer result over its
-denominator back into one canonical Fraction per nonzero entry (over F_p
-into the matrix of the rows, which each loop reduced mod p entry by entry
-as it made them).  So over Q no Fraction is added or multiplied entry by
-entry:
+denominator back into canonical entries, one Fraction per nonzero entry
+over Q and each entry mod p over F_p.  So each builder is one integer
+loop for both fields, and over Q no Fraction is added or multiplied
+entry by entry:
 
 * `wedge2_matrix` takes the 2x2 minors of g's integer rows over d, so it
   is over d^2; `kron` multiplies the integer rows of its two factors, over
-  the product of their denominators; `CyclicGroup.transfer` sums the
-  powers' integer rows over their common denominator.
+  the product of their denominators; `CyclicGroup.transfer` clears every
+  power's rows in one `_int_rows` call and sums them over that one
+  denominator.
 * `quotient_matrix` and `restricted_matrix` read g's action off integer
   products with the RREF basis B of the subspace, over d_B, with pivots P.
   Let C be the projection of V onto the pivot-completion complement (the
@@ -102,12 +103,9 @@ def sym_pairs(n: int) -> List[Tuple[int, int]]:
 def wedge2_matrix(m: Matrix) -> Matrix:
     """Action on wedge^2 V in the e_a ^ e_b basis via 2x2 minors, taken of
     m's integer rows over d (`_int_rows`), so over d^2."""
-    r, d = _int_rows(m)
-    p = m.field.p
+    r, d = _int_rows(m.field, m.rows)
     pairs = wedge_pairs(m.nrows)
     rows = ([r[a][c] * r[b][e] - r[a][e] * r[b][c] for c, e in pairs] for a, b in pairs)
-    if p is not None:
-        rows = ([x % p for x in row] for row in rows)
     return _of_ints(m.field, rows, d * d, len(pairs))
 
 
@@ -115,23 +113,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; basis of the tensor ordered with a's index major.
     It multiplies the integer rows of a over da by those of b over db
     (`_int_rows`), so it is over da db.  The factors are mostly zeros, so a
-    zero factor costs no product, and over F_p each product is reduced as
-    it is made."""
-    p = a.field.p
-    ra, da = _int_rows(a)
-    rb, db = _int_rows(b)
+    zero factor costs no product."""
+    ra, da = _int_rows(a.field, a.rows)
+    rb, db = _int_rows(b.field, b.rows)
     blank = [0] * b.ncols
     rows = []
     for xs in ra:
         for ys in rb:
             row = []
             for x in xs:
-                if not x:
-                    row += blank
-                elif p is None:
-                    row += [x * y for y in ys]
-                else:
-                    row += [x * y % p for y in ys]
+                row += [x * y for y in ys] if x else blank
             rows.append(row)
     return _of_ints(a.field, rows, da * db, a.ncols * b.ncols)
 
@@ -143,7 +134,7 @@ def _int_action(m: Matrix, sub: Subspace):
     if m.field != sub.field or m.nrows != sub.ambient or m.ncols != sub.ambient:
         raise ValueError("a %dx%d matrix over %r does not act on F^%d over %r"
                          % (m.nrows, m.ncols, m.field, sub.ambient, sub.field))
-    return _int_rows(m) + _int_rows(sub.basis)
+    return _int_rows(m.field, m.rows) + _int_rows(sub.field, sub.basis.rows)
 
 
 def _projected(sub: Subspace, free: Sequence[int], b, db: int, x) -> List[Sequence[int]]:
@@ -151,16 +142,14 @@ def _projected(sub: Subspace, free: Sequence[int], b, db: int, x) -> List[Sequen
     `free`), C the projection of V onto the pivot-completion complement
     along sub and B over dB its RREF basis: row q is
     dB x[q] - sum_k B_k[q] x[P_k], P the pivots (x reduced against the basis
-    and read at q), mod p over F_p."""
-    p = sub.field.p
+    and read at q), not reduced mod p."""
     out = []
     for q in free:
         row = x[q] if db == 1 else [db * y for y in x[q]]
         for brow, c in zip(b, sub._pivots):
             y = brow[q]
             if y:
-                row = [s - y * t for s, t in zip(row, x[c])] if p is None \
-                    else [(s - y * t) % p for s, t in zip(row, x[c])]
+                row = [s - y * t for s, t in zip(row, x[c])]
         out.append(row)
     return out
 
@@ -181,10 +170,7 @@ def restricted_matrix(m: Matrix, sub: Subspace) -> Matrix:
     gb = [[sum(map(mul, row, brow)) for brow in b] for row in g]
     if _unstable(p, chain.from_iterable(_projected(sub, sub.complement()._pivots, b, db, gb))):
         raise NotGStableError("subspace is not preserved")
-    rows = (gb[c] for c in sub._pivots)
-    if p is not None:
-        rows = ([x % p for x in row] for row in rows)
-    return _of_ints(m.field, rows, dg * db, len(b))
+    return _of_ints(m.field, (gb[c] for c in sub._pivots), dg * db, len(b))
 
 
 def quotient_matrix(m: Matrix, sub: Subspace) -> Matrix:
@@ -303,19 +289,12 @@ class CyclicGroup:
     def transfer(self) -> Subspace:
         """im T for the transfer T = sum of the powers of g; it lies in V^G."""
         if self._transfer is None:
-            f, n, p = self.field, self.n, self.field.p
-            if p is None:
-                # each power's integer rows over its own e, scaled to the common d
-                parts = [_int_rows(m) for m in self.powers]
-                d = math.lcm(*(e for _, e in parts))
-                flat = [[x * (d // e) for row in rows for x in row] for rows, e in parts]
-            else:
-                d, flat = 1, [chain.from_iterable(m.rows) for m in self.powers]
-            # entry (r, c) of d T sums entry (r, c) of every power, one pass over the powers
-            sums = [sum(xs) for xs in zip(*flat)]
-            if p is not None:
-                sums = [x % p for x in sums]
-            img = image_basis(_of_ints(f, (sums[r * n:(r + 1) * n] for r in range(n)), d, n))
+            f, n = self.field, self.n
+            # every power's rows over one common d, row r of power k at k n + r:
+            # row r of d T sums rows r, n + r, 2n + r, ...
+            rows, d = _int_rows(f, [row for m in self.powers for row in m.rows])
+            sums = ([sum(xs) for xs in zip(*rows[r::n])] for r in range(n))
+            img = image_basis(_of_ints(f, sums, d, n))
             if not self.invariants().contains_space(img):
                 raise AssertionError("im T not contained in V^G")
             self._transfer = img

@@ -35,10 +35,9 @@ takes a canonical c and rewrites only the diagonal.  The eigenspaces,
 `chi_invariants`, the fixed and moved spaces of h (read from h - 1, which
 has the kernel, image, rank and square of 1 - h) and the oracle's h - 1
 all come from it; the oracle negates h - 1 once for 1 - h.
-The loops below do their arithmetic inline, with no `Field` method
-dispatch: over F_p on the canonical ints with one `% p` per result entry,
-over Q on ints that a Fraction caller clears its rows to first (below);
-the rest uses the Fraction operators.
+The loops below do their arithmetic inline on ints, with no `Field`
+method dispatch: over F_p on the canonical ints, over Q on rows cleared
+of their denominators (below); the rest uses the Fraction operators.
 
 There is one elimination loop, `_eliminate` (Gauss-Jordan).  It visits
 the pivot columns in a given order, by default left to right.  For each
@@ -65,26 +64,25 @@ that pivot among the read columns come first and are RREF rows there:
 
 - Over F_p the rows are updated in place, each pivot row is scaled to 1,
   and det is (-1)^swaps times the product of the pivots met.
-- Over Q the rows that enter are lists of ints.  A Fraction caller
-  (`rref`, `kernel_basis`, `Matrix.det`) first makes them with
-  `_working_rows`: each row is multiplied by the lcm of its denominators
-  and divided by the gcd of the resulting ints (its content), so it
-  starts as a primitive integer row.  The loop is fraction-free (Bareiss
-  1968 is the textbook form).  A pivot row with a negative pivot is
-  negated.  With pivot pv and x in the pivot column of another row,
+- Over Q the rows that enter are lists of ints: `rref`, `kernel_basis`
+  and `Matrix.det` hand it list copies of `_int_rows` (below), m times
+  the common denominator d of its entries.  The loop is fraction-free
+  (Bareiss 1968 is the textbook form).  A pivot row with a negative pivot
+  is negated.  With pivot pv and x in the pivot column of another row,
   g = gcd(pv, x), that row becomes (pv/g) row - (x/g) pivot row and is
-  divided by its content again; a zero row has content 0 and is left as
-  it is.  At the end only the rows that pivot among the read columns are
-  divided by their pivots and written back as canonical Fractions (with
-  one shared zero), and, when every column is read, the rest become zero
-  rows.  The RREF is unique, so those rows and the pivots are those of
-  plain Fraction Gauss-Jordan; a rank writes back nothing.
-- The working rows of the Q loop are multiplied by the row lcms, the
-  negations and the multipliers pv/g, and divided by the contents, each
-  of which `_working_rows` and the loop record.  They end diagonal, or
+  divided by the gcd of its entries (its content); a zero row has
+  content 0 and is left as it is.  At the end only the rows that pivot
+  among the read columns are divided by their pivots and written back as
+  canonical Fractions (with one shared zero), and, when every column is
+  read, the rest become zero rows.  The RREF is unique, so those rows and
+  the pivots are those of plain Fraction Gauss-Jordan; a rank writes back
+  nothing.
+- The loop records the negations and the multipliers pv/g that multiply
+  its rows and the contents that divide them.  The rows end diagonal, or
   triangular when only some columns are read, when the matrix is square
-  and invertible, so det = (-1)^swaps * (product of the final pivots) *
-  (contents) / (lcms, negations, multipliers).
+  and invertible, so the determinant of the int rows is
+  (-1)^swaps * (product of the final pivots) * (contents) /
+  (negations, multipliers), and `Matrix.det` divides it by d^n.
 
 The product `_product(a, b, ncols, p)` of row lists of ints, which `a @ b`
 wraps after its operand check, is row-sparse for the same reason: it lists
@@ -94,17 +92,22 @@ entry mod p once over F_p.  The nonzero columns of a row of a come from
 `itertools.compress(range(ncols), row)`, so its zeros are skipped in C, not
 by a Python test per entry.  The oracle calls it on its integer rows.
 
-A Fraction matrix reaches the integer loops through one pair of helpers.
-`_int_rows(m)` gives m's rows as ints over one common denominator d, the
-lcm of m's denominators; over F_p it returns m.rows itself, uncopied, with
-d = 1.  `_of_ints(f, rows, d, ncols)` gives the matrix of int rows over d:
-over Q one canonical Fraction per nonzero entry and one shared zero, over
-F_p the rows as they are, which the caller reduced into [0, p) with one
-`% p` per entry as it made them.  Over Q `@` takes a over da and b over
-db, runs `_product` on them and hands the result to `_of_ints` over
-da * db (over F_p it runs `_product` on the rows as they are); the
-group layer's `wedge2_matrix`, `kron`, transfer sum, `quotient_matrix` and
-`restricted_matrix` use the same pair (the `group_action` docstring).
+Matrices cross between field entries and ints through one pair of
+helpers.  `_int_rows(f, rows)` takes row lists and gives them as
+ints over one common denominator d, the lcm of their denominators, in new
+lists; over F_p it returns the rows themselves, uncopied, with d = 1.
+`_of_ints(f, rows, d, ncols)` gives the matrix of int rows over d: over Q
+one canonical Fraction per nonzero entry and one shared zero, over F_p
+each entry reduced into [0, p), so a loop that feeds it reduces nothing
+itself and has one form for both fields.  Over Q `@` takes a over da and
+b over db, runs `_product` on them and hands the result to `_of_ints`
+over da * db; over F_p it wraps `_product` of the rows as they are with
+no helper call (the power tables' hot path).  The group layer's
+`wedge2_matrix`, `kron`, transfer sum, `quotient_matrix` and
+`restricted_matrix` (the `group_action` docstring) and the oracle's
+im T rows, gamma, f0, kernel vectors and `cocycle_conditions` use the same
+pair.  Only the oracle's rows at its group's scale (the `oracle`
+docstring) are read with `_numerators`, the slot reader under `_int_rows`.
 `_dot` is the one dot product, for `char_poly` and `Matrix.apply`; over
 F_p it is `sum(map(mul, a, b)) % p`, the products and their sum in C and
 one reduction.
@@ -203,8 +206,8 @@ class Matrix:
         f, ncols = self.field, other.ncols
         if f.p is not None:         # the power tables' hot path: no helper calls
             return Matrix._of(f, _product(self.rows, other.rows, ncols, f.p), ncols)
-        a, da = _int_rows(self)
-        b, db = _int_rows(other)
+        a, da = _int_rows(f, self.rows)
+        b, db = _int_rows(f, other.rows)
         return _of_ints(f, _product(a, b, ncols), da * db, ncols)
 
     def apply(self, v: Sequence) -> Vector:
@@ -239,10 +242,9 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("not square")
-        up: List[int] = []
-        down: List[int] = []
-        det = _eliminate(self.field, _working_rows(self, up, down), n)[1]
-        return det * Fraction(prod(down), prod(up)) if up else det
+        rows, d = _int_rows(self.field, self.rows)
+        det = _eliminate(self.field, list(map(list, rows)), n)[1]
+        return det / d ** n if d != 1 else det
 
 
 def _dot(f: Field, a: Sequence, b: Sequence) -> Scalar:
@@ -279,50 +281,31 @@ def _numerators(row: Sequence[Fraction], d: int) -> List[int]:
     return [x._numerator * (d // x._denominator) for x in row]
 
 
-def _int_rows(m: Matrix) -> Tuple[Sequence[Sequence[int]], int]:
-    """(rows, d): m's rows as ints over one common denominator d.  Over F_p
-    they are m.rows itself, uncopied, and d = 1; over Q d is the lcm of
-    every denominator of m and the rows are new lists, d times m's."""
-    if m.field.p is not None:
-        return m.rows, 1
-    d = lcm(*{x._denominator for row in m.rows for x in row})
-    return [_numerators(row, d) for row in m.rows], d
+def _int_rows(f: Field, rows: Sequence[Sequence[Scalar]]) -> Tuple[Sequence[Sequence[int]], int]:
+    """(int rows, d): the rows as ints over one common denominator d.  Over
+    F_p they are the rows themselves, uncopied, and d = 1; over Q d is the
+    lcm of every denominator of the rows and the int rows are new lists,
+    d times them."""
+    if f.p is not None:
+        return rows, 1
+    d = lcm(*{x._denominator for row in rows for x in row})
+    return [_numerators(row, d) for row in rows], d
 
 
 def _of_ints(f: Field, rows: Iterable[Sequence[int]], d: int, ncols: int) -> Matrix:
     """The matrix of int rows over the denominator d, ncols columns: over
-    F_p the rows themselves, which the caller reduced into [0, p) (d is 1);
-    over Q one canonical Fraction v/d per nonzero v and one shared zero."""
-    if f.p is None:
+    F_p (d is 1) each entry reduced mod p, over Q one canonical Fraction
+    v/d per nonzero v and one shared zero."""
+    p = f.p
+    if p is not None:
+        rows = [[v % p for v in row] for row in rows]
+    else:
         zero = Fraction(0)
         if d == 1:
             rows = [[Fraction(v) if v else zero for v in row] for row in rows]
         else:
             rows = [[Fraction(v, d) if v else zero for v in row] for row in rows]
     return Matrix._of(f, rows, ncols)
-
-
-def _working_rows(m: Matrix, up: List[int] | None = None,
-                  down: List[int] | None = None) -> List[list]:
-    """The rows of m as `_eliminate` takes them, as new lists: m's entries
-    over F_p; over Q each row times the lcm of its denominators and over
-    the gcd of the resulting ints (its content), a primitive integer row,
-    with the lcm appended to `up` and the content to `down` when they are
-    given (for the determinant)."""
-    if m.field.p is not None:
-        return [list(r) for r in m.rows]
-    out = []
-    for row in m.rows:
-        d = lcm(*{x._denominator for x in row})
-        ints = _numerators(row, d)
-        g = gcd(*ints)
-        if g > 1:
-            ints = [y // g for y in ints]
-        if up is not None:
-            up.append(d)
-            down.append(g or 1)
-        out.append(ints)
-    return out
 
 
 def _eliminate(f: Field, rows: List[list], ncols: int, order: Sequence[int] | None = None,
@@ -442,7 +425,7 @@ def _eliminate(f: Field, rows: List[list], ncols: int, order: Sequence[int] | No
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    rows = _working_rows(m)
+    rows = list(map(list, _int_rows(m.field, m.rows)[0]))
     pivots, _ = _eliminate(m.field, rows, m.ncols)
     for i, r in enumerate(rows):      # one row at a time, so only one copy is live
         rows[i] = tuple(r)
@@ -563,7 +546,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     in descending order, whose kernel vectors are already its RREF basis
     (`_kernel_rows`)."""
     n = m.ncols
-    rows = _working_rows(m)
+    rows = list(map(list, _int_rows(m.field, m.rows)[0]))
     piv, _ = _eliminate(m.field, rows, n, range(n - 1, -1, -1))
     return Subspace(Matrix._of(m.field, _kernel_rows(m.field, rows, piv, range(n), n), n),
                     tuple(sorted(set(range(n)).difference(piv))))

@@ -55,16 +55,17 @@ tested while it is built, guarded or eliminated.  The record clears the
 denominators once per group, with one positive integer L (its `scale`):
 the lcm of every denominator of g's powers and of the alpha-twist block,
 1 for an integral generator.  It holds L (1 - g), the twist rows times L,
-and each im T row times the lcm of its own denominators.  Per element,
-`_signed_shifts` reads each entry of h once, through its Fraction slots,
-into L (h - 1) and L (1 - h).  So every condition row is a positive
-integer multiple of its row over Q (L, or the im T row's own factor), and
-the coboundary rows are L times dmat.  Scaling rows by positive integers
+and the im T rows over their common denominator D (`linalg._int_rows`,
+which gamma, f0 and the kernel vectors below go through too).  Per
+element, `_signed_shifts` reads each entry of h once, through its
+Fraction slots, into L (h - 1) and L (1 - h).  So every condition row is
+a positive integer multiple of its row over Q (L, or D), and the
+coboundary rows are L times dmat.  Scaling rows by positive integers
 changes neither a kernel nor a rank nor which rows are zero, so z, b, the
 RREF (hence every representative), d^2 = 0, and the index of the first
 row a cochain violates are those of the unscaled complex.
-`cocycle_conditions` hands out the integer rows as Fractions;
-`coboundary_matrix` stays the exact, unscaled dmat.
+`cocycle_conditions` hands out the integer rows as Fractions
+(`linalg._of_ints`); `coboundary_matrix` stays the exact, unscaled dmat.
 
 The distinguished representatives satisfy pi_h o alpha = 0, where pi_h
 projects V onto V_h along the pivot-completion complement of V_h: the span
@@ -138,8 +139,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .group_action import CyclicGroup, kron, wedge_pairs, sym_pairs, wedge2_matrix
-from .linalg import (Matrix, Vector, _eliminate, _kernel_rows, _numerators, _product,
-                     minus_scalar, rank, solve)
+from .linalg import (Matrix, Vector, _eliminate, _int_rows, _kernel_rows, _numerators, _of_ints,
+                     _product, minus_scalar, rank, solve)
 
 # Nothing here calls `rank`: the benchmark's tracer rebinds it in every
 # module that imports it, and its self-test reads it as `oracle.rank`.
@@ -227,15 +228,6 @@ def _signed_shifts(f: Field, h: Matrix, scale: int | None = None
     return _negated(f, h_minus_1), h_minus_1
 
 
-def _cleared(f: Field, v: Sequence[Scalar]) -> Tuple[List[int], int]:
-    """v as ints and the factor d it was multiplied by: over F_p v itself
-    and 1, over Q v times the lcm d of its denominators."""
-    if f.p is not None:
-        return list(v), 1
-    d = lcm(*{x._denominator for x in v})
-    return _numerators(v, d), d
-
-
 def _vanish_rows(zero: Scalar, dim: int, vectors, at: int) -> List[List[Scalar]]:
     """One row per vector u: the block of coordinates starting at column
     `at` vanishes on u, i.e. lambda(u) = 0 when that block is lambda.  Like
@@ -305,8 +297,8 @@ class GroupRows(NamedTuple):
     alpha-twist row, (alpha - ^{g^{-1}}alpha)(e_a ^ e_b)_r, whose lambda
     block is zero, plus a lambda coupling that depends on h.  Over F_p the
     rows hold canonical ints and `scale` is None; over Q they hold ints,
-    the twist rows and 1 - g times `scale`, L (module docstring), and each
-    transfer row times the lcm of its own denominators."""
+    the twist rows and 1 - g times `scale`, L (module docstring), and the
+    transfer rows over their common denominator."""
     transfer: List[List[Scalar]]                      # condition (1): lambda(im T) = 0
     twist: List[Tuple[int, int, int, Vector]]         # (a, b, r, alpha-twist row)
     one_minus_g: List[List[Scalar]]
@@ -330,7 +322,7 @@ def group_rows(gr: CyclicGroup) -> GroupRows:
         scale = lcm(*{x._denominator for rows in chain((m.rows for m in gr.powers), [block])
                       for row in rows for x in row})
         block = [_numerators(row, scale) for row in block]
-    transfer = [_cleared(f, row)[0] for row in gr.transfer().basis.rows]
+    transfer = _int_rows(f, gr.transfer().basis.rows)[0]
     lam = (0,) * n
     twist = [(a, b, r, lam + tuple(row))
              for ((a, b), r), row in zip(product(wedge_pairs(n), range(n)), block)]
@@ -365,11 +357,9 @@ def cocycle_conditions(gr: CyclicGroup, i: int) -> Matrix:
     """Matrix whose kernel is Z^2_{-1}(h), h = g^i, in flat coordinates:
     the condition rows of the complex, as built, once d^2 = 0 holds on them
     (over Q the integer rows, each a positive multiple of its condition, as
-    Fractions)."""
+    Fractions: `_of_ints`)."""
     cond = _guarded_complex(gr, i, group_rows(gr))[0]
-    if gr.field.p is None:
-        cond = [[Fraction(x) for x in row] for row in cond]
-    return Matrix._of(gr.field, cond, cochain_dim(gr.n))
+    return _of_ints(gr.field, cond, 1, cochain_dim(gr.n))
 
 
 def coboundary_matrix(gr: CyclicGroup, i: int) -> Matrix:
@@ -535,7 +525,7 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     p, s = f.p, rows.scale or 1
     # aug holds the rows of [s dmat | d gamma] as built, ints (s = d = 1
     # over F_p); the guard found every column of cond @ aug zero
-    gamma_ints, d = _cleared(f, flat)
+    (gamma_ints,), d = _int_rows(f, [flat])
     aug = _guarded_complex(gr, i, rows, gamma_ints)[1]
     cut = distinguished_constraints(gr, i)
     # the rows of [dmat | gamma] at the cut, exactly: over Q dmat's over s
@@ -553,13 +543,13 @@ def reduce_to_representative(gr: CyclicGroup, gamma: CochainTwo) -> Tuple[Cochai
     # s e d (gamma - dmat f0), the representative.  It is a cocycle with no
     # further check: cond (aug v) = (cond @ aug) v, and the guard found
     # cond @ aug zero
-    f0_ints, e = _cleared(f, f0)
+    (f0_ints,), e = _int_rows(f, [f0])
     rep_flat = applied([-d * x for x in f0_ints] + [s * e])
     if any(rep_flat[c] for c in cut):
         raise AssertionError("representative escapes the distinguished subspace")
     # uniqueness: every f-freedom (dmat k = 0 at the cut) leaves the
     # representative untouched (dmat k = 0)
-    if any(any(applied(_cleared(f, k)[0] + [0])) for k in kernel):
+    if any(any(applied([*k, 0])) for k in _int_rows(f, kernel)[0]):
         raise AssertionError("distinguished representative is not unique")
     if p is None:
         rep_flat = [Fraction(x, s * e * d) for x in rep_flat]

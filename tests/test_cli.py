@@ -761,6 +761,15 @@ DENOM4_Q = {"field": {"type": "rational"},
 # in the quotient action (elements 1, 3 and 5)
 REFL6_Q = {"field": {"type": "rational"},
            "generator": [["-5/6", "5/6", "-1/3"], ["1/6", "-1/6", "-1/3"], ["0", "3", "-1"]]}
+# (-1) + (order-3 rotation) + (1) over Q, |G| = 6, conjugated by an
+# integer matrix of determinant 10, so g has denominators 10: its elements
+# have codims 0 to 3, and its representatives have fractions, read off the
+# Q `rref` and `kernel_basis` of the group layer and the oracle
+ROT3_REFL_Q = {"field": {"type": "rational"},
+               "generator": [["-1/10", "-1/10", "-9/10", "3/10"],
+                             ["21/10", "-9/10", "-21/10", "7/10"],
+                             ["1/10", "1/10", "-11/10", "7/10"],
+                             ["3/10", "-7/10", "-3/10", "11/10"]]}
 
 CLI_TABLE = {
     # the deform verdict and its degree-4 Hilbert block, 15p words at p
@@ -792,6 +801,9 @@ CLI_TABLE = {
     "analyze-refl6-q": (REFL6_Q, ["analyze", "--json", "--nonmodular-check"], {
         "per-element totals": [0] * 6, "codims": [0, 1, 2, 3], "nonmodular verdict": "pass",
         "stdout sha256": "8c4de6ca9da220fa819c41da3db6cbf545b7149db3e1a0d914200b565779c26d"}),
+    "reps-rot3-refl-q": (ROT3_REFL_Q, ["reps", "--json"], {
+        "hh_dim": [4, 0, 1, 0, 1, 0], "basis sizes": [4, 0, 1, 0, 1, 0],
+        "stdout sha256": "0e638359b419f9bd0fc8615faca23ea3c6093bec40495fc599dd808fff4cad39"}),
 }
 
 

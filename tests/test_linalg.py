@@ -8,7 +8,6 @@ are the exact computations the cohomology layers lean on.
 
 import random
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -370,17 +369,18 @@ def test_eliminate_in_an_order_is_the_rref_of_the_permuted_columns(case):
     m, order = case
     permuted = Matrix(m.field, [[row[c] for c in order] for row in m.rows], ncols=m.ncols)
     red, piv = rref(permuted)
-    # over Q `_eliminate` takes row k times up[k] / down[k]
-    up, down = [], []
-    rows = linalg._working_rows(m, up, down)
+    # `_eliminate` takes list copies of m's int rows, over Q m times the
+    # common denominator d of its entries (over F_p d = 1)
+    ints, d = linalg._int_rows(m.field, m.rows)
+    rows = list(map(list, ints))
     pivots, det = linalg._eliminate(m.field, rows, m.ncols, order)
     assert pivots == tuple(order[k] for k in piv)
     assert [tuple(row[c] for c in order) for row in rows] == list(red.rows)
     if m.field.p is None:
         assert all(type(x) is Fraction for row in rows for x in row)
-        assert all(type(x) is int for row in linalg._working_rows(m) for x in row)
+        assert all(type(x) is int for row in ints for x in row)
     if m.nrows == m.ncols:
-        assert det * prod(down) == permuted.det() * prod(up)
+        assert det == permuted.det() * d ** m.nrows
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -391,7 +391,7 @@ def test_eliminating_only_the_read_columns_keeps_the_pivots_and_the_read_rows(ca
     # rows at those columns (over Q canonical Fractions)
     m, order = case
     reduced = data.draw(st.integers(0, m.ncols))
-    full, part = linalg._working_rows(m), linalg._working_rows(m)
+    full, part = (list(map(list, linalg._int_rows(m.field, m.rows)[0])) for _ in range(2))
     pivots = linalg._eliminate(m.field, full, m.ncols, order)[0]
     assert linalg._eliminate(m.field, part, m.ncols, order, reduced)[0] == pivots
     read = order[:reduced]
@@ -401,6 +401,38 @@ def test_eliminating_only_the_read_columns_keeps_the_pivots_and_the_read_rows(ca
         [[row[c] for c in read] for row in full[:k]]
     if m.field.p is None:
         assert all(type(x) is Fraction for row in part[:k] for x in row)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(kernel_matrices(), st.data())
+def test_the_int_boundary_gives_back_the_canonical_matrix(case, data):
+    # `_int_rows` and `_of_ints` are the one crossing between field entries
+    # and ints: over F_p `_of_ints` reduces any int rows, negative or >= p,
+    # and makes no Fraction; over Q the round trip gives m back
+    m, _ = case
+    f = m.field
+    if f.p is not None:
+        ints, d = linalg._int_rows(f, m.rows)
+        assert ints is m.rows and d == 1
+        rows = data.draw(st.lists(st.lists(st.integers(-3 * f.p, 3 * f.p), min_size=m.ncols,
+                                           max_size=m.ncols),
+                                  min_size=m.nrows, max_size=m.nrows))
+        made = []
+        real = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__new__", counted)
+            got = linalg._of_ints(f, rows, 1, m.ncols)
+        assert got == Matrix(f, rows, ncols=m.ncols)
+        assert made == []
+    else:
+        got = linalg._of_ints(f, *linalg._int_rows(f, m.rows), m.ncols)
+        assert got == m
+        assert all(type(x) is Fraction for row in got.rows for x in row)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
